@@ -5,44 +5,40 @@ that establishes invariance, on failure it carries a witness that can be
 re-applied to reproduce a concrete nonzero defect.
 
 Translation invariance reduces to constancy of every coefficient.
-Rotation invariance is decided by the infinitesimal criterion, i.e. the
-generators (xi_a d_b - xi_b d_a) annihilate every time-slice of the
-symbol, plus evenness under each coordinate reflection (for n = 1 only
-the reflection applies, since O(1) = {+-1}); accepted symbols are then
-cross-checked for fixedness under a deterministic sample of exact
-rotations.  Boost invariance at a fixed gauge family is a zero test on
-the substitution residue in (tau, xi, v).
+Rotation invariance is decided by the radial reduction: a constant
+symbol is O(n)-invariant exactly when each tau-slice is a polynomial in
+s = |xi|^2 (for n = 1 this is evenness, since O(1) = {+-1}).  The exact
+reconstruction sum b_jk |xi|^(2k) (i tau)^j == p, asserted on every
+accept, proves fixedness under every orthogonal matrix at once.  A
+rejected symbol gets a witness matrix found by scalar evaluation at
+seeded rational points.  Boost invariance at a fixed gauge family is a
+zero test on the substitution residue in (tau, xi, v).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import universe
-from .actions import (
-    Translation,
-    conj_boost_gauge,
-    conj_rotation,
-    conj_translation,
-    rotation_symbol_bindings,
-)
+from .actions import Translation, conj_boost_gauge, conj_rotation, conj_translation
 from .errors import InconsistencyError
 from .gaussrat import GaussianRational, i_power
 from .lpdo import LPDO, DerivKey, symbol_of
 from .matrices import (
     OrthogonalMatrix,
+    iter_cayley_rotations,
     orthogonal_witness_pool,
     reflection,
-    sample_cayley_rotations,
 )
 from .multipoly import MultiPoly
 from .oracle import boost_commutator_defect, random_rational
 
-CROSS_CHECK_SEED = 74511
-CROSS_CHECK_CAYLEY = 20
 _WITNESS_SEED = 39021
+# Sampled rotations tried after the witness pool before giving up.
+_WITNESS_EXTRA = 1000
 
 
 @dataclass
@@ -95,6 +91,8 @@ class CheckReport:
     certificate: str | None = None
     witness: TranslationWitness | RotationWitness | BoostWitness | None = None
     detail: str = ""
+    # Set by an accepting rotation check: the exact |xi|^2 reduction.
+    radial: RadialDecomposition | None = None
 
 
 def check_translation_invariance(op: LPDO) -> CheckReport:
@@ -121,81 +119,8 @@ def check_translation_invariance(op: LPDO) -> CheckReport:
     return CheckReport(True, certificate="constant-coefficients")
 
 
-def _first_rotation_defect(slices: dict[int, MultiPoly], n: int):
-    """Generator / reflection failure in some time-slice, or None."""
-    xi = [universe.freq_space(a) for a in range(1, n + 1)]
-    for j in sorted(slices):
-        part = slices[j]
-        for a in range(n):
-            for b in range(a + 1, n):
-                names = part.variables
-                gen = MultiPoly.var(names, xi[a]) * part.partial(xi[b]) - MultiPoly.var(
-                    names, xi[b]
-                ) * part.partial(xi[a])
-                if not gen.is_zero:
-                    return ("generator", j, a + 1, b + 1)
-        for a in range(1, n + 1):
-            flipped = part.substitute(
-                {xi[a - 1]: -MultiPoly.var(part.variables, xi[a - 1])}
-            )
-            if flipped != part:
-                return ("reflection", j, a)
-    return None
-
-
-def _rotation_witness(op: LPDO, defect) -> RotationWitness:
-    """Turn a criterion failure into a concrete non-fixing matrix."""
-    if defect[0] == "reflection":
-        return RotationWitness(reflection(op.n, defect[2]))
-    p = symbol_of(op).poly
-    for rot in orthogonal_witness_pool(op.n, _WITNESS_SEED):
-        bindings = rotation_symbol_bindings(op.n, rot, p.variables)
-        if p.substitute(bindings) != p:
-            return RotationWitness(rot)
-    # A generator defect means p is not rotation-fixed, so a generic
-    # rotation must witness it; draw more until one does.
-    for batch in range(1, 50):
-        for rot in sample_cayley_rotations(op.n, 20, _WITNESS_SEED + batch):
-            bindings = rotation_symbol_bindings(op.n, rot, p.variables)
-            if p.substitute(bindings) != p:
-                return RotationWitness(rot)
-    raise InconsistencyError("generator defect found but no witnessing rotation")
-
-
-def check_rotation_invariance(op: LPDO) -> CheckReport:
-    """Infinitesimal criterion plus reflections, cross-checked on samples."""
-    if not op.is_constant_coefficient:
-        raise ValueError(
-            "rotation invariance needs constant coefficients; "
-            "run the translation check first"
-        )
-    slices = symbol_of(op).tau_slices()
-    defect = _first_rotation_defect(slices, op.n)
-    if defect is not None:
-        kind, j, *rest = defect
-        witness = _rotation_witness(op, defect)
-        if kind == "generator":
-            a, b = rest
-            detail = f"generator (xi{a} d{b} - xi{b} d{a}) moves the tau^{j} slice"
-        else:
-            detail = f"tau^{j} slice is odd in xi{rest[0]}"
-        return CheckReport(False, witness=witness, detail=detail)
-    # Guard the implementation: accepted symbols must be exact fixed
-    # points of every sampled rotation.
-    p = symbol_of(op).poly
-    checked = 0
-    for rot in orthogonal_witness_pool(op.n, CROSS_CHECK_SEED, CROSS_CHECK_CAYLEY):
-        bindings = rotation_symbol_bindings(op.n, rot, p.variables)
-        if p.substitute(bindings) != p:
-            raise InconsistencyError(
-                "generator criterion accepted but a sampled rotation moves the symbol"
-            )
-        checked += 1
-    return CheckReport(
-        True,
-        certificate="generator-annihilation",
-        detail=f"cross-checked against {checked} exact rotations",
-    )
+class NotRadial(ValueError):
+    """A tau-slice of the symbol is not a polynomial in |xi|^2."""
 
 
 @dataclass
@@ -209,25 +134,34 @@ class RadialDecomposition:
     def coefficient(self, j: int, k: int) -> GaussianRational:
         return self.b.get((j, k), GaussianRational())
 
+    def reduced(self) -> MultiPoly:
+        """q(tau, s) over `universe.RADIAL_VARS`, with p(tau, xi) = q(tau, |xi|^2)."""
+        return MultiPoly(
+            universe.RADIAL_VARS,
+            {(j, k): coeff * i_power(j) for (j, k), coeff in self.b.items()},
+        )
+
     def reconstruction(self) -> MultiPoly:
         names = universe.symbol_vars(self.n)
-        norm2 = MultiPoly.zero(names)
-        for a in range(1, self.n + 1):
-            xi = MultiPoly.var(names, universe.freq_space(a))
-            norm2 = norm2 + xi * xi
+        norm2 = _xi_norm2(names, self.n)
         tau = MultiPoly.var(names, universe.FREQ_TIME)
-        total = MultiPoly.zero(names)
-        for (j, k), coeff in self.b.items():
-            total = total + norm2**k * tau**j * (coeff * i_power(j))
-        return total
+        terms = (norm2**k * tau**j * (c * i_power(j)) for (j, k), c in self.b.items())
+        return sum(terms, MultiPoly.zero(names))
+
+
+def _xi_norm2(names: tuple[str, ...], n: int) -> MultiPoly:
+    """|xi|^2 = xi1^2 + ... + xin^2 over the given universe."""
+    xis = (MultiPoly.var(names, universe.freq_space(a)) for a in range(1, n + 1))
+    return sum((xi * xi for xi in xis), MultiPoly.zero(names))
 
 
 def radial_decompose(op: LPDO) -> RadialDecomposition:
     """Write each time-slice of a rotation-invariant symbol in |xi|^2 powers.
 
-    Odd-degree homogeneous parts are required to vanish and every even
-    part must be an exact multiple of |xi|^(2k); the reconstruction is
-    then asserted against the source symbol, not assumed.
+    Every part of degree 2k in xi must be an exact multiple of |xi|^(2k)
+    and odd-degree parts must vanish; otherwise `NotRadial` (a ValueError)
+    names the first slice that fails.  The reconstruction is then
+    asserted against the source symbol, not assumed.
     """
     if not op.is_constant_coefficient:
         raise ValueError("radial decomposition needs constant coefficients")
@@ -235,31 +169,93 @@ def radial_decompose(op: LPDO) -> RadialDecomposition:
     n = op.n
     xi_names = [universe.freq_space(a) for a in range(1, n + 1)]
     names = sym.poly.variables
-    norm2 = MultiPoly.zero(names)
-    for name in xi_names:
-        xi = MultiPoly.var(names, name)
-        norm2 = norm2 + xi * xi
     unit_point = {name: 1 if name == xi_names[0] else 0 for name in xi_names}
+    norm2 = _xi_norm2(names, n)
+    powers = [MultiPoly.const(names, 1)]
     result = RadialDecomposition(n, op.order)
-    for j, raw in sym.tau_slices().items():
+    for j, raw in sorted(sym.tau_slices().items()):
         slice_j = raw * i_power(-j)
-        for degree, part in slice_j.homogeneous_parts(xi_names).items():
-            if degree % 2:
-                raise ValueError(
-                    f"tau^{j} slice has a degree-{degree} part; "
-                    "the operator is not rotation-invariant"
-                )
-            k = degree // 2
+        for degree, part in sorted(slice_j.homogeneous_parts(xi_names).items()):
+            k, odd = divmod(degree, 2)
+            while len(powers) <= k:
+                powers.append(powers[-1] * norm2)
             b = part.evaluate(unit_point)
-            if part != norm2**k * b:
-                raise ValueError(
-                    f"tau^{j} slice is not a multiple of |xi|^{degree}; "
-                    "the operator is not rotation-invariant"
+            if odd or part != powers[k] * b:
+                raise NotRadial(
+                    f"tau^{j} slice has a degree-{degree} part that is not a "
+                    "multiple of a power of |xi|^2"
                 )
             result.b[(j, k)] = b
     if result.reconstruction() != sym.poly:
         raise InconsistencyError("radial reconstruction does not match the symbol")
     return result
+
+
+def _rotation_defect(p: MultiPoly, n: int) -> tuple:
+    """("reflection", a) when some term of p is odd in xi_a, else ("radial",):
+    p is even in every xi_a but still not radial."""
+    tau = p.variables.index(universe.FREQ_TIME)
+    for a in range(1, n + 1):
+        if any(exps[tau + a] % 2 for exps in p.terms):
+            return ("reflection", a)
+    return ("radial",)
+
+
+def _rotation_witness(op: LPDO, defect) -> RotationWitness:
+    """Turn a radial-reduction failure into a concrete non-fixing matrix.
+
+    A term odd in xi_a is moved by the reflection of that axis.  Otherwise
+    the witness pool is walked, then further sampled rotations, and each
+    matrix R is tried by comparing p(tau, xi) with p(tau, R^T xi) at a
+    fresh seeded rational point: scalar evaluations only.
+    """
+    n = op.n
+    if defect[0] == "reflection":
+        return RotationWitness(reflection(n, defect[1]))
+    p = symbol_of(op).poly
+    names = [universe.FREQ_TIME] + [universe.freq_space(a) for a in range(1, n + 1)]
+    rng = random.Random(_WITNESS_SEED)
+    candidates = itertools.chain(
+        orthogonal_witness_pool(n, _WITNESS_SEED),
+        itertools.islice(iter_cayley_rotations(n, _WITNESS_SEED + 1), _WITNESS_EXTRA),
+    )
+    for rot in candidates:
+        tau, *xi = (random_rational(rng, 3) for _ in range(n + 1))
+        here = dict(zip(names, [tau, *xi]))
+        there = dict(zip(names, [tau, *rot.matrix.transpose().apply(xi)]))
+        if p.evaluate(here) != p.evaluate(there):
+            return RotationWitness(rot)
+    # The reduction proved p is not fixed by O(n), and for n >= 2 a generic
+    # rotation moves any symbol that is not radial.
+    raise InconsistencyError("radial reduction failed but no witnessing rotation")
+
+
+def check_rotation_invariance(op: LPDO) -> CheckReport:
+    """Invariant exactly when every tau-slice is a polynomial in |xi|^2.
+
+    On acceptance the report carries the `RadialDecomposition`, whose
+    exact reconstruction proves the symbol fixed by every orthogonal
+    matrix; the classifiers read their coefficients from it.
+    """
+    if not op.is_constant_coefficient:
+        raise ValueError(
+            "rotation invariance needs constant coefficients; "
+            "run the translation check first"
+        )
+    try:
+        radial = radial_decompose(op)
+    except NotRadial as failure:
+        defect = _rotation_defect(symbol_of(op).poly, op.n)
+        witness = _rotation_witness(op, defect)
+        return CheckReport(False, witness=witness, detail=str(failure))
+    # A radial symbol is exactly one the rotation generators annihilate
+    # and every reflection fixes; the certificate keeps that name.
+    return CheckReport(
+        True,
+        certificate="generator-annihilation",
+        detail="every tau-slice is a polynomial in |xi|^2",
+        radial=radial,
+    )
 
 
 def check_boost_invariance_fixed_gauge(op: LPDO, lam: Fraction | int) -> CheckReport:

@@ -7,12 +7,13 @@ exact reconstruction  L = alpha*(2i*lam*dt + Lap) + beta  together with
 the boost check at the derived lam.  Rejections name the earliest failed
 stage, so a report reads as a trace of which requirement broke first.
 
-`classify_power_form` handles arbitrary order at a fixed lam != 0: after
-the rotation check, the symbol is rewritten by the exact substitution
-tau -> (mu - |xi|^2) / (2*lam); the operator is a polynomial in the
-Schrodinger factor exactly when no xi survives, in which case its
-coefficients are read off (the convention symbol(2i*lam*dt + Lap) =
--(2*lam*tau + |xi|^2) puts a sign (-1)^j on the mu^j coefficient).
+`classify_power_form` handles arbitrary order at a fixed lam != 0: the
+rotation check leaves the symbol reduced to q(tau, s) with s = |xi|^2,
+which is rewritten by the exact substitution tau -> (mu - s) / (2*lam);
+the operator is a polynomial in the Schrodinger factor exactly when no s
+survives, in which case its coefficients are read off (the convention
+symbol(2i*lam*dt + Lap) = -(2*lam*tau + |xi|^2) puts a sign (-1)^j on
+the mu^j coefficient).
 
 Conventions: alpha is the common coefficient of the second spatial
 derivatives, the only choice under which 2i*dt + Lap comes out with
@@ -32,11 +33,10 @@ from .checks import (
     check_boost_invariance_fixed_gauge,
     check_rotation_invariance,
     check_translation_invariance,
-    radial_decompose,
 )
 from .errors import InconsistencyError
 from .gaussrat import GaussianLike, GaussianRational, I_UNIT, as_gaussian
-from .lpdo import LPDO, compose_const, conjugate_linear_phase, linear_phase, symbol_of
+from .lpdo import LPDO, compose_const, conjugate_linear_phase, linear_phase
 from .multipoly import MultiPoly
 
 STAGE_NON_CONSTANT = "non-constant-coefficients"
@@ -95,7 +95,7 @@ def classify_second_order(op: LPDO) -> SecondOrderVerdict:
         return SecondOrderVerdict(
             False, stage=STAGE_NOT_ORDER_2, detail=f"effective order is {op.order}"
         )
-    radial = radial_decompose(op)
+    radial = rotation.radial
     extra = [key for key in radial.b if key not in _ORDER2_SLOTS]
     if extra:
         return SecondOrderVerdict(
@@ -151,32 +151,25 @@ def classify_power_form(op: LPDO, lam: Fraction | int) -> PowerFormVerdict:
         return PowerFormVerdict(
             False, lam, stage=STAGE_ROTATION, report=rotation, detail=rotation.detail
         )
-    residual = _mu_rewrite(op, lam)
-    xi_left = [
-        universe.freq_space(a)
-        for a in range(1, op.n + 1)
-        if residual.degree_in(universe.freq_space(a))
-    ]
-    if xi_left:
+    # Exact: tau = (mu - s) / (2*lam) where mu = 2*lam*tau + s.
+    mu, s = (MultiPoly.var(universe.POWER_VARS, name) for name in universe.POWER_VARS)
+    tau = (mu - s) * Fraction(1, 2 * lam)
+    residual = rotation.radial.reduced().substitute({universe.FREQ_TIME: tau})
+    if residual.degree_in(universe.NORM2):
         return PowerFormVerdict(
             False,
             lam,
             stage=STAGE_RESIDUAL_XI,
-            detail=f"{', '.join(xi_left)} survive the mu substitution: {residual}",
+            detail=f"|xi|^2 = {universe.NORM2} survives the mu substitution: {residual}",
         )
     if op.order % 2:
-        # Unreachable: a xi-free rewrite forces even order.  Kept as a
+        # Unreachable: an s-free rewrite forces even order.  Kept as a
         # real branch so parity violations cannot slip through silently.
         return PowerFormVerdict(
             False, lam, stage=STAGE_ODD_ORDER, detail=f"order {op.order} is odd"
         )
-    slices = residual.split_by(universe.MU)
-    top = max(slices)
-    coeffs = []
-    for j in range(top + 1):
-        piece = slices.get(j)
-        value = piece.constant_value() if piece is not None else GaussianRational()
-        coeffs.append(value * (-1) ** j)
+    top = residual.degree_in(universe.MU)
+    coeffs = [residual.coefficient((j, 0)) * (-1) ** j for j in range(top + 1)]
     if not coeffs[-1]:
         raise InconsistencyError("top power-form coefficient vanished")
     if 2 * top != op.order:
@@ -184,17 +177,6 @@ def classify_power_form(op: LPDO, lam: Fraction | int) -> PowerFormVerdict:
     if synthesize(lam, coeffs, op.n) != op:
         raise InconsistencyError("power-form coefficients do not resynthesize")
     return PowerFormVerdict(True, lam, coeffs=tuple(coeffs))
-
-
-def _mu_rewrite(op: LPDO, lam: Fraction) -> MultiPoly:
-    """Symbol with tau replaced by (mu - |xi|^2) / (2*lam), exactly."""
-    names = universe.mu_vars(op.n)
-    norm2 = MultiPoly.zero(names)
-    for a in range(1, op.n + 1):
-        xi = MultiPoly.var(names, universe.freq_space(a))
-        norm2 = norm2 + xi * xi
-    replacement = (MultiPoly.var(names, universe.MU) - norm2) * Fraction(1, 2 * lam)
-    return symbol_of(op).poly.extend(names).substitute({universe.FREQ_TIME: replacement})
 
 
 def synthesize(

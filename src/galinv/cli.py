@@ -32,7 +32,7 @@ from .classify import classify_power_form, classify_second_order, synthesize
 from .gaussrat import format_gaussian
 from .lpdo import LPDO
 from .opparse import ParseError, format_operator, parse_gaussian_literal, parse_operator
-from .oracle import DEFAULT_SEED, boost_commutator_defect, random_rational
+from .oracle import DEFAULT_SEED, SamplePlan, boost_commutator_defect, random_rational
 
 _KV_KEYS = (
     "verdict",
@@ -285,8 +285,9 @@ def _run(args) -> tuple[Report, int]:
         phase = gauge_phase(args.lam, args.c)
         return Report(verdict="ok", lam=str(args.lam), theta=theta_text(phase)), 0
     if command == "oracle":
-        rng = random.Random(args.seed)
-        for _ in range(args.count):
+        plan = SamplePlan(seed=args.seed, count=args.count)
+        rng = random.Random(plan.seed)
+        for _ in range(plan.count):
             v = tuple(random_rational(rng, 3) for _ in range(op.n))
             defect = boost_commutator_defect(op, args.lam, v)
             if not defect.is_zero:
@@ -305,7 +306,7 @@ def _run(args) -> tuple[Report, int]:
             seed=str(args.seed),
             n=str(op.n),
             m=str(op.order),
-            certificate=f"zero defect on {args.count} sampled boosts",
+            certificate=f"zero defect on {plan.count} sampled boosts",
         )
         return report, 0
     raise ValueError(f"unknown command {command!r}")

@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 
 def _frac_rows(entries) -> tuple[tuple[Fraction, ...], ...]:
@@ -188,39 +188,46 @@ def reflection(n: int, axis: int) -> OrthogonalMatrix:
     return signed_permutation(tuple(range(1, n + 1)), signs)
 
 
-def all_signed_permutations(n: int) -> list[OrthogonalMatrix]:
-    """Every signed permutation matrix in O(n): n! * 2^n of them."""
-    out = []
+def iter_signed_permutations(n: int) -> Iterator[OrthogonalMatrix]:
+    """Every signed permutation matrix in O(n), built one at a time."""
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):
-            out.append(signed_permutation(perm, signs))
-    return out
+            yield signed_permutation(perm, signs)
 
 
-def sample_cayley_rotations(n: int, count: int, seed: int) -> list[OrthogonalMatrix]:
-    """Deterministic sample of rotations via random skew-symmetric matrices."""
+def all_signed_permutations(n: int) -> list[OrthogonalMatrix]:
+    """Every signed permutation matrix in O(n): n! * 2^n of them."""
+    return list(iter_signed_permutations(n))
+
+
+def iter_cayley_rotations(n: int, seed: int) -> Iterator[OrthogonalMatrix]:
+    """Endless deterministic stream of rotations from random skew matrices."""
     rng = random.Random(seed)
-    samples = []
-    for _ in range(count):
+    while True:
         rows = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 value = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                 rows[i][j] = value
                 rows[j][i] = -value
-        samples.append(cayley_orthogonal(RationalMatrix(tuple(tuple(r) for r in rows))))
-    return samples
+        yield cayley_orthogonal(RationalMatrix(tuple(tuple(r) for r in rows)))
 
 
-def orthogonal_witness_pool(n: int, seed: int, cayley_count: int = 20) -> Iterable[OrthogonalMatrix]:
+def sample_cayley_rotations(n: int, count: int, seed: int) -> list[OrthogonalMatrix]:
+    """Deterministic sample of rotations via random skew-symmetric matrices."""
+    return list(itertools.islice(iter_cayley_rotations(n, seed), count))
+
+
+def orthogonal_witness_pool(n: int, seed: int, cayley_count: int = 20) -> Iterator[OrthogonalMatrix]:
     """Signed permutations followed by sampled rotations, deterministically.
 
     For n <= 3 the signed permutations are enumerated exhaustively; beyond
     that only reflections and coordinate swaps are included to keep the
-    pool small.
+    pool small.  Matrices are built as the pool is walked, so a caller
+    that stops early pays only for what it looked at.
     """
     if n <= 3:
-        yield from all_signed_permutations(n)
+        yield from iter_signed_permutations(n)
     else:
         for axis in range(1, n + 1):
             yield reflection(n, axis)
@@ -230,4 +237,4 @@ def orthogonal_witness_pool(n: int, seed: int, cayley_count: int = 20) -> Iterab
                 perm = base.copy()
                 perm[a], perm[b] = perm[b], perm[a]
                 yield signed_permutation(perm, (1,) * n)
-    yield from sample_cayley_rotations(n, cayley_count, seed)
+    yield from itertools.islice(iter_cayley_rotations(n, seed), cayley_count)

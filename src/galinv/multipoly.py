@@ -25,6 +25,9 @@ from .gaussrat import GaussianLike, GaussianRational, as_gaussian, format_gaussi
 Exponents = tuple[int, ...]
 
 MAX_TOTAL_DEGREE = 64
+# Deepest parenthesis nesting `opparse` accepts: the parser recurses per
+# level, so deeper input would exhaust Python's recursion limit.
+MAX_NESTING_DEPTH = 100
 
 _SCALARS = (int, Fraction, GaussianRational)
 

@@ -20,6 +20,8 @@ composition dx o t is not what ``Dx1*t`` would suggest, so it is
 rejected); a parenthesised group raised to a power composes the group
 with itself, which requires constant coefficients.
 
+Parentheses nest at most `MAX_NESTING_DEPTH` levels; deeper is an error.
+
 Dimension: unless given, n is inferred as the highest spatial index
 mentioned; ``Lap`` with no spatial index anywhere needs an explicit n.
 """
@@ -33,7 +35,7 @@ from fractions import Fraction
 from . import universe
 from .gaussrat import GaussianRational, I_UNIT, format_gaussian
 from .lpdo import DerivKey, LPDO
-from .multipoly import MultiPoly
+from .multipoly import MAX_NESTING_DEPTH, MultiPoly
 
 
 class ParseError(ValueError):
@@ -187,6 +189,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token], n: int):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.n = n
         self.names = universe.coeff_vars(n)
 
@@ -262,8 +265,12 @@ class _Parser:
             self.advance()
             return _OpValue.scalar(self.n, Fraction(token.text))
         if token.text == "(":
+            if self.depth == MAX_NESTING_DEPTH:
+                self.fail(f"parentheses nest deeper than {MAX_NESTING_DEPTH} levels")
             self.advance()
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             if self.peek().text != ")":
                 self.fail("expected ')'")
             self.advance()

@@ -3,9 +3,10 @@
 Every polynomial carries an ordered tuple of variable names.  The names
 used throughout are fixed here: ``t`` and ``x1..xn`` for space-time
 coordinates, ``tau`` and ``xi1..xin`` for the dual frequency variables,
-``v1..vn`` for a symbolic boost velocity, and ``mu`` for the combined
-frequency used when rewriting a symbol in powers of the Schrodinger
-factor.
+``v1..vn`` for a symbolic boost velocity, ``s`` for |xi|^2 in the
+radial reduction of a rotation-invariant symbol, and ``mu`` for the
+combined frequency used when rewriting that reduction in powers of the
+Schrodinger factor.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ from __future__ import annotations
 TIME = "t"
 FREQ_TIME = "tau"
 MU = "mu"
+NORM2 = "s"
+# Universes of a reduced rotation-invariant symbol q(tau, s), s = |xi|^2,
+# and of its rewrite in mu = 2*lam*tau + s.
+RADIAL_VARS = (FREQ_TIME, NORM2)
+POWER_VARS = (MU, NORM2)
 
 
 def space(a: int) -> str:
@@ -48,8 +54,3 @@ def boost_vars(n: int) -> tuple[str, ...]:
 def phase_vars(n: int) -> tuple[str, ...]:
     """Universe for gauge phases with a symbolic velocity: (t, x, v)."""
     return coeff_vars(n) + tuple(boost(a) for a in range(1, n + 1))
-
-
-def mu_vars(n: int) -> tuple[str, ...]:
-    """Symbol universe extended by the combined frequency variable mu."""
-    return symbol_vars(n) + (MU,)

@@ -153,3 +153,20 @@ def test_theta_text_shapes():
 def test_report_from_kv_rejects_noise():
     with pytest.raises(ValueError):
         Report.from_kv("not a report")
+
+
+def test_oracle_count_below_one_is_usage_error(capsys):
+    for count in ("0", "-2"):
+        status = main(["oracle", "Dt", "--n", "1", "--lambda", "1", "--count", count])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert "count" in captured.err
+
+
+def test_deep_nesting_is_usage_error(capsys):
+    status = main(["classify2", "(" * 3000 + "Dt" + ")" * 3000])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert "nest" in captured.err

@@ -139,3 +139,13 @@ def test_parse_gaussian_literal():
     assert parse_gaussian_literal("7") == gr(7)
     with pytest.raises(ParseError):
         parse_gaussian_literal("Dt")
+
+
+def test_nesting_limit():
+    from galinv.multipoly import MAX_NESTING_DEPTH
+
+    deepest = "(" * MAX_NESTING_DEPTH + "Dt" + ")" * MAX_NESTING_DEPTH
+    assert parse_operator(deepest) == LPDO.time_derivative(1)
+    too_deep = "(" + deepest + ")"
+    with pytest.raises(ParseError, match="nest"):
+        parse_operator(too_deep)

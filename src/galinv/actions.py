@@ -165,31 +165,26 @@ def conj_boost_gauge(
 class GaugePhase:
     """The gauge phase family attached to boosts.
 
-    kind "quadratic" stands for c + lam*v.x - (lam/2)*t*|v|^2 with
-    lam != 0; kind "x-independent" marks the lam = 0 family, where any
-    phase depending on t alone works and no canonical polynomial exists.
+    The kind follows from lam: "quadratic" stands for
+    c + lam*v.x - (lam/2)*t*|v|^2 with lam != 0; "x-independent" marks
+    the lam = 0 family, where any phase depending on t alone works and no
+    canonical polynomial exists.
     """
 
-    kind: str
     lam: Fraction = Fraction(0)
     c: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lam", Fraction(self.lam))
         object.__setattr__(self, "c", Fraction(self.c))
-        if self.kind not in (QUADRATIC, X_INDEPENDENT):
-            raise ValueError(f"unknown phase kind {self.kind!r}")
-        if self.kind == QUADRATIC and self.lam == 0:
-            raise ValueError("the quadratic phase family requires lam != 0")
-        if self.kind == X_INDEPENDENT and self.lam != 0:
-            raise ValueError("the x-independent family is the lam = 0 case")
+
+    @property
+    def kind(self) -> str:
+        return QUADRATIC if self.lam else X_INDEPENDENT
 
 
 def gauge_phase(lam: Fraction | int, c: Fraction | int = 0) -> GaugePhase:
-    lam = Fraction(lam)
-    if lam == 0:
-        return GaugePhase(X_INDEPENDENT, 0, Fraction(c))
-    return GaugePhase(QUADRATIC, lam, Fraction(c))
+    return GaugePhase(lam, c)
 
 
 def boost_phase_poly(

@@ -4,7 +4,9 @@ Subcommands: check-translation, check-rotation, check-boost, classify2,
 classifym, synthesize, theta, oracle.  Results are printed as a report,
 either human-readable lines (default) or machine-parseable ``key=value``
 lines with ``--format kv``.  Exit status: 0 for accept/invariant, 1 for
-reject/not-invariant, 2 for usage or parse errors.
+reject/not-invariant, 2 for usage or parse errors, 3 for an internal
+error (a failed cross-check or any other unexpected exception).  A
+reader closing stdout early does not change the status.
 
 All numbers are exact rationals, printed as ``p/q``; never decimals.
 """
@@ -12,6 +14,7 @@ All numbers are exact rationals, printed as ``p/q``; never decimals.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from dataclasses import dataclass, fields
@@ -34,21 +37,8 @@ from .lpdo import LPDO
 from .opparse import ParseError, format_operator, parse_gaussian_literal, parse_operator
 from .oracle import DEFAULT_SEED, SamplePlan, boost_commutator_defect, random_rational
 
-_KV_KEYS = (
-    "verdict",
-    "stage",
-    "alpha",
-    "beta",
-    "lambda",
-    "theta",
-    "n",
-    "m",
-    "seed",
-    "coeffs",
-    "certificate",
-    "witness",
-    "operator",
-)
+# Report fields whose kv key differs from the field name.
+_RENAMED = {"lam": "lambda"}
 
 
 @dataclass
@@ -69,15 +59,12 @@ class Report:
     witness: str | None = None
     operator: str | None = None
 
-    _FIELD_TO_KEY = {"lam": "lambda"}
-    _KEY_TO_FIELD = {"lambda": "lam"}
-
     def items(self) -> list[tuple[str, str]]:
         out = []
         for f in fields(self):
             value = getattr(self, f.name)
             if value is not None:
-                out.append((self._FIELD_TO_KEY.get(f.name, f.name), str(value)))
+                out.append((_RENAMED.get(f.name, f.name), str(value)))
         return out
 
     def to_kv(self) -> str:
@@ -88,14 +75,15 @@ class Report:
 
     @classmethod
     def from_kv(cls, text: str) -> "Report":
+        by_key = {_RENAMED.get(f.name, f.name): f.name for f in fields(cls)}
         report = cls()
         for line in text.splitlines():
             if not line.strip():
                 continue
             key, sep, value = line.partition("=")
-            if not sep or key not in _KV_KEYS:
+            if not sep or key not in by_key:
                 raise ValueError(f"not a report line: {line!r}")
-            setattr(report, cls._KEY_TO_FIELD.get(key, key), value)
+            setattr(report, by_key[key], value)
         return report
 
 
@@ -323,7 +311,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(report.to_kv() if args.format_ == "kv" else report.to_text())
+    except Exception as exc:
+        # Imported here: loading traceback adds about 2 ms to every run.
+        import traceback
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
+    try:
+        print(report.to_kv() if args.format_ == "kv" else report.to_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early.  Point stdout at devnull so the flush
+        # at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return status
 
 

@@ -14,13 +14,19 @@ no ``*``, so ``2i`` and ``(1/2)i`` work.  ``Dt`` and ``Dx<k>`` are the
 time and space derivatives, ``Lap`` the Laplacian, ``I`` the identity,
 ``t``/``x<k>`` polynomial coefficient variables.
 
-Products combine a coefficient polynomial with a derivative monomial.
-Polynomial factors must come before derivative atoms in a term (the
-composition dx o t is not what ``Dx1*t`` would suggest, so it is
-rejected); a parenthesised group raised to a power composes the group
-with itself, which requires constant coefficients.
+Every sub-expression evaluates to its plane-wave symbol over
+``universe.symbol_vars(n)``: numbers, ``i``, ``I``, ``t`` and ``x<k>``
+stand for themselves, and ``Dt``, ``Dx<k>`` and ``Lap`` for the symbols
+`lpdo.symbol_of` gives them.  Sums are symbol sums, and a product is the
+symbol product, which is the composition unless a derivative stands
+left of a variable coefficient (dx o t is not what ``Dx1*t`` would
+suggest).  That product is rejected, so coefficients come before
+derivative atoms, and a group mixing the two cannot be raised to a
+power above 1.
 
-Parentheses nest at most `MAX_NESTING_DEPTH` levels; deeper is an error.
+Exponents are at most `MAX_TOTAL_DEGREE`, and so is the degree of every
+symbol; parentheses nest at most `MAX_NESTING_DEPTH` levels.  Anything
+beyond these bounds is a parse error.
 
 Dimension: unless given, n is inferred as the highest spatial index
 mentioned; ``Lap`` with no spatial index anywhere needs an explicit n.
@@ -34,8 +40,8 @@ from fractions import Fraction
 
 from . import universe
 from .gaussrat import GaussianRational, I_UNIT, format_gaussian
-from .lpdo import DerivKey, LPDO
-from .multipoly import MAX_NESTING_DEPTH, MultiPoly
+from .lpdo import LPDO, Symbol, operator_of, symbol_of
+from .multipoly import MAX_NESTING_DEPTH, MAX_TOTAL_DEGREE, MultiPoly
 
 
 class ParseError(ValueError):
@@ -90,108 +96,21 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _OpValue:
-    """Partially built operator: a (j, alpha) -> coefficient-poly map.
-
-    The zero map is allowed here (terms may cancel while parsing); only
-    the final conversion to an LPDO rejects it.
-    """
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs: dict[DerivKey, MultiPoly]):
-        self.n = n
-        self.coeffs = {key: poly for key, poly in coeffs.items() if not poly.is_zero}
-
-    @classmethod
-    def scalar(cls, n: int, value) -> "_OpValue":
-        names = universe.coeff_vars(n)
-        return cls(n, {(0, (0,) * n): MultiPoly.const(names, value)})
-
-    @classmethod
-    def poly(cls, n: int, poly: MultiPoly) -> "_OpValue":
-        return cls(n, {(0, (0,) * n): poly})
-
-    @classmethod
-    def derivative(cls, n: int, key: DerivKey) -> "_OpValue":
-        names = universe.coeff_vars(n)
-        return cls(n, {key: MultiPoly.const(names, 1)})
-
-    @property
-    def zero_key(self) -> DerivKey:
-        return (0, (0,) * self.n)
-
-    @property
-    def is_pure_poly(self) -> bool:
-        return set(self.coeffs) <= {self.zero_key}
-
-    @property
-    def is_constant_scalar(self) -> bool:
-        return self.is_pure_poly and all(p.is_constant for p in self.coeffs.values())
-
-    @property
-    def is_constant_op(self) -> bool:
-        return all(p.is_constant for p in self.coeffs.values())
-
-    def __add__(self, other: "_OpValue") -> "_OpValue":
-        merged = dict(self.coeffs)
-        for key, poly in other.coeffs.items():
-            merged[key] = merged[key] + poly if key in merged else poly
-        return _OpValue(self.n, merged)
-
-    def __neg__(self) -> "_OpValue":
-        return _OpValue(self.n, {key: -poly for key, poly in self.coeffs.items()})
-
-    def __mul__(self, other: "_OpValue") -> "_OpValue":
-        if self.is_pure_poly:
-            factor = self.coeffs.get(self.zero_key)
-            if factor is None:
-                return _OpValue(self.n, {})
-            return _OpValue(
-                self.n, {key: factor * poly for key, poly in other.coeffs.items()}
-            )
-        if other.is_constant_scalar:
-            value = other.coeffs.get(other.zero_key)
-            if value is None:
-                return _OpValue(self.n, {})
-            scalar = value.constant_value()
-            return _OpValue(
-                self.n, {key: poly * scalar for key, poly in self.coeffs.items()}
-            )
-        if other.is_constant_op:
-            out: dict[DerivKey, MultiPoly] = {}
-            for (j1, a1), p1 in self.coeffs.items():
-                for (j2, a2), p2 in other.coeffs.items():
-                    key = (j1 + j2, tuple(x + y for x, y in zip(a1, a2)))
-                    piece = p1 * p2.constant_value()
-                    out[key] = out[key] + piece if key in out else piece
-            return _OpValue(self.n, out)
-        raise ValueError(
-            "cannot multiply by a variable-coefficient operator on the right; "
-            "write coefficients before derivative atoms"
-        )
-
-    def __pow__(self, k: int) -> "_OpValue":
-        result = _OpValue.scalar(self.n, 1)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def to_lpdo(self) -> LPDO:
-        if not self.coeffs:
-            raise ValueError(
-                "the expression is the zero operator, which is outside the class"
-            )
-        return LPDO(self.n, self.coeffs)
+_ORDER_MESSAGE = (
+    "cannot multiply by a variable-coefficient operator on the right; "
+    "write coefficients before derivative atoms"
+)
 
 
 class _Parser:
+    """Evaluates each sub-expression to its symbol over `universe.symbol_vars`."""
+
     def __init__(self, tokens: list[_Token], n: int):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
         self.n = n
-        self.names = universe.coeff_vars(n)
+        self.names = universe.symbol_vars(n)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -205,13 +124,13 @@ class _Parser:
         token = token or self.peek()
         raise ParseError(message, token.line, token.column)
 
-    def parse(self) -> _OpValue:
+    def parse(self) -> MultiPoly:
         value = self.expr()
         if self.peek().kind != "end":
             self.fail(f"unexpected trailing input {self.peek().text!r}")
         return value
 
-    def expr(self) -> _OpValue:
+    def expr(self) -> MultiPoly:
         negate = False
         if self.peek().text == "-":
             self.advance()
@@ -225,7 +144,7 @@ class _Parser:
             value = value + (-rhs if op == "-" else rhs)
         return value
 
-    def term(self) -> _OpValue:
+    def term(self) -> MultiPoly:
         value = self.factor()
         while True:
             look = self.peek()
@@ -235,35 +154,56 @@ class _Parser:
             elif look.kind == "name" and look.text == "i":
                 # juxtaposed imaginary unit, as in 2i or (1/2)i
                 self.advance()
-                value = self._mul(value, _OpValue.scalar(self.n, I_UNIT), look)
+                value = self._mul(value, MultiPoly.const(self.names, I_UNIT), look)
             else:
                 return value
 
-    def _mul(self, left: _OpValue, right: _OpValue, token: _Token) -> _OpValue:
+    def _refused(self, left: MultiPoly, right: MultiPoly) -> bool:
+        """A derivative left of a variable coefficient: the one product
+        whose composition is not the symbol product."""
+        split = self.n + 1
+        return any(any(exps[split:]) for exps in left.terms) and any(
+            any(exps[:split]) for exps in right.terms
+        )
+
+    def _mul(self, left: MultiPoly, right: MultiPoly, token: _Token) -> MultiPoly:
+        if self._refused(left, right):
+            self.fail(_ORDER_MESSAGE, token)
         try:
             return left * right
         except ValueError as exc:
             self.fail(str(exc), token)
 
-    def factor(self) -> _OpValue:
+    def factor(self) -> MultiPoly:
         value = self.atom()
-        if self.peek().text == "^":
-            caret = self.advance()
-            exponent = self.peek()
-            if exponent.kind != "number" or "/" in exponent.text:
-                self.fail("'^' needs a nonnegative integer exponent")
-            self.advance()
-            try:
-                return value ** int(exponent.text)
-            except ValueError as exc:
-                self.fail(str(exc), caret)
-        return value
+        if self.peek().text != "^":
+            return value
+        caret = self.advance()
+        exponent = self.peek()
+        if exponent.kind != "number" or "/" in exponent.text:
+            self.fail("'^' needs a nonnegative integer exponent")
+        k = int(exponent.text)
+        if k > MAX_TOTAL_DEGREE:
+            self.fail(f"exponent {k} exceeds the degree cap of {MAX_TOTAL_DEGREE}")
+        self.advance()
+        if k > 1 and self._refused(value, value):
+            self.fail(_ORDER_MESSAGE, caret)
+        # Degrees add exactly under products, so the cap is checked up front.
+        degree = k * value.total_degree()
+        if degree > MAX_TOTAL_DEGREE:
+            self.fail(
+                f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}", caret
+            )
+        result = MultiPoly.const(self.names, 1)
+        for _ in range(k):
+            result = result * value
+        return result
 
-    def atom(self) -> _OpValue:
+    def atom(self) -> MultiPoly:
         token = self.peek()
         if token.kind == "number":
             self.advance()
-            return _OpValue.scalar(self.n, Fraction(token.text))
+            return MultiPoly.const(self.names, Fraction(token.text))
         if token.text == "(":
             if self.depth == MAX_NESTING_DEPTH:
                 self.fail(f"parentheses nest deeper than {MAX_NESTING_DEPTH} levels")
@@ -280,36 +220,27 @@ class _Parser:
             return self.named_atom(token)
         self.fail(f"expected a coefficient, variable, or derivative, got {token.text!r}")
 
-    def named_atom(self, token: _Token) -> _OpValue:
+    def named_atom(self, token: _Token) -> MultiPoly:
         m = _NAME_RE.match(token.text)
         if not m:
             self.fail(f"unknown name {token.text!r}", token)
         text = token.text
-        if text == "i":
-            return _OpValue.scalar(self.n, I_UNIT)
-        if text == "I":
-            return _OpValue.scalar(self.n, 1)
+        if text in ("i", "I"):
+            return MultiPoly.const(self.names, I_UNIT if text == "i" else 1)
         if text == "t":
-            return _OpValue.poly(self.n, MultiPoly.var(self.names, universe.TIME))
+            return MultiPoly.var(self.names, universe.TIME)
         if text == "Dt":
-            return _OpValue.derivative(self.n, (1, (0,) * self.n))
+            return symbol_of(LPDO.time_derivative(self.n)).poly
         if text == "Lap":
-            value = _OpValue(self.n, {})
-            for a in range(1, self.n + 1):
-                alpha = tuple(2 if b == a else 0 for b in range(1, self.n + 1))
-                value = value + _OpValue.derivative(self.n, (0, alpha))
-            return value
+            return symbol_of(LPDO.laplacian(self.n)).poly
         index = int(m.group(2) or m.group(3))
         if not 1 <= index <= self.n:
             self.fail(
                 f"spatial index {index} exceeds the dimension n = {self.n}", token
             )
         if text.startswith("Dx"):
-            alpha = tuple(1 if b == index else 0 for b in range(1, self.n + 1))
-            return _OpValue.derivative(self.n, (0, alpha))
-        return _OpValue.poly(
-            self.n, MultiPoly.var(self.names, universe.space(index))
-        )
+            return symbol_of(LPDO.space_derivative(self.n, index)).poly
+        return MultiPoly.var(self.names, universe.space(index))
 
 
 def _scan_dimension(tokens: list[_Token]) -> tuple[int, bool]:
@@ -343,11 +274,13 @@ def parse_operator(text: str, n: int | None = None) -> LPDO:
             n = 1
     elif highest > n:
         raise ParseError(f"spatial index {highest} exceeds the declared n = {n}")
-    value = _Parser(tokens, n).parse()
-    try:
-        return value.to_lpdo()
-    except ValueError as exc:
-        raise ParseError(str(exc))
+    poly = _Parser(tokens, n).parse()
+    if poly.is_zero:
+        raise ParseError(
+            "the expression is the zero operator, which is outside the class"
+        )
+    order = max(sum(exps[n + 1 :]) for exps in poly.terms)  # degree in (tau, xi)
+    return operator_of(Symbol(poly, n, order))
 
 
 _SIMPLE_COEFF_RE = re.compile(r"(\d+(/\d+)?)?i?\Z")
@@ -402,9 +335,6 @@ def format_operator(op: LPDO) -> str:
 def parse_gaussian_literal(text: str) -> GaussianRational:
     """Parse a scalar like "3/2+1/2i" through the operator grammar."""
     value = _Parser(_tokenize(text), 1).parse()
-    if not value.coeffs:
-        return GaussianRational()
-    only = value.coeffs.get((0, (0,)))
-    if set(value.coeffs) != {(0, (0,))} or only is None or not only.is_constant:
+    if not value.is_constant:
         raise ParseError(f"{text!r} is not a scalar")
-    return only.constant_value()
+    return value.constant_value()

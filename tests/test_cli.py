@@ -1,9 +1,18 @@
 """Command-line behavior: reports, formats, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from galinv import cli
 from galinv.cli import Report, main, theta_text
 from galinv.actions import gauge_phase
+from galinv.errors import InconsistencyError
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -170,3 +179,64 @@ def test_deep_nesting_is_usage_error(capsys):
     assert status == 2
     assert captured.out == ""
     assert "nest" in captured.err
+
+
+def test_symbol_over_degree_cap_is_parse_error_everywhere(capsys):
+    for argv in (
+        ["check-translation", "Dt^70"],
+        ["check-rotation", "Dt^40*Dt^30"],
+        ["classify2", "t*Dt^40*Dt^30"],
+        ["check-translation", "Dt^2000000000"],
+    ):
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert "exceeds" in captured.err
+
+
+@pytest.mark.parametrize("error", [InconsistencyError("routes disagree"), KeyError("k")])
+def test_internal_error_exits_3(capsys, monkeypatch, error):
+    def broken(op):
+        raise error
+
+    monkeypatch.setattr(cli, "check_translation_invariance", broken)
+    status = main(["check-translation", "Dx1"])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert type(error).__name__ in captured.err
+
+
+def _galinv(argv, stdout):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.Popen(
+        [sys.executable, "-m", "galinv", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["check-boost", "2i*Dt + Lap", "--lambda", "1", "--n", "2"], 0),
+        (["check-boost", "Dt^2", "--lambda", "1", "--n", "2"], 1),
+    ],
+)
+def test_closed_stdout_keeps_the_verdict_status(argv, status):
+    # A reader that stops after the first line, as `| head -1` does.
+    proc = _galinv(argv + ["--format", "kv"], subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"verdict=")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == status
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    # A reader gone before the first write: the write always fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _galinv(argv, write_end)
+    os.close(write_end)
+    assert proc.wait(timeout=60) == status
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

@@ -1,9 +1,12 @@
 """The operator description language: parsing, printing, round trips."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galinv import (
     LPDO,
@@ -17,7 +20,7 @@ from galinv import (
 )
 from galinv import universe
 
-from conftest import random_constant_lpdo, random_variable_lpdo
+from conftest import random_constant_lpdo, random_poly, random_variable_lpdo
 
 
 def F(p, q=1):
@@ -149,3 +152,73 @@ def test_nesting_limit():
     too_deep = "(" + deepest + ")"
     with pytest.raises(ParseError, match="nest"):
         parse_operator(too_deep)
+
+
+def test_product_order_errors_point_at_the_operator():
+    message = "cannot multiply by a variable-coefficient operator on the right"
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_operator("Dt*t")
+    assert (exc.value.line, exc.value.column) == (1, 3)  # the '*'
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_operator("(t*Dx1)^2")
+    assert (exc.value.line, exc.value.column) == (1, 8)  # the '^'
+
+
+def test_zero_operator_message():
+    with pytest.raises(ParseError) as exc:
+        parse_operator("t*(Dt - Dt)")
+    assert str(exc.value) == (
+        "line 1, column 1: the expression is the zero operator, "
+        "which is outside the class"
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_product_of_constant_groups_is_composition(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    a = random_constant_lpdo(rng, n, rng.randint(0, 3))
+    b = random_constant_lpdo(rng, n, rng.randint(0, 3))
+    text = f"({format_operator(a)})*({format_operator(b)})"
+    assert parse_operator(text, n=n) == compose_const(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_polynomial_times_group_scales_every_coefficient(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    names = universe.coeff_vars(n)
+    p = random_poly(rng, names)
+    while p.is_zero:
+        p = random_poly(rng, names)
+    c = random_variable_lpdo(rng, n, rng.randint(0, 3))
+    p_text = format_operator(LPDO(n, {(0, (0,) * n): p}))
+    expected = LPDO(n, {key: p * poly for key, poly in c.coeffs.items()})
+    assert parse_operator(f"({p_text})*({format_operator(c)})", n=n) == expected
+
+
+@pytest.mark.parametrize(
+    "text, n, message",
+    [
+        ("Dt^65", 1, "exponent 65 exceeds"),
+        ("Dt^2000000000", 1, "exponent 2000000000 exceeds"),
+        ("2^65", 1, "exponent 65 exceeds"),
+        ("2^2000000000*Dt", 1, "exponent 2000000000 exceeds"),
+        ("(2i*Dt+Lap)^1000", 3, "exponent 1000 exceeds"),
+        ("(2i*Dt+Lap)^40", 3, "term degree 80 exceeds"),
+        ("t^40*Dt^40", 1, "term degree 80 exceeds"),
+    ],
+)
+def test_parse_work_is_bounded(text, n, message):
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=message):
+        parse_operator(text, n=n)
+    assert time.perf_counter() - start < 5
+
+
+def test_exponent_error_points_at_the_exponent():
+    with pytest.raises(ParseError) as exc:
+        parse_operator("Dt^65")
+    assert exc.value.column == 4

@@ -11,8 +11,10 @@ s = |xi|^2 (for n = 1 this is evenness, since O(1) = {+-1}).  The exact
 reconstruction sum b_jk |xi|^(2k) (i tau)^j == p, asserted on every
 accept, proves fixedness under every orthogonal matrix at once.  A
 rejected symbol gets a witness matrix found by scalar evaluation at
-seeded rational points.  Boost invariance at a fixed gauge family is a
-zero test on the substitution residue in (tau, xi, v).
+seeded rational points.  Boost invariance at a fixed gauge family holds
+exactly when the boost generators lam*d/dxi_a - xi_a*d/dtau annihilate
+the symbol; a reject is witnessed by p differing at a seeded rational
+point and at its boosted frequency.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import universe
-from .actions import Translation, conj_boost_gauge, conj_rotation, conj_translation
+from .actions import Translation, boosted_frequency, conj_rotation, conj_translation
 from .errors import InconsistencyError
 from .gaussrat import GaussianRational, i_power
 from .lpdo import LPDO, DerivKey, symbol_of
@@ -259,15 +261,22 @@ def check_rotation_invariance(op: LPDO) -> CheckReport:
 
 
 def check_boost_invariance_fixed_gauge(op: LPDO, lam: Fraction | int) -> CheckReport:
-    """Zero test on the gauged-boost substitution residue in (tau, xi, v)."""
+    """Invariant exactly when (lam*d/dxi_a - xi_a*d/dtau) p == 0 for every a.
+
+    The gauged boosts (tau, xi) -> (tau - xi.v - lam|v|^2/2, xi + lam*v)
+    form a connected abelian group (v then w is v + w) acting polynomially,
+    so these generators annihilate p exactly when the substitution residue
+    p(boosted) - p vanishes in (tau, xi, v); the certificate keeps that name.
+    """
     if not op.is_constant_coefficient:
         raise ValueError("boost invariance needs constant coefficients")
     lam = Fraction(lam)
-    names = universe.boost_vars(op.n)
-    residue = conj_boost_gauge(op, lam) - symbol_of(op).poly.extend(names)
-    if residue.is_zero:
+    p = symbol_of(op).poly
+    dtau = p.partial(universe.FREQ_TIME)
+    xis = (universe.freq_space(a) for a in range(1, op.n + 1))
+    if all((p.partial(xi) * lam - MultiPoly.var(p.variables, xi) * dtau).is_zero for xi in xis):
         return CheckReport(True, certificate="zero-substitution-residue")
-    witness = _boost_witness(op, lam, residue)
+    witness = _boost_witness(op, lam, p)
     return CheckReport(
         False,
         witness=witness,
@@ -275,19 +284,21 @@ def check_boost_invariance_fixed_gauge(op: LPDO, lam: Fraction | int) -> CheckRe
     )
 
 
-def _boost_witness(op: LPDO, lam: Fraction, residue: MultiPoly) -> BoostWitness:
-    """A concrete rational point where the nonzero residue does not vanish."""
+def _boost_witness(op: LPDO, lam: Fraction, p: MultiPoly) -> BoostWitness:
+    """A seeded rational point of the boost universe where the residue
+    p(boosted) - p is nonzero, evaluated at the point's constant image."""
+    n = op.n
+    freq = [universe.FREQ_TIME] + [universe.freq_space(a) for a in range(1, n + 1)]
     rng = random.Random(_WITNESS_SEED)
     bound = 3
     for attempt in range(10_000):
         if attempt and attempt % 100 == 0:
             bound *= 2
-        point = {name: random_rational(rng, bound) for name in residue.variables}
-        if residue.evaluate(point):
-            return BoostWitness(
-                lam,
-                tuple(point[universe.boost(a)] for a in range(1, op.n + 1)),
-                point[universe.FREQ_TIME],
-                tuple(point[universe.freq_space(a)] for a in range(1, op.n + 1)),
-            )
+        point = {name: random_rational(rng, bound) for name in universe.boost_vars(n)}
+        tau, *xi = (point[name] for name in freq)
+        v = tuple(point[universe.boost(a)] for a in range(1, n + 1))
+        moved = boosted_frequency(n, lam, v, tau, xi, variables=freq)
+        there = (c.constant_value() for c in (moved.tau, *moved.xi))
+        if p.evaluate(dict(zip(freq, there))) != p.evaluate(point):
+            return BoostWitness(lam, v, tau, tuple(xi))
     raise InconsistencyError("nonzero residue but no witnessing point found")

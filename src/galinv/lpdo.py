@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from . import universe
 from .gaussrat import GaussianLike, GaussianRational, as_gaussian, i_power
-from .multipoly import MultiPoly
+from .multipoly import MAX_TOTAL_DEGREE, MultiPoly
 from .waves import ExpWave, plane_wave, plane_wave_at
 
 DerivKey = tuple[int, tuple[int, ...]]
@@ -48,6 +48,11 @@ class LPDO:
                 )
             if poly.is_zero:
                 continue
+            degree = poly.total_degree() + j + sum(alpha)
+            if degree > MAX_TOTAL_DEGREE:
+                raise ValueError(
+                    f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}"
+                )
             cleaned[(j, alpha)] = poly
         if not cleaned:
             raise ValueError(

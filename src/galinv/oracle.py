@@ -41,26 +41,45 @@ def random_rational(rng: random.Random, bound: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
+def _steps(j: int, alpha: Sequence[int]) -> list[str]:
+    """The chain-rule steps of dt^j dx^alpha: t first, then x1..xn."""
+    steps = [universe.TIME] * j
+    for a, k in enumerate(alpha, start=1):
+        steps += [universe.space(a)] * k
+    return steps
+
+
 def differentiate_expwave(
     wave: ExpWave, time_order: int = 0, space_orders: Sequence[int] = ()
 ) -> ExpWave:
     """Exact dt^j dx^alpha of a wave by repeated chain-rule steps."""
     out = wave
-    for _ in range(time_order):
-        out = out.differentiate(universe.TIME)
-    for a, k in enumerate(space_orders, start=1):
-        for _ in range(k):
-            out = out.differentiate(universe.space(a))
+    for name in _steps(time_order, space_orders):
+        out = out.differentiate(name)
     return out
 
 
 def apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
-    """Apply an operator to a wave term by term, never touching symbols."""
+    """Apply an operator to a wave term by term, never touching symbols.
+
+    Keys are visited in sorted order along one chain of derivatives:
+    each key keeps the longest prefix of steps it shares with the chain,
+    drops the rest, and takes only its missing steps.
+    """
     names = wave.variables
     total = MultiPoly.zero(names)
-    for (j, alpha), poly in op.coeffs.items():
-        piece = differentiate_expwave(wave, j, alpha)
-        total = total + poly.extend(names) * piece.amplitude
+    steps: list[str] = []
+    chain = [wave]  # chain[k] is wave after steps[:k]
+    for (j, alpha), poly in sorted(op.coeffs.items()):
+        want = _steps(j, alpha)
+        keep = 0
+        while keep < min(len(steps), len(want)) and steps[keep] == want[keep]:
+            keep += 1
+        del steps[keep:], chain[keep + 1 :]
+        for name in want[keep:]:
+            chain.append(chain[-1].differentiate(name))
+            steps.append(name)
+        total = total + poly.extend(names) * chain[-1].amplitude
     return ExpWave(total, wave.phase)
 
 

@@ -1,0 +1,178 @@
+"""Boost invariance: the generator decider against independent oracles.
+
+The package decides boost invariance by the boost generators: a symbol p
+is fixed by every gauged boost exactly when
+(lam*d/dxi_a - xi_a*d/dtau) p == 0 for each a.  The route it used before
+lives here as the reference: expand p at the boosted frequency over
+(tau, xi, v), subtract p, test the residue for zero, and search seeded
+rational points for a nonzero value of the residue.  The differentiation
+oracle and the power-form classifier give two more routes to agree with.
+"""
+
+import random
+import time
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from galinv import (
+    LPDO,
+    BoostWitness,
+    GaussianRational,
+    InconsistencyError,
+    boost_commutator_defect,
+    check_boost_invariance_fixed_gauge,
+    classify_power_form,
+    conj_boost_gauge,
+    symbol_of,
+    synthesize,
+)
+from galinv import universe
+from galinv.oracle import random_rational
+
+from conftest import random_constant_lpdo, random_fraction, random_gaussian
+
+# The decider's witness seed: both routes walk the same point sequence.
+WITNESS_SEED = 39021
+LAMS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2))
+
+
+def residue_route(op: LPDO, lam) -> BoostWitness | None:
+    """None when the substitution residue is zero, else its first witness."""
+    lam = Fraction(lam)
+    names = universe.boost_vars(op.n)
+    residue = conj_boost_gauge(op, lam) - symbol_of(op).poly.extend(names)
+    if residue.is_zero:
+        return None
+    rng = random.Random(WITNESS_SEED)
+    bound = 3
+    for attempt in range(10_000):
+        if attempt and attempt % 100 == 0:
+            bound *= 2
+        point = {name: random_rational(rng, bound) for name in residue.variables}
+        if residue.evaluate(point):
+            return BoostWitness(
+                lam,
+                tuple(point[universe.boost(a)] for a in range(1, op.n + 1)),
+                point[universe.FREQ_TIME],
+                tuple(point[universe.freq_space(a)] for a in range(1, op.n + 1)),
+            )
+    raise InconsistencyError("nonzero residue but no witnessing point found")
+
+
+def assert_routes_agree(op: LPDO, lam) -> None:
+    report = check_boost_invariance_fixed_gauge(op, lam)
+    reference = residue_route(op, lam)
+    assert report.invariant == (reference is None)
+    if reference is None:
+        assert report.certificate == "zero-substitution-residue"
+        assert report.witness is None
+        return
+    witness = report.witness
+    got = (witness.lam, witness.v, witness.tau, witness.xi)
+    assert got == (reference.lam, reference.v, reference.tau, reference.xi)
+    assert report.detail == f"residue evaluates to a nonzero value at v={witness.v}"
+    assert witness.reverify(op)
+
+
+# ------------------------------------------------------------------ property
+
+small = st.integers(-3, 3)
+gaussians = st.builds(
+    lambda re, im: GaussianRational(Fraction(re), Fraction(im)), small, small
+)
+
+
+@st.composite
+def operators(draw) -> LPDO:
+    """Random constant operators of order <= 4 at n = 1..3, or power forms
+    sum a_j (2i*lam'*dt + Lap)^j with K <= 2 at some lam' in LAMS."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        lam = draw(st.sampled_from(LAMS))
+        coeffs = draw(st.lists(gaussians, min_size=1, max_size=3))
+        if not coeffs[-1]:
+            coeffs[-1] = GaussianRational(Fraction(1))
+        return synthesize(lam, coeffs, n)
+    keys = st.tuples(
+        st.integers(0, 4), st.lists(st.integers(0, 4), min_size=n, max_size=n)
+    ).filter(lambda k: k[0] + sum(k[1]) <= 4)
+    entries = draw(st.lists(st.tuples(keys, gaussians), min_size=1, max_size=5))
+    table = {(j, tuple(alpha)): c for (j, alpha), c in entries}
+    if not any(table.values()):
+        table[(0, (0,) * n)] = GaussianRational(Fraction(1))
+    return LPDO(n, table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(operators(), st.sampled_from(LAMS))
+def test_generator_decider_matches_residue_route(op, lam):
+    assert_routes_agree(op, lam)
+
+
+def test_power_forms_at_matching_and_mismatched_lam():
+    for n in (1, 2, 3):
+        for lam in LAMS:
+            op = synthesize(lam, [2, -1, Fraction(1, 3)], n)
+            for at in LAMS:
+                report = check_boost_invariance_fixed_gauge(op, at)
+                assert report.invariant == (at == lam)
+                assert_routes_agree(op, at)
+
+
+# ------------------------------------------------------------------ regressions
+
+
+def test_high_time_derivative_rejects_fast():
+    op = LPDO.time_derivative(2, 30)
+    start = time.perf_counter()
+    report = check_boost_invariance_fixed_gauge(op, 1)
+    assert time.perf_counter() - start < 1.0
+    assert not report.invariant
+    assert report.witness.reverify(op)
+
+
+def test_named_operators_agree_with_residue_route():
+    for n in (1, 2, 3):
+        for lam in LAMS:
+            for op in (
+                LPDO.time_derivative(n),
+                LPDO.space_derivative(n, n),
+                LPDO.laplacian(n),
+                LPDO.identity(n),
+                LPDO.schrodinger_factor(n, 1),
+            ):
+                assert_routes_agree(op, lam)
+
+
+# ------------------------------------------------------------------ three-way
+
+
+def test_power_form_boost_check_and_oracle_agree():
+    """classify_power_form accepts <=> boost invariant <=> zero oracle
+    defect at three seeded velocities, on random constant operators with
+    seeded power forms among them, at lam != 0."""
+    rng = random.Random(60917)
+    seen = {True: 0, False: 0}
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        lam = rng.choice(LAMS[1:])
+        if rng.random() < 0.5:
+            own = lam if rng.random() < 0.6 else rng.choice(LAMS)
+            coeffs = [random_gaussian(rng) for _ in range(rng.randint(1, 2))]
+            coeffs.append(random_gaussian(rng) or GaussianRational(Fraction(1)))
+            op = synthesize(own, coeffs, n)
+        else:
+            op = random_constant_lpdo(rng, n, rng.randint(1, 4))
+        accepted = classify_power_form(op, lam).accepted
+        invariant = check_boost_invariance_fixed_gauge(op, lam).invariant
+        velocities = [
+            tuple(random_fraction(rng) or Fraction(1) for _ in range(n)) for _ in range(3)
+        ]
+        zero_defect = all(
+            boost_commutator_defect(op, lam, v).is_zero for v in velocities
+        )
+        assert accepted == invariant == zero_defect, op
+        seen[accepted] += 1
+    assert seen[True] >= 5 and seen[False] >= 5

@@ -194,3 +194,37 @@ def test_zero_operator_rejected():
 def test_scaled_by_zero_rejected():
     with pytest.raises(ValueError):
         LPDO.identity(1).scaled(0)
+
+
+def test_builder_refuses_symbol_over_the_degree_cap():
+    cap = "term degree 70 exceeds the cap of 64"
+    with pytest.raises(ValueError, match=cap):
+        LPDO.time_derivative(1, 70)
+    with pytest.raises(ValueError, match=cap):
+        LPDO.space_derivative(2, 2, 70)
+    # The coefficient's own degree counts: t^10 * dt^60 has symbol degree 70.
+    t = MultiPoly.var(universe.coeff_vars(1), "t")
+    with pytest.raises(ValueError, match=cap):
+        LPDO(1, {(60, (0,)): t**10, (0, (0,)): 1})
+    with pytest.raises(ValueError, match=cap):
+        compose_const(LPDO.time_derivative(1, 35), LPDO.time_derivative(1, 35))
+    at_cap = LPDO(1, {(60, (0,)): t**4})
+    assert symbol_of(at_cap).poly.total_degree() == 64
+
+
+def test_no_decider_sees_an_operator_over_the_cap():
+    from galinv import (
+        check_boost_invariance_fixed_gauge,
+        check_rotation_invariance,
+        check_translation_invariance,
+    )
+
+    # The builder raises before any decider runs; an operator at the cap
+    # has a symbol, and every decider answers it.
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        check_translation_invariance(LPDO.time_derivative(1, 70))
+    top = LPDO.time_derivative(1, 64)
+    assert check_translation_invariance(top).invariant
+    assert check_rotation_invariance(top).invariant
+    assert not check_boost_invariance_fixed_gauge(top, 1).invariant
+    assert symbol_of(top).order == 64

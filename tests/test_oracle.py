@@ -21,7 +21,7 @@ from galinv import (
 )
 from galinv import universe
 
-from conftest import random_constant_lpdo, random_fraction, random_poly
+from conftest import random_constant_lpdo, random_fraction, random_poly, random_variable_lpdo
 
 
 def F(p, q=1):
@@ -166,3 +166,43 @@ def test_sampled_identity_same_object():
     names = ("tau",)
     p = MultiPoly.var(names, "tau") ** 3
     assert sampled_identity_check(p, p).all_equal
+
+
+def _per_key_sum(op, wave):
+    names = wave.variables
+    total = MultiPoly.zero(names)
+    for (j, alpha), poly in op.coeffs.items():
+        piece = differentiate_expwave(wave, j, alpha)
+        total = total + poly.extend(names) * piece.amplitude
+    return ExpWave(total, wave.phase)
+
+
+def _gauged_wave(n, lam, v, c):
+    """The pulled-back, gauge-shifted wave of `boost_commutator_defect`."""
+    names = universe.symbol_vars(n)
+    theta = boost_phase_poly(lam, c, n, v=v).extend(names)
+    t = MultiPoly.var(names, "t")
+    shift = {
+        universe.space(a): MultiPoly.var(names, universe.space(a)) - t * v[a - 1]
+        for a in range(1, n + 1)
+    }
+    return plane_wave(n).substitute(shift).with_phase_added(theta)
+
+
+def test_chain_reuse_matches_per_key_differentiation():
+    """apply_lpdo shares derivative prefixes across keys; the result must be
+    the per-key sum, whatever order the keys were given in."""
+    rng = random.Random(4471)
+    for trial in range(24):
+        n = rng.randint(1, 3)
+        order = rng.randint(1, 4)
+        if trial % 2:
+            op = random_variable_lpdo(rng, n, order)
+        else:
+            op = random_constant_lpdo(rng, n, order)
+        # Rebuild with the keys in reverse sorted order.
+        op = LPDO(n, dict(sorted(op.coeffs.items(), reverse=True)))
+        lam = F(rng.choice([-2, -1, 1, 2]), rng.randint(1, 2))
+        v = tuple(random_fraction(rng, 3) for _ in range(n))
+        for wave in (plane_wave(n), _gauged_wave(n, lam, v, random_fraction(rng))):
+            assert apply_lpdo(op, wave) == _per_key_sum(op, wave)

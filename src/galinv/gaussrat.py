@@ -1,95 +1,119 @@
 """Exact Gaussian-rational arithmetic.
 
 A Gaussian rational is a complex number whose real and imaginary parts are
-both rational.  Both parts are held as `fractions.Fraction`, so arithmetic
-is exact, equality is decidable, and no floating point appears anywhere.
-Values are immutable; this is the coefficient field for every polynomial
-in the package.
+both rational.  Each value holds one integer triple (a, b, d) standing for
+(a + b*i)/d, normalised so that d > 0 and gcd(a, b, d) == 1; equal values
+therefore hold identical triples.  Every operation works on the integers
+and normalises its result with a single gcd, so arithmetic is exact,
+equality is decidable, and no floating point appears anywhere.
+`fractions.Fraction` appears only at the edges: the constructor accepts
+it, `.re` and `.im` return it, and a real value hashes and compares like
+the rational it equals.  Values are immutable; this is the coefficient
+field for every polynomial in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 GaussianLike = Union["GaussianRational", int, Fraction]
 
 
-def _frac(value: int | Fraction) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _rational(value: int | Fraction) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
-@dataclass(frozen=True, eq=False)
 class GaussianRational:
-    """re + im*i with exact rational parts."""
+    """(a + b*i)/d with integers a, b, d, where d > 0 and gcd(a, b, d) == 1."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("_t",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+        p, q = _rational(re)
+        r, s = _rational(im)
+        a, b, d = p * s, r * q, q * s
+        g = gcd(a, b, d)
+        _set(self, (a // g, b // g, d // g))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational is immutable")
+
+    def __reduce__(self):
+        return (_make, self._t)
+
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self._t
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self._t
+        return Fraction(b, d)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._t[1]
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        a, b, _ = self._t
+        return bool(a or b)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return self._t == other._t
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            a, b, d = self._t
+            return not b and a == other.numerator and d == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
         # Real values hash like the plain rational they equal.
-        if self.im == 0:
+        if self.is_real:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __add__(self, other: GaussianLike) -> "GaussianRational":
-        other = as_gaussian(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        a, b, d = self._t
+        c, e, f = _triple(other)
+        if d == f:
+            return _normal(a + c, b + e, d)
+        return _normal(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        a, b, d = self._t
+        return _make(-a, -b, d)
 
     def __sub__(self, other: GaussianLike) -> "GaussianRational":
         return self + (-as_gaussian(other))
 
     def __rsub__(self, other: GaussianLike) -> "GaussianRational":
-        return as_gaussian(other) + (-self)
+        return as_gaussian(other) - self
 
     def __mul__(self, other: GaussianLike) -> "GaussianRational":
-        other = as_gaussian(other)
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self._t
+        c, e, f = _triple(other)
+        return _normal(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: GaussianLike) -> "GaussianRational":
-        other = as_gaussian(other)
-        if not other:
+        a, b, d = self._t
+        c, e, f = _triple(other)
+        norm = c * c + e * e
+        if not norm:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        norm = other.re * other.re + other.im * other.im
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        # ((a + bi)/d) / ((c + ei)/f) = f*(a + bi)*(c - ei) / (d*(c^2 + e^2))
+        return _normal(f * (a * c + b * e), f * (b * c - a * e), d * norm)
 
     def __rtruediv__(self, other: GaussianLike) -> "GaussianRational":
         return as_gaussian(other) / self
@@ -110,13 +134,42 @@ class GaussianRational:
         return result
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        a, b, d = self._t
+        return _make(a, -b, d)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
         return format_gaussian(self)
+
+
+_new = object.__new__
+_set = GaussianRational._t.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """Internal constructor: (a, b, d) is already normalised."""
+    z = _new(GaussianRational)
+    _set(z, (a, b, d))
+    return z
+
+
+def _normal(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, divided through by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _make(a, b, d)
+
+
+def _triple(value: GaussianLike) -> tuple[int, int, int]:
+    if type(value) is GaussianRational:
+        return value._t
+    p, q = _rational(value)
+    return p, 0, q
 
 
 ZERO = GaussianRational()
@@ -135,7 +188,8 @@ def as_gaussian(value: GaussianLike) -> GaussianRational:
     """Coerce an int, Fraction, or GaussianRational to a GaussianRational."""
     if isinstance(value, GaussianRational):
         return value
-    return GaussianRational(_frac(value))
+    p, q = _rational(value)
+    return _make(p, 0, q)
 
 
 def format_gaussian(z: GaussianRational) -> str:

@@ -18,6 +18,7 @@ machine.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Mapping, Sequence
 
 from .gaussrat import GaussianLike, GaussianRational, as_gaussian, format_gaussian
@@ -206,7 +207,7 @@ class MultiPoly:
         product: dict[Exponents, GaussianRational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+                exps = tuple(map(add, e1, e2))
                 value = c1 * c2
                 current = product.get(exps)
                 product[exps] = value if current is None else current + value
@@ -298,16 +299,26 @@ class MultiPoly:
         return MultiPoly._make(target, accum)
 
     def evaluate(self, assignment: Mapping[str, GaussianLike]) -> GaussianRational:
-        """Exact value at a point; every variable that appears needs a value."""
+        """Exact value at a point; every variable that appears needs a value.
+
+        Each value is coerced, and each power taken, once per call."""
+        values: dict[str, GaussianRational] = {}
+        powers: dict[tuple[str, int], GaussianRational] = {}
         total = GaussianRational()
         for exps, coeff in self.terms.items():
             term = coeff
             for name, e in zip(self.variables, exps):
                 if not e:
                     continue
-                if name not in assignment:
-                    raise ValueError(f"no value supplied for variable {name!r}")
-                term = term * as_gaussian(assignment[name]) ** e
+                power = powers.get((name, e))
+                if power is None:
+                    value = values.get(name)
+                    if value is None:
+                        if name not in assignment:
+                            raise ValueError(f"no value supplied for variable {name!r}")
+                        value = values[name] = as_gaussian(assignment[name])
+                    power = powers[(name, e)] = value**e
+                term = term * power
             total = total + term
         return total
 

@@ -13,6 +13,7 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,7 @@ from galinv import (
     synthesize,
 )
 from galinv import universe
+from galinv.checks import _boost_witness
 from galinv.oracle import random_rational
 
 from conftest import random_constant_lpdo, random_fraction, random_gaussian
@@ -131,6 +133,16 @@ def test_high_time_derivative_rejects_fast():
     assert time.perf_counter() - start < 1.0
     assert not report.invariant
     assert report.witness.reverify(op)
+
+
+def test_witness_search_fails_fast_when_routes_disagree():
+    # No point moves an invariant symbol, so the search exhausts its
+    # budget; the bounded budget raises in well under a second.
+    op = synthesize(1, [0, 0, 1], 2)
+    start = time.perf_counter()
+    with pytest.raises(InconsistencyError):
+        _boost_witness(op, Fraction(1), symbol_of(op).poly)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_named_operators_agree_with_residue_route():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galinv import MAX_TOTAL_DEGREE, GaussianRational, MultiPoly
+from galinv import MAX_TOTAL_DEGREE, GaussianRational, MultiPoly, as_gaussian
 
+import reference_gaussrat as ref
 from conftest import random_poly
 
 U = ("tau", "xi1", "v1")
@@ -143,3 +144,81 @@ def test_ring_axioms(p, q, r):
     assert (p + q) * r == p * r + q * r
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
+
+
+# Ring laws over a small universe.  The symbol route and the oracles share
+# this kernel, so these laws, and agreement with the Fraction-pair
+# reference kernel, are what would catch a kernel bug.
+
+tiny_polys = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_poly(random.Random(seed), U, max_terms=3, max_degree=2)
+)
+scalar_values = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    st.builds(
+        GaussianRational,
+        st.fractions(min_value=-4, max_value=4, max_denominator=5),
+        st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    ),
+)
+points = st.fixed_dictionaries({name: scalar_values for name in U})
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polys, small_polys, small_polys)
+def test_additive_laws_and_left_distributivity(p, q, r):
+    zero, one = MultiPoly.zero(U), MultiPoly.const(U, 1)
+    assert (p + q) + r == p + (q + r)
+    assert p + q == q + p
+    assert r * (p + q) == r * p + r * q
+    assert p + zero == p and p * one == p and (p * zero).is_zero
+    assert p - q == p + (-q)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tiny_polys, st.lists(tiny_polys, min_size=6, max_size=6))
+def test_substitute_composes(p, images):
+    a = dict(zip(U, images[:3]))
+    b = dict(zip(U, images[3:]))
+    composite = {name: image.substitute(b) for name, image in a.items()}
+    assert p.substitute(a).substitute(b) == p.substitute(composite)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polys, small_polys, points)
+def test_evaluate_is_a_ring_homomorphism(p, q, point):
+    x, y = p.evaluate(point), q.evaluate(point)
+    assert (p * q).evaluate(point) == x * y
+    assert (p + q).evaluate(point) == x + y
+    assert (p - q).evaluate(point) == x - y
+
+
+def reference(value) -> ref.GaussianRational:
+    z = as_gaussian(value)
+    return ref.GaussianRational(z.re, z.im)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polys, points)
+def test_evaluate_matches_reference_kernel(p, point):
+    total = ref.ZERO
+    for exps, coeff in p.terms.items():
+        term = reference(coeff)
+        for name, e in zip(U, exps):
+            term = term * reference(point[name]) ** e
+        total = total + term
+    value = p.evaluate(point)
+    assert (value.re, value.im) == (total.re, total.im)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polys, small_polys)
+def test_product_matches_reference_kernel(p, q):
+    expected: dict = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            expected[exps] = expected.get(exps, ref.ZERO) + reference(c1) * reference(c2)
+    expected = {exps: (c.re, c.im) for exps, c in expected.items() if c}
+    assert {exps: (c.re, c.im) for exps, c in (p * q).terms.items()} == expected

@@ -10,11 +10,12 @@ symbol is O(n)-invariant exactly when each tau-slice is a polynomial in
 s = |xi|^2 (for n = 1 this is evenness, since O(1) = {+-1}).  The exact
 reconstruction sum b_jk |xi|^(2k) (i tau)^j == p, asserted on every
 accept, proves fixedness under every orthogonal matrix at once.  A
-rejected symbol gets a witness matrix found by scalar evaluation at
-seeded rational points.  Boost invariance at a fixed gauge family holds
-exactly when the boost generators lam*d/dxi_a - xi_a*d/dtau annihilate
-the symbol; a reject is witnessed by p differing at a seeded rational
-point and at its boosted frequency.
+rejected symbol is witnessed by a reflection, else by the first
+coordinate permutation whose exponent relabelling changes its term map,
+else by a rotation sampled at seeded rational points.  Boost invariance
+at a fixed gauge family holds exactly when the boost generators
+lam*d/dxi_a - xi_a*d/dtau annihilate the symbol; a reject is witnessed
+by p differing at a seeded rational point and at its boosted frequency.
 """
 
 from __future__ import annotations
@@ -29,17 +30,14 @@ from .actions import Translation, boosted_frequency, conj_rotation, conj_transla
 from .errors import InconsistencyError
 from .gaussrat import GaussianRational, i_power
 from .lpdo import LPDO, DerivKey, symbol_of
-from .matrices import (
-    OrthogonalMatrix,
-    iter_cayley_rotations,
-    orthogonal_witness_pool,
-    reflection,
-)
+from .matrices import OrthogonalMatrix, iter_cayley_rotations, reflection, signed_permutation
 from .multipoly import MultiPoly
 from .oracle import boost_commutator_defect, random_rational
 
 _WITNESS_SEED = 39021
-# Sampled rotations tried after the witness pool before giving up.
+# Sampled rotations tried when no coordinate permutation moves the
+# symbol: a first stream, then a longer one before giving up.
+_WITNESS_CAYLEY = 20
 _WITNESS_EXTRA = 1000
 # Seeded points tried for a boost witness.  Their bound starts at 3 and
 # doubles every 100 points, so it never passes 3*2^4 = 48.  A nonzero
@@ -212,18 +210,36 @@ def _rotation_witness(op: LPDO, defect) -> RotationWitness:
     """Turn a radial-reduction failure into a concrete non-fixing matrix.
 
     A term odd in xi_a is moved by the reflection of that axis.  Otherwise
-    the witness pool is walked, then further sampled rotations, and each
-    matrix R is tried by comparing p(tau, xi) with p(tau, R^T xi) at a
-    fresh seeded rational point: scalar evaluations only.
+    p is even, so a signed permutation moves p exactly when relabelling
+    the exponents of p by its permutation changes the term map; the first
+    such permutation of S_n (n <= 3) or of the swaps (1,2), (1,3), ...
+    (n > 3) is the witness.  Failing that, sampled rotations R are tried
+    by comparing p(tau, xi) with p(tau, R^T xi) at seeded rational points.
     """
     n = op.n
     if defect[0] == "reflection":
         return RotationWitness(reflection(n, defect[1]))
     p = symbol_of(op).poly
-    names = [universe.FREQ_TIME] + [universe.freq_space(a) for a in range(1, n + 1)]
+    xi1 = p.variables.index(universe.FREQ_TIME) + 1
+    if n <= 3:
+        perms = list(itertools.permutations(range(1, n + 1)))
+        signed_pool = len(perms) * 2**n
+    else:
+        swaps = itertools.combinations(range(1, n + 1), 2)
+        perms = (tuple({a: b, b: a}.get(k, k) for k in range(1, n + 1)) for a, b in swaps)
+        signed_pool = n * (n + 1) // 2  # n reflections, then the transpositions
+    for perm in perms:
+        moved = {e[:xi1] + tuple(e[xi1 + a - 1] for a in perm): c for e, c in p.terms.items()}
+        if moved != p.terms:
+            return RotationWitness(signed_permutation(perm, (1,) * n))
+    # Sampled rotations take the points that follow n + 1 draws for each
+    # signed permutation of the pool, which fixes the rotation returned.
     rng = random.Random(_WITNESS_SEED)
+    for _ in range(signed_pool * (n + 1)):
+        random_rational(rng, 3)
+    names = [universe.FREQ_TIME] + [universe.freq_space(a) for a in range(1, n + 1)]
     candidates = itertools.chain(
-        orthogonal_witness_pool(n, _WITNESS_SEED),
+        itertools.islice(iter_cayley_rotations(n, _WITNESS_SEED), _WITNESS_CAYLEY),
         itertools.islice(iter_cayley_rotations(n, _WITNESS_SEED + 1), _WITNESS_EXTRA),
     )
     for rot in candidates:

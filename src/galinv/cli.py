@@ -262,6 +262,8 @@ def _run(args) -> tuple[Report, int]:
         )
         return report, 0
     if command == "theta":
+        if args.n is not None and args.n < 1:
+            raise ValueError("spatial dimension must be at least 1")
         if args.lam == 0:
             return Report(verdict="ok", lam="0", theta="x-independent"), 0
         if args.v is not None:

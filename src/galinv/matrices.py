@@ -79,7 +79,7 @@ class RationalMatrix:
         cols = other.transpose().entries
         return RationalMatrix(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                tuple(sum(a * b for a, b in zip(row, col) if a and b) for col in cols)
                 for row in self.entries
             )
         )
@@ -126,7 +126,10 @@ class RationalMatrix:
 
 @dataclass(frozen=True)
 class OrthogonalMatrix:
-    """A square rational matrix verified to satisfy R^T R = R R^T = I."""
+    """A square rational matrix verified to satisfy R^T R = I.
+
+    For a square matrix that makes R^T the inverse, so R R^T = I as well.
+    """
 
     matrix: RationalMatrix
 
@@ -134,8 +137,7 @@ class OrthogonalMatrix:
         m = self.matrix
         if m.rows != m.cols:
             raise ValueError("orthogonal matrices are square")
-        identity = RationalMatrix.identity(m.rows)
-        if m.transpose() * m != identity or m * m.transpose() != identity:
+        if m.transpose() * m != RationalMatrix.identity(m.rows):
             raise ValueError("matrix is not orthogonal")
 
     @property
@@ -144,9 +146,6 @@ class OrthogonalMatrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.matrix.entry(i, j)
-
-    def transpose(self) -> "OrthogonalMatrix":
-        return OrthogonalMatrix(self.matrix.transpose())
 
     def compose(self, other: "OrthogonalMatrix") -> "OrthogonalMatrix":
         return OrthogonalMatrix(self.matrix * other.matrix)
@@ -188,16 +187,13 @@ def reflection(n: int, axis: int) -> OrthogonalMatrix:
     return signed_permutation(tuple(range(1, n + 1)), signs)
 
 
-def iter_signed_permutations(n: int) -> Iterator[OrthogonalMatrix]:
-    """Every signed permutation matrix in O(n), built one at a time."""
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield signed_permutation(perm, signs)
-
-
 def all_signed_permutations(n: int) -> list[OrthogonalMatrix]:
     """Every signed permutation matrix in O(n): n! * 2^n of them."""
-    return list(iter_signed_permutations(n))
+    return [
+        signed_permutation(perm, signs)
+        for perm in itertools.permutations(range(1, n + 1))
+        for signs in itertools.product((1, -1), repeat=n)
+    ]
 
 
 def iter_cayley_rotations(n: int, seed: int) -> Iterator[OrthogonalMatrix]:
@@ -216,25 +212,3 @@ def iter_cayley_rotations(n: int, seed: int) -> Iterator[OrthogonalMatrix]:
 def sample_cayley_rotations(n: int, count: int, seed: int) -> list[OrthogonalMatrix]:
     """Deterministic sample of rotations via random skew-symmetric matrices."""
     return list(itertools.islice(iter_cayley_rotations(n, seed), count))
-
-
-def orthogonal_witness_pool(n: int, seed: int, cayley_count: int = 20) -> Iterator[OrthogonalMatrix]:
-    """Signed permutations followed by sampled rotations, deterministically.
-
-    For n <= 3 the signed permutations are enumerated exhaustively; beyond
-    that only reflections and coordinate swaps are included to keep the
-    pool small.  Matrices are built as the pool is walked, so a caller
-    that stops early pays only for what it looked at.
-    """
-    if n <= 3:
-        yield from iter_signed_permutations(n)
-    else:
-        for axis in range(1, n + 1):
-            yield reflection(n, axis)
-        base = list(range(1, n + 1))
-        for a in range(n):
-            for b in range(a + 1, n):
-                perm = base.copy()
-                perm[a], perm[b] = perm[b], perm[a]
-                yield signed_permutation(perm, (1,) * n)
-    yield from itertools.islice(iter_cayley_rotations(n, seed), cayley_count)

@@ -234,10 +234,10 @@ class _Parser:
         if text == "Lap":
             return symbol_of(LPDO.laplacian(self.n)).poly
         index = int(m.group(2) or m.group(3))
-        if not 1 <= index <= self.n:
-            self.fail(
-                f"spatial index {index} exceeds the dimension n = {self.n}", token
-            )
+        if index == 0:
+            self.fail("spatial indices start at 1", token)
+        if index > self.n:
+            self.fail(f"spatial index {index} exceeds the dimension n = {self.n}", token)
         if text.startswith("Dx"):
             return symbol_of(LPDO.space_derivative(self.n, index)).poly
         return MultiPoly.var(self.names, universe.space(index))

@@ -112,7 +112,7 @@ def test_rotation_rejects_variable_coefficients():
 
 
 def test_rotation_in_four_dimensions():
-    # n > 3 uses the trimmed witness pool (reflections + swaps + rotations)
+    # n > 3 tries the coordinate swaps, not all of S_n, before sampled rotations
     assert check_rotation_invariance(LPDO.laplacian(4)).invariant
     report = check_rotation_invariance(LPDO.space_derivative(4, 2, 2))
     assert not report.invariant

@@ -173,6 +173,15 @@ def test_oracle_count_below_one_is_usage_error(capsys):
         assert "count" in captured.err
 
 
+def test_theta_dimension_below_one_is_usage_error(capsys):
+    for argv in (["--n", "0"], ["--n", "-3"], ["--n", "0", "--lambda", "0"]):
+        status = main(["theta", "--lambda", "1", *argv])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert "dimension must be at least 1" in captured.err
+
+
 def test_deep_nesting_is_usage_error(capsys):
     status = main(["classify2", "(" * 3000 + "Dt" + ")" * 3000])
     captured = capsys.readouterr()

@@ -75,6 +75,12 @@ def test_parse_index_exceeding_declared_n():
         parse_operator("Dx3", n=2)
 
 
+@pytest.mark.parametrize("text, n", [("x0*Dt", None), ("Dx0", None), ("Dx0", 2), ("Dt + x00", 3)])
+def test_parse_index_zero_names_the_first_index(text, n):
+    with pytest.raises(ParseError, match="spatial indices start at 1"):
+        parse_operator(text, n)
+
+
 def test_parse_zero_operator_rejected():
     with pytest.raises(ParseError):
         parse_operator("Dt - Dt")

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 
 def _frac_rows(entries) -> tuple[tuple[Fraction, ...], ...]:
-    rows = tuple(tuple(Fraction(e) for e in row) for row in entries)
+    rows = tuple(tuple(e if type(e) is Fraction else Fraction(e) for e in row) for row in entries)
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
     width = len(rows[0])
@@ -35,11 +35,8 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-            )
-        )
+        zero, one = Fraction(0), Fraction(1)
+        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
     @property
     def rows(self) -> int:
@@ -76,13 +73,18 @@ class RationalMatrix:
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix shapes do not compose")
-        cols = other.transpose().entries
-        return RationalMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col) if a and b) for col in cols)
-                for row in self.entries
-            )
-        )
+        # Each nonzero a_ik meets only the nonzero entries of row k of
+        # `other`, so a signed permutation costs O(n^2), not O(n^3).
+        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [Fraction(0)] * other.cols
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in right[k]:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return RationalMatrix(tuple(out))
 
     def _same_shape(self, other: "RationalMatrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -1,27 +1,30 @@
 """Sparse multivariate polynomials over the Gaussian rationals.
 
 A polynomial carries an explicit, ordered tuple of variable names (its
-universe) and a map from exponent tuples to nonzero coefficients:
+universe) and is held as one positive integer denominator d over a map
+from packed monomials to Gaussian-integer numerators (re, im), as in
+FLINT's fmpq_mpoly:
 
-    t*x1^2 + 3   over (t, x1)   ->   {(1, 2): 1, (0, 0): 3}
+    t*x1^2 + 3/2   over (t, x1)   ->   d = 2, {t*x1^2: (2, 0), 1: (3, 0)}
 
-Zero coefficients are never stored, so two polynomials over the same
-universe are equal exactly when their term maps are equal.  Instances are
-treated as immutable: every operation returns a fresh value, and all
-arithmetic is exact.
-
-The total degree of any term is capped (`MAX_TOTAL_DEGREE`) so that a
-runaway composition fails fast with a clear error instead of eating the
-machine.
+A monomial is one integer, 8 bits per exponent and the total degree in
+the byte above: sum(e_i << 8*i) + (deg << 8*w) for w variables, so adding
+keys multiplies monomials, without carry as capped degrees are at most 64.
+Each operation drops zero numerators and divides out gcd(d, numerators),
+so equal polynomials hold identical (d, map).  `.terms` is the map from
+exponent tuples to `GaussianRational`, built once on demand.  Values are
+immutable and exact, and keep their terms in insertion order.  The total
+degree of any term is capped (`MAX_TOTAL_DEGREE`, unchanged by the packed
+layout) so that a runaway composition fails fast with a clear error.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence
 
-from .gaussrat import GaussianLike, GaussianRational, as_gaussian, format_gaussian
+from .gaussrat import GaussianLike, GaussianRational, _normal, as_gaussian, format_gaussian
 
 Exponents = tuple[int, ...]
 
@@ -34,18 +37,14 @@ _SCALARS = (int, Fraction, GaussianRational)
 
 
 class MultiPoly:
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "_den", "_num", "_terms")
 
     def __init__(
         self,
         variables: Sequence[str],
         terms: Mapping[Exponents, GaussianLike] | None = None,
     ):
-        variables = tuple(variables)
-        if not variables:
-            raise ValueError("a polynomial needs at least one variable")
-        if len(set(variables)) != len(variables):
-            raise ValueError(f"duplicate variable names in {variables}")
+        variables = _universe(variables)
         canonical: dict[Exponents, GaussianRational] = {}
         width = len(variables)
         for exps, raw in (terms or {}).items():
@@ -54,7 +53,7 @@ class MultiPoly:
                 raise ValueError(
                     f"exponent vector {exps} does not match universe of size {width}"
                 )
-            if any(e < 0 for e in exps):
+            if min(exps) < 0:
                 raise ValueError(f"negative exponent in {exps}")
             if sum(exps) > MAX_TOTAL_DEGREE:
                 raise ValueError(
@@ -63,8 +62,13 @@ class MultiPoly:
             coeff = as_gaussian(raw)
             if coeff:
                 canonical[exps] = coeff
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", canonical)
+        # Over the lcm of reduced denominators the content is already 1.
+        den = lcm(*(coeff._t[2] for coeff in canonical.values()))
+        num = {}
+        for exps, coeff in canonical.items():
+            a, b, d = coeff._t
+            num[int.from_bytes(bytes((*exps, sum(exps))), "little")] = (a * den // d, b * den // d)
+        _build(variables, den, num, canonical, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -73,26 +77,23 @@ class MultiPoly:
     # constructors
 
     @classmethod
-    def _make(
-        cls,
-        variables: tuple[str, ...],
-        terms: dict[Exponents, GaussianRational],
-    ) -> "MultiPoly":
-        """Internal fast path: exponents and coefficients already canonical
-        in shape; only zero-dropping and the degree cap are enforced."""
-        poly = object.__new__(cls)
-        kept: dict[Exponents, GaussianRational] = {}
-        for exps, coeff in terms.items():
-            if not coeff:
-                continue
-            if sum(exps) > MAX_TOTAL_DEGREE:
-                raise ValueError(
-                    f"term degree {sum(exps)} exceeds the cap of {MAX_TOTAL_DEGREE}"
-                )
-            kept[exps] = coeff
-        object.__setattr__(poly, "variables", variables)
-        object.__setattr__(poly, "terms", kept)
-        return poly
+    def _make(cls, variables: tuple[str, ...], den: int, num: dict) -> "MultiPoly":
+        """Fast path from packed keys: drop zeros, check the cap, divide out the content."""
+        if (0, 0) in num.values():
+            num = {key: pair for key, pair in num.items() if pair != (0, 0)}
+        if not num:
+            return _build(variables, 1, num)
+        shift = 8 * len(variables)
+        if max(num) >> shift > MAX_TOTAL_DEGREE:
+            degree = next(key >> shift for key in num if key >> shift > MAX_TOTAL_DEGREE)
+            raise ValueError(f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}")
+        g = den
+        for re, im in num.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                return _build(variables, den, num)
+        num = {key: (re // g, im // g) for key, (re, im) in num.items()}
+        return _build(variables, den // g, num)
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "MultiPoly":
@@ -100,47 +101,62 @@ class MultiPoly:
 
     @classmethod
     def const(cls, variables: Sequence[str], value: GaussianLike) -> "MultiPoly":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): value})
+        variables = _universe(variables)
+        a, b, d = as_gaussian(value)._t
+        return _build(variables, d, {0: (a, b)} if a or b else {})
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "MultiPoly":
         variables = tuple(variables)
-        try:
-            idx = variables.index(name)
-        except ValueError:
+        if name not in variables:
             raise ValueError(f"variable {name!r} is not in universe {variables}")
-        exps = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {exps: 1})
+        idx, width = variables.index(name), len(_universe(variables))
+        return _build(variables, 1, {(1 << 8 * idx) + (1 << 8 * width): (1, 0)})
 
     # ------------------------------------------------------------------
     # predicates and accessors
 
     @property
+    def terms(self) -> dict[Exponents, GaussianRational]:
+        """Exponent tuple -> nonzero coefficient, in term order (built once)."""
+        if self._terms is None:
+            width, den = len(self.variables), self._den
+            _set_terms(self, {
+                tuple(key.to_bytes(width + 1, "little")[:width]): _normal(re, im, den)
+                for key, (re, im) in self._num.items()
+            })
+        return self._terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(exps) for exps in self.terms)
+        return not any(self._num)
+
+    @property
+    def is_real(self) -> bool:
+        """Every coefficient has a zero imaginary part."""
+        return not any(im for _, im in self._num.values())
 
     def constant_value(self) -> GaussianRational:
         """The value of a constant polynomial (error if non-constant)."""
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
-        zero_key = (0,) * len(self.variables)
-        return self.terms.get(zero_key, GaussianRational())
+        re, im = self._num.get(0, (0, 0))
+        return _normal(re, im, self._den)
 
     def coefficient(self, exps: Exponents) -> GaussianRational:
         return self.terms.get(tuple(exps), GaussianRational())
 
     def total_degree(self) -> int:
         """Largest term degree; 0 for the zero polynomial."""
-        return max((sum(exps) for exps in self.terms), default=0)
+        return max(self._num, default=0) >> 8 * len(self.variables)
 
     def degree_in(self, name: str) -> int:
-        idx = self._index(name)
-        return max((exps[idx] for exps in self.terms), default=0)
+        shift = 8 * self._index(name)
+        return max(((key >> shift) & 255 for key in self._num), default=0)
 
     def _index(self, name: str) -> int:
         try:
@@ -167,51 +183,45 @@ class MultiPoly:
             return self.is_constant and self.constant_value() == other
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (self.variables, self._den, self._num) == (other.variables, other._den, other._num)
 
     __hash__ = None  # mutable-looking container; never used as a key
 
     def __add__(self, other) -> "MultiPoly":
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        merged = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            current = merged.get(exps)
-            merged[exps] = coeff if current is None else current + coeff
-        return MultiPoly._make(self.variables, merged)
+        return NotImplemented if other is None else _merge(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._make(
-            self.variables, {exps: -coeff for exps, coeff in self.terms.items()}
-        )
+        num = {key: (-re, -im) for key, (re, im) in self._num.items()}
+        return _build(self.variables, self._den, num)
 
     def __sub__(self, other) -> "MultiPoly":
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else _merge(self, other, -1)
 
     def __rsub__(self, other) -> "MultiPoly":
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else _merge(other, self, -1)
 
     def __mul__(self, other) -> "MultiPoly":
+        if isinstance(other, _SCALARS):
+            c, e, f = as_gaussian(other)._t
+            num = {key: (a * c - b * e, a * e + b * c) for key, (a, b) in self._num.items()}
+            return MultiPoly._make(self.variables, self._den * f, num)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        product: dict[Exponents, GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(map(add, e1, e2))
-                value = c1 * c2
-                current = product.get(exps)
-                product[exps] = value if current is None else current + value
-        return MultiPoly._make(self.variables, product)
+        product: dict[int, tuple[int, int]] = {}
+        get = product.get
+        right = list(other._num.items())
+        for k1, (a, b) in self._num.items():
+            for k2, (c, e) in right:
+                key = k1 + k2
+                re, im = get(key, (0, 0))
+                product[key] = (re + a * c - b * e, im + a * e + b * c)
+        return MultiPoly._make(self.variables, self._den * other._den, product)
 
     __rmul__ = __mul__
 
@@ -234,15 +244,14 @@ class MultiPoly:
 
     def partial(self, name: str) -> "MultiPoly":
         """Formal partial derivative with respect to one variable."""
-        idx = self._index(name)
-        out: dict[Exponents, GaussianRational] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[idx]
-            if not e:
-                continue
-            dropped = exps[:idx] + (e - 1,) + exps[idx + 1 :]
-            out[dropped] = coeff * e
-        return MultiPoly._make(self.variables, out)
+        shift = 8 * self._index(name)
+        step = (1 << shift) + (1 << 8 * len(self.variables))
+        out: dict[int, tuple[int, int]] = {}
+        for key, (re, im) in self._num.items():
+            e = (key >> shift) & 255
+            if e:
+                out[key - step] = (re * e, im * e)
+        return MultiPoly._make(self.variables, self._den, out)
 
     def substitute(self, bindings: Mapping[str, "MultiPoly | int | Fraction | GaussianRational"]) -> "MultiPoly":
         """Substitute polynomials (or scalars) for variables.
@@ -272,55 +281,57 @@ class MultiPoly:
                 resolved[name] = value
             else:
                 resolved[name] = MultiPoly.const(target, value)
-        powers: dict[tuple[str, int], MultiPoly] = {}
-        accum: dict[Exponents, GaussianRational] = {}
-        zero_key = (0,) * len(target)
-        for exps, coeff in self.terms.items():
+        width, one = len(self.variables), MultiPoly.const(target, 1)
+        powers: dict[tuple[int, int], MultiPoly] = {}
+        images: list[tuple[tuple[int, int], MultiPoly]] = []
+        for key, pair in self._num.items():
             term: MultiPoly | None = None
-            for name, e in zip(self.variables, exps):
+            for i, e in enumerate(key.to_bytes(width + 1, "little")[:width]):
                 if not e:
                     continue
-                power = powers.get((name, e))
+                power = powers.get((i, e))
                 if power is None:
-                    base = resolved.get(name)
-                    if base is None:
-                        base = MultiPoly.var(target, name)
-                    power = base**e
-                    powers[(name, e)] = power
+                    name = self.variables[i]
+                    base = resolved.get(name) or MultiPoly.var(target, name)
+                    power = powers[(i, e)] = base**e
                 term = power if term is None else term * power
-            if term is None:
-                current = accum.get(zero_key)
-                accum[zero_key] = coeff if current is None else current + coeff
-                continue
-            for texps, tcoeff in term.terms.items():
-                value = coeff * tcoeff
-                current = accum.get(texps)
-                accum[texps] = value if current is None else current + value
-        return MultiPoly._make(target, accum)
+            images.append((pair, one if term is None else term))
+        # Each image is rescaled to one common denominator before summing.
+        den = lcm(*(term._den for _, term in images))
+        accum: dict[int, tuple[int, int]] = {}
+        get = accum.get
+        for (re, im), term in images:
+            scale = den // term._den
+            re, im = re * scale, im * scale
+            for key, (a, b) in term._num.items():
+                c, e = get(key, (0, 0))
+                accum[key] = (c + re * a - im * b, e + re * b + im * a)
+        return MultiPoly._make(target, self._den * den, accum)
 
     def evaluate(self, assignment: Mapping[str, GaussianLike]) -> GaussianRational:
         """Exact value at a point; every variable that appears needs a value.
 
-        Each value is coerced, and each power taken, once per call."""
-        values: dict[str, GaussianRational] = {}
-        powers: dict[tuple[str, int], GaussianRational] = {}
-        total = GaussianRational()
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for name, e in zip(self.variables, exps):
+        Each power is taken once; terms are summed in integers per denominator."""
+        width = len(self.variables)
+        powers: dict[tuple[int, int], tuple[int, int, int]] = {}
+        sums: dict[int, tuple[int, int]] = {}
+        for key, (re, im) in self._num.items():
+            den = 1
+            for i, e in enumerate(key.to_bytes(width + 1, "little")[:width]):
                 if not e:
                     continue
-                power = powers.get((name, e))
+                power = powers.get((i, e))
                 if power is None:
-                    value = values.get(name)
-                    if value is None:
-                        if name not in assignment:
-                            raise ValueError(f"no value supplied for variable {name!r}")
-                        value = values[name] = as_gaussian(assignment[name])
-                    power = powers[(name, e)] = value**e
-                term = term * power
-            total = total + term
-        return total
+                    name = self.variables[i]
+                    if name not in assignment:
+                        raise ValueError(f"no value supplied for variable {name!r}")
+                    power = powers[(i, e)] = (as_gaussian(assignment[name]) ** e)._t
+                a, b, d = power
+                re, im, den = re * a - im * b, re * b + im * a, den * d
+            a, b = sums.get(den, (0, 0))
+            sums[den] = (a + re, b + im)
+        parts = (_normal(re, im, d * self._den) for d, (re, im) in sums.items())
+        return sum(parts, GaussianRational())
 
     def extend(self, variables: Sequence[str]) -> "MultiPoly":
         """Embed into a larger universe containing all current variables."""
@@ -332,36 +343,36 @@ class MultiPoly:
         except ValueError:
             missing = set(self.variables) - set(variables)
             raise ValueError(f"target universe is missing {sorted(missing)}")
-        width = len(variables)
-        out: dict[Exponents, GaussianRational] = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * width
-            for pos, e in zip(positions, exps):
+        width, new_width = len(self.variables), len(_universe(variables))
+        positions.append(new_width)  # the degree byte
+        out: dict[int, tuple[int, int]] = {}
+        for key, pair in self._num.items():
+            new = bytearray(new_width + 1)
+            for pos, e in zip(positions, key.to_bytes(width + 1, "little")):
                 new[pos] = e
-            out[tuple(new)] = coeff
-        return MultiPoly(variables, out)
+            out[int.from_bytes(new, "little")] = pair
+        return _build(variables, self._den, out)
 
     def split_by(self, name: str) -> dict[int, "MultiPoly"]:
         """Group terms by the exponent of one variable, zeroing it out.
 
         p == sum(var**k * part for k, part in p.split_by(var).items()).
         """
-        idx = self._index(name)
-        groups: dict[int, dict[Exponents, GaussianRational]] = {}
-        for exps, coeff in self.terms.items():
-            k = exps[idx]
-            stripped = exps[:idx] + (0,) + exps[idx + 1 :]
-            groups.setdefault(k, {})[stripped] = coeff
-        return {k: MultiPoly(self.variables, part) for k, part in groups.items()}
+        shift, top = 8 * self._index(name), 8 * len(self.variables)
+        groups: dict[int, dict[int, tuple[int, int]]] = {}
+        for key, pair in self._num.items():
+            k = (key >> shift) & 255
+            groups.setdefault(k, {})[key - (k << shift) - (k << top)] = pair
+        return {k: MultiPoly._make(self.variables, self._den, part) for k, part in groups.items()}
 
     def homogeneous_parts(self, grading_vars: Sequence[str]) -> dict[int, "MultiPoly"]:
         """Split into parts homogeneous in the given variables."""
-        idx = [self._index(name) for name in grading_vars]
-        parts: dict[int, dict[Exponents, GaussianRational]] = {}
-        for exps, coeff in self.terms.items():
-            d = sum(exps[i] for i in idx)
-            parts.setdefault(d, {})[exps] = coeff
-        return {d: MultiPoly(self.variables, part) for d, part in parts.items()}
+        shifts = [8 * self._index(name) for name in grading_vars]
+        parts: dict[int, dict[int, tuple[int, int]]] = {}
+        for key, pair in self._num.items():
+            d = sum((key >> shift) & 255 for shift in shifts)
+            parts.setdefault(d, {})[key] = pair
+        return {d: MultiPoly._make(self.variables, self._den, part) for d, part in parts.items()}
 
     # ------------------------------------------------------------------
     # presentation
@@ -373,7 +384,7 @@ class MultiPoly:
         )
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
         rendered = []
         for exps, coeff in self.ordered_terms():
@@ -391,6 +402,43 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.variables!r}, {self.terms!r})"
+
+
+_new = object.__new__
+_set_variables, _set_den, _set_num, _set_terms = (
+    getattr(MultiPoly, slot).__set__ for slot in MultiPoly.__slots__
+)
+
+
+def _build(variables, den, num, terms=None, poly=None) -> MultiPoly:
+    """Fill in a new (or the given) polynomial from fields already canonical."""
+    poly = _new(MultiPoly) if poly is None else poly
+    _set_variables(poly, variables)
+    _set_den(poly, den)
+    _set_num(poly, num)
+    _set_terms(poly, terms)
+    return poly
+
+
+def _universe(variables: Sequence[str]) -> tuple[str, ...]:
+    variables = tuple(variables)
+    if not variables:
+        raise ValueError("a polynomial needs at least one variable")
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"duplicate variable names in {variables}")
+    return variables
+
+
+def _merge(p: MultiPoly, q: MultiPoly, sign: int) -> MultiPoly:
+    """p + sign*q over the lcm of the two denominators, in p's term order."""
+    den = lcm(p._den, q._den)
+    left, right = den // p._den, sign * (den // q._den)
+    merged = {key: (re * left, im * left) for key, (re, im) in p._num.items()}
+    get = merged.get
+    for key, (re, im) in q._num.items():
+        a, b = get(key, (0, 0))
+        merged[key] = (a + re * right, b + im * right)
+    return MultiPoly._make(p.variables, den, merged)
 
 
 def _signed_term(coeff: GaussianRational, mono: str) -> tuple[str, str]:

@@ -269,6 +269,7 @@ def parse_operator(text: str, n: int | None = None) -> LPDO:
         if highest:
             n = highest
         elif saw_lap:
+            _Parser(tokens, 1).parse()  # errors the parser can place, such as Dx0, come first
             raise ParseError("Lap with no spatial index needs an explicit dimension n")
         else:
             n = 1

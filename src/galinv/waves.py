@@ -27,9 +27,8 @@ class ExpWave:
     def __init__(self, amplitude: MultiPoly, phase: MultiPoly):
         if amplitude.variables != phase.variables:
             raise ValueError("amplitude and phase must share a universe")
-        for coeff in phase.terms.values():
-            if coeff.im != 0:
-                raise ValueError("phase polynomials must be real-valued")
+        if not phase.is_real:
+            raise ValueError("phase polynomials must be real-valued")
         object.__setattr__(self, "amplitude", amplitude)
         object.__setattr__(self, "phase", phase)
 
@@ -43,7 +42,7 @@ class ExpWave:
     def differentiate(self, name: str) -> "ExpWave":
         """One exact derivative: (dA + i*A*dphi) * exp(i*phi)."""
         new_amplitude = self.amplitude.partial(name) + (
-            self.amplitude * self.phase.partial(name) * I_UNIT
+            self.amplitude * (self.phase.partial(name) * I_UNIT)
         )
         return ExpWave(new_amplitude, self.phase)
 

@@ -1,5 +1,6 @@
 """Exact orthogonal matrices: Cayley transform and signed permutations."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,27 @@ def test_signed_permutation_rejects_bad_input():
         signed_permutation((1, 1), (1, 1))
     with pytest.raises(ValueError):
         signed_permutation((1, 2), (2, 1))
+
+
+def test_product_matches_the_dense_sum():
+    rng = random.Random(5)
+    for _ in range(30):
+        rows, inner, cols = (rng.randint(1, 4) for _ in range(3))
+
+        def sparse(r, c):
+            return RationalMatrix(tuple(
+                tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) * rng.randint(0, 1) for _ in range(c))
+                for _ in range(r)
+            ))
+
+        a, b = sparse(rows, inner), sparse(inner, cols)
+        dense = tuple(
+            tuple(sum((a.entry(i, k) * b.entry(k, j) for k in range(inner)), F(0)) for j in range(cols))
+            for i in range(rows)
+        )
+        product = a * b
+        assert product.entries == dense
+        assert all(type(e) is Fraction for row in product.entries for e in row)
 
 
 def test_orthogonality_verified_on_construction():

@@ -19,6 +19,7 @@ from galinv import (
     parse_operator,
 )
 from galinv import universe
+from galinv.cli import main
 
 from conftest import random_constant_lpdo, random_poly, random_variable_lpdo
 
@@ -79,6 +80,14 @@ def test_parse_index_exceeding_declared_n():
 def test_parse_index_zero_names_the_first_index(text, n):
     with pytest.raises(ParseError, match="spatial indices start at 1"):
         parse_operator(text, n)
+
+
+def test_parse_index_zero_beats_the_lap_dimension_error(capsys):
+    with pytest.raises(ParseError, match="spatial indices start at 1") as exc:
+        parse_operator("Lap + Dx0")
+    assert (exc.value.line, exc.value.column) == (1, 7)  # the Dx0
+    assert main(["check-rotation", "Lap + Dx0"]) == 2
+    assert capsys.readouterr().err == "error: line 1, column 7: spatial indices start at 1\n"
 
 
 def test_parse_zero_operator_rejected():

@@ -230,6 +230,18 @@ def test_witness_in_forty_dimensions_is_fast():
     assert elapsed < 1.0, f"Dx1^2 at n = 40 took {elapsed:.2f}s"
 
 
+def test_witness_in_two_hundred_dimensions_is_fast():
+    op = parse_operator("Dx1^2", 200)
+    started = time.perf_counter()
+    report = check_rotation_invariance(op)
+    elapsed = time.perf_counter() - started
+    assert not report.invariant
+    swapped = [1, 0, *range(2, 200)]
+    rows = (" ".join("1" if j == swapped[i] else "0" for j in range(200)) for i in range(200))
+    assert str(report.witness.rotation) == "[" + "; ".join(rows) + "]"
+    assert elapsed < 1.0, f"Dx1^2 at n = 200 took {elapsed:.2f}s"
+
+
 @st.composite
 def even_operators(draw) -> LPDO:
     """Sums of Dt^j Dx^alpha with every alpha_a even, at n = 2..4: a symbol

@@ -147,17 +147,24 @@ class RadialDecomposition:
         )
 
     def reconstruction(self) -> MultiPoly:
-        names = universe.symbol_vars(self.n)
-        norm2 = _xi_norm2(names, self.n)
-        tau = MultiPoly.var(names, universe.FREQ_TIME)
-        terms = (norm2**k * tau**j * (c * i_power(j)) for (j, k), c in self.b.items())
-        return sum(terms, MultiPoly.zero(names))
+        """sum b_jk (i*tau)^j |xi|^(2k): per k, one product of a tau
+        polynomial with |xi|^(2k), each power taken from the one before."""
+        names, n = universe.symbol_vars(self.n), self.n
+        norm2, power, total = _xi_norm2(names, n), MultiPoly.const(names, 1), MultiPoly.zero(names)
+        for k in range(1 + max((k for _, k in self.b), default=-1)):
+            power = power * norm2 if k else power
+            tau_part = {(0,) * (n + 1) + (j,) + (0,) * n: c * i_power(j)
+                        for (j, kj), c in self.b.items() if kj == k}
+            total = total + power * MultiPoly(names, tau_part)
+        return total
 
 
 def _xi_norm2(names: tuple[str, ...], n: int) -> MultiPoly:
     """|xi|^2 = xi1^2 + ... + xin^2 over the given universe."""
-    xis = (MultiPoly.var(names, universe.freq_space(a)) for a in range(1, n + 1))
-    return sum((xi * xi for xi in xis), MultiPoly.zero(names))
+    xi1 = names.index(universe.freq_space(1))
+    return MultiPoly(names, {
+        tuple(2 if i == xi1 + a else 0 for i in range(len(names))): 1 for a in range(n)
+    })
 
 
 def radial_decompose(op: LPDO) -> RadialDecomposition:
@@ -165,8 +172,9 @@ def radial_decompose(op: LPDO) -> RadialDecomposition:
 
     Every part of degree 2k in xi must be an exact multiple of |xi|^(2k)
     and odd-degree parts must vanish; otherwise `NotRadial` (a ValueError)
-    names the first slice that fails.  The reconstruction is then
-    asserted against the source symbol, not assumed.
+    names the first slice that fails; b_jk is the part's xi1^(2k)
+    coefficient.  The reconstruction is then asserted against the source
+    symbol, not assumed.
     """
     if not op.is_constant_coefficient:
         raise ValueError("radial decomposition needs constant coefficients")
@@ -174,7 +182,7 @@ def radial_decompose(op: LPDO) -> RadialDecomposition:
     n = op.n
     xi_names = [universe.freq_space(a) for a in range(1, n + 1)]
     names = sym.poly.variables
-    unit_point = {name: 1 if name == xi_names[0] else 0 for name in xi_names}
+    xi1 = names.index(xi_names[0])
     norm2 = _xi_norm2(names, n)
     powers = [MultiPoly.const(names, 1)]
     result = RadialDecomposition(n, op.order)
@@ -184,7 +192,7 @@ def radial_decompose(op: LPDO) -> RadialDecomposition:
             k, odd = divmod(degree, 2)
             while len(powers) <= k:
                 powers.append(powers[-1] * norm2)
-            b = part.evaluate(unit_point)
+            b = part.coefficient(tuple(degree if i == xi1 else 0 for i in range(len(names))))
             if odd or part != powers[k] * b:
                 raise NotRadial(
                     f"tau^{j} slice has a degree-{degree} part that is not a "

@@ -36,7 +36,7 @@ from .checks import (
 )
 from .errors import InconsistencyError
 from .gaussrat import GaussianLike, GaussianRational, I_UNIT, as_gaussian
-from .lpdo import LPDO, compose_const, conjugate_linear_phase, linear_phase
+from .lpdo import LPDO, Symbol, conjugate_linear_phase, linear_phase, operator_of, symbol_of
 from .multipoly import MultiPoly
 
 STAGE_NON_CONSTANT = "non-constant-coefficients"
@@ -182,24 +182,21 @@ def classify_power_form(op: LPDO, lam: Fraction | int) -> PowerFormVerdict:
 def synthesize(
     lam: Fraction | int, coeffs: Sequence[GaussianLike], n: int
 ) -> LPDO:
-    """Build sum a_j * (2i*lam*dt + Lap)^j from its coefficient list."""
+    """Build sum a_j * (2i*lam*dt + Lap)^j in the symbol ring, where composition multiplies."""
     values = [as_gaussian(c) for c in coeffs]
     if not values or not any(values):
         raise ValueError("all coefficients are zero; the operator class is empty")
     if not values[-1]:
         raise ValueError("the top coefficient a_K must be nonzero")
-    factor = LPDO.schrodinger_factor(n, Fraction(lam))
-    power = LPDO.identity(n)
-    total: LPDO | None = None
+    factor = symbol_of(LPDO.schrodinger_factor(n, Fraction(lam))).poly
+    power = MultiPoly.const(factor.variables, 1)
+    total = MultiPoly.zero(factor.variables)
     for j, value in enumerate(values):
         if j:
-            power = compose_const(power, factor)
-        if not value:
-            continue
-        piece = power.scaled(value)
-        total = piece if total is None else total + piece
-    assert total is not None
-    return total
+            power = power * factor
+        if value:
+            total = total + power * value
+    return operator_of(Symbol(total, n, total.total_degree()))
 
 
 @dataclass

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from . import universe
 from .gaussrat import GaussianLike, GaussianRational, as_gaussian, i_power
-from .multipoly import MAX_TOTAL_DEGREE, MultiPoly
+from .multipoly import MAX_TOTAL_DEGREE, MultiPoly, embed_sum, split_trailing
 from .waves import ExpWave, plane_wave, plane_wave_at
 
 DerivKey = tuple[int, tuple[int, ...]]
@@ -177,25 +177,14 @@ class Symbol:
 
 def symbol_of(op: LPDO) -> Symbol:
     """p = sum a_{j,alpha}(t,x) (i*tau)^j (i*xi)^alpha, exactly."""
-    names = universe.symbol_vars(op.n)
-    n = op.n
-    terms = {}
-    for (j, alpha), poly in op.coeffs.items():
-        scale = i_power(j + sum(alpha))
-        for exps, coeff in poly.terms.items():
-            terms[exps + (j,) + alpha] = coeff * scale
-    return Symbol(MultiPoly(names, terms), n, op.order)
+    parts = [(poly, (j, *alpha), i_power(j + sum(alpha))) for (j, alpha), poly in op.coeffs.items()]
+    return Symbol(embed_sum(universe.symbol_vars(op.n), parts), op.n, op.order)
 
 
 def operator_of(symbol: Symbol) -> LPDO:
     """Inverse of `symbol_of`: read tau/xi monomials back into derivatives."""
-    n = symbol.n
-    names = universe.coeff_vars(n)
-    buckets: dict[DerivKey, dict] = {}
-    for exps, coeff in symbol.poly.terms.items():
-        tx, j, alpha = exps[: n + 1], exps[n + 1], exps[n + 2 :]
-        buckets.setdefault((j, alpha), {})[tx] = coeff * i_power(-(j + sum(alpha)))
-    return LPDO(n, {key: MultiPoly(names, terms) for key, terms in buckets.items()})
+    parts = split_trailing(symbol.poly, symbol.n + 1, lambda tail: i_power(-sum(tail)))
+    return LPDO(symbol.n, {(tail[0], tail[1:]): poly for tail, poly in parts.items()})
 
 
 def apply_plane_wave(
@@ -228,12 +217,8 @@ def compose_const(first: LPDO, second: LPDO) -> LPDO:
         raise ValueError("operators live in different dimensions")
     if not (first.is_constant_coefficient and second.is_constant_coefficient):
         raise ValueError("composition requires constant coefficients")
-    table: dict[DerivKey, GaussianRational] = {}
-    for (j1, a1), c1 in first.constant_table().items():
-        for (j2, a2), c2 in second.constant_table().items():
-            key = (j1 + j2, tuple(x + y for x, y in zip(a1, a2)))
-            table[key] = table.get(key, GaussianRational()) + c1 * c2
-    return LPDO(first.n, table)
+    product = symbol_of(first).poly * symbol_of(second).poly
+    return operator_of(Symbol(product, first.n, first.order + second.order))
 
 
 def linear_phase(

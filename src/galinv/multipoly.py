@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .gaussrat import GaussianLike, GaussianRational, _normal, as_gaussian, format_gaussian
 
@@ -148,15 +148,25 @@ class MultiPoly:
         return _normal(re, im, self._den)
 
     def coefficient(self, exps: Exponents) -> GaussianRational:
-        return self.terms.get(tuple(exps), GaussianRational())
+        """Coefficient of one monomial; zero for any vector that names none."""
+        exps = tuple(exps)
+        if len(exps) != len(self.variables) or min(exps) < 0 or sum(exps) > MAX_TOTAL_DEGREE:
+            return GaussianRational()
+        re, im = self._num.get(int.from_bytes(bytes((*exps, sum(exps))), "little"), (0, 0))
+        return _normal(re, im, self._den)
 
     def total_degree(self) -> int:
         """Largest term degree; 0 for the zero polynomial."""
         return max(self._num, default=0) >> 8 * len(self.variables)
 
-    def degree_in(self, name: str) -> int:
-        shift = 8 * self._index(name)
-        return max(((key >> shift) & 255 for key in self._num), default=0)
+    def degree_in(self, *names: str) -> int:
+        """Largest degree of a term in the given variables together."""
+        mask, width = 0, len(self.variables)
+        for name in names:
+            mask |= 255 << 8 * self._index(name)
+        # Times 0x0101..01, byte width-1 sums the masked bytes; the cap stops carries.
+        ones, shift = (1 << 8 * width) // 255, 8 * (width - 1)
+        return max(((key & mask) * ones >> shift & 255 for key in self._num), default=0)
 
     def _index(self, name: str) -> int:
         try:
@@ -439,6 +449,56 @@ def _merge(p: MultiPoly, q: MultiPoly, sign: int) -> MultiPoly:
         a, b = get(key, (0, 0))
         merged[key] = (a + re * right, b + im * right)
     return MultiPoly._make(p.variables, den, merged)
+
+
+def embed_sum(
+    variables: Sequence[str], parts: Iterable[tuple[MultiPoly, Exponents, GaussianLike]]
+) -> MultiPoly:
+    """sum(scale * monomial * poly.extend(variables)) over one common
+    denominator, for parts (poly, tail, scale) where poly's universe leads
+    `variables` and tail is the monomial's exponents in the rest."""
+    variables = _universe(variables)
+    top, placed = 8 * len(variables), []
+    for poly, tail, scale in parts:
+        width = len(poly.variables)
+        if variables[:width] != poly.variables or width + len(tail) != len(variables):
+            raise ValueError(f"{poly.variables} and {len(tail)} exponents do not make {variables}")
+        # The lead bytes stay; the degree byte moves up and gains the tail's degree.
+        offset = int.from_bytes(bytes(width) + bytes(tail), "little") + (sum(tail) << top)
+        placed.append((poly, 8 * width, offset, as_gaussian(scale)._t))
+    den = lcm(*(poly._den * f for poly, _, _, (_, _, f) in placed))
+    accum: dict[int, tuple[int, int]] = {}
+    get = accum.get
+    for poly, shift, offset, (c, e, f) in placed:
+        low, m = (1 << shift) - 1, den // (poly._den * f)
+        c, e = c * m, e * m
+        for key, (re, im) in poly._num.items():
+            key = (key & low) + (key >> shift << top) + offset
+            a, b = get(key, (0, 0))
+            accum[key] = (a + re * c - im * e, b + re * e + im * c)
+    return MultiPoly._make(variables, den, accum)
+
+
+def split_trailing(
+    poly: MultiPoly, width: int, scale: Callable[[Exponents], GaussianLike]
+) -> dict[Exponents, MultiPoly]:
+    """Inverse of `embed_sum`: tail exponents -> scale(tail) * the terms
+    with that tail, over the first `width` variables, in term order."""
+    lead = _universe(poly.variables[:width])
+    shift, top = 8 * width, 8 * len(poly.variables)
+    low, tails = (1 << shift) - 1, (1 << top - shift) - 1
+    groups: dict[int, tuple] = {}
+    for key, (re, im) in poly._num.items():
+        tail = key >> shift & tails
+        group = groups.get(tail)
+        if group is None:
+            exps = tuple(tail.to_bytes(len(poly.variables) - width, "little"))
+            group = groups[tail] = (exps, sum(exps), as_gaussian(scale(exps))._t, {})
+        _, degree, (c, e, _), num = group
+        # The lead bytes stay; the degree byte drops the tail's degree.
+        num[(key & low) + ((key >> top) - degree << shift)] = (re * c - im * e, re * e + im * c)
+    return {exps: MultiPoly._make(lead, poly._den * f, num)
+            for exps, _, (_, _, f), num in groups.values()}
 
 
 def _signed_term(coeff: GaussianRational, mono: str) -> tuple[str, str]:

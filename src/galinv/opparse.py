@@ -162,8 +162,8 @@ class _Parser:
         """A derivative left of a variable coefficient: the one product
         whose composition is not the symbol product."""
         split = self.n + 1
-        return any(any(exps[split:]) for exps in left.terms) and any(
-            any(exps[:split]) for exps in right.terms
+        return bool(
+            left.degree_in(*self.names[split:]) and right.degree_in(*self.names[:split])
         )
 
     def _mul(self, left: MultiPoly, right: MultiPoly, token: _Token) -> MultiPoly:
@@ -280,7 +280,7 @@ def parse_operator(text: str, n: int | None = None) -> LPDO:
         raise ParseError(
             "the expression is the zero operator, which is outside the class"
         )
-    order = max(sum(exps[n + 1 :]) for exps in poly.terms)  # degree in (tau, xi)
+    order = poly.degree_in(*poly.variables[n + 1 :])  # degree in (tau, xi)
     return operator_of(Symbol(poly, n, order))
 
 

@@ -1,0 +1,97 @@
+"""The term-map routes of the accept path, kept as references.
+
+The package converts between operators and symbols, composes
+constant-coefficient operators, synthesizes power forms and rebuilds
+radial decompositions with operations of the packed polynomial kernel.
+The routes they replaced live here unchanged: `symbol_of` and
+`operator_of` walk `.terms` and build each polynomial from a term map,
+`compose_const` multiplies constant tables, `synthesize` composes
+operators one power at a time, and the reconstruction raises |xi|^2 and
+tau to a fresh power for every entry.  The tests require the two routes
+to give the same values, in the same term and key order.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from galinv import LPDO, GaussianRational, MultiPoly, Symbol, universe
+from galinv.checks import RadialDecomposition
+from galinv.gaussrat import GaussianLike, as_gaussian, i_power
+from galinv.lpdo import DerivKey
+
+
+def symbol_of(op: LPDO) -> Symbol:
+    """p = sum a_{j,alpha}(t,x) (i*tau)^j (i*xi)^alpha, exactly."""
+    names = universe.symbol_vars(op.n)
+    n = op.n
+    terms = {}
+    for (j, alpha), poly in op.coeffs.items():
+        scale = i_power(j + sum(alpha))
+        for exps, coeff in poly.terms.items():
+            terms[exps + (j,) + alpha] = coeff * scale
+    return Symbol(MultiPoly(names, terms), n, op.order)
+
+
+def operator_of(symbol: Symbol) -> LPDO:
+    """Inverse of `symbol_of`: read tau/xi monomials back into derivatives."""
+    n = symbol.n
+    names = universe.coeff_vars(n)
+    buckets: dict[DerivKey, dict] = {}
+    for exps, coeff in symbol.poly.terms.items():
+        tx, j, alpha = exps[: n + 1], exps[n + 1], exps[n + 2 :]
+        buckets.setdefault((j, alpha), {})[tx] = coeff * i_power(-(j + sum(alpha)))
+    return LPDO(n, {key: MultiPoly(names, terms) for key, terms in buckets.items()})
+
+
+def compose_const(first: LPDO, second: LPDO) -> LPDO:
+    """Composition of constant-coefficient operators; symbols multiply."""
+    if first.n != second.n:
+        raise ValueError("operators live in different dimensions")
+    if not (first.is_constant_coefficient and second.is_constant_coefficient):
+        raise ValueError("composition requires constant coefficients")
+    table: dict[DerivKey, GaussianRational] = {}
+    for (j1, a1), c1 in first.constant_table().items():
+        for (j2, a2), c2 in second.constant_table().items():
+            key = (j1 + j2, tuple(x + y for x, y in zip(a1, a2)))
+            table[key] = table.get(key, GaussianRational()) + c1 * c2
+    return LPDO(first.n, table)
+
+
+def synthesize(
+    lam: Fraction | int, coeffs: Sequence[GaussianLike], n: int
+) -> LPDO:
+    """Build sum a_j * (2i*lam*dt + Lap)^j from its coefficient list."""
+    values = [as_gaussian(c) for c in coeffs]
+    if not values or not any(values):
+        raise ValueError("all coefficients are zero; the operator class is empty")
+    if not values[-1]:
+        raise ValueError("the top coefficient a_K must be nonzero")
+    factor = LPDO.schrodinger_factor(n, Fraction(lam))
+    power = LPDO.identity(n)
+    total: LPDO | None = None
+    for j, value in enumerate(values):
+        if j:
+            power = compose_const(power, factor)
+        if not value:
+            continue
+        piece = power.scaled(value)
+        total = piece if total is None else total + piece
+    assert total is not None
+    return total
+
+
+def reconstruction(radial: RadialDecomposition) -> MultiPoly:
+    """`RadialDecomposition.reconstruction`, one power of each factor per entry."""
+    names = universe.symbol_vars(radial.n)
+    norm2 = _xi_norm2(names, radial.n)
+    tau = MultiPoly.var(names, universe.FREQ_TIME)
+    terms = (norm2**k * tau**j * (c * i_power(j)) for (j, k), c in radial.b.items())
+    return sum(terms, MultiPoly.zero(names))
+
+
+def _xi_norm2(names: tuple[str, ...], n: int) -> MultiPoly:
+    """|xi|^2 = xi1^2 + ... + xin^2 over the given universe."""
+    xis = (MultiPoly.var(names, universe.freq_space(a)) for a in range(1, n + 1))
+    return sum((xi * xi for xi in xis), MultiPoly.zero(names))

@@ -292,3 +292,30 @@ def test_zero_has_unit_denominator():
     zero = p - p
     assert zero.is_zero and zero._den == 1 and zero._num == {}
     assert repr(zero) == repr(ref.MultiPoly(("x",), {})) == "MultiPoly(('x',), {})"
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(), st.data())
+def test_coefficient_of_vectors_naming_no_monomial_matches_reference(pair, data):
+    """Negative, over-cap (also past one byte) and wrong-length vectors
+    name no monomial: zero."""
+    p, r = pair
+    width = len(p.variables)
+    base = list(data.draw(st.sampled_from(list(r.terms) or [(0,) * width])))
+    i = data.draw(st.integers(0, width - 1))
+    vectors = [base[:-1], base + [0], [MAX_TOTAL_DEGREE + 1] + [0] * (width - 1)]
+    for value in (-1, MAX_TOTAL_DEGREE, MAX_TOTAL_DEGREE + 1, 256):
+        vectors.append(base[:i] + [value] + base[i + 1 :])
+    if width > 1:  # a negative entry offset by one over the cap sums to the cap
+        vectors.append([MAX_TOTAL_DEGREE + 1, -1] + [0] * (width - 2))
+    for exps in vectors:
+        assert repr(p.coefficient(exps)) == repr(r.coefficient(exps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(), st.data())
+def test_degree_in_several_variables_matches_reference_terms(pair, data):
+    p, r = pair
+    names = data.draw(st.lists(st.sampled_from(p.variables), unique=True))
+    at = [r.variables.index(name) for name in names]
+    assert p.degree_in(*names) == max((sum(e[i] for i in at) for e in r.terms), default=0)

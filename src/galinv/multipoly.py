@@ -267,9 +267,9 @@ class MultiPoly:
         """Substitute polynomials (or scalars) for variables.
 
         All polynomial binding values must share one universe; that becomes
-        the universe of the result.  Unbound variables of this polynomial
-        pass through unchanged and must therefore exist in the target
-        universe.  With no polynomial bindings the universe is unchanged.
+        the universe of the result.  Unbound variables that a term uses pass
+        through unchanged and must therefore exist in the target universe.
+        With no polynomial bindings the universe is unchanged.
         """
         if not bindings:
             return self
@@ -291,29 +291,41 @@ class MultiPoly:
                 resolved[name] = value
             else:
                 resolved[name] = MultiPoly.const(target, value)
+        if target == self.variables and not self.degree_in(*resolved):
+            return self  # no term uses a bound variable
         width, one = len(self.variables), MultiPoly.const(target, 1)
+        # An unbound power var**e is the key offset e*step, unless a product
+        # may pass the cap: then every power is multiplied in, to raise there.
+        literal = self.total_degree() * max(1, *(v.total_degree() for v in resolved.values())) > MAX_TOTAL_DEGREE
         powers: dict[tuple[int, int], MultiPoly] = {}
-        images: list[tuple[tuple[int, int], MultiPoly]] = []
+        steps: dict[int, int] = {}
+        images: list[tuple[tuple[int, int], MultiPoly, int]] = []
         for key, pair in self._num.items():
-            term: MultiPoly | None = None
+            term, offset = None, 0
             for i, e in enumerate(key.to_bytes(width + 1, "little")[:width]):
                 if not e:
                     continue
-                power = powers.get((i, e))
-                if power is None:
-                    name = self.variables[i]
-                    base = resolved.get(name) or MultiPoly.var(target, name)
-                    power = powers[(i, e)] = base**e
-                term = power if term is None else term * power
-            images.append((pair, one if term is None else term))
+                name = self.variables[i]
+                if literal or name in resolved:
+                    power = powers.get((i, e))
+                    if power is None:
+                        base = resolved.get(name) or MultiPoly.var(target, name)
+                        power = powers[(i, e)] = base**e if e > 1 else base
+                    term = power if term is None else term * power
+                    continue
+                if i not in steps:  # placed only once a term uses it
+                    steps[i] = (1 << 8 * one._index(name)) + (1 << 8 * len(target))
+                offset += e * steps[i]
+            images.append((pair, one if term is None else term, offset))
         # Each image is rescaled to one common denominator before summing.
-        den = lcm(*(term._den for _, term in images))
+        den = lcm(*(term._den for _, term, _ in images))
         accum: dict[int, tuple[int, int]] = {}
         get = accum.get
-        for (re, im), term in images:
+        for (re, im), term, offset in images:
             scale = den // term._den
             re, im = re * scale, im * scale
             for key, (a, b) in term._num.items():
+                key += offset
                 c, e = get(key, (0, 0))
                 accum[key] = (c + re * a - im * b, e + re * b + im * a)
         return MultiPoly._make(target, self._den * den, accum)
@@ -441,6 +453,8 @@ def _universe(variables: Sequence[str]) -> tuple[str, ...]:
 
 def _merge(p: MultiPoly, q: MultiPoly, sign: int) -> MultiPoly:
     """p + sign*q over the lcm of the two denominators, in p's term order."""
+    if not q._num or not p._num and sign == 1:  # both are canonical already
+        return q if q._num else p
     den = lcm(p._den, q._den)
     left, right = den // p._den, sign * (den // q._den)
     merged = {key: (re * left, im * left) for key, (re, im) in p._num.items()}
@@ -449,6 +463,34 @@ def _merge(p: MultiPoly, q: MultiPoly, sign: int) -> MultiPoly:
         a, b = get(key, (0, 0))
         merged[key] = (a + re * right, b + im * right)
     return MultiPoly._make(p.variables, den, merged)
+
+
+def product_sum(variables: Sequence[str], pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
+    """sum(p.extend(variables) * q for p, q in pairs), added up in one dict as the pairs
+    come, with the value, term order and first error of `total + p.extend(variables) * q`."""
+    variables = _universe(variables)
+    den, accum = 1, {}
+    for p, q in pairs:
+        p = p.extend(variables)
+        if len(p._num) == 1 and q.variables == variables and p.total_degree() + q.total_degree() <= MAX_TOTAL_DEGREE:
+            ((k1, (c, e)),) = p._num.items()  # q times a monomial: distinct nonzero terms
+            d, terms = p._den * q._den, q._num.items()
+        else:
+            product = p * q
+            k1, c, e, d, terms = 0, 1, 0, product._den, product._num.items()
+        if den % d:
+            m, den = lcm(den, d) // den, lcm(den, d)
+            accum = {key: (re * m, im * m) for key, (re, im) in accum.items()}
+        c, e, get = c * (den // d), e * (den // d), accum.get
+        for k2, (a, b) in terms:
+            key = k1 + k2
+            re, im = get(key, (0, 0))
+            re, im = re + a * c - b * e, im + a * e + b * c
+            if re or im:
+                accum[key] = (re, im)
+            else:  # the chain drops a cancelled term, so it re-enters last
+                del accum[key]
+    return MultiPoly._make(variables, den, accum)
 
 
 def embed_sum(

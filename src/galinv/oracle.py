@@ -12,13 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
 from . import universe
 from .actions import boost_phase_poly
 from .gaussrat import GaussianRational
 from .lpdo import LPDO
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, product_sum
 from .waves import ExpWave, plane_wave
 
 DEFAULT_SEED = 94281
@@ -64,23 +64,25 @@ def apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
 
     Keys are visited in sorted order along one chain of derivatives:
     each key keeps the longest prefix of steps it shares with the chain,
-    drops the rest, and takes only its missing steps.
+    drops the rest, and takes only its missing steps.  Each product of a
+    coefficient and a derivative is added to the sum as it is formed.
     """
-    names = wave.variables
-    total = MultiPoly.zero(names)
-    steps: list[str] = []
-    chain = [wave]  # chain[k] is wave after steps[:k]
-    for (j, alpha), poly in sorted(op.coeffs.items()):
-        want = _steps(j, alpha)
-        keep = 0
-        while keep < min(len(steps), len(want)) and steps[keep] == want[keep]:
-            keep += 1
-        del steps[keep:], chain[keep + 1 :]
-        for name in want[keep:]:
-            chain.append(chain[-1].differentiate(name))
-            steps.append(name)
-        total = total + poly.extend(names) * chain[-1].amplitude
-    return ExpWave(total, wave.phase)
+
+    def products() -> Iterator[tuple[MultiPoly, MultiPoly]]:
+        steps: list[str] = []
+        chain = [wave]  # chain[k] is wave after steps[:k]
+        for (j, alpha), poly in sorted(op.coeffs.items()):
+            want = _steps(j, alpha)
+            keep = 0
+            while keep < min(len(steps), len(want)) and steps[keep] == want[keep]:
+                keep += 1
+            del steps[keep:], chain[keep + 1 :]
+            for name in want[keep:]:
+                chain.append(chain[-1].differentiate(name))
+                steps.append(name)
+            yield poly, chain[-1].amplitude
+
+    return ExpWave(product_sum(wave.variables, products()), wave.phase)
 
 
 def boost_commutator_defect(

@@ -22,7 +22,7 @@ from . import universe
 
 
 class ExpWave:
-    __slots__ = ("amplitude", "phase")
+    __slots__ = ("amplitude", "phase", "_gradient")
 
     def __init__(self, amplitude: MultiPoly, phase: MultiPoly):
         if amplitude.variables != phase.variables:
@@ -31,6 +31,7 @@ class ExpWave:
             raise ValueError("phase polynomials must be real-valued")
         object.__setattr__(self, "amplitude", amplitude)
         object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "_gradient", {})  # name -> i * dphi/dname
 
     def __setattr__(self, name, value):
         raise AttributeError("ExpWave is immutable")
@@ -40,11 +41,15 @@ class ExpWave:
         return self.amplitude.variables
 
     def differentiate(self, name: str) -> "ExpWave":
-        """One exact derivative: (dA + i*A*dphi) * exp(i*phi)."""
-        new_amplitude = self.amplitude.partial(name) + (
-            self.amplitude * (self.phase.partial(name) * I_UNIT)
-        )
-        return ExpWave(new_amplitude, self.phase)
+        """One exact derivative: (dA + i*A*dphi) * exp(i*phi).  It keeps the
+        phase, so it shares the cache of i*dphi, taken once per name."""
+        gradient = self._gradient
+        i_dphi = gradient.get(name)
+        if i_dphi is None:
+            i_dphi = gradient[name] = self.phase.partial(name) * I_UNIT
+        out = ExpWave(self.amplitude.partial(name) + self.amplitude * i_dphi, self.phase)
+        object.__setattr__(out, "_gradient", gradient)
+        return out
 
     def substitute(self, bindings: Mapping[str, MultiPoly | int | Fraction]) -> "ExpWave":
         """Point-transformation pull-back: substitute in amplitude and phase."""

@@ -18,8 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galinv import MAX_TOTAL_DEGREE, GaussianRational, MultiPoly, universe
+from galinv.multipoly import product_sum
 
 import reference_multipoly as ref
+import reference_oracle
 
 UNIVERSES = [tuple(f"v{i}" for i in range(w)) for w in range(1, 9)]
 UNIVERSES.append(universe.symbol_vars(10))  # 22 variables
@@ -319,3 +321,116 @@ def test_degree_in_several_variables_matches_reference_terms(pair, data):
     names = data.draw(st.lists(st.sampled_from(p.variables), unique=True))
     at = [r.variables.index(name) for name in names]
     assert p.degree_in(*names) == max((sum(e[i] for i in at) for e in r.terms), default=0)
+
+
+def _substitute_case(variables, terms, bindings):
+    """A polynomial and bindings built in both kernels; scalars stay scalars."""
+    new, old = {}, {}
+    for name, value in bindings.items():
+        if isinstance(value, tuple):
+            new[name], old[name] = build(*value)
+        else:
+            new[name] = old[name] = value
+    p, r = build(variables, terms)
+    return (p, new), (r, old)
+
+
+W0 = (("w0",), {(1,): 2, (0,): Fraction(1, 3)})  # 2*w0 + 1/3 over ('w0',)
+SUBSTITUTE_CASES = [
+    # An unbound variable that no term uses may be missing from the target.
+    (("a", "b"), {(1, 0): 1}, {"a": W0}),
+    (("a", "b", "c"), {(2, 0, 0): 3, (0, 0, 0): 1}, {"a": W0, "c": 5}),
+    # An unbound variable that a term uses must be in the target.
+    (("a", "b"), {(1, 1): 1}, {"a": W0}),
+    (("a", "b"), {(1, 0): 1, (0, 2): 1}, {"a": W0}),
+    (("a", "b", "c"), {(0, 1, 0): 1, (1, 0, 1): Fraction(1, 2)}, {"a": W0, "c": 2}),
+    # Scalar bindings mixed with polynomial ones, unbound variables passing through.
+    (("a", "b", "c"), {(1, 1, 1): 2, (2, 0, 1): -1}, {"a": Fraction(3, 2), "b": (("w0", "c"), {(1, 1): 1, (0, 0): 2})}),
+    (("a", "b", "c"), {(1, 2, 0): 1, (0, 1, 3): GaussianRational(0, 1)}, {"b": -2, "a": (("c", "b"), {(1, 0): 1, (0, 1): 1})}),
+    (("a", "b"), {(1, 1): 1, (0, 0): 4}, {"a": GaussianRational(1, 2)}),
+    # Images that pass the cap with an unbound factor, also where the terms cancel.
+    (("a", "b"), {(1, 1): 1}, {"b": (("a", "w0"), {(0, 64): 1})}),
+    (("a", "b", "c"), {(1, 1, 0): 1, (1, 0, 1): -1}, {"b": (("a", "w0"), {(0, 64): 1}), "c": (("a", "w0"), {(0, 64): 1})}),
+    (("a", "b", "c"), {(2, 1, 0): 1, (0, 1, 1): 1}, {"b": (("a", "c", "w0"), {(0, 0, 63): 1, (1, 1, 0): 3})}),
+]
+
+
+def test_substitute_foreign_targets_match_reference():
+    """Fixed inputs: the random property does not reliably draw these."""
+    outcomes = []
+    for variables, terms, bindings in SUBSTITUTE_CASES:
+        (p, new), (r, old) = _substitute_case(variables, terms, bindings)
+        outcomes.append(assert_same_outcome(method("substitute"), (p, new), (r, old)))
+        if outcomes[-1][0] == "ok":
+            assert_same(p.substitute(new), r.substitute(old))
+    kinds = [kind for kind, _ in outcomes]
+    assert kinds == ["ok"] * 2 + ["ValueError"] * 3 + ["ok"] * 3 + ["ValueError"] * 3
+    assert outcomes[2][1] == "variable 'b' is not in universe ('w0',)"
+    assert outcomes[-2][1] == "term degree 65 exceeds the cap of 64"
+
+
+@st.composite
+def product_pairs(draw):
+    """A universe V and pairs (p, q): p over a subset of V in any order, or
+    rarely over a universe with a variable V lacks; q over V or, rarely,
+    not.  A pair may repeat an earlier one, with p negated or not, so that
+    terms cancel out of the sum and come back."""
+    variables = draw(st.sampled_from(UNIVERSES))
+    pairs = []
+    for _ in range(draw(st.integers(0, 5))):
+        if pairs and draw(st.booleans()):
+            (p, r), q = draw(st.sampled_from(pairs))
+            pairs.append(((-p, -r), q) if draw(st.booleans()) else ((p, r), q))
+            continue
+        sub = draw(st.lists(st.sampled_from(variables), min_size=1, unique=True))
+        if draw(st.integers(0, 19)) == 0:
+            sub.insert(draw(st.integers(0, len(sub))), "w9")
+        p = draw(polys(tuple(sub), max_terms=3))
+        other = variables if draw(st.integers(0, 19)) else variables + ("w9",)
+        pairs.append((p, draw(polys(other, max_terms=4))))
+    return variables, pairs
+
+
+def _reference_chain(variables, pairs):
+    total = ref.MultiPoly.zero(variables)
+    for p, q in pairs:
+        total = total + p.extend(variables) * q
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_pairs())
+@example((("v0", "v1"), [
+    (build(("v1",), {(1,): 1}), build(("v0", "v1"), {(1, 0): 1})),
+    (build(("v1",), {(1,): -1}), build(("v0", "v1"), {(1, 0): 1, (0, 1): 1})),
+    (build(("v0",), {(0,): 1}), build(("v0", "v1"), {(1, 1): 1, (0, 0): 1})),
+]))  # v0*v1 cancels in the second pair and comes back in the third
+@example((("v0",), [
+    (build(("v0",), {(2,): 1}), build(("v0",), {(63,): 1})),
+    (build(("v0",), {(2,): -1}), build(("v0",), {(63,): 1})),
+]))  # the first product passes the cap, though the second cancels it
+def test_product_sum_matches_reference_chain(case):
+    variables, pairs = case
+    new = [(p, q) for (p, _), (q, _) in pairs]
+    old = [(r, rq) for (_, r), (_, rq) in pairs]
+    got = outcome(product_sum, variables, iter(new))
+    assert got == outcome(_reference_chain, variables, old)
+    assert got == outcome(reference_oracle.product_sum, variables, new)
+    if got[0] == "ok":
+        value = product_sum(variables, new)
+        assert_same(value, _reference_chain(variables, old))
+        chained = reference_oracle.product_sum(variables, new)
+        assert (value._den, list(value._num.items())) == (chained._den, list(chained._num.items()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys())
+def test_zero_operands_match_reference(pair):
+    """p + 0, p - 0 and 0 + p return p itself; 0 - p still negates."""
+    p, r = pair
+    for zero, ref_zero in (build(p.variables, {}), (p - p, r - r)):
+        for op in (operator.add, operator.sub):
+            assert_same(op(p, zero), op(r, ref_zero))
+            assert_same(op(zero, p), op(ref_zero, r))
+        if not p.is_zero:
+            assert p + zero is p and p - zero is p and zero + p is p

@@ -11,7 +11,7 @@ factor 2i*lam*dt + Lap.
 """
 
 from .gaussrat import GaussianRational, I_UNIT, ONE, ZERO, as_gaussian, format_gaussian, i_power
-from .multipoly import MAX_TOTAL_DEGREE, MultiPoly
+from .multipoly import MAX_DIMENSION, MAX_TOTAL_DEGREE, MultiPoly
 from .matrices import (
     OrthogonalMatrix,
     RationalMatrix,
@@ -78,8 +78,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GaussianRational", "I_UNIT", "ONE", "ZERO", "as_gaussian", "format_gaussian",
-    "i_power", "MAX_TOTAL_DEGREE", "MultiPoly", "OrthogonalMatrix", "RationalMatrix",
-    "all_signed_permutations", "cayley_orthogonal", "reflection",
+    "i_power", "MAX_DIMENSION", "MAX_TOTAL_DEGREE", "MultiPoly", "OrthogonalMatrix",
+    "RationalMatrix", "all_signed_permutations", "cayley_orthogonal", "reflection",
     "sample_cayley_rotations", "signed_permutation", "ExpWave", "plane_wave",
     "plane_wave_at", "LPDO", "Symbol", "apply_plane_wave", "compose_const",
     "conjugate_linear_phase", "linear_phase", "operator_of", "symbol_of",

@@ -7,7 +7,7 @@ class InconsistencyError(RuntimeError):
     """An internal cross-check failed.
 
     Raised when two routes that must agree exactly disagree, for example
-    a radial reconstruction against its source symbol, or a classifier's
-    coefficients against the operator they resynthesize.  This always
-    signals a bug, never bad input.
+    a rejecting decider whose witness search finds no witness, or a gauge
+    normalization that misses its target form.  This always signals a
+    bug, never bad input.
     """

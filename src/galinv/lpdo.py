@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from . import universe
 from .gaussrat import GaussianLike, GaussianRational, as_gaussian, i_power
-from .multipoly import MAX_TOTAL_DEGREE, MultiPoly, embed_sum, split_trailing
+from .multipoly import MAX_DIMENSION, MAX_TOTAL_DEGREE, MultiPoly, embed_sum, split_trailing
 from .waves import ExpWave, plane_wave, plane_wave_at
 
 DerivKey = tuple[int, tuple[int, ...]]
@@ -28,12 +28,18 @@ DerivKey = tuple[int, tuple[int, ...]]
 _SCALARS = (int, Fraction, GaussianRational)
 
 
+def _check_dimension(n: int) -> None:
+    if n < 1:
+        raise ValueError("spatial dimension must be at least 1")
+    if n > MAX_DIMENSION:
+        raise ValueError(f"spatial dimension {n} exceeds the cap of {MAX_DIMENSION}")
+
+
 class LPDO:
     __slots__ = ("n", "order", "coeffs")
 
     def __init__(self, n: int, coeffs: Mapping[DerivKey, MultiPoly | GaussianLike]):
-        if n < 1:
-            raise ValueError("spatial dimension must be at least 1")
+        _check_dimension(n)
         names = universe.coeff_vars(n)
         cleaned: dict[DerivKey, MultiPoly] = {}
         for key, raw in coeffs.items():
@@ -87,6 +93,7 @@ class LPDO:
 
     @classmethod
     def laplacian(cls, n: int) -> "LPDO":
+        _check_dimension(n)  # before the n keys of n entries each are built
         coeffs: dict[DerivKey, int] = {}
         for a in range(1, n + 1):
             alpha = tuple(2 if b == a else 0 for b in range(1, n + 1))

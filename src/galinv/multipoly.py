@@ -29,6 +29,9 @@ from .gaussrat import GaussianLike, GaussianRational, _normal, as_gaussian, form
 Exponents = tuple[int, ...]
 
 MAX_TOTAL_DEGREE = 64
+# Largest spatial dimension `LPDO` and `opparse` accept: the symbol
+# universe has 2n + 2 variables, and work grows about quadratically in n.
+MAX_DIMENSION = 1000
 # Deepest parenthesis nesting `opparse` accepts: the parser recurses per
 # level, so deeper input would exhaust Python's recursion limit.
 MAX_NESTING_DEPTH = 100

@@ -25,8 +25,9 @@ derivative atoms, and a group mixing the two cannot be raised to a
 power above 1.
 
 Exponents are at most `MAX_TOTAL_DEGREE`, and so is the degree of every
-symbol; parentheses nest at most `MAX_NESTING_DEPTH` levels.  Anything
-beyond these bounds is a parse error.
+symbol; parentheses nest at most `MAX_NESTING_DEPTH` levels, and the
+dimension n is at most `MAX_DIMENSION`.  Anything beyond these bounds is
+a parse error.
 
 Dimension: unless given, n is inferred as the highest spatial index
 mentioned; ``Lap`` with no spatial index anywhere needs an explicit n.
@@ -41,7 +42,7 @@ from fractions import Fraction
 from . import universe
 from .gaussrat import GaussianRational, I_UNIT, format_gaussian
 from .lpdo import LPDO, Symbol, operator_of, symbol_of
-from .multipoly import MAX_NESTING_DEPTH, MAX_TOTAL_DEGREE, MultiPoly
+from .multipoly import MAX_DIMENSION, MAX_NESTING_DEPTH, MAX_TOTAL_DEGREE, MultiPoly
 
 
 class ParseError(ValueError):
@@ -275,6 +276,8 @@ def parse_operator(text: str, n: int | None = None) -> LPDO:
             n = 1
     elif highest > n:
         raise ParseError(f"spatial index {highest} exceeds the declared n = {n}")
+    if n > MAX_DIMENSION:
+        raise ParseError(f"dimension n = {n} exceeds the cap of {MAX_DIMENSION}")
     poly = _Parser(tokens, n).parse()
     if poly.is_zero:
         raise ParseError(

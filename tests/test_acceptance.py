@@ -49,8 +49,9 @@ def test_criterion_1_second_order_corpus():
     started = time.perf_counter()
 
     for n in (1, 2, 3):
-        verdict = classify_second_order(parse_operator("2i*Dt + Lap", n=n))
-        assert verdict.accepted
+        op = parse_operator("2i*Dt + Lap", n=n)
+        verdict = classify_second_order(op)
+        assert verdict.accepted and verdict.reverify(op)
         assert verdict.alpha == 1 and verdict.beta == 0 and verdict.lam == 1
         assert verdict.theta.kind == QUADRATIC
         assert verdict.theta.lam == 1 and verdict.theta.c == 0
@@ -66,12 +67,14 @@ def test_criterion_1_second_order_corpus():
     assert classify_second_order(parse_operator("Dx1*Dx2")).stage == "rotation-failure"
     assert classify_second_order(parse_operator("Dx1")).stage == "rotation-failure"
 
-    shifted = classify_second_order(parse_operator("Lap + 3", n=2))
-    assert shifted.accepted and shifted.lam == 0
+    shifted_op = parse_operator("Lap + 3", n=2)
+    shifted = classify_second_order(shifted_op)
+    assert shifted.accepted and shifted.lam == 0 and shifted.reverify(shifted_op)
     assert shifted.theta.kind == X_INDEPENDENT
 
-    scaled = classify_second_order(parse_operator("Dt - (1/2)i*Lap", n=2))
-    assert scaled.accepted
+    scaled_op = parse_operator("Dt - (1/2)i*Lap", n=2)
+    scaled = classify_second_order(scaled_op)
+    assert scaled.accepted and scaled.reverify(scaled_op)
     assert scaled.alpha == gr(0, F(-1, 2)) and scaled.lam == 1
 
     elapsed = time.perf_counter() - started
@@ -90,8 +93,9 @@ def test_criterion_2_power_form_suite():
                 coeffs = [random_gaussian(rng) for _ in range(top + 1)]
                 while not coeffs[-1]:
                     coeffs[-1] = random_gaussian(rng)
-                verdict = classify_power_form(synthesize(lam, coeffs, n), lam)
-                assert verdict.accepted
+                op = synthesize(lam, coeffs, n)
+                verdict = classify_power_form(op, lam)
+                assert verdict.accepted and verdict.reverify(op)
                 assert list(verdict.coeffs) == coeffs
 
     lap2 = compose_const(LPDO.laplacian(2), LPDO.laplacian(2))
@@ -107,7 +111,8 @@ def test_criterion_2_power_form_suite():
     ]
     for op in odd_rotation_invariant:
         assert op.order % 2 == 1
-        assert check_rotation_invariance(op).invariant
+        report = check_rotation_invariance(op)
+        assert report.invariant and report.radial.reverify(op)
         assert not classify_power_form(op, 1).accepted
 
     elapsed = time.perf_counter() - started
@@ -157,7 +162,8 @@ def test_criterion_4_rotation_machinery():
         for rot in pool:
             assert rot.matrix.transpose() * rot.matrix == identity
         for op in accepted[n]:
-            assert check_rotation_invariance(op).invariant
+            report = check_rotation_invariance(op)
+            assert report.invariant and report.radial.reverify(op)
             for rot in pool:
                 assert conj_rotation(op, rot) == op
 
@@ -174,7 +180,7 @@ def test_criterion_5_gauge_normalization():
     for beta, real in ((gr(5), True), (gr(F(-1, 3)), True), (gr(0, 1), False)):
         op = base + LPDO.identity(2).scaled(beta)
         verdict = classify_second_order(op)
-        assert verdict.accepted and verdict.beta == beta
+        assert verdict.accepted and verdict.beta == beta and verdict.reverify(op)
         result = normalize_gauge(verdict, op)
         assert result.operator == base
         assert result.real_phase is real
@@ -222,5 +228,5 @@ def test_criterion_7_round_trips(corpus):
         op = synthesize(lam, coeffs, n)
         verdict = classify_power_form(op, lam)
         assert verdict.accepted and list(verdict.coeffs) == coeffs
-        assert synthesize(lam, verdict.coeffs, n) == op
+        assert verdict.reverify(op)
     print("criterion 7 (round trips): PASS")

@@ -1,6 +1,7 @@
 """The two classifiers, synthesis, and gauge normalization."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -36,8 +37,9 @@ def gr(re, im=0):
 
 def test_accepts_schrodinger_all_dimensions():
     for n in (1, 2, 3):
-        verdict = classify_second_order(LPDO.schrodinger_factor(n, 1))
-        assert verdict.accepted
+        op = LPDO.schrodinger_factor(n, 1)
+        verdict = classify_second_order(op)
+        assert verdict.accepted and verdict.reverify(op)
         assert verdict.alpha == 1
         assert verdict.beta == 0
         assert verdict.lam == 1
@@ -116,9 +118,10 @@ def test_accepted_operators_pass_all_three_checks():
         )
     for op in cases:
         verdict = classify_second_order(op)
-        assert verdict.accepted
+        assert verdict.accepted and verdict.reverify(op)
         assert check_translation_invariance(op).invariant
-        assert check_rotation_invariance(op).invariant
+        rotation = check_rotation_invariance(op)
+        assert rotation.invariant and rotation.radial.reverify(op)
         assert check_boost_invariance_fixed_gauge(op, verdict.lam).invariant
 
 
@@ -139,6 +142,11 @@ def test_completeness_against_bruteforce_boost_check():
         verdict = classify_second_order(op)
         brute = _bruteforce_accepts(op)
         assert verdict.accepted == brute
+        if verdict.accepted:
+            # The paper's theorem, checked on the answer: the derived form
+            # resynthesizes op, and op is boost invariant at the derived lam.
+            assert verdict.reverify(op)
+            assert check_boost_invariance_fixed_gauge(op, verdict.lam).invariant
         agree += 1
     assert agree >= 50
 
@@ -242,7 +250,7 @@ def test_synthesize_classify_roundtrip():
                     coeffs[-1] = random_gaussian(rng)
                 op = synthesize(lam, coeffs, n)
                 verdict = classify_power_form(op, lam)
-                assert verdict.accepted
+                assert verdict.accepted and verdict.reverify(op)
                 assert list(verdict.coeffs) == coeffs
 
 
@@ -258,10 +266,32 @@ def test_second_order_and_power_form_agree():
         if beta:
             op = op + LPDO.identity(2).scaled(beta)
         second = classify_second_order(op)
-        assert second.accepted and second.lam == lam
+        assert second.accepted and second.lam == lam and second.reverify(op)
         power = classify_power_form(op, lam)
-        assert power.accepted
+        assert power.accepted and power.reverify(op)
         assert power.coeffs == (beta, alpha)
+
+
+def test_accept_certificates_are_not_vacuous(corpus):
+    """Each accepted answer's `reverify` fails once a coefficient moves,
+    against another operator, and, for a classifier, on a reject."""
+    op = LPDO.schrodinger_factor(2, 1) + LPDO.identity(2).scaled(gr(3))
+    radial = check_rotation_invariance(op).radial
+    second = classify_second_order(op)
+    power = classify_power_form(op, 1)
+    moved = [
+        replace(radial, b={**radial.b, (0, 0): radial.b[(0, 0)] + 1}),
+        replace(second, alpha=second.alpha + 1),
+        replace(power, coeffs=(power.coeffs[0] + 1, *power.coeffs[1:])),
+    ]
+    other = LPDO.schrodinger_factor(2, 2)
+    for answer, perturbed in zip((radial, second, power), moved):
+        assert answer.reverify(op)
+        assert not perturbed.reverify(op)
+        assert not answer.reverify(other)
+    heat, dtlap = corpus["heat"], compose_const(LPDO.time_derivative(2), LPDO.laplacian(2))
+    assert not classify_second_order(heat).reverify(heat)
+    assert not classify_power_form(dtlap, 1).reverify(dtlap)
 
 
 # --------------------------------------------------------------------- gauge

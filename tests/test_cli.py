@@ -3,11 +3,12 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from galinv import cli
+from galinv import MAX_DIMENSION, cli
 from galinv.cli import Report, main, theta_text
 from galinv.actions import gauge_phase
 from galinv.errors import InconsistencyError
@@ -202,6 +203,19 @@ def test_symbol_over_degree_cap_is_parse_error_everywhere(capsys):
         assert status == 2
         assert captured.out == ""
         assert "exceeds" in captured.err
+
+
+def test_dimension_over_the_cap_is_usage_error(capsys):
+    started = time.perf_counter()
+    status = main(["check-rotation", "Lap", "--n", "100000"])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert "exceeds the cap" in captured.err
+    assert elapsed < 1.0, f"refusing n = 100000 took {elapsed:.2f}s"
+    argv = ["synthesize", "--lambda", "1", "--coeffs", "0,1", "--n", str(MAX_DIMENSION + 1)]
+    assert main(argv) == 2
+    assert "exceeds the cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [InconsistencyError("routes disagree"), KeyError("k")])

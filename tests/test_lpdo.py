@@ -7,6 +7,7 @@ import pytest
 
 from galinv import (
     LPDO,
+    MAX_DIMENSION,
     GaussianRational,
     I_UNIT,
     MultiPoly,
@@ -184,6 +185,15 @@ def test_effective_order_normalization():
     # A declared top-order key with zero coefficient drops out.
     op = LPDO(1, {(2, (0,)): 0, (0, (1,)): 1})
     assert op.order == 1
+
+
+def test_dimension_over_the_cap_rejected():
+    cap = f"spatial dimension {MAX_DIMENSION + 1} exceeds the cap of {MAX_DIMENSION}"
+    with pytest.raises(ValueError, match=cap):
+        LPDO(MAX_DIMENSION + 1, {(1, (0,) * (MAX_DIMENSION + 1)): 1})
+    with pytest.raises(ValueError, match=cap):
+        LPDO.laplacian(MAX_DIMENSION + 1)
+    assert LPDO.identity(MAX_DIMENSION).n == MAX_DIMENSION
 
 
 def test_zero_operator_rejected():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from galinv import (
     LPDO,
+    MAX_DIMENSION,
     GaussianRational,
     MultiPoly,
     ParseError,
@@ -148,6 +149,10 @@ def test_format_parse_roundtrip_random():
 def test_parse_rejects_bad_dimension():
     with pytest.raises(ParseError):
         parse_operator("Lap", n=0)
+    for text, n in (("Lap", MAX_DIMENSION + 1), (f"Dx{MAX_DIMENSION + 1}", None)):
+        with pytest.raises(ParseError, match=f"exceeds the cap of {MAX_DIMENSION}"):
+            parse_operator(text, n)
+    assert parse_operator(f"Dx{MAX_DIMENSION}").n == MAX_DIMENSION
 
 
 def test_parse_gaussian_literal():

@@ -131,9 +131,11 @@ def test_compose_const_matches_table_route(n, data):
 def test_synthesize_matches_table_route(lam, coeffs, n):
     assert_same_outcome(synthesize, ref.synthesize, lam, coeffs, n)
     if lam and coeffs and coeffs[-1]:
-        # Every guard of the power-form accept runs on the synthesized operator.
-        verdict = classify_power_form(synthesize(lam, coeffs, n), lam)
+        # The power-form accept reads the coefficients back, and they resynthesize.
+        op = synthesize(lam, coeffs, n)
+        verdict = classify_power_form(op, lam)
         assert verdict.accepted and list(verdict.coeffs) == coeffs
+        assert verdict.reverify(op)
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,4 +152,5 @@ def test_reconstruction_matches_reference_formula(n, b):
     if nonzero:
         # The symbol the decomposition describes decomposes back into it.
         op = operator_of(Symbol(new, n, new.total_degree()))
-        assert radial_decompose(op).b == nonzero
+        decomposed = radial_decompose(op)
+        assert decomposed.b == nonzero and decomposed.reverify(op)

@@ -16,6 +16,9 @@ else by a rotation sampled at seeded rational points.  Boost invariance
 at a fixed gauge family holds exactly when the boost generators
 lam*d/dxi_a - xi_a*d/dtau annihilate the symbol; a reject is witnessed
 by p differing at a seeded rational point and at its boosted frequency.
+The power-form classifier decides its last stage with the same
+generator images, since at lam != 0 they vanish exactly when
+p = g(2*lam*tau + |xi|^2).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from . import universe
 from .actions import Translation, boosted_frequency, conj_rotation, conj_translation
@@ -138,13 +142,6 @@ class RadialDecomposition:
 
     def coefficient(self, j: int, k: int) -> GaussianRational:
         return self.b.get((j, k), GaussianRational())
-
-    def reduced(self) -> MultiPoly:
-        """q(tau, s) over `universe.RADIAL_VARS`, with p(tau, xi) = q(tau, |xi|^2)."""
-        return MultiPoly(
-            universe.RADIAL_VARS,
-            {(j, k): coeff * i_power(j) for (j, k), coeff in self.b.items()},
-        )
 
     def reverify(self, op: LPDO) -> bool:
         return self.reconstruction() == symbol_of(op).poly
@@ -302,9 +299,7 @@ def check_boost_invariance_fixed_gauge(op: LPDO, lam: Fraction | int) -> CheckRe
         raise ValueError("boost invariance needs constant coefficients")
     lam = Fraction(lam)
     p = symbol_of(op).poly
-    dtau = p.partial(universe.FREQ_TIME)
-    xis = (universe.freq_space(a) for a in range(1, op.n + 1))
-    if all((p.partial(xi) * lam - MultiPoly.var(p.variables, xi) * dtau).is_zero for xi in xis):
+    if all(image.is_zero for image in _boost_images(p, op.n, lam)):
         return CheckReport(True, certificate="zero-substitution-residue")
     witness = _boost_witness(op, lam, p)
     return CheckReport(
@@ -312,6 +307,14 @@ def check_boost_invariance_fixed_gauge(op: LPDO, lam: Fraction | int) -> CheckRe
         witness=witness,
         detail=f"residue evaluates to a nonzero value at v={witness.v}",
     )
+
+
+def _boost_images(p: MultiPoly, n: int, lam: Fraction) -> Iterator[MultiPoly]:
+    """(lam*d/dxi_a - xi_a*d/dtau) p for a = 1..n, built one at a time."""
+    dtau = p.partial(universe.FREQ_TIME)
+    for a in range(1, n + 1):
+        xi = universe.freq_space(a)
+        yield p.partial(xi) * lam - MultiPoly.var(p.variables, xi) * dtau
 
 
 def _boost_witness(op: LPDO, lam: Fraction, p: MultiPoly) -> BoostWitness:

@@ -6,14 +6,15 @@ the second time derivative and reality of the derived lam, after which
 L = alpha*(2i*lam*dt + Lap) + beta exactly.  Rejections name the earliest
 failed stage, so a report reads as a trace of which requirement broke first.
 
-`classify_power_form` handles arbitrary order at a fixed lam != 0: the
-rotation check leaves the symbol reduced to q(tau, s) with s = |xi|^2,
-which is rewritten by the exact substitution tau -> (mu - s) / (2*lam);
-the operator is a polynomial in the Schrodinger factor exactly when no s
-survives, in which case its coefficients are read off (the convention
-symbol(2i*lam*dt + Lap) = -(2*lam*tau + |xi|^2) puts a sign (-1)^j on
-the mu^j coefficient).  An accepted verdict of either classifier checks
-itself with `reverify(op)`, which resynthesizes the form and compares.
+`classify_power_form` handles arbitrary order at a fixed lam != 0: after
+the translation and rotation stages, the operator is a polynomial in the
+Schrodinger factor exactly when the boost generator
+lam*d/dxi_1 - xi_1*d/dtau annihilates its symbol p, that is when
+p = g(2*lam*tau + |xi|^2).  Its coefficients are then read off the pure
+tau terms: symbol(2i*lam*dt + Lap) = -(2*lam*tau + |xi|^2), so
+a_j = [tau^j]p * (-1/(2*lam))^j.  An accepted verdict of either
+classifier checks itself with `reverify(op)`, which resynthesizes the
+form and compares.
 
 Conventions: alpha is the common coefficient of the second spatial
 derivatives, the only choice under which 2i*dt + Lap comes out with
@@ -28,7 +29,12 @@ from typing import Sequence
 
 from . import universe
 from .actions import GaugePhase, gauge_phase
-from .checks import CheckReport, check_rotation_invariance, check_translation_invariance
+from .checks import (
+    CheckReport,
+    _boost_images,
+    check_rotation_invariance,
+    check_translation_invariance,
+)
 from .errors import InconsistencyError
 from .gaussrat import GaussianLike, GaussianRational, I_UNIT, as_gaussian
 from .lpdo import LPDO, Symbol, conjugate_linear_phase, linear_phase, operator_of, symbol_of
@@ -40,7 +46,6 @@ STAGE_A20 = "a20-nonzero"
 STAGE_LAMBDA = "lambda-not-real"
 STAGE_NOT_ORDER_2 = "not-order-2"
 STAGE_FORBIDDEN = "forbidden-lower-term"
-STAGE_ODD_ORDER = "odd-order"
 STAGE_RESIDUAL_XI = "residual-xi-dependence"
 
 _ORDER2_SLOTS = {(0, 0), (0, 1), (1, 0), (2, 0)}
@@ -143,29 +148,25 @@ def classify_power_form(op: LPDO, lam: Fraction | int) -> PowerFormVerdict:
         return PowerFormVerdict(
             False, lam, stage=STAGE_ROTATION, report=rotation, detail=rotation.detail
         )
-    # Exact: tau = (mu - s) / (2*lam) where mu = 2*lam*tau + s.
-    mu, s = (MultiPoly.var(universe.POWER_VARS, name) for name in universe.POWER_VARS)
-    tau = (mu - s) * Fraction(1, 2 * lam)
-    residual = rotation.radial.reduced().substitute({universe.FREQ_TIME: tau})
-    if residual.degree_in(universe.NORM2):
+    # On a radial p = q(tau, |xi|^2) every generator image equals
+    # xi_a*(2*lam*q_s - q_tau), so the first vanishes exactly when all do.
+    p = symbol_of(op).poly
+    if not next(_boost_images(p, op.n, lam)).is_zero:
         return PowerFormVerdict(
             False,
             lam,
             stage=STAGE_RESIDUAL_XI,
-            detail=f"|xi|^2 = {universe.NORM2} survives the mu substitution: {residual}",
+            detail="the boost generator lam*d/dxi1 - xi1*d/dtau does not annihilate the symbol",
         )
-    if op.order % 2:
-        # Unreachable: an s-free rewrite forces even order.  Kept as a
-        # real branch so parity violations cannot slip through silently.
-        return PowerFormVerdict(
-            False, lam, stage=STAGE_ODD_ORDER, detail=f"order {op.order} is odd"
-        )
-    top = residual.degree_in(universe.MU)
-    coeffs = [residual.coefficient((j, 0)) * (-1) ** j for j in range(top + 1)]
-    if not coeffs[-1]:
-        raise InconsistencyError("top power-form coefficient vanished")
-    if 2 * top != op.order:
-        raise InconsistencyError("power-form degree disagrees with operator order")
+    tau = p.variables.index(universe.FREQ_TIME)
+    scale = Fraction(-1, 2) / lam
+    coeffs = [
+        p.coefficient(tuple(j if i == tau else 0 for i in range(len(p.variables)))) * scale**j
+        for j in range(op.order // 2 + 1)
+    ]
+    if op.order % 2 or not coeffs[-1]:
+        # p = g(2*lam*tau + |xi|^2) has even order 2*deg(g) and a_K != 0.
+        raise InconsistencyError(f"annihilated symbol of order {op.order} is not a power form")
     return PowerFormVerdict(True, lam, coeffs=tuple(coeffs))
 
 

@@ -3,22 +3,13 @@
 Every polynomial carries an ordered tuple of variable names.  The names
 used throughout are fixed here: ``t`` and ``x1..xn`` for space-time
 coordinates, ``tau`` and ``xi1..xin`` for the dual frequency variables,
-``v1..vn`` for a symbolic boost velocity, ``s`` for |xi|^2 in the
-radial reduction of a rotation-invariant symbol, and ``mu`` for the
-combined frequency used when rewriting that reduction in powers of the
-Schrodinger factor.
+and ``v1..vn`` for a symbolic boost velocity.
 """
 
 from __future__ import annotations
 
 TIME = "t"
 FREQ_TIME = "tau"
-MU = "mu"
-NORM2 = "s"
-# Universes of a reduced rotation-invariant symbol q(tau, s), s = |xi|^2,
-# and of its rewrite in mu = 2*lam*tau + s.
-RADIAL_VARS = (FREQ_TIME, NORM2)
-POWER_VARS = (MU, NORM2)
 
 
 def space(a: int) -> str:

@@ -9,6 +9,11 @@ The routes they replaced live here unchanged: `symbol_of` and
 operators one power at a time, and the reconstruction raises |xi|^2 and
 tau to a fresh power for every entry.  The tests require the two routes
 to give the same values, in the same term and key order.
+
+`reference_power_form` is the power-form route the package replaced with
+the boost generators: reduce the symbol to q(tau, s) with s = |xi|^2,
+substitute tau -> (mu - s) / (2*lam), accept exactly when no s survives,
+and read the coefficients off the mu^j terms with the sign (-1)^j.
 """
 
 from __future__ import annotations
@@ -16,7 +21,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from galinv import LPDO, GaussianRational, MultiPoly, Symbol, universe
+from galinv import (
+    LPDO,
+    GaussianRational,
+    MultiPoly,
+    Symbol,
+    check_rotation_invariance,
+    check_translation_invariance,
+    universe,
+)
 from galinv.checks import RadialDecomposition
 from galinv.gaussrat import GaussianLike, as_gaussian, i_power
 from galinv.lpdo import DerivKey
@@ -95,3 +108,39 @@ def _xi_norm2(names: tuple[str, ...], n: int) -> MultiPoly:
     """|xi|^2 = xi1^2 + ... + xin^2 over the given universe."""
     xis = (MultiPoly.var(names, universe.freq_space(a)) for a in range(1, n + 1))
     return sum((xi * xi for xi in xis), MultiPoly.zero(names))
+
+
+# Universes of a reduced rotation-invariant symbol q(tau, s), s = |xi|^2,
+# and of its rewrite in mu = 2*lam*tau + s.
+MU, NORM2 = "mu", "s"
+RADIAL_VARS = (universe.FREQ_TIME, NORM2)
+POWER_VARS = (MU, NORM2)
+
+
+def reduced(radial: RadialDecomposition) -> MultiPoly:
+    """q(tau, s) over `RADIAL_VARS`, with p(tau, xi) = q(tau, |xi|^2)."""
+    return MultiPoly(
+        RADIAL_VARS, {(j, k): coeff * i_power(j) for (j, k), coeff in radial.b.items()}
+    )
+
+
+def reference_power_form(
+    op: LPDO, lam: Fraction | int
+) -> tuple[bool, str | None, tuple[GaussianRational, ...] | None]:
+    """(accepted, stage, coeffs) of `classify_power_form` by the mu substitution."""
+    lam = Fraction(lam)
+    if not check_translation_invariance(op).invariant:
+        return False, "non-constant-coefficients", None
+    rotation = check_rotation_invariance(op)
+    if not rotation.invariant:
+        return False, "rotation-failure", None
+    mu, s = (MultiPoly.var(POWER_VARS, name) for name in POWER_VARS)
+    tau = (mu - s) * Fraction(1, 2 * lam)
+    residual = reduced(rotation.radial).substitute({universe.FREQ_TIME: tau})
+    if residual.degree_in(NORM2):
+        return False, "residual-xi-dependence", None
+    top = residual.degree_in(MU)
+    assert 2 * top == op.order, "an s-free rewrite has even order 2*deg_mu"
+    coeffs = tuple(residual.coefficient((j, 0)) * (-1) ** j for j in range(top + 1))
+    assert coeffs[-1], "the top power-form coefficient vanished"
+    return True, None, coeffs

@@ -7,6 +7,9 @@ lives here as the reference: expand p at the boosted frequency over
 (tau, xi, v), subtract p, test the residue for zero, and search seeded
 rational points for a nonzero value of the residue.  The differentiation
 oracle and the power-form classifier give two more routes to agree with.
+The power-form classifier decides its last stage with the same
+generators, and its old route, the mu substitution of
+`reference_symbols.reference_power_form`, is its reference.
 """
 
 import random
@@ -14,7 +17,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from galinv import (
@@ -25,6 +28,7 @@ from galinv import (
     boost_commutator_defect,
     check_boost_invariance_fixed_gauge,
     classify_power_form,
+    compose_const,
     conj_boost_gauge,
     symbol_of,
     synthesize,
@@ -34,6 +38,7 @@ from galinv.checks import _boost_witness
 from galinv.oracle import random_rational
 
 from conftest import random_constant_lpdo, random_fraction, random_gaussian
+from reference_symbols import reference_power_form
 
 # The decider's witness seed: both routes walk the same point sequence.
 WITNESS_SEED = 39021
@@ -97,9 +102,15 @@ def operators(draw) -> LPDO:
         if not coeffs[-1]:
             coeffs[-1] = GaussianRational(Fraction(1))
         return synthesize(lam, coeffs, n)
+    return draw(constant_operators(n, 4))
+
+
+@st.composite
+def constant_operators(draw, n: int, order: int) -> LPDO:
+    """Up to five random constant terms of order <= `order` at dimension n."""
     keys = st.tuples(
-        st.integers(0, 4), st.lists(st.integers(0, 4), min_size=n, max_size=n)
-    ).filter(lambda k: k[0] + sum(k[1]) <= 4)
+        st.integers(0, order), st.lists(st.integers(0, order), min_size=n, max_size=n)
+    ).filter(lambda k: k[0] + sum(k[1]) <= order)
     entries = draw(st.lists(st.tuples(keys, gaussians), min_size=1, max_size=5))
     table = {(j, tuple(alpha)): c for (j, alpha), c in entries}
     if not any(table.values()):
@@ -170,14 +181,22 @@ def test_power_form_boost_check_and_oracle_agree():
     for _ in range(30):
         n = rng.randint(1, 3)
         lam = rng.choice(LAMS[1:])
+        expected = None
         if rng.random() < 0.5:
             own = lam if rng.random() < 0.6 else rng.choice(LAMS)
             coeffs = [random_gaussian(rng) for _ in range(rng.randint(1, 2))]
             coeffs.append(random_gaussian(rng) or GaussianRational(Fraction(1)))
             op = synthesize(own, coeffs, n)
+            if own == lam:
+                expected = tuple(coeffs)
         else:
             op = random_constant_lpdo(rng, n, rng.randint(1, 4))
-        accepted = classify_power_form(op, lam).accepted
+        verdict = classify_power_form(op, lam)
+        accepted = verdict.accepted
+        if accepted:
+            assert verdict.reverify(op), op
+        if expected is not None:
+            assert verdict.coeffs == expected, op
         invariant = check_boost_invariance_fixed_gauge(op, lam).invariant
         velocities = [
             tuple(random_fraction(rng) or Fraction(1) for _ in range(n)) for _ in range(3)
@@ -188,3 +207,41 @@ def test_power_form_boost_check_and_oracle_agree():
         assert accepted == invariant == zero_defect, op
         seen[accepted] += 1
     assert seen[True] >= 5 and seen[False] >= 5
+
+
+# ------------------------------------------------------------- power form
+
+POWER_LAMS = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(-3, 4))
+
+
+@st.composite
+def power_form_inputs(draw) -> tuple[LPDO, Fraction]:
+    """(op, lam): a random constant operator of order <= 6, or a power form
+    of degree <= 3 synthesized at lam or at another gauge in POWER_LAMS,
+    sometimes plus a radial term c * Dt^j Lap^k."""
+    n = draw(st.integers(1, 3))
+    lam = draw(st.sampled_from(POWER_LAMS))
+    if draw(st.booleans()):
+        return draw(constant_operators(n, 6)), lam
+    own = lam if draw(st.booleans()) else draw(st.sampled_from(POWER_LAMS))
+    coeffs = draw(st.lists(gaussians, min_size=1, max_size=4))
+    if not coeffs[-1]:
+        coeffs[-1] = GaussianRational(Fraction(1))
+    op = synthesize(own, coeffs, n)
+    if draw(st.booleans()):
+        j, k = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        c = draw(gaussians.filter(bool))
+        term = LPDO.time_derivative(n, j).scaled(c)
+        for _ in range(k):
+            term = compose_const(term, LPDO.laplacian(n))
+        assume(term != op.scaled(-1))
+        op = op + term
+    return op, lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(power_form_inputs())
+def test_power_form_matches_mu_substitution_route(case):
+    op, lam = case
+    verdict = classify_power_form(op, lam)
+    assert (verdict.accepted, verdict.stage, verdict.coeffs) == reference_power_form(op, lam)

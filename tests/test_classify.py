@@ -9,6 +9,8 @@ import pytest
 from galinv import (
     LPDO,
     GaussianRational,
+    InconsistencyError,
+    MultiPoly,
     check_boost_invariance_fixed_gauge,
     check_rotation_invariance,
     check_translation_invariance,
@@ -19,6 +21,7 @@ from galinv import (
     parse_operator,
     synthesize,
 )
+from galinv import classify, cli
 from galinv.actions import QUADRATIC, X_INDEPENDENT
 
 from conftest import random_constant_lpdo, random_gaussian
@@ -191,6 +194,30 @@ def test_dt_lap_rejected():
     dtlap = compose_const(LPDO.time_derivative(2), LPDO.laplacian(2))
     verdict = classify_power_form(dtlap, 1)
     assert verdict.stage == "residual-xi-dependence"
+
+
+def test_residual_reject_names_the_failing_generator():
+    verdict = classify_power_form(parse_operator("Lap^2", 2), 1)
+    assert verdict.stage == "residual-xi-dependence"
+    assert verdict.detail == (
+        "the boost generator lam*d/dxi1 - xi1*d/dtau does not annihilate the symbol"
+    )
+    assert verdict.report is None
+
+
+def test_annihilated_odd_order_symbol_fails_loudly(monkeypatch, capsys):
+    # With a generator helper that yields only zeros, Dt (odd order, rotation
+    # invariant) passes the generator stage: that must be an internal error
+    # (exit 3), never a reject (exit 1).
+    def zeros(p, n, lam):
+        for _ in range(n):
+            yield MultiPoly.zero(p.variables)
+
+    monkeypatch.setattr(classify, "_boost_images", zeros)
+    with pytest.raises(InconsistencyError):
+        classify_power_form(LPDO.time_derivative(2), 1)
+    assert cli.main(["classifym", "Dt", "--n", "2", "--lambda", "1"]) == 3
+    assert "internal error: InconsistencyError" in capsys.readouterr().err
 
 
 def test_odd_order_rotation_invariant_operators_rejected():

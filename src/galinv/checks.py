@@ -9,15 +9,18 @@ Rotation invariance is decided by the radial reduction: a constant
 symbol is O(n)-invariant exactly when each tau-slice is a polynomial in
 s = |xi|^2 (for n = 1 this is evenness, since O(1) = {+-1}).  The
 coefficients b_jk of p == sum b_jk |xi|^(2k) (i tau)^j prove fixedness
-under every orthogonal matrix at once, and an accept carries them.  A
-rejected symbol is witnessed by a reflection, else by the first
-coordinate permutation whose exponent relabelling changes its term map,
-else by a rotation sampled at seeded rational points.  Boost invariance
-at a fixed gauge family holds exactly when the boost generators
-lam*d/dxi_a - xi_a*d/dtau annihilate the symbol; a reject is witnessed
-by p differing at a seeded rational point and at its boosted frequency.
-The power-form classifier decides its last stage with the same
-generator images, since at lam != 0 they vanish exactly when
+under every orthogonal matrix at once, and an accept carries them; one
+pass over the symbol's packed monomials finds them.  A rejected symbol
+is witnessed by a reflection, else by the first coordinate permutation
+whose exponent relabelling changes its term map, else by the rotation
+R = [3/5 -4/5; 4/5 3/5] in the (xi1, xi2) plane.  By Niven's theorem R
+has infinite order, so its powers are dense in that plane's SO(2), and
+a symbol fixed by R, S_n and the reflections is fixed by O(n).
+Boost invariance at a fixed gauge family holds exactly when the boost
+generators lam*d/dxi_a - xi_a*d/dtau annihilate the symbol; a reject is
+witnessed by p differing at a seeded rational point and at its boosted
+frequency.  The power-form classifier decides its last stage with the
+same generator images, since at lam != 0 they vanish exactly when
 p = g(2*lam*tau + |xi|^2).
 """
 
@@ -34,15 +37,11 @@ from .actions import Translation, boosted_frequency, conj_rotation, conj_transla
 from .errors import InconsistencyError
 from .gaussrat import GaussianRational, i_power
 from .lpdo import LPDO, DerivKey, symbol_of
-from .matrices import OrthogonalMatrix, iter_cayley_rotations, reflection, signed_permutation
-from .multipoly import MultiPoly
+from .matrices import OrthogonalMatrix, RationalMatrix, reflection, signed_permutation
+from .multipoly import MultiPoly, _radial_parts, _relabelling_moves
 from .oracle import boost_commutator_defect, random_rational
 
 _WITNESS_SEED = 39021
-# Sampled rotations tried when no coordinate permutation moves the
-# symbol: a first stream, then a longer one before giving up.
-_WITNESS_CAYLEY = 20
-_WITNESS_EXTRA = 1000
 # Seeded points tried for a boost witness.  Their bound starts at 3 and
 # doubles every 100 points, so it never passes 3*2^4 = 48.  A nonzero
 # residue shows within two points on every benchmark operator; a search
@@ -174,89 +173,53 @@ def radial_decompose(op: LPDO) -> RadialDecomposition:
     and odd-degree parts must vanish; otherwise `NotRadial` (a ValueError)
     names the first slice that fails; b_jk is the part's xi1^(2k)
     coefficient.  A slice is the sum of its parts, so b is exact, and
-    `RadialDecomposition.reverify` rebuilds the symbol from it.
+    `RadialDecomposition.reverify` rebuilds the symbol from it.  The parts
+    are tested in one pass over the symbol's packed monomials.
     """
     if not op.is_constant_coefficient:
         raise ValueError("radial decomposition needs constant coefficients")
-    sym = symbol_of(op)
-    n = op.n
-    xi_names = [universe.freq_space(a) for a in range(1, n + 1)]
-    names = sym.poly.variables
-    xi1 = names.index(xi_names[0])
-    norm2 = _xi_norm2(names, n)
-    powers = [MultiPoly.const(names, 1)]
-    result = RadialDecomposition(n, op.order)
-    for j, raw in sorted(sym.tau_slices().items()):
-        slice_j = raw * i_power(-j)
-        for degree, part in sorted(slice_j.homogeneous_parts(xi_names).items()):
-            k, odd = divmod(degree, 2)
-            while len(powers) <= k:
-                powers.append(powers[-1] * norm2)
-            b = part.coefficient(tuple(degree if i == xi1 else 0 for i in range(len(names))))
-            if odd or part != powers[k] * b:
-                raise NotRadial(
-                    f"tau^{j} slice has a degree-{degree} part that is not a "
-                    "multiple of a power of |xi|^2"
-                )
-            result.b[(j, k)] = b
+    return _decompose(op, _radial_parts(symbol_of(op).poly, op.n)[0])
+
+
+def _decompose(op: LPDO, parts: dict) -> RadialDecomposition:
+    """The decomposition from the scanned parts of the symbol of op."""
+    result = RadialDecomposition(op.n, op.order)
+    for (j, degree), b in parts.items():
+        if b is None:
+            raise NotRadial(
+                f"tau^{j} slice has a degree-{degree} part that is not a "
+                "multiple of a power of |xi|^2"
+            )
+        result.b[(j, degree // 2)] = b * i_power(-j)
     return result
 
 
-def _rotation_defect(p: MultiPoly, n: int) -> tuple:
-    """("reflection", a) when some term of p is odd in xi_a, else ("radial",):
-    p is even in every xi_a but still not radial."""
-    tau = p.variables.index(universe.FREQ_TIME)
-    for a in range(1, n + 1):
-        if any(exps[tau + a] % 2 for exps in p.terms):
-            return ("reflection", a)
-    return ("radial",)
-
-
-def _rotation_witness(op: LPDO, defect) -> RotationWitness:
+def _rotation_witness(op: LPDO, defect: tuple, p: MultiPoly) -> RotationWitness:
     """Turn a radial-reduction failure into a concrete non-fixing matrix.
 
-    A term odd in xi_a is moved by the reflection of that axis.  Otherwise
-    p is even, so a signed permutation moves p exactly when relabelling
-    the exponents of p by its permutation changes the term map; the first
-    such permutation of S_n (n <= 3) or of the swaps (1,2), (1,3), ...
-    (n > 3) is the witness.  Failing that, sampled rotations R are tried
-    by comparing p(tau, xi) with p(tau, R^T xi) at seeded rational points.
+    A term odd in xi_a (defect ("reflection", a)) is moved by the
+    reflection of that axis.  Otherwise p is even, so a signed permutation
+    moves p exactly when relabelling the exponents of p by its permutation
+    changes the term map; the first such permutation of S_n (n <= 3) or of
+    the swaps (1,2), (1,3), ..., (1,n) (n > 3) is the witness.  These swaps
+    generate S_n, so none moving p means no swap does.  Failing that, p is
+    S_n-symmetric, and R = [3/5 -4/5; 4/5 3/5] in the (1, 2) plane moves it:
+    cos = 3/5 is rational and not 0, +-1/2, +-1, so R's powers are dense in
+    that plane's SO(2) (Niven), which with S_n and reflections gives O(n).
     """
     n = op.n
     if defect[0] == "reflection":
         return RotationWitness(reflection(n, defect[1]))
-    p = symbol_of(op).poly
-    xi1 = p.variables.index(universe.FREQ_TIME) + 1
     if n <= 3:
-        perms = list(itertools.permutations(range(1, n + 1)))
-        signed_pool = len(perms) * 2**n
+        perms = itertools.permutations(range(1, n + 1))
     else:
-        swaps = itertools.combinations(range(1, n + 1), 2)
-        perms = (tuple({a: b, b: a}.get(k, k) for k in range(1, n + 1)) for a, b in swaps)
-        signed_pool = n * (n + 1) // 2  # n reflections, then the transpositions
+        perms = ((b, *range(2, b), 1, *range(b + 1, n + 1)) for b in range(2, n + 1))
     for perm in perms:
-        moved = {e[:xi1] + tuple(e[xi1 + a - 1] for a in perm): c for e, c in p.terms.items()}
-        if moved != p.terms:
+        if _relabelling_moves(p, perm):
             return RotationWitness(signed_permutation(perm, (1,) * n))
-    # Sampled rotations take the points that follow n + 1 draws for each
-    # signed permutation of the pool, which fixes the rotation returned.
-    rng = random.Random(_WITNESS_SEED)
-    for _ in range(signed_pool * (n + 1)):
-        random_rational(rng, 3)
-    names = [universe.FREQ_TIME] + [universe.freq_space(a) for a in range(1, n + 1)]
-    candidates = itertools.chain(
-        itertools.islice(iter_cayley_rotations(n, _WITNESS_SEED), _WITNESS_CAYLEY),
-        itertools.islice(iter_cayley_rotations(n, _WITNESS_SEED + 1), _WITNESS_EXTRA),
-    )
-    for rot in candidates:
-        tau, *xi = (random_rational(rng, 3) for _ in range(n + 1))
-        here = dict(zip(names, [tau, *xi]))
-        there = dict(zip(names, [tau, *rot.matrix.transpose().apply(xi)]))
-        if p.evaluate(here) != p.evaluate(there):
-            return RotationWitness(rot)
-    # The reduction proved p is not fixed by O(n), and for n >= 2 a generic
-    # rotation moves any symbol that is not radial.
-    raise InconsistencyError("radial reduction failed but no witnessing rotation")
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows[0][:2], rows[1][:2] = [Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]
+    return RotationWitness(OrthogonalMatrix(RationalMatrix(tuple(map(tuple, rows)))))
 
 
 def check_rotation_invariance(op: LPDO) -> CheckReport:
@@ -271,12 +234,13 @@ def check_rotation_invariance(op: LPDO) -> CheckReport:
             "rotation invariance needs constant coefficients; "
             "run the translation check first"
         )
+    p = symbol_of(op).poly
+    parts, odd_axis = _radial_parts(p, op.n)
     try:
-        radial = radial_decompose(op)
+        radial = _decompose(op, parts)
     except NotRadial as failure:
-        defect = _rotation_defect(symbol_of(op).poly, op.n)
-        witness = _rotation_witness(op, defect)
-        return CheckReport(False, witness=witness, detail=str(failure))
+        defect = ("reflection", odd_axis) if odd_axis else ("radial",)
+        return CheckReport(False, witness=_rotation_witness(op, defect, p), detail=str(failure))
     # A radial symbol is exactly one the rotation generators annihilate
     # and every reflection fixes; the certificate keeps that name.
     return CheckReport(

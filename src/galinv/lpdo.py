@@ -177,10 +177,6 @@ class Symbol:
     n: int
     order: int
 
-    def tau_slices(self) -> dict[int, MultiPoly]:
-        """Coefficient polynomials of tau^j (tau removed, universe kept)."""
-        return self.poly.split_by(universe.FREQ_TIME)
-
 
 def symbol_of(op: LPDO) -> Symbol:
     """p = sum a_{j,alpha}(t,x) (i*tau)^j (i*xi)^alpha, exactly."""

@@ -21,7 +21,7 @@ layout) so that a runaway composition fails fast with a clear error.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .gaussrat import GaussianLike, GaussianRational, _normal, as_gaussian, format_gaussian
@@ -378,27 +378,6 @@ class MultiPoly:
             out[int.from_bytes(new, "little")] = pair
         return _build(variables, self._den, out)
 
-    def split_by(self, name: str) -> dict[int, "MultiPoly"]:
-        """Group terms by the exponent of one variable, zeroing it out.
-
-        p == sum(var**k * part for k, part in p.split_by(var).items()).
-        """
-        shift, top = 8 * self._index(name), 8 * len(self.variables)
-        groups: dict[int, dict[int, tuple[int, int]]] = {}
-        for key, pair in self._num.items():
-            k = (key >> shift) & 255
-            groups.setdefault(k, {})[key - (k << shift) - (k << top)] = pair
-        return {k: MultiPoly._make(self.variables, self._den, part) for k, part in groups.items()}
-
-    def homogeneous_parts(self, grading_vars: Sequence[str]) -> dict[int, "MultiPoly"]:
-        """Split into parts homogeneous in the given variables."""
-        shifts = [8 * self._index(name) for name in grading_vars]
-        parts: dict[int, dict[int, tuple[int, int]]] = {}
-        for key, pair in self._num.items():
-            d = sum((key >> shift) & 255 for shift in shifts)
-            parts.setdefault(d, {})[key] = pair
-        return {d: MultiPoly._make(self.variables, self._den, part) for d, part in parts.items()}
-
     # ------------------------------------------------------------------
     # presentation
 
@@ -544,6 +523,57 @@ def split_trailing(
         num[(key & low) + ((key >> top) - degree << shift)] = (re * c - im * e, re * e + im * c)
     return {exps: MultiPoly._make(lead, poly._den * f, num)
             for exps, _, (_, _, f), num in groups.values()}
+
+
+def _radial_parts(poly: MultiPoly, n: int) -> tuple[dict[tuple[int, int], GaussianRational | None], int]:
+    """One pass over a polynomial in (tau, xi1..xin), the last n + 1
+    variables of its universe, with every other exponent zero.
+
+    Returns each part of tau-degree j and xi-degree d, ascending in (j, d),
+    mapped to b when it equals b*tau^j*|xi|^d and to None otherwise, and
+    the least a with a term odd in xi_a (0 if none).  By the multinomial
+    theorem a part is b*tau^j*|xi|^(2k) exactly when every xi exponent is
+    even, 2*beta, it has all C(k+n-1, n-1) terms, and every numerator
+    times beta_1!...beta_n! is the same, b*k! over the shared denominator.
+    """
+    width = len(poly.variables)
+    tau_shift, xi_shift, xi_mask = 8 * (width - n - 1), 8 * (width - n), (1 << 8 * n) - 1
+    ones = xi_mask // 255  # the low bit of each xi byte
+    odd_axes, groups = 0, {}
+    for key, (re, im) in poly._num.items():
+        xi = key >> xi_shift & xi_mask
+        exps = xi.to_bytes(n, "little")
+        odd = xi & ones
+        odd_axes |= odd
+        weight = prod(factorial(e >> 1) for e in exps if e)
+        value = None if odd else (re * weight, im * weight)
+        part = (key >> tau_shift & 255, sum(exps))
+        count, first = groups.get(part, (0, value))
+        groups[part] = (count + 1, first if first == value else None)
+    parts: dict[tuple[int, int], GaussianRational | None] = {}
+    for (j, d), (count, value) in sorted(groups.items()):
+        full = value is not None and count == comb(d // 2 + n - 1, n - 1)
+        parts[(j, d)] = _normal(*value, poly._den * factorial(d // 2)) if full else None
+    # Bit 8*(a-1) marks axis a, so the lowest set bit names the least odd axis.
+    return parts, (odd_axes & -odd_axes).bit_length() + 7 >> 3
+
+
+def _relabelling_moves(poly: MultiPoly, perm: Sequence[int]) -> bool:
+    """Whether giving the a-th of the last len(perm) variables the exponent
+    of the perm[a]-th (1-based) changes the polynomial.
+
+    Relabelling permutes the monomials, so it fixes the polynomial exactly
+    when every key's image holds the key's numerator."""
+    first = 8 * (len(poly.variables) - len(perm) - 1)
+    moved = [(first + 8 * a, first + 8 * b) for a, b in enumerate(perm, 1) if a != b]
+    num = poly._num
+    for key, pair in num.items():
+        image = key
+        for dst, src in moved:
+            image += ((key >> src & 255) - (key >> dst & 255)) << dst
+        if num.get(image) != pair:
+            return True
+    return False
 
 
 def _signed_term(coeff: GaussianRational, mono: str) -> tuple[str, str]:

@@ -10,6 +10,13 @@ operators one power at a time, and the reconstruction raises |xi|^2 and
 tau to a fresh power for every entry.  The tests require the two routes
 to give the same values, in the same term and key order.
 
+`radial_decompose` is the radial route the package replaced with one pass
+over packed monomials: split the symbol into tau-slices and homogeneous
+xi-parts on the tuple-keyed reference kernel, and compare each part with
+its xi1^(2k) coefficient times |xi|^(2k), built by repeated products.
+`odd_axis` is the reflection search it fed: the least a with a term odd
+in xi_a.
+
 `reference_power_form` is the power-form route the package replaced with
 the boost generators: reduce the symbol to q(tau, s) with s = |xi|^2,
 substitute tau -> (mu - s) / (2*lam), accept exactly when no s survives,
@@ -30,9 +37,11 @@ from galinv import (
     check_translation_invariance,
     universe,
 )
-from galinv.checks import RadialDecomposition
+from galinv.checks import NotRadial, RadialDecomposition
 from galinv.gaussrat import GaussianLike, as_gaussian, i_power
 from galinv.lpdo import DerivKey
+
+import reference_multipoly
 
 
 def symbol_of(op: LPDO) -> Symbol:
@@ -108,6 +117,51 @@ def _xi_norm2(names: tuple[str, ...], n: int) -> MultiPoly:
     """|xi|^2 = xi1^2 + ... + xin^2 over the given universe."""
     xis = (MultiPoly.var(names, universe.freq_space(a)) for a in range(1, n + 1))
     return sum((xi * xi for xi in xis), MultiPoly.zero(names))
+
+
+def reference_symbol(op: LPDO) -> reference_multipoly.MultiPoly:
+    """The symbol of op on the tuple-keyed reference kernel."""
+    return reference_multipoly.MultiPoly(universe.symbol_vars(op.n), symbol_of(op).poly.terms)
+
+
+def radial_decompose(op: LPDO) -> RadialDecomposition:
+    """`checks.radial_decompose` by tau-slices, homogeneous parts and products."""
+    if not op.is_constant_coefficient:
+        raise ValueError("radial decomposition needs constant coefficients")
+    sym = reference_symbol(op)
+    n = op.n
+    xi_names = [universe.freq_space(a) for a in range(1, n + 1)]
+    names = sym.variables
+    xi1 = names.index(xi_names[0])
+    norm2 = reference_multipoly.MultiPoly(names, {
+        tuple(2 if i == xi1 + a else 0 for i in range(len(names))): 1 for a in range(n)
+    })
+    powers = [reference_multipoly.MultiPoly.const(names, 1)]
+    result = RadialDecomposition(n, op.order)
+    for j, raw in sorted(sym.split_by(universe.FREQ_TIME).items()):
+        slice_j = raw * i_power(-j)
+        for degree, part in sorted(slice_j.homogeneous_parts(xi_names).items()):
+            k, odd = divmod(degree, 2)
+            while len(powers) <= k:
+                powers.append(powers[-1] * norm2)
+            b = part.coefficient(tuple(degree if i == xi1 else 0 for i in range(len(names))))
+            if odd or part != powers[k] * b:
+                raise NotRadial(
+                    f"tau^{j} slice has a degree-{degree} part that is not a "
+                    "multiple of a power of |xi|^2"
+                )
+            result.b[(j, k)] = b
+    return result
+
+
+def odd_axis(op: LPDO) -> int:
+    """The least a such that some term of the symbol is odd in xi_a, or 0."""
+    p = reference_symbol(op)
+    tau = p.variables.index(universe.FREQ_TIME)
+    for a in range(1, op.n + 1):
+        if any(exps[tau + a] % 2 for exps in p.terms):
+            return a
+    return 0
 
 
 # Universes of a reduced rotation-invariant symbol q(tau, s), s = |xi|^2,

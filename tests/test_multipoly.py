@@ -98,17 +98,6 @@ def test_extend_embeds():
     assert q == var("tau") ** 2 + 1
 
 
-def test_split_by_and_homogeneous_parts():
-    p = var("tau") ** 2 * var("xi1") + var("xi1") * 3 + 5
-    split = p.split_by("tau")
-    assert split[2] == var("xi1")
-    assert split[0] == var("xi1") * 3 + 5
-    parts = (var("xi1") ** 2 + var("xi1") + 7).homogeneous_parts(["xi1"])
-    assert parts[2] == var("xi1") ** 2
-    assert parts[1] == var("xi1")
-    assert parts[0] == MultiPoly.const(U, 7)
-
-
 def test_str_graded_lex():
     p = var("xi1") ** 2 - var("tau") - 1
     assert str(p) == "xi1^2 - tau - 1"

@@ -190,15 +190,6 @@ def test_calculus_and_structure_match_reference(pair, data):
     name = data.draw(st.sampled_from(names))
     assert_same(p.partial(name), r.partial(name))
     assert_same_outcome(method("partial"), (p, "missing"), (r, "missing"))
-    split, ref_split = p.split_by(name), r.split_by(name)
-    assert list(split) == list(ref_split)
-    for k in split:
-        assert_same(split[k], ref_split[k])
-    grading = data.draw(st.lists(st.sampled_from(names), max_size=len(names), unique=True))
-    parts, ref_parts = p.homogeneous_parts(grading), r.homogeneous_parts(grading)
-    assert list(parts) == list(ref_parts)
-    for d in parts:
-        assert_same(parts[d], ref_parts[d])
     extra = data.draw(st.lists(st.sampled_from(("w0", "w1", "w2")), unique=True))
     target = tuple(data.draw(st.permutations(names + tuple(extra))))
     assert_same(p.extend(target), r.extend(target))

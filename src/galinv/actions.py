@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import universe
-from .lpdo import LPDO, Symbol, operator_of, symbol_of
+from .lpdo import LPDO, Symbol, symbol_of
 from .matrices import OrthogonalMatrix
 from .multipoly import MultiPoly
 
@@ -84,7 +84,7 @@ def conj_rotation(op: LPDO, rot: OrthogonalMatrix) -> LPDO:
         raise ValueError("rotation conjugation is restricted to constant coefficients")
     sym = symbol_of(op)
     bindings = rotation_symbol_bindings(op.n, rot, sym.poly.variables)
-    return operator_of(Symbol(sym.poly.substitute(bindings), op.n, op.order))
+    return LPDO._of_symbol(Symbol(sym.poly.substitute(bindings), op.n, op.order))
 
 
 @dataclass(frozen=True)

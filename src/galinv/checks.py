@@ -36,7 +36,7 @@ from . import universe
 from .actions import Translation, boosted_frequency, conj_rotation, conj_translation
 from .errors import InconsistencyError
 from .gaussrat import GaussianRational, i_power
-from .lpdo import LPDO, DerivKey, symbol_of
+from .lpdo import LPDO, DerivKey, laplacian_symbol, symbol_of
 from .matrices import OrthogonalMatrix, RationalMatrix, reflection, signed_permutation
 from .multipoly import MultiPoly, _radial_parts, _relabelling_moves
 from .oracle import boost_commutator_defect, random_rational
@@ -104,27 +104,26 @@ class CheckReport:
 
 
 def check_translation_invariance(op: LPDO) -> CheckReport:
-    """Invariant exactly when every coefficient polynomial is constant."""
-    for key in sorted(op.coeffs):
-        poly = op.coeffs[key]
-        if poly.is_constant:
-            continue
-        exps = next(e for e, _ in poly.ordered_terms() if any(e))
-        names = poly.variables
-        moving = names[next(i for i, e in enumerate(exps) if e)]
-        if moving == universe.TIME:
-            shift = Translation(Fraction(1), (Fraction(0),) * op.n)
-        else:
-            y = [Fraction(0)] * op.n
-            y[names.index(moving) - 1] = Fraction(1)
-            shift = Translation(Fraction(0), tuple(y))
-        witness = TranslationWitness(key, exps, shift)
-        return CheckReport(
-            False,
-            witness=witness,
-            detail=f"coefficient at dt^{key[0]} dx^{key[1]} depends on {moving}",
-        )
-    return CheckReport(True, certificate="constant-coefficients")
+    """Invariant exactly when every coefficient polynomial is constant,
+    that is when the symbol has degree 0 in (t, x)."""
+    if op.is_constant_coefficient:
+        return CheckReport(True, certificate="constant-coefficients")
+    key = next(key for key in sorted(op.coeffs) if not op.coeffs[key].is_constant)
+    poly = op.coeffs[key]
+    exps = next(e for e, _ in poly.ordered_terms() if any(e))
+    names = poly.variables
+    moving = names[next(i for i, e in enumerate(exps) if e)]
+    if moving == universe.TIME:
+        shift = Translation(Fraction(1), (Fraction(0),) * op.n)
+    else:
+        y = [Fraction(0)] * op.n
+        y[names.index(moving) - 1] = Fraction(1)
+        shift = Translation(Fraction(0), tuple(y))
+    return CheckReport(
+        False,
+        witness=TranslationWitness(key, exps, shift),
+        detail=f"coefficient at dt^{key[0]} dx^{key[1]} depends on {moving}",
+    )
 
 
 class NotRadial(ValueError):
@@ -149,21 +148,13 @@ class RadialDecomposition:
         """sum b_jk (i*tau)^j |xi|^(2k): per k, one product of a tau
         polynomial with |xi|^(2k), each power taken from the one before."""
         names, n = universe.symbol_vars(self.n), self.n
-        norm2, power, total = _xi_norm2(names, n), MultiPoly.const(names, 1), MultiPoly.zero(names)
+        norm2, power, total = -laplacian_symbol(n), MultiPoly.const(names, 1), MultiPoly.zero(names)
         for k in range(1 + max((k for _, k in self.b), default=-1)):
             power = power * norm2 if k else power
             tau_part = {(0,) * (n + 1) + (j,) + (0,) * n: c * i_power(j)
                         for (j, kj), c in self.b.items() if kj == k}
             total = total + power * MultiPoly(names, tau_part)
         return total
-
-
-def _xi_norm2(names: tuple[str, ...], n: int) -> MultiPoly:
-    """|xi|^2 = xi1^2 + ... + xin^2 over the given universe."""
-    xi1 = names.index(universe.freq_space(1))
-    return MultiPoly(names, {
-        tuple(2 if i == xi1 + a else 0 for i in range(len(names))): 1 for a in range(n)
-    })
 
 
 def radial_decompose(op: LPDO) -> RadialDecomposition:

@@ -37,7 +37,7 @@ from .checks import (
 )
 from .errors import InconsistencyError
 from .gaussrat import GaussianLike, GaussianRational, I_UNIT, as_gaussian
-from .lpdo import LPDO, Symbol, conjugate_linear_phase, linear_phase, operator_of, symbol_of
+from .lpdo import LPDO, Symbol, conjugate_linear_phase, linear_phase, schrodinger_symbol, symbol_of
 from .multipoly import MultiPoly
 
 STAGE_NON_CONSTANT = "non-constant-coefficients"
@@ -179,7 +179,7 @@ def synthesize(
         raise ValueError("all coefficients are zero; the operator class is empty")
     if not values[-1]:
         raise ValueError("the top coefficient a_K must be nonzero")
-    factor = symbol_of(LPDO.schrodinger_factor(n, Fraction(lam))).poly
+    factor = schrodinger_symbol(n, lam)
     power = MultiPoly.const(factor.variables, 1)
     total = MultiPoly.zero(factor.variables)
     for j, value in enumerate(values):
@@ -187,7 +187,7 @@ def synthesize(
             power = power * factor
         if value:
             total = total + power * value
-    return operator_of(Symbol(total, n, total.total_degree()))
+    return LPDO._of_symbol(Symbol(total, n, total.total_degree()))
 
 
 @dataclass

@@ -6,9 +6,12 @@ order is recomputed on construction, so some coefficient of top order is
 always nonzero.  The symbol p(t,x,tau,xi) is what the operator produces
 when applied to the plane wave exp(i(tau*t + xi.x)):
 
-    L e = p * e,   p = sum a_{j,alpha} (i*tau)^j (i*xi)^alpha,
+    L e = p * e,   p = sum a_{j,alpha} (i*tau)^j (i*xi)^alpha.
 
-and the operator is recovered from p by reading tau^j xi^alpha monomials
+The symbol is the operator's canonical form, and every operator holds
+its own.  `LPDO(n, coeffs)` builds it once from the coefficients; the
+parser, composition and the conjugations hand a symbol over as it is,
+and `coeffs` is then read off p on first use, tau^j xi^alpha monomials
 back into derivatives.  The two maps are exact inverses here.
 """
 
@@ -35,8 +38,20 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"spatial dimension {n} exceeds the cap of {MAX_DIMENSION}")
 
 
+_ZERO_OPERATOR = "the zero operator is outside the class: no top-order coefficient"
+
+
+@dataclass(frozen=True)
+class Symbol:
+    """The plane-wave symbol of an operator, with its dimension and order."""
+
+    poly: MultiPoly
+    n: int
+    order: int
+
+
 class LPDO:
-    __slots__ = ("n", "order", "coeffs")
+    __slots__ = ("n", "order", "_symbol", "_coeffs")
 
     def __init__(self, n: int, coeffs: Mapping[DerivKey, MultiPoly | GaussianLike]):
         _check_dimension(n)
@@ -61,14 +76,27 @@ class LPDO:
                 )
             cleaned[(j, alpha)] = poly
         if not cleaned:
-            raise ValueError(
-                "the zero operator is outside the class: no top-order coefficient"
-            )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(
-            self, "order", max(j + sum(alpha) for j, alpha in cleaned)
-        )
+            raise ValueError(_ZERO_OPERATOR)
+        parts = [(poly, (j, *alpha), i_power(j + sum(alpha))) for (j, alpha), poly in cleaned.items()]
+        order = max(j + sum(alpha) for j, alpha in cleaned)
+        _hold(self, Symbol(embed_sum(universe.symbol_vars(n), parts), n, order), cleaned)
+
+    @classmethod
+    def _of_symbol(cls, symbol: Symbol) -> "LPDO":
+        """The operator of a symbol over `universe.symbol_vars(n)`, held as
+        given, order included; refused where `__init__` would refuse its
+        coefficients, with the same error."""
+        n, poly = symbol.n, symbol.poly
+        _check_dimension(n)
+        names = universe.symbol_vars(n)
+        if poly.variables != names:
+            raise ValueError(f"symbol universe {poly.variables} is not {names}")
+        degree = poly.total_degree()
+        if degree > MAX_TOTAL_DEGREE:
+            raise ValueError(f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}")
+        if poly.is_zero:
+            raise ValueError(_ZERO_OPERATOR)
+        return _hold(object.__new__(cls), symbol, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LPDO is immutable")
@@ -93,31 +121,29 @@ class LPDO:
 
     @classmethod
     def laplacian(cls, n: int) -> "LPDO":
-        _check_dimension(n)  # before the n keys of n entries each are built
-        coeffs: dict[DerivKey, int] = {}
-        for a in range(1, n + 1):
-            alpha = tuple(2 if b == a else 0 for b in range(1, n + 1))
-            coeffs[(0, alpha)] = 1
-        return cls(n, coeffs)
+        return cls._of_symbol(Symbol(laplacian_symbol(n), n, 2))
 
     @classmethod
     def schrodinger_factor(cls, n: int, lam: Fraction | int) -> "LPDO":
         """2i*lam*dt + Laplacian, the factor the classification singles out."""
-        coeffs: dict[DerivKey, GaussianRational] = {
-            key: as_gaussian(value)
-            for key, value in cls.laplacian(n).constant_table().items()
-        }
-        lam = Fraction(lam)
-        if lam:
-            coeffs[(1, (0,) * n)] = GaussianRational(Fraction(0), 2 * lam)
-        return cls(n, coeffs)
+        return cls._of_symbol(Symbol(schrodinger_symbol(n, lam), n, 2))
 
     # ------------------------------------------------------------------
     # accessors
 
     @property
+    def coeffs(self) -> dict[DerivKey, MultiPoly]:
+        """(j, alpha) -> nonzero coefficient polynomial, read off the symbol once."""
+        if self._coeffs is None:
+            parts = split_trailing(self._symbol.poly, self.n + 1, lambda tail: i_power(-sum(tail)))
+            object.__setattr__(self, "_coeffs", {(tail[0], tail[1:]): poly for tail, poly in parts.items()})
+        return self._coeffs
+
+    @property
     def is_constant_coefficient(self) -> bool:
-        return all(poly.is_constant for poly in self.coeffs.values())
+        """The symbol has degree 0 in (t, x)."""
+        poly = self._symbol.poly
+        return not poly.degree_in(*poly.variables[: self.n + 1])
 
     def coefficient(self, j: int, alpha: Sequence[int]) -> MultiPoly:
         key = (j, tuple(alpha))
@@ -138,7 +164,7 @@ class LPDO:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LPDO):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and self._symbol.poly == other._symbol.poly
 
     __hash__ = None
 
@@ -153,9 +179,7 @@ class LPDO:
         return LPDO(self.n, merged)
 
     def scaled(self, factor: GaussianLike) -> "LPDO":
-        return LPDO(
-            self.n, {key: poly * as_gaussian(factor) for key, poly in self.coeffs.items()}
-        )
+        return LPDO._of_symbol(Symbol(self._symbol.poly * as_gaussian(factor), self.n, self.order))
 
     def __rmul__(self, factor):
         if isinstance(factor, _SCALARS):
@@ -169,25 +193,37 @@ class LPDO:
         return f"LPDO(n={self.n}, order={self.order}, {{{parts}}})"
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """The plane-wave symbol of an operator, with its dimension and order."""
+def _hold(op: LPDO, symbol: Symbol, coeffs: dict[DerivKey, MultiPoly] | None) -> LPDO:
+    for name, value in (("n", symbol.n), ("order", symbol.order), ("_symbol", symbol), ("_coeffs", coeffs)):
+        object.__setattr__(op, name, value)
+    return op
 
-    poly: MultiPoly
-    n: int
-    order: int
+
+def laplacian_symbol(n: int) -> MultiPoly:
+    """-(xi1^2 + ... + xin^2), the symbol of Lap, over `universe.symbol_vars(n)`."""
+    _check_dimension(n)  # before the n exponent vectors of 2n + 2 entries are built
+    names = universe.symbol_vars(n)
+    return MultiPoly(names, {
+        tuple(2 if i == n + 1 + a else 0 for i in range(len(names))): -1 for a in range(1, n + 1)
+    })
+
+
+def schrodinger_symbol(n: int, lam: Fraction | int) -> MultiPoly:
+    """-(2*lam*tau + |xi|^2), the symbol of 2i*lam*dt + Lap."""
+    lap, lam = laplacian_symbol(n), Fraction(lam)
+    return lap - MultiPoly.var(lap.variables, universe.FREQ_TIME) * (2 * lam) if lam else lap
 
 
 def symbol_of(op: LPDO) -> Symbol:
-    """p = sum a_{j,alpha}(t,x) (i*tau)^j (i*xi)^alpha, exactly."""
-    parts = [(poly, (j, *alpha), i_power(j + sum(alpha))) for (j, alpha), poly in op.coeffs.items()]
-    return Symbol(embed_sum(universe.symbol_vars(op.n), parts), op.n, op.order)
+    """p = sum a_{j,alpha}(t,x) (i*tau)^j (i*xi)^alpha, held by the operator."""
+    return op._symbol
 
 
 def operator_of(symbol: Symbol) -> LPDO:
-    """Inverse of `symbol_of`: read tau/xi monomials back into derivatives."""
-    parts = split_trailing(symbol.poly, symbol.n + 1, lambda tail: i_power(-sum(tail)))
-    return LPDO(symbol.n, {(tail[0], tail[1:]): poly for tail, poly in parts.items()})
+    """The operator with this symbol; its order is read off the polynomial."""
+    poly = symbol.poly
+    order = poly.degree_in(*poly.variables[symbol.n + 1 :])
+    return LPDO._of_symbol(Symbol(poly, symbol.n, order))
 
 
 def apply_plane_wave(
@@ -221,7 +257,7 @@ def compose_const(first: LPDO, second: LPDO) -> LPDO:
     if not (first.is_constant_coefficient and second.is_constant_coefficient):
         raise ValueError("composition requires constant coefficients")
     product = symbol_of(first).poly * symbol_of(second).poly
-    return operator_of(Symbol(product, first.n, first.order + second.order))
+    return LPDO._of_symbol(Symbol(product, first.n, first.order + second.order))
 
 
 def linear_phase(
@@ -273,4 +309,4 @@ def conjugate_linear_phase(op: LPDO, phi: MultiPoly) -> LPDO:
         name = universe.freq_space(a)
         bindings[name] = MultiPoly.var(sym_names, name) - b[a - 1]
     shifted = sym.poly.substitute(bindings)
-    return operator_of(Symbol(shifted, op.n, op.order))
+    return LPDO._of_symbol(Symbol(shifted, op.n, op.order))

@@ -164,9 +164,12 @@ class MultiPoly:
 
     def degree_in(self, *names: str) -> int:
         """Largest degree of a term in the given variables together."""
+        position = {name: i for i, name in enumerate(self.variables)}
         mask, width = 0, len(self.variables)
         for name in names:
-            mask |= 255 << 8 * self._index(name)
+            if name not in position:
+                self._index(name)  # raises the unknown-variable error
+            mask |= 255 << 8 * position[name]
         # Times 0x0101..01, byte width-1 sums the masked bytes; the cap stops carries.
         ones, shift = (1 << 8 * width) // 255, 8 * (width - 1)
         return max(((key & mask) * ones >> shift & 255 for key in self._num), default=0)

@@ -16,13 +16,13 @@ time and space derivatives, ``Lap`` the Laplacian, ``I`` the identity,
 
 Every sub-expression evaluates to its plane-wave symbol over
 ``universe.symbol_vars(n)``: numbers, ``i``, ``I``, ``t`` and ``x<k>``
-stand for themselves, and ``Dt``, ``Dx<k>`` and ``Lap`` for the symbols
-`lpdo.symbol_of` gives them.  Sums are symbol sums, and a product is the
-symbol product, which is the composition unless a derivative stands
-left of a variable coefficient (dx o t is not what ``Dx1*t`` would
-suggest).  That product is rejected, so coefficients come before
-derivative atoms, and a group mixing the two cannot be raised to a
-power above 1.
+stand for themselves, and ``Dt``, ``Dx<k>`` and ``Lap`` for ``i*tau``,
+``i*xi<k>`` and ``-|xi|^2``, built in that ring.  Sums are symbol sums,
+and a product is the symbol product, which is the composition unless a
+derivative stands left of a variable coefficient (dx o t is not what
+``Dx1*t`` would suggest).  That product is rejected, so coefficients
+come before derivative atoms, and a group mixing the two cannot be
+raised to a power above 1.
 
 Exponents are at most `MAX_TOTAL_DEGREE`, and so is the degree of every
 symbol; parentheses nest at most `MAX_NESTING_DEPTH` levels, and the
@@ -31,6 +31,9 @@ a parse error.
 
 Dimension: unless given, n is inferred as the highest spatial index
 mentioned; ``Lap`` with no spatial index anywhere needs an explicit n.
+
+The operator holds the symbol of the whole expression as it is; its
+coefficients are read off only when something asks for them.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from fractions import Fraction
 
 from . import universe
 from .gaussrat import GaussianRational, I_UNIT, format_gaussian
-from .lpdo import LPDO, Symbol, operator_of, symbol_of
+from .lpdo import LPDO, Symbol, laplacian_symbol
 from .multipoly import MAX_DIMENSION, MAX_NESTING_DEPTH, MAX_TOTAL_DEGREE, MultiPoly
 
 
@@ -231,16 +234,16 @@ class _Parser:
         if text == "t":
             return MultiPoly.var(self.names, universe.TIME)
         if text == "Dt":
-            return symbol_of(LPDO.time_derivative(self.n)).poly
+            return MultiPoly.var(self.names, universe.FREQ_TIME) * I_UNIT
         if text == "Lap":
-            return symbol_of(LPDO.laplacian(self.n)).poly
+            return laplacian_symbol(self.n)
         index = int(m.group(2) or m.group(3))
         if index == 0:
             self.fail("spatial indices start at 1", token)
         if index > self.n:
             self.fail(f"spatial index {index} exceeds the dimension n = {self.n}", token)
         if text.startswith("Dx"):
-            return symbol_of(LPDO.space_derivative(self.n, index)).poly
+            return MultiPoly.var(self.names, universe.freq_space(index)) * I_UNIT
         return MultiPoly.var(self.names, universe.space(index))
 
 
@@ -284,7 +287,7 @@ def parse_operator(text: str, n: int | None = None) -> LPDO:
             "the expression is the zero operator, which is outside the class"
         )
     order = poly.degree_in(*poly.variables[n + 1 :])  # degree in (tau, xi)
-    return operator_of(Symbol(poly, n, order))
+    return LPDO._of_symbol(Symbol(poly, n, order))
 
 
 _SIMPLE_COEFF_RE = re.compile(r"(\d+(/\d+)?)?i?\Z")

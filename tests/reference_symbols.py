@@ -17,6 +17,12 @@ its xi1^(2k) coefficient times |xi|^(2k), built by repeated products.
 `odd_axis` is the reflection search it fed: the least a with a term odd
 in xi_a.
 
+`packed_symbol_of` and `packed_operator_of` are the packed routes that
+the package replaced when operators came to hold their symbol: fold the
+coefficients into the symbol with `embed_sum` on every call, and read a
+symbol back into a coefficient dict with `split_trailing`, to be checked
+and copied again by `LPDO(n, coeffs)`.
+
 `reference_power_form` is the power-form route the package replaced with
 the boost generators: reduce the symbol to q(tau, s) with s = |xi|^2,
 substitute tau -> (mu - s) / (2*lam), accept exactly when no s survives,
@@ -40,6 +46,7 @@ from galinv import (
 from galinv.checks import NotRadial, RadialDecomposition
 from galinv.gaussrat import GaussianLike, as_gaussian, i_power
 from galinv.lpdo import DerivKey
+from galinv.multipoly import embed_sum, split_trailing
 
 import reference_multipoly
 
@@ -65,6 +72,18 @@ def operator_of(symbol: Symbol) -> LPDO:
         tx, j, alpha = exps[: n + 1], exps[n + 1], exps[n + 2 :]
         buckets.setdefault((j, alpha), {})[tx] = coeff * i_power(-(j + sum(alpha)))
     return LPDO(n, {key: MultiPoly(names, terms) for key, terms in buckets.items()})
+
+
+def packed_symbol_of(op: LPDO) -> Symbol:
+    """The symbol folded from `op.coeffs` with `embed_sum`."""
+    parts = [(poly, (j, *alpha), i_power(j + sum(alpha))) for (j, alpha), poly in op.coeffs.items()]
+    return Symbol(embed_sum(universe.symbol_vars(op.n), parts), op.n, op.order)
+
+
+def packed_operator_of(symbol: Symbol) -> LPDO:
+    """The coefficient dict split off a symbol with `split_trailing`, through `LPDO(n, coeffs)`."""
+    parts = split_trailing(symbol.poly, symbol.n + 1, lambda tail: i_power(-sum(tail)))
+    return LPDO(symbol.n, {(tail[0], tail[1:]): poly for tail, poly in parts.items()})
 
 
 def compose_const(first: LPDO, second: LPDO) -> LPDO:

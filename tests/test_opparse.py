@@ -242,3 +242,14 @@ def test_exponent_error_points_at_the_exponent():
     with pytest.raises(ParseError) as exc:
         parse_operator("Dt^65")
     assert exc.value.column == 4
+
+
+def test_wide_sum_of_powers_parses_fast():
+    """A product's degree check maps each name to its position once, so a
+    summand over the 2n + 2 symbol variables costs about n, not n^2."""
+    n = 500
+    text = " + ".join(f"Dx{a}^4" for a in range(1, n + 1))
+    start = time.perf_counter()
+    op = parse_operator(text, n=n)
+    assert time.perf_counter() - start < 1.5
+    assert op.order == 4 and op.is_constant_coefficient

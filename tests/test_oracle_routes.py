@@ -147,6 +147,7 @@ def test_oracle_needs_no_symbol_machinery(corpus, break_symbol_machinery):
         ops.append(random_variable_lpdo(rng, n, 2))
     cases = []
     for op in ops:  # expected answers, taken while the symbol route works
+        op.coeffs  # an operator built from its symbol reads its coefficients off it here
         v = tuple(Fraction(a + 1, 2) for a in range(op.n))
         if op.is_constant_coefficient:
             report = check_boost_invariance_fixed_gauge(op, 1)

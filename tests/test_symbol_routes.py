@@ -5,8 +5,14 @@
 routes they replaced are in `reference_symbols.py`.  Both must give the
 same polynomial with the same internals and term order, and the same
 operator with the same key order, or the same error.
+
+An operator holds its symbol, so `symbol_of` folds nothing and an
+operator handed a symbol splits it only when its coefficients are read.
+The packed round trip that did both on every call is also a reference,
+and no decider may reach `embed_sum` or `split_trailing`.
 """
 
+import sys
 from fractions import Fraction
 
 from hypothesis import assume, example, given, settings
@@ -14,17 +20,29 @@ from hypothesis import strategies as st
 
 from galinv import (
     LPDO,
+    MAX_DIMENSION,
+    MAX_TOTAL_DEGREE,
     GaussianRational,
     MultiPoly,
     Symbol,
+    check_boost_invariance_fixed_gauge,
+    check_rotation_invariance,
+    check_translation_invariance,
     classify_power_form,
+    classify_second_order,
     compose_const,
+    conj_rotation,
+    format_operator,
     operator_of,
+    parse_operator,
+    reflection,
     synthesize,
     symbol_of,
     universe,
 )
+from galinv.actions import rotation_symbol_bindings
 from galinv.checks import RadialDecomposition, radial_decompose
+from galinv.multipoly import _build
 
 import reference_symbols as ref
 
@@ -154,3 +172,108 @@ def test_reconstruction_matches_reference_formula(n, b):
         op = operator_of(Symbol(new, n, new.total_degree()))
         decomposed = radial_decompose(op)
         assert decomposed.b == nonzero and decomposed.reverify(op)
+
+
+def assert_same_route(new_route, old_route):
+    """Equal operators with the same order, coefficient items in order,
+    repr and printed form, or the same error text."""
+    got, want = outcome(new_route), outcome(old_route)
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got == want
+        return
+    new, old = got[1], want[1]
+    assert_same_operator(new, old)
+    assert format_operator(new) == format_operator(old)
+    assert new == old
+
+
+@st.composite
+def over_cap_monomials(draw, n):
+    """One monomial over the symbol universe of degree above the cap, built
+    past `MultiPoly`'s own check; the (t, x) part stays within it."""
+    lead = draw(exponents(n + 1, MAX_TOTAL_DEGREE))
+    tail = list(draw(exponents(n + 1, 8)))
+    tail[draw(st.integers(0, n))] += MAX_TOTAL_DEGREE + 1 - sum(lead) + draw(st.integers(0, 8))
+    exps = (*lead, *tail)
+    key = int.from_bytes(bytes((*exps, sum(exps))), "little")
+    return _build(universe.symbol_vars(n), 1, {key: (1, 0)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(operators(), st.data())
+def test_held_symbol_matches_packed_round_trip(op, data):
+    n, held = op.n, symbol_of(op)
+    folded = ref.packed_symbol_of(op)
+    assert (held.n, held.order) == (folded.n, folded.order)
+    assert_same_poly(held.poly, folded.poly)
+
+    def packed(poly, order=op.order):
+        return lambda: ref.packed_operator_of(Symbol(poly, n, order))
+
+    assert_same_route(lambda: operator_of(held), packed(folded.poly))
+    factor = data.draw(maybe_zero)  # zero gives the zero operator on both routes
+    assert_same_route(
+        lambda: op.scaled(factor),
+        lambda: LPDO(n, {key: poly * factor for key, poly in op.coeffs.items()}),
+    )
+    assert_same_route(lambda: operator_of(Symbol(MultiPoly.zero(held.poly.variables), n, 0)),
+                      packed(MultiPoly.zero(held.poly.variables), 0))
+    over = data.draw(over_cap_monomials(n))
+    assert_same_route(lambda: operator_of(Symbol(over, n, 0)), packed(over, 0))
+    if not op.is_constant_coefficient:
+        return
+    other = data.draw(st.one_of(
+        operators(n, constant=True),
+        # past the degree cap once composed with op
+        st.integers(MAX_TOTAL_DEGREE - op.order, MAX_TOTAL_DEGREE).map(lambda k: LPDO.time_derivative(n, k)),
+    ))
+    assert_same_route(
+        lambda: compose_const(op, other),
+        lambda: packed(folded.poly * ref.packed_symbol_of(other).poly)(),
+    )
+    mirror = reflection(n, data.draw(st.integers(1, n)))
+    bindings = rotation_symbol_bindings(n, mirror, folded.poly.variables)
+    assert_same_route(lambda: conj_rotation(op, mirror), packed(folded.poly.substitute(bindings)))
+
+
+def test_symbol_route_refuses_a_dimension_over_the_cap():
+    n = MAX_DIMENSION + 1
+    symbol = Symbol(MultiPoly.const(universe.symbol_vars(n), 1), n, 0)
+    assert_same_route(lambda: operator_of(symbol), lambda: ref.packed_operator_of(symbol))
+    assert outcome(operator_of, symbol) == (
+        "ValueError", f"spatial dimension {n} exceeds the cap of {MAX_DIMENSION}"
+    )
+
+
+def test_deciders_never_convert_between_symbol_and_coefficients(monkeypatch):
+    """With `embed_sum` and `split_trailing` broken everywhere, every
+    decider and classifier gives the answers it gave before on parsed
+    operators: an accept and rejects at every later stage."""
+    cases = [("(2i*Dt+Lap)^2 + Lap", 3), ("Dx1^2 + 2*Dx2^2", 2)]
+
+    def answers(op):
+        return [
+            check_translation_invariance(op),
+            check_rotation_invariance(op),
+            check_boost_invariance_fixed_gauge(op, 1),
+            classify_power_form(op, 1),
+            classify_second_order(op),
+        ]
+
+    expected = [answers(parse_operator(text, n)) for text, n in cases]
+    ops = [parse_operator(text, n) for text, n in cases]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("a decider converted between symbol and coefficients")
+
+    names, patched = {"embed_sum", "split_trailing"}, set()
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "galinv" or module_name.startswith("galinv."):
+            for name in names & set(vars(module)):
+                monkeypatch.setattr(module, name, broken)
+                patched.add(name)
+    assert patched == names
+    assert [answers(op) for op in ops] == expected
+    assert [v.stage for v in expected[0][3:]] == ["residual-xi-dependence", "not-order-2"]
+    assert [v.stage for v in expected[1][3:]] == ["rotation-failure", "rotation-failure"]

@@ -225,7 +225,7 @@ def test_held_symbol_matches_packed_round_trip(op, data):
         return
     other = data.draw(st.one_of(
         operators(n, constant=True),
-        # past the degree cap once composed with op
+        # at and past the degree cap once composed with op
         st.integers(MAX_TOTAL_DEGREE - op.order, MAX_TOTAL_DEGREE).map(lambda k: LPDO.time_derivative(n, k)),
     ))
     assert_same_route(
@@ -248,8 +248,8 @@ def test_symbol_route_refuses_a_dimension_over_the_cap():
 
 def test_deciders_never_convert_between_symbol_and_coefficients(monkeypatch):
     """With `embed_sum` and `split_trailing` broken everywhere, every
-    decider and classifier gives the answers it gave before on parsed
-    operators: an accept and rejects at every later stage."""
+    decider and classifier gives the answers it gave before, on a parsed
+    operator that passes the rotation stage and one that fails it."""
     cases = [("(2i*Dt+Lap)^2 + Lap", 3), ("Dx1^2 + 2*Dx2^2", 2)]
 
     def answers(op):

@@ -8,90 +8,57 @@ classifies: a second-order operator is Galilei invariant exactly when it
 is alpha*(2i*lam*dt + Lap) + beta, and at a fixed gauge family an
 order-m operator is invariant exactly when it is a polynomial in the
 factor 2i*lam*dt + Lap.
+
+Importing the package loads none of its modules.  Each public name is
+imported from its home module on first use (PEP 562), so a process pays
+only for the modules it calls.
 """
 
-from .gaussrat import GaussianRational, I_UNIT, ONE, ZERO, as_gaussian, format_gaussian, i_power
-from .multipoly import MAX_DIMENSION, MAX_TOTAL_DEGREE, MultiPoly
-from .matrices import (
-    OrthogonalMatrix,
-    RationalMatrix,
-    all_signed_permutations,
-    cayley_orthogonal,
-    reflection,
-    sample_cayley_rotations,
-    signed_permutation,
-)
-from .waves import ExpWave, plane_wave, plane_wave_at
-from .lpdo import (
-    LPDO,
-    Symbol,
-    apply_plane_wave,
-    compose_const,
-    conjugate_linear_phase,
-    linear_phase,
-    operator_of,
-    symbol_of,
-)
-from .actions import (
-    BoostedFrequency,
-    GaugePhase,
-    Translation,
-    boost_phase_poly,
-    boosted_frequency,
-    conj_boost_gauge,
-    conj_rotation,
-    conj_translation,
-    gauge_phase,
-)
-from .checks import (
-    BoostWitness,
-    CheckReport,
-    RadialDecomposition,
-    RotationWitness,
-    TranslationWitness,
-    check_boost_invariance_fixed_gauge,
-    check_rotation_invariance,
-    check_translation_invariance,
-    radial_decompose,
-)
-from .classify import (
-    GaugeNormalization,
-    PowerFormVerdict,
-    SecondOrderVerdict,
-    classify_power_form,
-    classify_second_order,
-    normalize_gauge,
-    synthesize,
-)
-from .oracle import (
-    IdentityVerdict,
-    SamplePlan,
-    apply_lpdo,
-    boost_commutator_defect,
-    differentiate_expwave,
-    sampled_identity_check,
-)
-from .opparse import ParseError, format_operator, parse_gaussian_literal, parse_operator
-from .errors import InconsistencyError
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GaussianRational", "I_UNIT", "ONE", "ZERO", "as_gaussian", "format_gaussian",
-    "i_power", "MAX_DIMENSION", "MAX_TOTAL_DEGREE", "MultiPoly", "OrthogonalMatrix",
-    "RationalMatrix", "all_signed_permutations", "cayley_orthogonal", "reflection",
-    "sample_cayley_rotations", "signed_permutation", "ExpWave", "plane_wave",
-    "plane_wave_at", "LPDO", "Symbol", "apply_plane_wave", "compose_const",
-    "conjugate_linear_phase", "linear_phase", "operator_of", "symbol_of",
-    "BoostedFrequency", "GaugePhase", "Translation", "boost_phase_poly",
-    "boosted_frequency", "conj_boost_gauge", "conj_rotation", "conj_translation",
-    "gauge_phase", "BoostWitness", "CheckReport", "RadialDecomposition",
-    "RotationWitness", "TranslationWitness", "check_boost_invariance_fixed_gauge",
-    "check_rotation_invariance", "check_translation_invariance", "radial_decompose",
-    "GaugeNormalization", "PowerFormVerdict", "SecondOrderVerdict",
-    "classify_power_form", "classify_second_order", "normalize_gauge", "synthesize",
-    "IdentityVerdict", "SamplePlan", "apply_lpdo", "boost_commutator_defect",
-    "differentiate_expwave", "sampled_identity_check", "ParseError",
-    "format_operator", "parse_gaussian_literal", "parse_operator",
-    "InconsistencyError",
-]
+# Public name -> home module, in the order of `__all__`.
+_HOME = {name: home for home, names in (
+    ("gaussrat", "GaussianRational I_UNIT ONE ZERO as_gaussian format_gaussian i_power"),
+    ("multipoly", "MAX_DIMENSION MAX_TOTAL_DEGREE MultiPoly"),
+    ("matrices", "OrthogonalMatrix RationalMatrix all_signed_permutations cayley_orthogonal "
+                 "reflection sample_cayley_rotations signed_permutation"),
+    ("waves", "ExpWave plane_wave plane_wave_at"),
+    ("lpdo", "LPDO Symbol apply_plane_wave compose_const conjugate_linear_phase "
+             "linear_phase operator_of symbol_of"),
+    ("actions", "BoostedFrequency GaugePhase Translation boost_phase_poly boosted_frequency "
+                "conj_boost_gauge conj_rotation conj_translation gauge_phase"),
+    ("checks", "BoostWitness CheckReport RadialDecomposition RotationWitness TranslationWitness "
+               "check_boost_invariance_fixed_gauge check_rotation_invariance "
+               "check_translation_invariance radial_decompose"),
+    ("classify", "GaugeNormalization PowerFormVerdict SecondOrderVerdict classify_power_form "
+                 "classify_second_order normalize_gauge synthesize"),
+    ("oracle", "IdentityVerdict SamplePlan apply_lpdo boost_commutator_defect "
+               "differentiate_expwave sampled_identity_check"),
+    ("opparse", "ParseError format_operator parse_gaussian_literal parse_operator"),
+    ("errors", "InconsistencyError"),
+) for name in names.split()}
+
+__all__ = list(_HOME)
+
+
+def _on_first_use(namespace: dict, homes: dict[str, str]):
+    """A module `__getattr__` that imports a name from its home module in
+    this package and binds it into `namespace`, so that later reads are
+    plain attribute lookups."""
+
+    def __getattr__(name: str):
+        if name not in homes:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(f"{__name__}.{homes[name]}"), name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _on_first_use(globals(), _HOME)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

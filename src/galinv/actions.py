@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import universe
 from .lpdo import LPDO, Symbol, symbol_of
-from .matrices import OrthogonalMatrix
 from .multipoly import MultiPoly
+
+if TYPE_CHECKING:
+    from .matrices import OrthogonalMatrix
 
 QUADRATIC = "quadratic"
 X_INDEPENDENT = "x-independent"

@@ -30,16 +30,17 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from . import universe
 from .actions import Translation, boosted_frequency, conj_rotation, conj_translation
 from .errors import InconsistencyError
 from .gaussrat import GaussianRational, i_power
 from .lpdo import LPDO, DerivKey, laplacian_symbol, symbol_of
-from .matrices import OrthogonalMatrix, RationalMatrix, reflection, signed_permutation
 from .multipoly import MultiPoly, _radial_parts, _relabelling_moves
-from .oracle import boost_commutator_defect, random_rational
+
+if TYPE_CHECKING:
+    from .matrices import OrthogonalMatrix
 
 _WITNESS_SEED = 39021
 # Seeded points tried for a boost witness.  Their bound starts at 3 and
@@ -82,6 +83,8 @@ class BoostWitness:
 
     def reverify(self, op: LPDO) -> bool:
         # Re-verified through the oracle route, not the symbol route.
+        from .oracle import boost_commutator_defect
+
         defect = boost_commutator_defect(op, self.lam, self.v)
         point: dict[str, Fraction] = {
             universe.TIME: Fraction(0),
@@ -198,6 +201,8 @@ def _rotation_witness(op: LPDO, defect: tuple, p: MultiPoly) -> RotationWitness:
     cos = 3/5 is rational and not 0, +-1/2, +-1, so R's powers are dense in
     that plane's SO(2) (Niven), which with S_n and reflections gives O(n).
     """
+    from .matrices import OrthogonalMatrix, RationalMatrix, reflection, signed_permutation
+
     n = op.n
     if defect[0] == "reflection":
         return RotationWitness(reflection(n, defect[1]))
@@ -275,6 +280,8 @@ def _boost_images(p: MultiPoly, n: int, lam: Fraction) -> Iterator[MultiPoly]:
 def _boost_witness(op: LPDO, lam: Fraction, p: MultiPoly) -> BoostWitness:
     """A seeded rational point of the boost universe where the residue
     p(boosted) - p is nonzero, evaluated at the point's constant image."""
+    from .oracle import random_rational
+
     n = op.n
     freq = [universe.FREQ_TIME] + [universe.freq_space(a) for a in range(1, n + 1)]
     rng = random.Random(_WITNESS_SEED)

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import universe
 from .gaussrat import GaussianLike, GaussianRational, as_gaussian, i_power
 from .multipoly import MAX_DIMENSION, MAX_TOTAL_DEGREE, MultiPoly, embed_sum, split_trailing
-from .waves import ExpWave, plane_wave, plane_wave_at
+
+if TYPE_CHECKING:
+    from .waves import ExpWave
 
 DerivKey = tuple[int, tuple[int, ...]]
 
@@ -51,7 +53,7 @@ class Symbol:
 
 
 class LPDO:
-    __slots__ = ("n", "order", "_symbol", "_coeffs")
+    __slots__ = ("n", "order", "_symbol", "_coeffs", "_constant")
 
     def __init__(self, n: int, coeffs: Mapping[DerivKey, MultiPoly | GaussianLike]):
         _check_dimension(n)
@@ -141,9 +143,11 @@ class LPDO:
 
     @property
     def is_constant_coefficient(self) -> bool:
-        """The symbol has degree 0 in (t, x)."""
-        poly = self._symbol.poly
-        return not poly.degree_in(*poly.variables[: self.n + 1])
+        """The symbol has degree 0 in (t, x); scanned once, on first read."""
+        if self._constant is None:
+            poly = self._symbol.poly
+            object.__setattr__(self, "_constant", not poly.degree_in(*poly.variables[: self.n + 1]))
+        return self._constant
 
     def coefficient(self, j: int, alpha: Sequence[int]) -> MultiPoly:
         key = (j, tuple(alpha))
@@ -194,7 +198,8 @@ class LPDO:
 
 
 def _hold(op: LPDO, symbol: Symbol, coeffs: dict[DerivKey, MultiPoly] | None) -> LPDO:
-    for name, value in (("n", symbol.n), ("order", symbol.order), ("_symbol", symbol), ("_coeffs", coeffs)):
+    for name, value in (("n", symbol.n), ("order", symbol.order), ("_symbol", symbol),
+                        ("_coeffs", coeffs), ("_constant", None)):
         object.__setattr__(op, name, value)
     return op
 
@@ -237,6 +242,8 @@ def apply_plane_wave(
     amplitude is the full symbol.  With a concrete rational frequency the
     amplitude is the symbol evaluated there.
     """
+    from .waves import ExpWave, plane_wave, plane_wave_at
+
     symbol = symbol_of(op)
     if tau is None and xi is None:
         wave = plane_wave(op.n)

@@ -21,14 +21,12 @@ from .lpdo import LPDO
 from .multipoly import MultiPoly, product_sum
 from .waves import ExpWave, plane_wave
 
-DEFAULT_SEED = 94281
-
 
 @dataclass(frozen=True)
 class SamplePlan:
     """Deterministic random-rational sampling: seed, count, coordinate bound."""
 
-    seed: int = DEFAULT_SEED
+    seed: int = universe.DEFAULT_SEED
     count: int = 32
     bound: int = 10
 

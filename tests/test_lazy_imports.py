@@ -1,0 +1,86 @@
+"""Start-up cost: the package and the CLI load a module on first use only."""
+
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import galinv
+from galinv import cli
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _loaded_by(code: str, *argv: str) -> set[str]:
+    """The galinv submodules a fresh interpreter holds after running code;
+    the code leaves them, space-separated, on its last stdout line."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+_LIST = "print(' '.join(m[7:] for m in sys.modules if m.startswith('galinv.')))"
+
+
+def test_import_galinv_loads_no_submodule():
+    assert _loaded_by("import sys, galinv\n" + _LIST) == set()
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["theta", "--lambda", "1"], {"checks", "classify", "oracle", "opparse", "matrices"}),
+        (["theta", "--lambda", "1", "--v", "1,2"], {"checks", "classify", "oracle", "opparse"}),
+        (["check-translation", "Dx1"], {"classify", "oracle"}),
+        (["check-translation", "x1*Dx1", "--n", "1"], {"classify", "oracle"}),
+        (["check-rotation", "Lap", "--n", "2"], {"classify", "oracle", "matrices"}),
+        (["classify2", "2i*Dt + Lap", "--n", "2"], {"oracle", "matrices", "waves"}),
+    ],
+)
+def test_each_subcommand_loads_only_what_it_runs(argv, absent):
+    code = "import sys\nfrom galinv.cli import main\nmain(sys.argv[1:])\n" + _LIST
+    loaded = _loaded_by(code, *argv)
+    assert "cli" in loaded
+    assert not loaded & absent, sorted(loaded & absent)
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for name in galinv.__all__:
+        home = import_module(f"galinv.{galinv._HOME[name]}")
+        value = getattr(galinv, name)
+        assert value is getattr(home, name), name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+        # Bound on first use: later reads never reach the hook again.
+        assert vars(galinv)[name] is value, name
+
+
+def test_dir_and_star_import_cover_all():
+    assert set(galinv.__all__) <= set(dir(galinv))
+    namespace: dict = {}
+    exec("from galinv import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(galinv.__all__)
+    assert galinv.__version__ == "0.1.0"
+
+
+def test_unknown_names_raise_attribute_error():
+    for module in (galinv, cli):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+        assert not hasattr(module, "another_missing_name")
+    # A submodule is still importable by name from the package.
+    from galinv import universe
+
+    assert universe.DEFAULT_SEED == 94281
+
+
+def test_cli_names_resolve_to_their_home_objects():
+    from galinv import checks, oracle
+
+    assert cli.check_translation_invariance is checks.check_translation_invariance
+    assert cli.random_rational is oracle.random_rational

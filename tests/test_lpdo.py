@@ -238,3 +238,18 @@ def test_no_decider_sees_an_operator_over_the_cap():
     assert check_rotation_invariance(top).invariant
     assert not check_boost_invariance_fixed_gauge(top, 1).invariant
     assert symbol_of(top).order == 64
+
+
+def test_constancy_is_scanned_once_per_operator(monkeypatch):
+    rng = random.Random(11)
+    ops = [random_constant_lpdo(rng, 2, 3), random_variable_lpdo(rng, 2, 2), LPDO.laplacian(3)]
+    # The reference reads the coefficients, never the held symbol.
+    expected = [all(poly.is_constant for poly in op.coeffs.values()) for op in ops]
+    assert expected == [True, False, True]
+    assert [op.is_constant_coefficient for op in ops] == expected
+
+    def refuse(*args):
+        raise AssertionError("constancy scanned twice")
+
+    monkeypatch.setattr(MultiPoly, "degree_in", refuse)
+    assert [op.is_constant_coefficient for op in ops] == expected

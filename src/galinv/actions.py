@@ -49,18 +49,20 @@ def conj_translation(op: LPDO, shift: Translation) -> LPDO:
     """Translation conjugation: every coefficient a(t,x) becomes a(t+s, x+y).
 
     Fixed points are exactly the translation-invariant operators, i.e.
-    the ones with constant coefficients.
+    the ones with constant coefficients.  The shift is substituted once,
+    in the symbol; it moves no derivative, so the order is kept.
     """
     if shift.n != op.n:
         raise ValueError(f"shift dimension {shift.n} does not match operator {op.n}")
-    names = universe.coeff_vars(op.n)
+    sym = symbol_of(op)
+    names = sym.poly.variables
     bindings: dict[str, MultiPoly] = {
         universe.TIME: MultiPoly.var(names, universe.TIME) + shift.s
     }
     for a, y in enumerate(shift.y, start=1):
         name = universe.space(a)
         bindings[name] = MultiPoly.var(names, name) + y
-    return LPDO(op.n, {key: poly.substitute(bindings) for key, poly in op.coeffs.items()})
+    return LPDO._of_symbol(Symbol(sym.poly.substitute(bindings), op.n, op.order))
 
 
 def rotation_symbol_bindings(
@@ -118,6 +120,8 @@ def boosted_frequency(
     """
     lam = Fraction(lam)
     names = tuple(variables) if variables is not None else universe.boost_vars(n)
+    _check_components("v", v, n)
+    _check_components("xi", xi, n)
 
     def value_of(name: str, given) -> MultiPoly:
         if given is None:
@@ -194,7 +198,6 @@ def boost_phase_poly(
     c: Fraction | int,
     n: int,
     v: Sequence[Fraction | int] | None = None,
-    variables: Sequence[str] | None = None,
 ) -> MultiPoly:
     """The quadratic phase c + lam*v.x - (lam/2)*t*|v|^2 as a polynomial.
 
@@ -204,12 +207,8 @@ def boost_phase_poly(
     lam = Fraction(lam)
     if lam == 0:
         raise ValueError("lam = 0 phases are x-independent and have no canonical form")
-    if variables is not None:
-        names = tuple(variables)
-    elif v is None:
-        names = universe.phase_vars(n)
-    else:
-        names = universe.coeff_vars(n)
+    _check_components("v", v, n)
+    names = universe.phase_vars(n) if v is None else universe.coeff_vars(n)
 
     def v_comp(a: int) -> MultiPoly:
         if v is None:
@@ -224,3 +223,9 @@ def boost_phase_poly(
         speed2 = speed2 + va * va
     theta = theta - MultiPoly.var(names, universe.TIME) * speed2 * Fraction(lam, 2)
     return theta
+
+
+def _check_components(name: str, values: Sequence | None, n: int) -> None:
+    """A vector given for an n-dimensional action has exactly n components."""
+    if values is not None and len(values) != n:
+        raise ValueError(f"{name} has {len(values)} components, n = {n}")

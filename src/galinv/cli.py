@@ -25,9 +25,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from . import _on_first_use
-from .actions import GaugePhase, QUADRATIC, boost_phase_poly, gauge_phase
+from .actions import GaugePhase, QUADRATIC, _check_components, boost_phase_poly, gauge_phase
 from .gaussrat import format_gaussian
-from .lpdo import LPDO
 from .universe import DEFAULT_SEED
 
 if TYPE_CHECKING:
@@ -136,17 +135,6 @@ def _vec(values) -> str:
     return "(" + ",".join(str(v) for v in values) + ")"
 
 
-def _check_report(result: CheckReport, op: LPDO) -> tuple[Report, int]:
-    report = Report(
-        verdict="invariant" if result.invariant else "not-invariant",
-        n=str(op.n),
-        m=str(op.order),
-        certificate=result.certificate,
-        witness=_witness_text(result),
-    )
-    return report, 0 if result.invariant else 1
-
-
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -161,6 +149,19 @@ def _parse_vector(text: str) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated vector")
 
 
+# Subcommand -> (help, reads an operator, takes --lambda), in help order.
+_COMMANDS = {
+    "check-translation": ("translation invariance", True, False),
+    "check-rotation": ("rotation invariance", True, False),
+    "check-boost": ("boost invariance at a fixed gauge", True, True),
+    "classify2": ("second-order classification", True, False),
+    "classifym": ("power-form classification at fixed lambda", True, True),
+    "synthesize": ("build sum a_j (2i*lambda*Dt + Lap)^j", False, True),
+    "theta": ("the boost gauge phase", False, True),
+    "oracle": ("boost commutation via direct differentiation", True, True),
+}
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="galinv",
@@ -168,38 +169,23 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "partial differential operators under the Galilei group.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, operator: bool = True):
+    subs = {}
+    for command, (help_text, operator, lam) in _COMMANDS.items():
+        p = subs[command] = sub.add_parser(command, help=help_text)
         if operator:
             p.add_argument("operator", help="operator expression, e.g. '2i*Dt + Lap'")
             p.add_argument("--n", type=int, default=None, help="spatial dimension")
-        p.add_argument(
-            "--format", choices=("text", "kv"), default="text", dest="format_"
-        )
-
-    common(sub.add_parser("check-translation", help="translation invariance"))
-    common(sub.add_parser("check-rotation", help="rotation invariance"))
-    p = sub.add_parser("check-boost", help="boost invariance at a fixed gauge")
-    common(p)
-    p.add_argument("--lambda", dest="lam", type=_parse_fraction, required=True)
-    common(sub.add_parser("classify2", help="second-order classification"))
-    p = sub.add_parser("classifym", help="power-form classification at fixed lambda")
-    common(p)
-    p.add_argument("--lambda", dest="lam", type=_parse_fraction, required=True)
-    p = sub.add_parser("synthesize", help="build sum a_j (2i*lambda*Dt + Lap)^j")
-    common(p, operator=False)
-    p.add_argument("--lambda", dest="lam", type=_parse_fraction, required=True)
+        p.add_argument("--format", choices=("text", "kv"), default="text", dest="format_")
+        if lam:
+            p.add_argument("--lambda", dest="lam", type=_parse_fraction, required=True)
+    p = subs["synthesize"]
     p.add_argument("--coeffs", required=True, help="comma list, e.g. '0,1' or '5,2i'")
     p.add_argument("--n", type=int, required=True)
-    p = sub.add_parser("theta", help="the boost gauge phase")
-    common(p, operator=False)
-    p.add_argument("--lambda", dest="lam", type=_parse_fraction, required=True)
+    p = subs["theta"]
     p.add_argument("--c", type=_parse_fraction, default=Fraction(0))
     p.add_argument("--v", type=_parse_vector, default=None)
     p.add_argument("--n", type=int, default=None)
-    p = sub.add_parser("oracle", help="boost commutation via direct differentiation")
-    common(p)
-    p.add_argument("--lambda", dest="lam", type=_parse_fraction, required=True)
+    p = subs["oracle"]
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--count", type=int, default=5)
     return parser
@@ -207,108 +193,68 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> tuple[Report, int]:
     command, cli = args.command, sys.modules[__name__]
-    if command in ("check-translation", "check-rotation", "check-boost",
-                   "classify2", "classifym", "oracle"):
-        op = cli.parse_operator(args.operator, args.n)
-    if command == "check-translation":
-        return _check_report(cli.check_translation_invariance(op), op)
-    if command == "check-rotation":
-        return _check_report(cli.check_rotation_invariance(op), op)
-    if command == "check-boost":
-        return _check_report(cli.check_boost_invariance_fixed_gauge(op, args.lam), op)
-    if command == "classify2":
-        verdict = cli.classify_second_order(op)
-        if verdict.accepted:
-            report = Report(
-                verdict="accept",
-                alpha=format_gaussian(verdict.alpha),
-                beta=format_gaussian(verdict.beta),
-                lam=str(verdict.lam),
-                theta=theta_text(verdict.theta),
-                n=str(op.n),
-                m=str(op.order),
-            )
-            return report, 0
-        report = Report(
-            verdict="reject",
-            stage=verdict.stage,
-            lam=format_gaussian(verdict.lam_value) if verdict.lam_value else None,
-            n=str(op.n),
-            m=str(op.order),
-            witness=_witness_text(verdict.report) if verdict.report else None,
-        )
-        return report, 1
-    if command == "classifym":
-        verdict = cli.classify_power_form(op, args.lam)
-        if verdict.accepted:
-            report = Report(
-                verdict="accept",
-                lam=str(verdict.lam),
-                coeffs=",".join(format_gaussian(c) for c in verdict.coeffs),
-                n=str(op.n),
-                m=str(op.order),
-            )
-            return report, 0
-        report = Report(
-            verdict="reject",
-            stage=verdict.stage,
-            lam=str(verdict.lam),
-            n=str(op.n),
-            m=str(op.order),
-            witness=_witness_text(verdict.report) if verdict.report else None,
-        )
-        return report, 1
     if command == "synthesize":
         coeffs = [cli.parse_gaussian_literal(piece) for piece in args.coeffs.split(",")]
         op = cli.synthesize(args.lam, coeffs, args.n)
-        report = Report(
-            verdict="ok",
-            lam=str(args.lam),
-            coeffs=",".join(format_gaussian(c) for c in coeffs),
-            n=str(op.n),
-            m=str(op.order),
-            operator=cli.format_operator(op),
-        )
-        return report, 0
+        text = ",".join(format_gaussian(c) for c in coeffs)
+        return Report(verdict="ok", lam=str(args.lam), coeffs=text, n=str(op.n), m=str(op.order),
+                      operator=cli.format_operator(op)), 0
     if command == "theta":
         if args.n is not None and args.n < 1:
             raise ValueError("spatial dimension must be at least 1")
-        if args.lam == 0:
-            return Report(verdict="ok", lam="0", theta="x-independent"), 0
-        if args.v is not None:
-            n = args.n if args.n is not None else len(args.v)
-            if len(args.v) != n:
-                raise ValueError(f"v has {len(args.v)} components, n = {n}")
-            poly = boost_phase_poly(args.lam, args.c, n, v=args.v)
-            return Report(verdict="ok", lam=str(args.lam), theta=str(poly), n=str(n)), 0
-        phase = gauge_phase(args.lam, args.c)
-        return Report(verdict="ok", lam=str(args.lam), theta=theta_text(phase)), 0
+        report = Report(verdict="ok", lam=str(args.lam))
+        n = args.n if args.n is not None or args.v is None else len(args.v)
+        _check_components("v", args.v, n)
+        if args.v is None or not args.lam:
+            report.theta = theta_text(gauge_phase(args.lam, args.c))
+        else:
+            report.theta, report.n = str(boost_phase_poly(args.lam, args.c, n, v=args.v)), str(n)
+        return report, 0
+
+    op = cli.parse_operator(args.operator, args.n)
+    report = Report(n=str(op.n), m=str(op.order))
+    if command.startswith("check-"):
+        if command == "check-translation":
+            result = cli.check_translation_invariance(op)
+        elif command == "check-rotation":
+            result = cli.check_rotation_invariance(op)
+        else:
+            result = cli.check_boost_invariance_fixed_gauge(op, args.lam)
+        report.verdict = "invariant" if result.invariant else "not-invariant"
+        report.certificate, report.witness = result.certificate, _witness_text(result)
+        return report, 0 if result.invariant else 1
+    if command in ("classify2", "classifym"):
+        second = command == "classify2"
+        verdict = cli.classify_second_order(op) if second else cli.classify_power_form(op, args.lam)
+        if verdict.accepted or not second:
+            report.lam = str(verdict.lam)
+        elif verdict.lam_value:
+            report.lam = format_gaussian(verdict.lam_value)
+        if verdict.accepted:
+            report.verdict = "accept"
+            if second:
+                report.alpha, report.beta = format_gaussian(verdict.alpha), format_gaussian(verdict.beta)
+                report.theta = theta_text(verdict.theta)
+            else:
+                report.coeffs = ",".join(format_gaussian(c) for c in verdict.coeffs)
+            return report, 0
+        report.verdict, report.stage = "reject", verdict.stage
+        report.witness = _witness_text(verdict.report) if verdict.report else None
+        return report, 1
     if command == "oracle":
         import random
 
         plan = cli.SamplePlan(seed=args.seed, count=args.count)
         rng = random.Random(plan.seed)
+        report.lam, report.seed = str(args.lam), str(args.seed)
         for _ in range(plan.count):
             v = tuple(cli.random_rational(rng, 3) for _ in range(op.n))
             defect = cli.boost_commutator_defect(op, args.lam, v)
             if not defect.is_zero:
-                report = Report(
-                    verdict="not-invariant",
-                    lam=str(args.lam),
-                    seed=str(args.seed),
-                    n=str(op.n),
-                    m=str(op.order),
-                    witness=f"defect at v={_vec(v)}: {defect}",
-                )
+                report.verdict, report.witness = "not-invariant", f"defect at v={_vec(v)}: {defect}"
                 return report, 1
-        report = Report(
-            verdict="invariant",
-            lam=str(args.lam),
-            seed=str(args.seed),
-            n=str(op.n),
-            m=str(op.order),
-            certificate=f"zero defect on {plan.count} sampled boosts",
-        )
+        report.verdict = "invariant"
+        report.certificate = f"zero defect on {plan.count} sampled boosts"
         return report, 0
     raise ValueError(f"unknown command {command!r}")
 

@@ -10,9 +10,9 @@ when applied to the plane wave exp(i(tau*t + xi.x)):
 
 The symbol is the operator's canonical form, and every operator holds
 its own.  `LPDO(n, coeffs)` builds it once from the coefficients; the
-parser, composition and the conjugations hand a symbol over as it is,
-and `coeffs` is then read off p on first use, tau^j xi^alpha monomials
-back into derivatives.  The two maps are exact inverses here.
+parser, sums, composition and the conjugations hand a symbol over as it
+is, and `coeffs` is then read off p on first use, tau^j xi^alpha
+monomials back into derivatives.  The two maps are exact inverses here.
 """
 
 from __future__ import annotations
@@ -177,10 +177,7 @@ class LPDO:
             return NotImplemented
         if other.n != self.n:
             raise ValueError("operators live in different dimensions")
-        merged: dict[DerivKey, MultiPoly] = dict(self.coeffs)
-        for key, poly in other.coeffs.items():
-            merged[key] = merged[key] + poly if key in merged else poly
-        return LPDO(self.n, merged)
+        return operator_of(Symbol(self._symbol.poly + other._symbol.poly, self.n, self.order))
 
     def scaled(self, factor: GaussianLike) -> "LPDO":
         return LPDO._of_symbol(Symbol(self._symbol.poly * as_gaussian(factor), self.n, self.order))

@@ -23,6 +23,11 @@ coefficients into the symbol with `embed_sum` on every call, and read a
 symbol back into a coefficient dict with `split_trailing`, to be checked
 and copied again by `LPDO(n, coeffs)`.
 
+`add` and `conj_translation` are the coefficient routes the package
+replaced with one operation on the held symbol: merge two coefficient
+dicts and fold the sum again, and substitute the shift in every
+coefficient and fold again.
+
 `reference_power_form` is the power-form route the package replaced with
 the boost generators: reduce the symbol to q(tau, s) with s = |xi|^2,
 substitute tau -> (mu - s) / (2*lam), accept exactly when no s survives,
@@ -39,6 +44,7 @@ from galinv import (
     GaussianRational,
     MultiPoly,
     Symbol,
+    Translation,
     check_rotation_invariance,
     check_translation_invariance,
     universe,
@@ -84,6 +90,23 @@ def packed_operator_of(symbol: Symbol) -> LPDO:
     """The coefficient dict split off a symbol with `split_trailing`, through `LPDO(n, coeffs)`."""
     parts = split_trailing(symbol.poly, symbol.n + 1, lambda tail: i_power(-sum(tail)))
     return LPDO(symbol.n, {(tail[0], tail[1:]): poly for tail, poly in parts.items()})
+
+
+def add(first: LPDO, second: LPDO) -> LPDO:
+    """first + second, coefficient by coefficient."""
+    merged: dict[DerivKey, MultiPoly] = dict(first.coeffs)
+    for key, poly in second.coeffs.items():
+        merged[key] = merged[key] + poly if key in merged else poly
+    return LPDO(first.n, merged)
+
+
+def conj_translation(op: LPDO, shift: Translation) -> LPDO:
+    """Every coefficient a(t, x) becomes a(t + s, x + y), one at a time."""
+    names = universe.coeff_vars(op.n)
+    bindings = {universe.TIME: MultiPoly.var(names, universe.TIME) + shift.s}
+    for a, y in enumerate(shift.y, start=1):
+        bindings[universe.space(a)] = MultiPoly.var(names, universe.space(a)) + y
+    return LPDO(op.n, {key: poly.substitute(bindings) for key, poly in op.coeffs.items()})
 
 
 def compose_const(first: LPDO, second: LPDO) -> LPDO:

@@ -1,6 +1,7 @@
 """Galilei group conjugations: translations, rotations, gauged boosts."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,17 @@ def test_boost_phase_poly_concrete():
 def test_boost_phase_is_real():
     theta = boost_phase_poly(F(-3, 2), F(1, 7), 3)
     assert all(c.im == 0 for c in theta.terms.values())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: boost_phase_poly(1, 0, 3, v=(1, 2)), "v has 2 components, n = 3"),
+    (lambda: boost_phase_poly(1, 0, 1, v=(1, 2)), "v has 2 components, n = 1"),
+    (lambda: boosted_frequency(2, 1, v=(1,)), "v has 1 components, n = 2"),
+    (lambda: boosted_frequency(2, 1, v=(1, 2), xi=(1, 2, 3)), "xi has 3 components, n = 2"),
+])
+def test_vectors_must_match_the_dimension(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_gauge_phase_kinds():

@@ -183,6 +183,15 @@ def test_theta_dimension_below_one_is_usage_error(capsys):
         assert "dimension must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("lam", ["0", "1"])
+def test_theta_vector_length_is_checked_at_every_lambda(capsys, lam):
+    status = main(["theta", "--lambda", lam, "--v", "1,2,3", "--n", "2"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == "error: v has 3 components, n = 2\n"
+
+
 def test_deep_nesting_is_usage_error(capsys):
     status = main(["classify2", "(" * 3000 + "Dt" + ")" * 3000])
     captured = capsys.readouterr()

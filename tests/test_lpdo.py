@@ -201,6 +201,13 @@ def test_zero_operator_rejected():
         LPDO(1, {(0, (0,)): 0})
 
 
+def test_exact_cancellation_is_the_zero_operator():
+    zero = "^the zero operator is outside the class: no top-order coefficient$"
+    op = random_variable_lpdo(random.Random(47), 2, 3)
+    with pytest.raises(ValueError, match=zero):
+        op + (-1) * op
+
+
 def test_scaled_by_zero_rejected():
     with pytest.raises(ValueError):
         LPDO.identity(1).scaled(0)

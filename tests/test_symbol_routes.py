@@ -1,8 +1,9 @@
 """The accept path's symbol-ring routes against the term-map references.
 
 `symbol_of`, `operator_of`, `compose_const`, `synthesize` and
-`RadialDecomposition.reconstruction` work on the packed kernel; the
-routes they replaced are in `reference_symbols.py`.  Both must give the
+`RadialDecomposition.reconstruction` work on the packed kernel, and
+`LPDO.__add__` and `conj_translation` on the held symbol; the routes
+they replaced are in `reference_symbols.py`.  Both must give the
 same polynomial with the same internals and term order, and the same
 operator with the same key order, or the same error.
 
@@ -25,6 +26,7 @@ from galinv import (
     GaussianRational,
     MultiPoly,
     Symbol,
+    Translation,
     check_boost_invariance_fixed_gauge,
     check_rotation_invariance,
     check_translation_invariance,
@@ -32,6 +34,7 @@ from galinv import (
     classify_second_order,
     compose_const,
     conj_rotation,
+    conj_translation,
     format_operator,
     operator_of,
     parse_operator,
@@ -186,6 +189,39 @@ def assert_same_route(new_route, old_route):
     assert_same_operator(new, old)
     assert format_operator(new) == format_operator(old)
     assert new == old
+
+
+def assert_same_value(new_route, old_route):
+    """Equal operators with the same order, repr and coefficients, or the
+    same error text; the coefficient key order may differ."""
+    got, want = outcome(new_route), outcome(old_route)
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got == want
+        return
+    new, old = got[1], want[1]
+    assert (new.n, new.order, repr(new), new.coeffs) == (old.n, old.order, repr(old), old.coeffs)
+    assert new == old
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_sum_matches_coefficient_route(n, data):
+    first, second = data.draw(operators(n)), data.draw(operators(n))
+    # The second sum is the zero operator; in the third the terms of `first` cancel.
+    pairs = [(first, second), (first, (-1) * first)]
+    if first != second:
+        pairs.append((first, ref.add((-1) * first, second)))
+    for a, b in pairs:
+        assert_same_value(lambda: a + b, lambda: ref.add(a, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_translation_matches_coefficient_route(n, data):
+    op = data.draw(operators(n))
+    shift = Translation(data.draw(fractions), [data.draw(fractions) for _ in range(n)])
+    assert_same_value(lambda: conj_translation(op, shift), lambda: ref.conj_translation(op, shift))
 
 
 @st.composite

@@ -22,8 +22,7 @@ __version__ = "0.1.0"
 _HOME = {name: home for home, names in (
     ("gaussrat", "GaussianRational I_UNIT ONE ZERO as_gaussian format_gaussian i_power"),
     ("multipoly", "MAX_DIMENSION MAX_TOTAL_DEGREE MultiPoly"),
-    ("matrices", "OrthogonalMatrix RationalMatrix all_signed_permutations cayley_orthogonal "
-                 "reflection sample_cayley_rotations signed_permutation"),
+    ("matrices", "OrthogonalMatrix RationalMatrix reflection signed_permutation"),
     ("waves", "ExpWave plane_wave plane_wave_at"),
     ("lpdo", "LPDO Symbol apply_plane_wave compose_const conjugate_linear_phase "
              "linear_phase operator_of symbol_of"),

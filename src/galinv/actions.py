@@ -23,7 +23,7 @@ from .lpdo import LPDO, Symbol, symbol_of
 from .multipoly import MultiPoly
 
 if TYPE_CHECKING:
-    from .matrices import OrthogonalMatrix
+    from .matrices import Rotation
 
 QUADRATIC = "quadratic"
 X_INDEPENDENT = "x-independent"
@@ -66,21 +66,20 @@ def conj_translation(op: LPDO, shift: Translation) -> LPDO:
 
 
 def rotation_symbol_bindings(
-    n: int, rot: OrthogonalMatrix, variables: Sequence[str]
+    n: int, rot: Rotation, variables: Sequence[str]
 ) -> dict[str, MultiPoly]:
-    """Substitutions sending xi to R^T xi, i.e. xi_a -> sum_b R[b][a] xi_b."""
+    """Substitutions sending xi to R^T xi, i.e. xi_a -> sum_b R[b][a] xi_b,
+    for each coordinate a that R moves; the others stay bound to themselves."""
     bindings: dict[str, MultiPoly] = {}
-    for a in range(1, n + 1):
+    for a, column in rot.moved_columns():
         acc = MultiPoly.zero(variables)
-        for b in range(1, n + 1):
-            acc = acc + MultiPoly.var(variables, universe.freq_space(b)) * rot.entry(
-                b - 1, a - 1
-            )
+        for b, value in column:
+            acc = acc + MultiPoly.var(variables, universe.freq_space(b)) * value
         bindings[universe.freq_space(a)] = acc
     return bindings
 
 
-def conj_rotation(op: LPDO, rot: OrthogonalMatrix) -> LPDO:
+def conj_rotation(op: LPDO, rot: Rotation) -> LPDO:
     """Rotation conjugation at the symbol level: p(tau, xi) -> p(tau, R^T xi)."""
     if rot.n != op.n:
         raise ValueError(f"rotation size {rot.n} does not match operator {op.n}")

@@ -37,10 +37,10 @@ from .actions import Translation, boosted_frequency, conj_rotation, conj_transla
 from .errors import InconsistencyError
 from .gaussrat import GaussianRational, i_power
 from .lpdo import LPDO, DerivKey, laplacian_symbol, symbol_of
-from .multipoly import MultiPoly, _radial_parts, _relabelling_moves
+from .multipoly import MultiPoly, _radial_parts, _relabelling_moves, _symmetric
 
 if TYPE_CHECKING:
-    from .matrices import OrthogonalMatrix
+    from .matrices import Rotation
 
 _WITNESS_SEED = 39021
 # Seeded points tried for a boost witness.  Their bound starts at 3 and
@@ -64,9 +64,9 @@ class TranslationWitness:
 
 @dataclass
 class RotationWitness:
-    """An exact orthogonal matrix that fails to fix the operator."""
+    """An exact orthogonal map that fails to fix the operator."""
 
-    rotation: OrthogonalMatrix
+    rotation: Rotation
 
     def reverify(self, op: LPDO) -> bool:
         return conj_rotation(op, self.rotation) != op
@@ -189,33 +189,36 @@ def _decompose(op: LPDO, parts: dict) -> RadialDecomposition:
 
 
 def _rotation_witness(op: LPDO, defect: tuple, p: MultiPoly) -> RotationWitness:
-    """Turn a radial-reduction failure into a concrete non-fixing matrix.
+    """Turn a radial-reduction failure into a concrete non-fixing map.
 
     A term odd in xi_a (defect ("reflection", a)) is moved by the
     reflection of that axis.  Otherwise p is even, so a signed permutation
     moves p exactly when relabelling the exponents of p by its permutation
-    changes the term map; the first such permutation of S_n (n <= 3) or of
-    the swaps (1,2), (1,3), ..., (1,n) (n > 3) is the witness.  These swaps
-    generate S_n, so none moving p means no swap does.  Failing that, p is
-    S_n-symmetric, and R = [3/5 -4/5; 4/5 3/5] in the (1, 2) plane moves it:
-    cos = 3/5 is rational and not 0, +-1/2, +-1, so R's powers are dense in
-    that plane's SO(2) (Niven), which with S_n and reflections gives O(n).
+    changes the term map; the first such permutation of S_n after the
+    identity (n <= 3) or of the swaps (1,2), (1,3), ..., (1,n) (n > 3) is
+    the witness.  These swaps generate S_n, so none moving p means p is
+    S_n-symmetric; once the first fails to move p, one pass over p decides
+    that before the others are tried.  A symmetric p is moved by
+    R = [3/5 -4/5; 4/5 3/5] in the (1, 2) plane: cos = 3/5 is rational and
+    not 0, +-1/2, +-1, so R's powers are dense in that plane's SO(2)
+    (Niven), which with S_n and reflections gives O(n).
     """
-    from .matrices import OrthogonalMatrix, RationalMatrix, reflection, signed_permutation
+    from .matrices import FixedRotation, reflection, signed_permutation
 
     n = op.n
     if defect[0] == "reflection":
         return RotationWitness(reflection(n, defect[1]))
     if n <= 3:
-        perms = itertools.permutations(range(1, n + 1))
+        perms = itertools.islice(itertools.permutations(range(1, n + 1)), 1, None)
     else:
         perms = ((b, *range(2, b), 1, *range(b + 1, n + 1)) for b in range(2, n + 1))
-    for perm in perms:
-        if _relabelling_moves(p, perm):
-            return RotationWitness(signed_permutation(perm, (1,) * n))
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rows[0][:2], rows[1][:2] = [Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]
-    return RotationWitness(OrthogonalMatrix(RationalMatrix(tuple(map(tuple, rows)))))
+    first = next(perms)
+    if not _relabelling_moves(p, first):
+        # At n = 2 the first swap is the only one.
+        if n == 2 or _symmetric(p, n):
+            return RotationWitness(FixedRotation(n))
+        first = next(perm for perm in perms if _relabelling_moves(p, perm))
+    return RotationWitness(signed_permutation(first, (1,) * n))
 
 
 def check_rotation_invariance(op: LPDO) -> CheckReport:

@@ -1,19 +1,22 @@
-"""Exact rational matrices and orthogonal-matrix generation.
+"""Exact rational matrices and the orthogonal maps that witness rotation rejects.
 
-Orthogonal matrices over the rationals are produced two ways: the Cayley
-transform R = (I - A)(I + A)^-1 of a skew-symmetric rational matrix, which
-yields rotations (det +1), and signed permutation matrices, which supply
-the reflection component.  Together they sample the whole orthogonal
-group exactly; every constructed matrix is verified to satisfy R^T R = I.
+A rotation reject is witnessed by a reflection, a coordinate permutation
+or the fixed rotation [3/5 -4/5; 4/5 3/5] in the (xi1, xi2) plane.  Each
+moves at most two coordinates, so each is held as the group element it
+is: a signed permutation as (perm, signs), the fixed rotation as its
+plane and its 2 x 2 block.  Both are orthogonal by construction, so
+building one costs O(n) and acting with one costs as much as the
+coordinates it moves (`moved_columns`).  A general matrix, given to
+`OrthogonalMatrix` as a `RationalMatrix`, is verified to satisfy
+R^T R = I.  Every form offers `n`, `entry(i, j)`, a dense `.matrix` and
+the same dense rendering.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import ClassVar, Sequence
 
 
 def _frac_rows(entries) -> tuple[tuple[Fraction, ...], ...]:
@@ -49,81 +52,9 @@ class RationalMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.entries)))
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        return RationalMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        return RationalMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
-    def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("matrix shapes do not compose")
-        # Each nonzero a_ik meets only the nonzero entries of row k of
-        # `other`, so a signed permutation costs O(n^2), not O(n^3).
-        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
-        out = []
-        for row in self.entries:
-            acc = [Fraction(0)] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    for j, b in right[k]:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return RationalMatrix(tuple(out))
-
-    def _same_shape(self, other: "RationalMatrix") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shapes differ")
-
-    def is_skew_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.entries[i][j] == -self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(self.rows)
-        )
-
-    def inverse(self) -> "RationalMatrix":
-        """Exact inverse by Gauss-Jordan elimination."""
-        if self.rows != self.cols:
-            raise ValueError("only square matrices invert")
-        n = self.rows
-        work = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-                for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if pivot_row is None:
-                raise ValueError("matrix is singular")
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            pivot = work[col][col]
-            work[col] = [value / pivot for value in work[col]]
-            for r in range(n):
-                if r == col or work[r][col] == 0:
-                    continue
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return RationalMatrix(tuple(tuple(row[n:]) for row in work))
-
-    def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(vector) != self.cols:
-            raise ValueError("vector length does not match matrix")
-        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self.entries)
+# One moved column a of R, 1-based, with its nonzero entries (b, R[b][a]).
+Column = tuple[int, tuple[tuple[int, Fraction], ...]]
 
 
 @dataclass(frozen=True)
@@ -139,7 +70,9 @@ class OrthogonalMatrix:
         m = self.matrix
         if m.rows != m.cols:
             raise ValueError("orthogonal matrices are square")
-        if m.transpose() * m != RationalMatrix.identity(m.rows):
+        columns = [{k: e for k, e in enumerate(column) if e} for column in zip(*m.entries)]
+        if any(sum(e * v.get(k, 0) for k, e in u.items()) != (i == j)
+               for i, u in enumerate(columns) for j, v in enumerate(columns)):
             raise ValueError("matrix is not orthogonal")
 
     @property
@@ -149,68 +82,103 @@ class OrthogonalMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.matrix.entry(i, j)
 
-    def compose(self, other: "OrthogonalMatrix") -> "OrthogonalMatrix":
-        return OrthogonalMatrix(self.matrix * other.matrix)
+    def moved_columns(self) -> list[Column]:
+        """Every column: a general matrix moves every coordinate."""
+        return [(a, tuple((b, e) for b, e in enumerate(column, 1) if e))
+                for a, column in enumerate(zip(*self.matrix.entries), 1)]
 
     def __str__(self) -> str:
-        return "[" + "; ".join(
-            " ".join(str(e) for e in row) for row in self.matrix.entries
-        ) + "]"
+        return "[" + "; ".join(" ".join(map(str, row)) for row in self.matrix.entries) + "]"
 
 
-def cayley_orthogonal(skew: RationalMatrix) -> OrthogonalMatrix:
-    """Cayley transform (I - A)(I + A)^-1 of a skew-symmetric matrix.
+class _SparseForm:
+    """The dense views of a map held by the columns it moves."""
 
-    For skew-symmetric A the transform is always defined (I + A has
-    positive-definite symmetric part) and lands in the rotation group.
-    """
-    if not skew.is_skew_symmetric():
-        raise ValueError("Cayley transform needs a skew-symmetric matrix")
-    identity = RationalMatrix.identity(skew.rows)
-    return OrthogonalMatrix((identity - skew) * (identity + skew).inverse())
+    __slots__ = ()
+
+    def _rows(self, cell) -> list[list]:
+        """The identity's rows of cells, each moved column put in."""
+        n, zero = self.n, cell(0)
+        rows = [[zero] * i + [cell(1)] + [zero] * (n - i - 1) for i in range(n)]
+        for a, column in self.moved_columns():
+            rows[a - 1][a - 1] = zero
+            for b, value in column:
+                rows[b - 1][a - 1] = cell(value)
+        return rows
+
+    @property
+    def matrix(self) -> RationalMatrix:
+        """The dense matrix, built on demand."""
+        return RationalMatrix(tuple(map(tuple, self._rows(Fraction))))
+
+    def __str__(self) -> str:
+        return "[" + "; ".join(" ".join(row) for row in self._rows(str)) + "]"
 
 
-def signed_permutation(perm: Sequence[int], signs: Sequence[int]) -> OrthogonalMatrix:
-    """Orthogonal matrix sending e_j to signs[j] * e_perm[j] (1-based perm)."""
-    n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"{perm} is not a permutation of 1..{n}")
-    if len(signs) != n or any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be +-1, one per coordinate")
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        rows[perm[j] - 1][j] = Fraction(signs[j])
-    return OrthogonalMatrix(RationalMatrix(tuple(tuple(row) for row in rows)))
+@dataclass(frozen=True)
+class SignedPermutation(_SparseForm):
+    """The orthogonal map e_j -> signs[j] * e_perm[j] (1-based perm)."""
+
+    perm: tuple[int, ...]
+    signs: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        perm, n = tuple(self.perm), len(self.perm)
+        if sorted(perm) != list(range(1, n + 1)):
+            raise ValueError(f"{self.perm} is not a permutation of 1..{n}")
+        if len(self.signs) != n or any(s not in (1, -1) for s in self.signs):
+            raise ValueError("signs must be +-1, one per coordinate")
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
+
+    @property
+    def n(self) -> int:
+        return len(self.perm)
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return Fraction(self.signs[j] if self.perm[j] == i + 1 else 0)
+
+    def moved_columns(self) -> list[Column]:
+        """Each column a that the map moves, as its one entry (perm[a], signs[a])."""
+        return [(a, ((b, Fraction(s)),))
+                for a, (b, s) in enumerate(zip(self.perm, self.signs), 1) if b != a or s != 1]
 
 
-def reflection(n: int, axis: int) -> OrthogonalMatrix:
+@dataclass(frozen=True)
+class FixedRotation(_SparseForm):
+    """R = [3/5 -4/5; 4/5 3/5] on the coordinates of `plane`, the identity
+    on the others."""
+
+    n: int
+    plane: ClassVar[tuple[int, int]] = (1, 2)
+    block: ClassVar[tuple[tuple[Fraction, ...], ...]] = (
+        (Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5)))
+
+    def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ValueError(f"the fixed rotation needs n >= 2, not {self.n}")
+
+    def entry(self, i: int, j: int) -> Fraction:
+        if i < 2 and j < 2:  # the plane (1, 2)
+            return self.block[i][j]
+        return Fraction(int(i == j))
+
+    def moved_columns(self) -> list[Column]:
+        """The plane's two columns."""
+        (p, q), ((a, b), (c, d)) = self.plane, self.block
+        return [(p, ((p, a), (q, c))), (q, ((p, b), (q, d)))]
+
+
+# Every form a rotation witness or `conj_rotation` takes.
+Rotation = OrthogonalMatrix | SignedPermutation | FixedRotation
+
+
+def signed_permutation(perm: Sequence[int], signs: Sequence[int]) -> SignedPermutation:
+    """The orthogonal map sending e_j to signs[j] * e_perm[j] (1-based perm)."""
+    return SignedPermutation(tuple(perm), tuple(signs))
+
+
+def reflection(n: int, axis: int) -> SignedPermutation:
     """Reflection that flips the sign of the given 1-based coordinate."""
     signs = tuple(-1 if a == axis else 1 for a in range(1, n + 1))
     return signed_permutation(tuple(range(1, n + 1)), signs)
-
-
-def all_signed_permutations(n: int) -> list[OrthogonalMatrix]:
-    """Every signed permutation matrix in O(n): n! * 2^n of them."""
-    return [
-        signed_permutation(perm, signs)
-        for perm in itertools.permutations(range(1, n + 1))
-        for signs in itertools.product((1, -1), repeat=n)
-    ]
-
-
-def iter_cayley_rotations(n: int, seed: int) -> Iterator[OrthogonalMatrix]:
-    """Endless deterministic stream of rotations from random skew matrices."""
-    rng = random.Random(seed)
-    while True:
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                value = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                rows[i][j] = value
-                rows[j][i] = -value
-        yield cayley_orthogonal(RationalMatrix(tuple(tuple(r) for r in rows)))
-
-
-def sample_cayley_rotations(n: int, count: int, seed: int) -> list[OrthogonalMatrix]:
-    """Deterministic sample of rotations via random skew-symmetric matrices."""
-    return list(itertools.islice(iter_cayley_rotations(n, seed), count))

@@ -21,6 +21,7 @@ layout) so that a runaway composition fails fast with a clear error.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import comb, factorial, gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -577,6 +578,28 @@ def _relabelling_moves(poly: MultiPoly, perm: Sequence[int]) -> bool:
         if num.get(image) != pair:
             return True
     return False
+
+
+def _symmetric(poly: MultiPoly, n: int) -> bool:
+    """Whether every permutation of the last n variables fixes the polynomial.
+
+    Permuting those exponents keeps a key in its orbit: the same other
+    exponents and the same sorted last n.  So the polynomial is symmetric
+    exactly when every orbit it meets is full, n!/(m_1!...m_r!) keys for
+    exponent multiplicities m, and holds one numerator."""
+    shift, mask = 8 * (len(poly.variables) - n), (1 << 8 * n) - 1
+    orbits: dict[tuple[int, bytes], tuple[int, tuple[int, int]]] = {}
+    for key, pair in poly._num.items():
+        orbit = (key & ~(mask << shift), bytes(sorted((key >> shift & mask).to_bytes(n, "little"))))
+        count, first = orbits.get(orbit, (0, pair))
+        if first != pair:
+            return False
+        orbits[orbit] = (count + 1, pair)
+    whole = factorial(n)
+    return all(
+        count * prod(factorial(len(list(run))) for _, run in groupby(exps)) == whole
+        for (_, exps), (count, _) in orbits.items()
+    )
 
 
 def _signed_term(coeff: GaussianRational, mono: str) -> tuple[str, str]:

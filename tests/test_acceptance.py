@@ -12,7 +12,6 @@ from fractions import Fraction
 from galinv import (
     LPDO,
     GaussianRational,
-    all_signed_permutations,
     boost_commutator_defect,
     check_rotation_invariance,
     check_translation_invariance,
@@ -25,7 +24,6 @@ from galinv import (
     normalize_gauge,
     operator_of,
     parse_operator,
-    sample_cayley_rotations,
     symbol_of,
     synthesize,
 )
@@ -33,6 +31,8 @@ from galinv import universe
 from galinv.actions import QUADRATIC, X_INDEPENDENT
 from galinv.cli import theta_text
 from galinv.matrices import RationalMatrix
+
+from reference_matrices import all_signed_permutations, mul, sample_cayley_rotations, transpose
 
 from conftest import random_constant_lpdo, random_fraction, random_gaussian, random_variable_lpdo
 
@@ -160,7 +160,7 @@ def test_criterion_4_rotation_machinery():
         identity = RationalMatrix.identity(n)
         pool = sample_cayley_rotations(n, 20, seed=20240607) + all_signed_permutations(n)
         for rot in pool:
-            assert rot.matrix.transpose() * rot.matrix == identity
+            assert mul(transpose(rot.matrix), rot.matrix) == identity
         for op in accepted[n]:
             report = check_rotation_invariance(op)
             assert report.invariant and report.radial.reverify(op)

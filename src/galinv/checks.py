@@ -19,9 +19,8 @@ a symbol fixed by R, S_n and the reflections is fixed by O(n).
 Boost invariance at a fixed gauge family holds exactly when the boost
 generators lam*d/dxi_a - xi_a*d/dtau annihilate the symbol; a reject is
 witnessed by p differing at a seeded rational point and at its boosted
-frequency.  The power-form classifier decides its last stage with the
-same generator images, since at lam != 0 they vanish exactly when
-p = g(2*lam*tau + |xi|^2).
+frequency.  The classifiers decide the same property from the radial
+coefficients instead (see `classify`).
 """
 
 from __future__ import annotations

@@ -1,20 +1,22 @@
 """Classifiers: which operators are Galilei invariant, and in what form.
 
-`classify_second_order` runs the full pipeline for order-2 operators:
-constancy, rotation invariance with radial decomposition, vanishing of
-the second time derivative and reality of the derived lam, after which
-L = alpha*(2i*lam*dt + Lap) + beta exactly.  Rejections name the earliest
-failed stage, so a report reads as a trace of which requirement broke first.
+Both classifiers read the boost stage off one derivation.  After the
+translation and rotation stages the symbol is p = q(tau, s), s = |xi|^2,
+with q = sum c_jk tau^j s^k and c_jk = b_jk * i^j from the rotation
+stage's `RadialDecomposition`.  Each boost generator lam*d/dxi_a -
+xi_a*d/dtau maps p to xi_a*(2*lam*q_s - q_tau), so p is invariant at
+gauge lam exactly when q_tau = 2*lam*q_s.  A q free of tau needs lam = 0;
+otherwise the least c_jk != 0 with j >= 1 fixes lam = j*c_jk /
+(2*(k+1)*c_{j-1,k+1}), and a zero partner coefficient admits none.
 
-`classify_power_form` handles arbitrary order at a fixed lam != 0: after
-the translation and rotation stages, the operator is a polynomial in the
-Schrodinger factor exactly when the boost generator
-lam*d/dxi_1 - xi_1*d/dtau annihilates its symbol p, that is when
-p = g(2*lam*tau + |xi|^2).  Its coefficients are then read off the pure
-tau terms: symbol(2i*lam*dt + Lap) = -(2*lam*tau + |xi|^2), so
-a_j = [tau^j]p * (-1/(2*lam))^j.  An accepted verdict of either
-classifier checks itself with `reverify(op)`, which resynthesizes the
-form and compares.
+`classify_second_order` names the earliest failed stage: at order 2
+there is no lam exactly when a20 != 0, and the derived lam =
+-i*a10/(2*alpha) must be real; then L = alpha*(2i*lam*dt + Lap) + beta.
+`classify_power_form` tests a given lam != 0, where the equation holds
+exactly when p = g(2*lam*tau + |xi|^2), and reads the coefficients off
+the pure tau terms: symbol(2i*lam*dt + Lap) = -(2*lam*tau + |xi|^2), so
+a_j = c_j0 * (-1/(2*lam))^j.  An accepted verdict checks itself with
+`reverify(op)`, which resynthesizes the form and compares.
 
 Conventions: alpha is the common coefficient of the second spatial
 derivatives, the only choice under which 2i*dt + Lap comes out with
@@ -25,19 +27,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
-from . import universe
 from .actions import GaugePhase, gauge_phase
 from .checks import (
     CheckReport,
-    _boost_images,
+    RadialDecomposition,
     check_rotation_invariance,
     check_translation_invariance,
 )
 from .errors import InconsistencyError
-from .gaussrat import GaussianLike, GaussianRational, I_UNIT, as_gaussian
-from .lpdo import LPDO, Symbol, conjugate_linear_phase, linear_phase, schrodinger_symbol, symbol_of
+from .gaussrat import GaussianLike, GaussianRational, as_gaussian, i_power
+from .lpdo import LPDO, Symbol, conjugate_linear_phase, linear_phase, schrodinger_symbol
 from .multipoly import MultiPoly
 
 STAGE_NON_CONSTANT = "non-constant-coefficients"
@@ -45,10 +47,7 @@ STAGE_ROTATION = "rotation-failure"
 STAGE_A20 = "a20-nonzero"
 STAGE_LAMBDA = "lambda-not-real"
 STAGE_NOT_ORDER_2 = "not-order-2"
-STAGE_FORBIDDEN = "forbidden-lower-term"
 STAGE_RESIDUAL_XI = "residual-xi-dependence"
-
-_ORDER2_SLOTS = {(0, 0), (0, 1), (1, 0), (2, 0)}
 
 
 @dataclass
@@ -85,49 +84,57 @@ class PowerFormVerdict:
         return self.accepted and synthesize(self.lam, self.coeffs, op.n) == op
 
 
-def classify_second_order(op: LPDO) -> SecondOrderVerdict:
+def _boost_gauge(radial: RadialDecomposition, lam: GaussianLike | None = None):
+    """The gauge lam at which q_tau = 2*lam*q_s, or None if there is none.
+
+    With no lam given, lam is derived from the least c_jk != 0 with j >= 1
+    (0 if q is free of tau); a given lam is only tested.
+    """
+    c = {(j, k): b * i_power(j) for (j, k), b in radial.b.items()}
+    if lam is None:
+        least = min((key for key in c if key[0]), default=None)
+        lam = GaussianRational()
+        if least is not None:
+            j, k = least
+            partner = c.get((j - 1, k + 1))
+            if not partner:
+                return None
+            lam = j * c[least] / (2 * (k + 1) * partner)
+    q_tau = {(j - 1, k): j * v for (j, k), v in c.items() if j}
+    q_s = {(j, k - 1): 2 * lam * k * v for (j, k), v in c.items() if k and lam}
+    return lam if q_tau == q_s else None
+
+
+def _radial_or_reject(op: LPDO, reject: Callable):
+    """The rotation stage's radial decomposition of op, or `reject` called
+    with the stage, report and detail of the first failed check."""
     translation = check_translation_invariance(op)
     if not translation.invariant:
-        return SecondOrderVerdict(
-            False, stage=STAGE_NON_CONSTANT, report=translation,
-            detail=translation.detail,
-        )
+        return reject(stage=STAGE_NON_CONSTANT, report=translation, detail=translation.detail)
     rotation = check_rotation_invariance(op)
     if not rotation.invariant:
-        return SecondOrderVerdict(
-            False, stage=STAGE_ROTATION, report=rotation, detail=rotation.detail
-        )
+        return reject(stage=STAGE_ROTATION, report=rotation, detail=rotation.detail)
+    return rotation.radial
+
+
+def classify_second_order(op: LPDO) -> SecondOrderVerdict:
+    radial = _radial_or_reject(op, partial(SecondOrderVerdict, False))
+    if isinstance(radial, SecondOrderVerdict):
+        return radial
     if op.order != 2:
         return SecondOrderVerdict(
             False, stage=STAGE_NOT_ORDER_2, detail=f"effective order is {op.order}"
         )
-    radial = rotation.radial
-    extra = [key for key in radial.b if key not in _ORDER2_SLOTS]
-    if extra:
+    lam_value = _boost_gauge(radial)
+    if lam_value is None:
         return SecondOrderVerdict(
-            False, stage=STAGE_FORBIDDEN, detail=f"unexpected radial terms {extra}"
+            False, stage=STAGE_A20,
+            detail=f"second time derivative has weight {radial.coefficient(2, 0)}",
         )
-    beta = radial.coefficient(0, 0)
-    alpha = -radial.coefficient(0, 1)
-    a10 = radial.coefficient(1, 0)
-    a20 = radial.coefficient(2, 0)
-    if a20:
-        return SecondOrderVerdict(
-            False, stage=STAGE_A20, detail=f"second time derivative has weight {a20}"
-        )
-    if not alpha:
-        # Impossible: order 2 with rotation invariance and a20 = 0 forces
-        # a nonzero Laplacian weight.
-        raise InconsistencyError("order-2 pipeline reached lam with alpha = 0")
-    lam_value = -I_UNIT * a10 / (2 * alpha)
     if lam_value.im != 0:
-        return SecondOrderVerdict(
-            False,
-            stage=STAGE_LAMBDA,
-            lam_value=lam_value,
-            detail=f"derived lam = {lam_value} is not real",
-        )
-    lam = lam_value.re
+        return SecondOrderVerdict(False, stage=STAGE_LAMBDA, lam_value=lam_value,
+                                  detail=f"derived lam = {lam_value} is not real")
+    alpha, beta, lam = -radial.coefficient(0, 1), radial.coefficient(0, 0), lam_value.re
     return SecondOrderVerdict(
         True, alpha=alpha, beta=beta, lam=lam, theta=gauge_phase(lam), lam_value=lam_value
     )
@@ -137,33 +144,16 @@ def classify_power_form(op: LPDO, lam: Fraction | int) -> PowerFormVerdict:
     lam = Fraction(lam)
     if lam == 0:
         raise ValueError("the fixed-gauge classification requires lam != 0")
-    translation = check_translation_invariance(op)
-    if not translation.invariant:
+    radial = _radial_or_reject(op, partial(PowerFormVerdict, False, lam))
+    if isinstance(radial, PowerFormVerdict):
+        return radial
+    if _boost_gauge(radial, lam) is None:
         return PowerFormVerdict(
-            False, lam, stage=STAGE_NON_CONSTANT, report=translation,
-            detail=translation.detail,
-        )
-    rotation = check_rotation_invariance(op)
-    if not rotation.invariant:
-        return PowerFormVerdict(
-            False, lam, stage=STAGE_ROTATION, report=rotation, detail=rotation.detail
-        )
-    # On a radial p = q(tau, |xi|^2) every generator image equals
-    # xi_a*(2*lam*q_s - q_tau), so the first vanishes exactly when all do.
-    p = symbol_of(op).poly
-    if not next(_boost_images(p, op.n, lam)).is_zero:
-        return PowerFormVerdict(
-            False,
-            lam,
-            stage=STAGE_RESIDUAL_XI,
+            False, lam, stage=STAGE_RESIDUAL_XI,
             detail="the boost generator lam*d/dxi1 - xi1*d/dtau does not annihilate the symbol",
         )
-    tau = p.variables.index(universe.FREQ_TIME)
     scale = Fraction(-1, 2) / lam
-    coeffs = [
-        p.coefficient(tuple(j if i == tau else 0 for i in range(len(p.variables)))) * scale**j
-        for j in range(op.order // 2 + 1)
-    ]
+    coeffs = [radial.coefficient(j, 0) * i_power(j) * scale**j for j in range(op.order // 2 + 1)]
     if op.order % 2 or not coeffs[-1]:
         # p = g(2*lam*tau + |xi|^2) has even order 2*deg(g) and a_K != 0.
         raise InconsistencyError(f"annihilated symbol of order {op.order} is not a power form")

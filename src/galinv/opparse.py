@@ -41,11 +41,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from . import universe
 from .gaussrat import GaussianRational, I_UNIT, format_gaussian
 from .lpdo import LPDO, Symbol, laplacian_symbol
-from .multipoly import MAX_DIMENSION, MAX_NESTING_DEPTH, MAX_TOTAL_DEGREE, MultiPoly
+from .multipoly import MAX_DIMENSION, MAX_NESTING_DEPTH, MAX_TOTAL_DEGREE, MultiPoly, product_sum
 
 
 class ParseError(ValueError):
@@ -115,6 +116,10 @@ class _Parser:
         self.depth = 0
         self.n = n
         self.names = universe.symbol_vars(n)
+        # Variable i sits at byte i of a packed monomial: (t, x) fill the
+        # low n + 1 bytes and (tau, xi) the next n + 1.
+        self.coord_mask = (1 << 8 * (n + 1)) - 1
+        self.freq_mask = self.coord_mask << 8 * (n + 1)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -135,18 +140,21 @@ class _Parser:
         return value
 
     def expr(self) -> MultiPoly:
-        negate = False
-        if self.peek().text == "-":
-            self.advance()
-            negate = True
-        value = self.term()
+        negate = self.peek().text == "-"
         if negate:
-            value = -value
+            self.advance()
+        value = self.term()
+        if self.peek().text not in ("+", "-"):
+            return -value if negate else value
+        return product_sum(self.names, self._signed_terms(value, negate))
+
+    def _signed_terms(self, first: MultiPoly, negate: bool) -> Iterator[tuple[MultiPoly, MultiPoly]]:
+        """(sign, term) pairs of a sum, parsed as `product_sum` asks for them."""
+        one = MultiPoly.const(self.names, 1)
+        yield (-one if negate else one), first
         while self.peek().text in ("+", "-"):
-            op = self.advance().text
-            rhs = self.term()
-            value = value + (-rhs if op == "-" else rhs)
-        return value
+            sign = -one if self.advance().text == "-" else one
+            yield sign, self.term()
 
     def term(self) -> MultiPoly:
         value = self.factor()
@@ -165,10 +173,8 @@ class _Parser:
     def _refused(self, left: MultiPoly, right: MultiPoly) -> bool:
         """A derivative left of a variable coefficient: the one product
         whose composition is not the symbol product."""
-        split = self.n + 1
-        return bool(
-            left.degree_in(*self.names[split:]) and right.degree_in(*self.names[:split])
-        )
+        return (any(key & self.freq_mask for key in left._num)
+                and any(key & self.coord_mask for key in right._num))
 
     def _mul(self, left: MultiPoly, right: MultiPoly, token: _Token) -> MultiPoly:
         if self._refused(left, right):

@@ -1,0 +1,124 @@
+"""The boost-stage routes of the classifiers, kept as references.
+
+The package derives lam once, from the radial coefficients, and both
+classifiers read their last stages off that derivation.  The routes it
+replaced live here unchanged:
+
+- `classify_second_order` reads the four order-2 slots of the radial
+  decomposition, rejects any other slot as `forbidden-lower-term` (a stage
+  no order-2 operator reaches, since j + 2k <= 2 leaves only those four),
+  tests a20, and computes lam = -i*a10/(2*alpha) itself, with an internal
+  error for alpha = 0;
+- `classify_power_form` applies the first boost generator
+  lam*d/dxi1 - xi1*d/dtau to the whole symbol polynomial and reads the
+  coefficients off the pure tau terms of the symbol.
+
+The tests require both routes to give the same verdict, field by field.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from galinv import universe
+from galinv.actions import gauge_phase
+from galinv.checks import _boost_images, check_rotation_invariance, check_translation_invariance
+from galinv.classify import (
+    STAGE_A20,
+    STAGE_LAMBDA,
+    STAGE_NON_CONSTANT,
+    STAGE_NOT_ORDER_2,
+    STAGE_RESIDUAL_XI,
+    STAGE_ROTATION,
+    PowerFormVerdict,
+    SecondOrderVerdict,
+)
+from galinv.errors import InconsistencyError
+from galinv.gaussrat import I_UNIT
+from galinv.lpdo import LPDO, symbol_of
+
+STAGE_FORBIDDEN = "forbidden-lower-term"
+
+_ORDER2_SLOTS = {(0, 0), (0, 1), (1, 0), (2, 0)}
+
+
+def classify_second_order(op: LPDO) -> SecondOrderVerdict:
+    translation = check_translation_invariance(op)
+    if not translation.invariant:
+        return SecondOrderVerdict(
+            False, stage=STAGE_NON_CONSTANT, report=translation,
+            detail=translation.detail,
+        )
+    rotation = check_rotation_invariance(op)
+    if not rotation.invariant:
+        return SecondOrderVerdict(
+            False, stage=STAGE_ROTATION, report=rotation, detail=rotation.detail
+        )
+    if op.order != 2:
+        return SecondOrderVerdict(
+            False, stage=STAGE_NOT_ORDER_2, detail=f"effective order is {op.order}"
+        )
+    radial = rotation.radial
+    extra = [key for key in radial.b if key not in _ORDER2_SLOTS]
+    if extra:
+        return SecondOrderVerdict(
+            False, stage=STAGE_FORBIDDEN, detail=f"unexpected radial terms {extra}"
+        )
+    beta = radial.coefficient(0, 0)
+    alpha = -radial.coefficient(0, 1)
+    a10 = radial.coefficient(1, 0)
+    a20 = radial.coefficient(2, 0)
+    if a20:
+        return SecondOrderVerdict(
+            False, stage=STAGE_A20, detail=f"second time derivative has weight {a20}"
+        )
+    if not alpha:
+        raise InconsistencyError("order-2 pipeline reached lam with alpha = 0")
+    lam_value = -I_UNIT * a10 / (2 * alpha)
+    if lam_value.im != 0:
+        return SecondOrderVerdict(
+            False,
+            stage=STAGE_LAMBDA,
+            lam_value=lam_value,
+            detail=f"derived lam = {lam_value} is not real",
+        )
+    lam = lam_value.re
+    return SecondOrderVerdict(
+        True, alpha=alpha, beta=beta, lam=lam, theta=gauge_phase(lam), lam_value=lam_value
+    )
+
+
+def classify_power_form(op: LPDO, lam: Fraction | int) -> PowerFormVerdict:
+    lam = Fraction(lam)
+    if lam == 0:
+        raise ValueError("the fixed-gauge classification requires lam != 0")
+    translation = check_translation_invariance(op)
+    if not translation.invariant:
+        return PowerFormVerdict(
+            False, lam, stage=STAGE_NON_CONSTANT, report=translation,
+            detail=translation.detail,
+        )
+    rotation = check_rotation_invariance(op)
+    if not rotation.invariant:
+        return PowerFormVerdict(
+            False, lam, stage=STAGE_ROTATION, report=rotation, detail=rotation.detail
+        )
+    # On a radial p = q(tau, |xi|^2) every generator image equals
+    # xi_a*(2*lam*q_s - q_tau), so the first vanishes exactly when all do.
+    p = symbol_of(op).poly
+    if not next(_boost_images(p, op.n, lam)).is_zero:
+        return PowerFormVerdict(
+            False,
+            lam,
+            stage=STAGE_RESIDUAL_XI,
+            detail="the boost generator lam*d/dxi1 - xi1*d/dtau does not annihilate the symbol",
+        )
+    tau = p.variables.index(universe.FREQ_TIME)
+    scale = Fraction(-1, 2) / lam
+    coeffs = [
+        p.coefficient(tuple(j if i == tau else 0 for i in range(len(p.variables)))) * scale**j
+        for j in range(op.order // 2 + 1)
+    ]
+    if op.order % 2 or not coeffs[-1]:
+        raise InconsistencyError(f"annihilated symbol of order {op.order} is not a power form")
+    return PowerFormVerdict(True, lam, coeffs=tuple(coeffs))

@@ -7,9 +7,9 @@ lives here as the reference: expand p at the boosted frequency over
 (tau, xi, v), subtract p, test the residue for zero, and search seeded
 rational points for a nonzero value of the residue.  The differentiation
 oracle and the power-form classifier give two more routes to agree with.
-The power-form classifier decides its last stage with the same
-generators, and its old route, the mu substitution of
-`reference_symbols.reference_power_form`, is its reference.
+The power-form classifier decides its last stage from the radial
+coefficients (`test_classify_routes`), and its older route, the mu
+substitution of `reference_symbols.reference_power_form`, is a reference.
 """
 
 import random

@@ -10,7 +10,6 @@ from galinv import (
     LPDO,
     GaussianRational,
     InconsistencyError,
-    MultiPoly,
     check_boost_invariance_fixed_gauge,
     check_rotation_invariance,
     check_translation_invariance,
@@ -206,14 +205,10 @@ def test_residual_reject_names_the_failing_generator():
 
 
 def test_annihilated_odd_order_symbol_fails_loudly(monkeypatch, capsys):
-    # With a generator helper that yields only zeros, Dt (odd order, rotation
-    # invariant) passes the generator stage: that must be an internal error
-    # (exit 3), never a reject (exit 1).
-    def zeros(p, n, lam):
-        for _ in range(n):
-            yield MultiPoly.zero(p.variables)
-
-    monkeypatch.setattr(classify, "_boost_images", zeros)
+    # With a boost stage that accepts every lam, Dt (odd order, rotation
+    # invariant) passes it: that must be an internal error (exit 3), never a
+    # reject (exit 1).
+    monkeypatch.setattr(classify, "_boost_gauge", lambda radial, lam=None: lam)
     with pytest.raises(InconsistencyError):
         classify_power_form(LPDO.time_derivative(2), 1)
     assert cli.main(["classifym", "Dt", "--n", "2", "--lambda", "1"]) == 3

@@ -253,3 +253,36 @@ def test_wide_sum_of_powers_parses_fast():
     op = parse_operator(text, n=n)
     assert time.perf_counter() - start < 1.5
     assert op.order == 4 and op.is_constant_coefficient
+
+
+def test_wide_sum_at_the_dimension_cap_parses_fast():
+    """The summands are added up in one pass and the refusal test reads two
+    byte masks, so no summand costs a pass over the running sum or the names."""
+    n = MAX_DIMENSION
+    text = " + ".join(f"Dx{a}^4" for a in range(1, n + 1))
+    start = time.perf_counter()
+    op = parse_operator(text, n=n)
+    assert time.perf_counter() - start < 1.5
+    assert op.order == 4 and len(op.coeffs) == n
+
+
+_SUMMANDS = ("Dt", "Dx1^2", "Lap", "t*Dx2", "x1", "2i", "1/3*Dt^2", "(Dx1 - Dt)^2", "Dx1*Dx2")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("+-"), st.sampled_from(_SUMMANDS)), min_size=1, max_size=8))
+def test_sum_matches_the_left_to_right_chain(signed):
+    """The one-pass sum keeps the value, denominator and term order of
+    adding the summands one at a time, cancellations included."""
+    from galinv.opparse import _Parser, _tokenize
+
+    def symbol(text):
+        return _Parser(_tokenize(text), 2).parse()
+
+    chain = -symbol(signed[0][1]) if signed[0][0] == "-" else symbol(signed[0][1])
+    for sign, summand in signed[1:]:
+        chain = chain + (-symbol(summand) if sign == "-" else symbol(summand))
+    text = ("-" if signed[0][0] == "-" else "") + signed[0][1]
+    text += "".join(f" {sign} {summand}" for sign, summand in signed[1:])
+    total = symbol(text)
+    assert (total._den, list(total._num.items())) == (chain._den, list(chain._num.items()))

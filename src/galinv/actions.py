@@ -115,17 +115,20 @@ def boosted_frequency(
     """Frequency transport law of the gauged boost.
 
     Components left as None stay symbolic; the result is a pair of
-    polynomials over the boost universe (or `variables` if given).
+    polynomials over the boost universe (or `variables` if given).  When
+    every component is given, the law runs on the `Fraction`s and only
+    its results become constant polynomials.
     """
     lam = Fraction(lam)
     names = tuple(variables) if variables is not None else universe.boost_vars(n)
     _check_components("v", v, n)
     _check_components("xi", xi, n)
+    concrete = v is not None and tau is not None and xi is not None
 
-    def value_of(name: str, given) -> MultiPoly:
+    def value_of(name: str, given) -> MultiPoly | Fraction:
         if given is None:
             return MultiPoly.var(names, name)
-        return MultiPoly.const(names, Fraction(given))
+        return Fraction(given) if concrete else MultiPoly.const(names, Fraction(given))
 
     tau_p = value_of(universe.FREQ_TIME, tau)
     xi_p = [
@@ -136,13 +139,14 @@ def boosted_frequency(
         value_of(universe.boost(a), None if v is None else v[a - 1])
         for a in range(1, n + 1)
     ]
-    dot = MultiPoly.zero(names)
-    speed2 = MultiPoly.zero(names)
+    dot = speed2 = 0
     for xa, va in zip(xi_p, v_p):
         dot = dot + xa * va
         speed2 = speed2 + va * va
     new_tau = tau_p - dot - speed2 * Fraction(lam, 2)
     new_xi = tuple(xa + va * lam for xa, va in zip(xi_p, v_p))
+    if concrete:
+        new_tau, new_xi = MultiPoly.const(names, new_tau), tuple(MultiPoly.const(names, x) for x in new_xi)
     return BoostedFrequency(new_tau, new_xi, Fraction(c))
 
 

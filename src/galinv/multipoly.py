@@ -105,17 +105,14 @@ class MultiPoly:
 
     @classmethod
     def const(cls, variables: Sequence[str], value: GaussianLike) -> "MultiPoly":
-        variables = _universe(variables)
-        a, b, d = as_gaussian(value)._t
-        return _build(variables, d, {0: (a, b)} if a or b else {})
+        return _const(_universe(variables), value)
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "MultiPoly":
         variables = tuple(variables)
         if name not in variables:
             raise ValueError(f"variable {name!r} is not in universe {variables}")
-        idx, width = variables.index(name), len(_universe(variables))
-        return _build(variables, 1, {(1 << 8 * idx) + (1 << 8 * width): (1, 0)})
+        return _var(_universe(variables), variables.index(name))
 
     # ------------------------------------------------------------------
     # predicates and accessors
@@ -186,7 +183,7 @@ class MultiPoly:
 
     def _coerce(self, other) -> "MultiPoly | None":
         if isinstance(other, MultiPoly):
-            if other.variables != self.variables:
+            if other.variables is not self.variables and other.variables != self.variables:
                 raise ValueError(
                     f"universe mismatch: {self.variables} vs {other.variables}"
                 )
@@ -230,6 +227,14 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        den = self._den * other._den
+        if len(self._num) == 1 or len(other._num) == 1:
+            # Times one term: shifting the keys keeps them distinct, so no
+            # lookups, and Gaussian integers have no zero divisors.
+            one, many = (self, other) if len(self._num) == 1 else (other, self)
+            ((k1, (c, e)),) = one._num.items()
+            num = {k1 + k2: (a * c - b * e, a * e + b * c) for k2, (a, b) in many._num.items()}
+            return MultiPoly._make(self.variables, den, num)
         product: dict[int, tuple[int, int]] = {}
         get = product.get
         right = list(other._num.items())
@@ -238,7 +243,7 @@ class MultiPoly:
                 key = k1 + k2
                 re, im = get(key, (0, 0))
                 product[key] = (re + a * c - b * e, im + a * e + b * c)
-        return MultiPoly._make(self.variables, self._den * other._den, product)
+        return MultiPoly._make(self.variables, den, product)
 
     __rmul__ = __mul__
 
@@ -373,6 +378,8 @@ class MultiPoly:
             missing = set(self.variables) - set(variables)
             raise ValueError(f"target universe is missing {sorted(missing)}")
         width, new_width = len(self.variables), len(_universe(variables))
+        if not any(self._num):  # a constant keeps its one key, 0
+            return _build(variables, self._den, self._num)
         positions.append(new_width)  # the degree byte
         out: dict[int, tuple[int, int]] = {}
         for key, pair in self._num.items():
@@ -426,6 +433,28 @@ def _build(variables, den, num, terms=None, poly=None) -> MultiPoly:
     _set_num(poly, num)
     _set_terms(poly, terms)
     return poly
+
+
+def _const(variables: tuple[str, ...], value: GaussianLike) -> MultiPoly:
+    """A constant over a universe that `_universe` has accepted."""
+    a, b, d = as_gaussian(value)._t
+    return _build(variables, d, {0: (a, b)} if a or b else {})
+
+
+def _var(variables: tuple[str, ...], index: int) -> MultiPoly:
+    """The index-th variable of a universe that `_universe` has accepted."""
+    return _build(variables, 1, {(1 << 8 * index) + (1 << 8 * len(variables)): (1, 0)})
+
+
+def _rational_terms(variables: tuple[str, ...], terms: Iterable[tuple[Sequence[int], Fraction | int]]) -> MultiPoly:
+    """sum(value * product of variables[i] for i in indices) over (indices,
+    value) pairs with distinct index multisets, in their order, zero values
+    dropped, over a universe that `_universe` has accepted."""
+    terms = [(indices, Fraction(value)) for indices, value in terms]
+    den, top = lcm(*(value.denominator for _, value in terms)), 8 * len(variables)
+    num = {sum(1 << 8 * i for i in indices) + (len(indices) << top): (value.numerator * (den // value.denominator), 0)
+           for indices, value in terms}
+    return MultiPoly._make(variables, den, num)
 
 
 def _universe(variables: Sequence[str]) -> tuple[str, ...]:

@@ -46,7 +46,9 @@ from typing import Iterator
 from . import universe
 from .gaussrat import GaussianRational, I_UNIT, format_gaussian
 from .lpdo import LPDO, Symbol, laplacian_symbol
-from .multipoly import MAX_DIMENSION, MAX_NESTING_DEPTH, MAX_TOTAL_DEGREE, MultiPoly, product_sum
+from .multipoly import (
+    MAX_DIMENSION, MAX_NESTING_DEPTH, MAX_TOTAL_DEGREE, MultiPoly, _const, _universe, _var, product_sum,
+)
 
 
 class ParseError(ValueError):
@@ -115,7 +117,8 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.n = n
-        self.names = universe.symbol_vars(n)
+        # Validated once; every atom is built over this one tuple.
+        self.names = _universe(universe.symbol_vars(n))
         # Variable i sits at byte i of a packed monomial: (t, x) fill the
         # low n + 1 bytes and (tau, xi) the next n + 1.
         self.coord_mask = (1 << 8 * (n + 1)) - 1
@@ -150,7 +153,7 @@ class _Parser:
 
     def _signed_terms(self, first: MultiPoly, negate: bool) -> Iterator[tuple[MultiPoly, MultiPoly]]:
         """(sign, term) pairs of a sum, parsed as `product_sum` asks for them."""
-        one = MultiPoly.const(self.names, 1)
+        one = _const(self.names, 1)
         yield (-one if negate else one), first
         while self.peek().text in ("+", "-"):
             sign = -one if self.advance().text == "-" else one
@@ -166,7 +169,7 @@ class _Parser:
             elif look.kind == "name" and look.text == "i":
                 # juxtaposed imaginary unit, as in 2i or (1/2)i
                 self.advance()
-                value = self._mul(value, MultiPoly.const(self.names, I_UNIT), look)
+                value = self._mul(value, _const(self.names, I_UNIT), look)
             else:
                 return value
 
@@ -204,7 +207,7 @@ class _Parser:
             self.fail(
                 f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}", caret
             )
-        result = MultiPoly.const(self.names, 1)
+        result = _const(self.names, 1)
         for _ in range(k):
             result = result * value
         return result
@@ -213,7 +216,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "number":
             self.advance()
-            return MultiPoly.const(self.names, Fraction(token.text))
+            return _const(self.names, Fraction(token.text))
         if token.text == "(":
             if self.depth == MAX_NESTING_DEPTH:
                 self.fail(f"parentheses nest deeper than {MAX_NESTING_DEPTH} levels")
@@ -235,12 +238,13 @@ class _Parser:
         if not m:
             self.fail(f"unknown name {token.text!r}", token)
         text = token.text
+        # Variable i of the universe: t is 0, x<k> is k, tau is n + 1, xi<k> is n + 1 + k.
         if text in ("i", "I"):
-            return MultiPoly.const(self.names, I_UNIT if text == "i" else 1)
+            return _const(self.names, I_UNIT if text == "i" else 1)
         if text == "t":
-            return MultiPoly.var(self.names, universe.TIME)
+            return _var(self.names, 0)
         if text == "Dt":
-            return MultiPoly.var(self.names, universe.FREQ_TIME) * I_UNIT
+            return _var(self.names, self.n + 1) * I_UNIT
         if text == "Lap":
             return laplacian_symbol(self.n)
         index = int(m.group(2) or m.group(3))
@@ -249,8 +253,8 @@ class _Parser:
         if index > self.n:
             self.fail(f"spatial index {index} exceeds the dimension n = {self.n}", token)
         if text.startswith("Dx"):
-            return MultiPoly.var(self.names, universe.freq_space(index)) * I_UNIT
-        return MultiPoly.var(self.names, universe.space(index))
+            return _var(self.names, self.n + 1 + index) * I_UNIT
+        return _var(self.names, index)
 
 
 def _scan_dimension(tokens: list[_Token]) -> tuple[int, bool]:

@@ -15,10 +15,9 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import universe
-from .actions import boost_phase_poly
 from .gaussrat import GaussianRational
 from .lpdo import LPDO
-from .multipoly import MultiPoly, product_sum
+from .multipoly import MultiPoly, _rational_terms, product_sum
 from .waves import ExpWave, plane_wave
 
 
@@ -98,18 +97,19 @@ def boost_commutator_defect(
     n = op.n
     if len(v) != n:
         raise ValueError(f"boost has {len(v)} components, expected {n}")
-    lam = Fraction(lam)
+    lam, v = Fraction(lam), [Fraction(va) for va in v]
     names = universe.symbol_vars(n)
-    theta = (
-        boost_phase_poly(lam, c, n, v=v).extend(names)
-        if lam
-        else MultiPoly.const(names, Fraction(c))
-    )
-    pullback: dict[str, MultiPoly] = {}
-    t_var = MultiPoly.var(names, universe.TIME)
-    for a in range(1, n + 1):
-        name = universe.space(a)
-        pullback[name] = MultiPoly.var(names, name) - t_var * Fraction(v[a - 1])
+    # theta = c + lam*v.x - (lam/2)*|v|^2*t, from its terms: variable 0 is
+    # t and variable a is x_a.  Zero terms drop out.
+    phase_terms = [((), c)]
+    if lam:
+        phase_terms += [((a,), lam * va) for a, va in enumerate(v, start=1)]
+        phase_terms.append(((0,), -lam / 2 * sum(va * va for va in v)))
+    theta = _rational_terms(names, phase_terms)
+    pullback = {
+        universe.space(a): _rational_terms(names, [((a,), 1), ((0,), -va)])
+        for a, va in enumerate(v, start=1)
+    }
 
     wave = plane_wave(n)
     lhs = apply_lpdo(op, wave).substitute(pullback).with_phase_added(theta)

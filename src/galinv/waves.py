@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .gaussrat import GaussianRational, I_UNIT
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, _rational_terms
 from . import universe
 
 
@@ -47,7 +47,11 @@ class ExpWave:
         i_dphi = gradient.get(name)
         if i_dphi is None:
             i_dphi = gradient[name] = self.phase.partial(name) * I_UNIT
-        out = ExpWave(self.amplitude.partial(name) + self.amplitude * i_dphi, self.phase)
+        amplitude = self.amplitude.partial(name) + self.amplitude * i_dphi
+        # The shared phase was checked when this wave was built: no __init__ checks.
+        out = object.__new__(ExpWave)
+        object.__setattr__(out, "amplitude", amplitude)
+        object.__setattr__(out, "phase", self.phase)
         object.__setattr__(out, "_gradient", gradient)
         return out
 
@@ -78,11 +82,8 @@ class ExpWave:
 def plane_wave(n: int) -> ExpWave:
     """exp(i(tau*t + xi.x)) with symbolic frequency, over the symbol universe."""
     names = universe.symbol_vars(n)
-    phase = MultiPoly.var(names, universe.FREQ_TIME) * MultiPoly.var(names, universe.TIME)
-    for a in range(1, n + 1):
-        phase = phase + MultiPoly.var(names, universe.freq_space(a)) * MultiPoly.var(
-            names, universe.space(a)
-        )
+    # Coordinate a (t for a = 0) is variable a, and its frequency variable n + 1 + a.
+    phase = _rational_terms(names, [((a, n + 1 + a), 1) for a in range(n + 1)])
     return ExpWave(MultiPoly.const(names, 1), phase)
 
 

@@ -6,6 +6,10 @@ The representation it replaced lives here unchanged: a map from
 exponent tuples to `GaussianRational` coefficients, each operation
 built from coefficient arithmetic.  The tests require the two kernels
 to agree exactly on every operation, accessor, string and error.
+
+`double_loop_mul` is the packed kernel's product before a one-term
+factor took a key shift; the tests require the two products to give
+identical internals, term order and errors.
 """
 
 from __future__ import annotations
@@ -397,3 +401,20 @@ def _signed_term(coeff: GaussianRational, mono: str) -> tuple[str, str]:
     else:
         return "+", f"({format_gaussian(coeff)})" + (f"*{mono}" if mono else "")
     return sign, body + (f"*{mono}" if mono else "")
+
+
+def double_loop_mul(p, q):
+    """The package's product of two `galinv.MultiPoly`s before a one-term
+    factor took the key-shift path: every pair of packed terms is added
+    into one dict, looking each key up."""
+    if p.variables != q.variables:
+        raise ValueError(f"universe mismatch: {p.variables} vs {q.variables}")
+    product: dict[int, tuple[int, int]] = {}
+    get = product.get
+    right = list(q._num.items())
+    for k1, (a, b) in p._num.items():
+        for k2, (c, e) in right:
+            key = k1 + k2
+            re, im = get(key, (0, 0))
+            product[key] = (re + a * c - b * e, im + a * e + b * c)
+    return type(p)._make(p.variables, p._den * q._den, product)

@@ -1,16 +1,30 @@
-"""The oracle's routes before the gradient cache and the one-pass sum.
+"""The oracle's and the boost witness's routes before their lean paths.
 
 `galinv.waves.ExpWave.differentiate` takes i*dphi once per name and
 phase, and `galinv.oracle.apply_lpdo` adds each product of a coefficient
 and a derivative into one dict (`multipoly.product_sum`).  The routes
 they replaced live here unchanged: every step takes the phase partial
-afresh, and each key's product is added to a growing total.  The tests
-require the two routes to give identical internals and term order.
+afresh, and each key's product is added to a growing total.
+
+`galinv.oracle.boost_commutator_defect` and `galinv.waves.plane_wave`
+build the gauge phase theta, the pull-back bindings and the plane-wave
+phase from their terms, in one constructor each, and
+`galinv.actions.boosted_frequency` runs the transport law of a concrete
+point on `Fraction`s.  Their old routes live here too: theta through
+`boost_phase_poly` and `extend`, bindings and phase by variable
+arithmetic, and the transport law on constant polynomials.
+
+The tests require each pair of routes to give identical internals and
+term order.
 """
 
 from __future__ import annotations
 
-from galinv import ExpWave, I_UNIT, LPDO, MultiPoly
+from fractions import Fraction
+from typing import Sequence
+
+from galinv import ExpWave, I_UNIT, LPDO, MultiPoly, boost_phase_poly, universe
+from galinv.actions import BoostedFrequency, _check_components
 from galinv.oracle import _steps
 
 
@@ -47,3 +61,82 @@ def apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
             steps.append(name)
         total = total + poly.extend(names) * chain[-1].amplitude
     return ExpWave(total, wave.phase)
+
+
+def plane_wave(n: int) -> ExpWave:
+    """exp(i(tau*t + xi.x)), its phase built by products and sums."""
+    names = universe.symbol_vars(n)
+    phase = MultiPoly.var(names, universe.FREQ_TIME) * MultiPoly.var(names, universe.TIME)
+    for a in range(1, n + 1):
+        phase = phase + MultiPoly.var(names, universe.freq_space(a)) * MultiPoly.var(
+            names, universe.space(a)
+        )
+    return ExpWave(MultiPoly.const(names, 1), phase)
+
+
+def boost_setup(n: int, lam, v, c=0) -> tuple[MultiPoly, dict[str, MultiPoly]]:
+    """theta over the symbol universe and the bindings x_a -> x_a - v_a*t."""
+    lam = Fraction(lam)
+    names = universe.symbol_vars(n)
+    theta = (
+        boost_phase_poly(lam, c, n, v=v).extend(names)
+        if lam
+        else MultiPoly.const(names, Fraction(c))
+    )
+    pullback: dict[str, MultiPoly] = {}
+    t_var = MultiPoly.var(names, universe.TIME)
+    for a in range(1, n + 1):
+        name = universe.space(a)
+        pullback[name] = MultiPoly.var(names, name) - t_var * Fraction(v[a - 1])
+    return theta, pullback
+
+
+def boost_commutator_defect(op: LPDO, lam, v, c=0) -> MultiPoly:
+    """The defect on the old set-up and the routes above."""
+    if len(v) != op.n:
+        raise ValueError(f"boost has {len(v)} components, expected {op.n}")
+    theta, pullback = boost_setup(op.n, lam, v, c)
+    wave = plane_wave(op.n)
+    lhs = apply_lpdo(op, wave).substitute(pullback).with_phase_added(theta)
+    rhs = apply_lpdo(op, wave.substitute(pullback).with_phase_added(theta))
+    assert lhs.phase == rhs.phase
+    return lhs.amplitude - rhs.amplitude
+
+
+def boosted_frequency(
+    n: int,
+    lam,
+    v: Sequence | None = None,
+    tau=None,
+    xi: Sequence | None = None,
+    c=0,
+    variables: Sequence[str] | None = None,
+) -> BoostedFrequency:
+    """The transport law with every given component a constant polynomial."""
+    lam = Fraction(lam)
+    names = tuple(variables) if variables is not None else universe.boost_vars(n)
+    _check_components("v", v, n)
+    _check_components("xi", xi, n)
+
+    def value_of(name: str, given) -> MultiPoly:
+        if given is None:
+            return MultiPoly.var(names, name)
+        return MultiPoly.const(names, Fraction(given))
+
+    tau_p = value_of(universe.FREQ_TIME, tau)
+    xi_p = [
+        value_of(universe.freq_space(a), None if xi is None else xi[a - 1])
+        for a in range(1, n + 1)
+    ]
+    v_p = [
+        value_of(universe.boost(a), None if v is None else v[a - 1])
+        for a in range(1, n + 1)
+    ]
+    dot = MultiPoly.zero(names)
+    speed2 = MultiPoly.zero(names)
+    for xa, va in zip(xi_p, v_p):
+        dot = dot + xa * va
+        speed2 = speed2 + va * va
+    new_tau = tau_p - dot - speed2 * Fraction(lam, 2)
+    new_xi = tuple(xa + va * lam for xa, va in zip(xi_p, v_p))
+    return BoostedFrequency(new_tau, new_xi, Fraction(c))

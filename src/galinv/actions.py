@@ -14,11 +14,11 @@ x-independent and drops out of every plane-wave computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from . import universe
+from .universe import _FrozenValue
 from .lpdo import LPDO, Symbol, symbol_of
 from .multipoly import MultiPoly
 
@@ -29,16 +29,14 @@ QUADRATIC = "quadratic"
 X_INDEPENDENT = "x-independent"
 
 
-@dataclass(frozen=True)
-class Translation:
+class Translation(_FrozenValue):
     """A space-time shift by (s, y)."""
 
-    s: Fraction
-    y: tuple[Fraction, ...]
+    _fields = ("s", "y")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s", Fraction(self.s))
-        object.__setattr__(self, "y", tuple(Fraction(c) for c in self.y))
+    def __init__(self, s: Fraction, y: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "s", Fraction(s))
+        object.__setattr__(self, "y", tuple(Fraction(c) for c in y))
 
     @property
     def n(self) -> int:
@@ -90,17 +88,19 @@ def conj_rotation(op: LPDO, rot: Rotation) -> LPDO:
     return LPDO._of_symbol(Symbol(sym.poly.substitute(bindings), op.n, op.order))
 
 
-@dataclass(frozen=True)
-class BoostedFrequency:
+class BoostedFrequency(_FrozenValue):
     """Image of a plane-wave frequency under a gauged boost.
 
     The transported wave is exp(i * phase_const) times the plane wave at
     the new frequency (tau - xi.v - (lam/2)|v|^2, xi + lam*v).
     """
 
-    tau: MultiPoly
-    xi: tuple[MultiPoly, ...]
-    phase_const: Fraction
+    _fields = ("tau", "xi", "phase_const")
+
+    def __init__(self, tau: MultiPoly, xi: tuple[MultiPoly, ...], phase_const: Fraction) -> None:
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "phase_const", phase_const)
 
 
 def boosted_frequency(
@@ -170,8 +170,7 @@ def conj_boost_gauge(
     return symbol_of(op).poly.extend(names).substitute(bindings)
 
 
-@dataclass(frozen=True)
-class GaugePhase:
+class GaugePhase(_FrozenValue):
     """The gauge phase family attached to boosts.
 
     The kind follows from lam: "quadratic" stands for
@@ -180,12 +179,11 @@ class GaugePhase:
     canonical polynomial exists.
     """
 
-    lam: Fraction = Fraction(0)
-    c: Fraction = Fraction(0)
+    _fields = ("lam", "c")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        object.__setattr__(self, "c", Fraction(self.c))
+    def __init__(self, lam: Fraction = Fraction(0), c: Fraction = Fraction(0)) -> None:
+        object.__setattr__(self, "lam", Fraction(lam))
+        object.__setattr__(self, "c", Fraction(c))
 
     @property
     def kind(self) -> str:

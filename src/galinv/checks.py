@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
@@ -37,6 +36,7 @@ from .errors import InconsistencyError
 from .gaussrat import GaussianRational, i_power
 from .lpdo import LPDO, DerivKey, laplacian_symbol, symbol_of
 from .multipoly import MultiPoly, _radial_parts, _relabelling_moves, _symmetric
+from .universe import _Value, random_rational
 
 if TYPE_CHECKING:
     from .matrices import Rotation
@@ -49,36 +49,44 @@ _WITNESS_SEED = 39021
 _BOOST_ATTEMPTS = 500
 
 
-@dataclass
-class TranslationWitness:
+class TranslationWitness(_Value):
     """A coefficient whose monomial moves under a unit shift."""
 
-    key: DerivKey
-    monomial: tuple[int, ...]
-    shift: Translation
+    _fields = ("key", "monomial", "shift")
+
+    def __init__(self, key: DerivKey, monomial: tuple[int, ...], shift: Translation) -> None:
+        self.key = key
+        self.monomial = monomial
+        self.shift = shift
 
     def reverify(self, op: LPDO) -> bool:
         return conj_translation(op, self.shift) != op
 
 
-@dataclass
-class RotationWitness:
+class RotationWitness(_Value):
     """An exact orthogonal map that fails to fix the operator."""
 
-    rotation: Rotation
+    _fields = ("rotation",)
+
+    def __init__(self, rotation: Rotation) -> None:
+        self.rotation = rotation
 
     def reverify(self, op: LPDO) -> bool:
         return conj_rotation(op, self.rotation) != op
 
 
-@dataclass
-class BoostWitness:
+class BoostWitness(_Value):
     """A concrete boost and frequency where the commutator defect is nonzero."""
 
-    lam: Fraction
-    v: tuple[Fraction, ...]
-    tau: Fraction
-    xi: tuple[Fraction, ...]
+    _fields = ("lam", "v", "tau", "xi")
+
+    def __init__(
+        self, lam: Fraction, v: tuple[Fraction, ...], tau: Fraction, xi: tuple[Fraction, ...]
+    ) -> None:
+        self.lam = lam
+        self.v = v
+        self.tau = tau
+        self.xi = xi
 
     def reverify(self, op: LPDO) -> bool:
         # Re-verified through the oracle route, not the symbol route.
@@ -95,14 +103,23 @@ class BoostWitness:
         return bool(defect.evaluate(point))
 
 
-@dataclass
-class CheckReport:
-    invariant: bool
-    certificate: str | None = None
-    witness: TranslationWitness | RotationWitness | BoostWitness | None = None
-    detail: str = ""
-    # Set by an accepting rotation check: the exact |xi|^2 reduction.
-    radial: RadialDecomposition | None = None
+class CheckReport(_Value):
+    _fields = ("invariant", "certificate", "witness", "detail", "radial")
+
+    def __init__(
+        self,
+        invariant: bool,
+        certificate: str | None = None,
+        witness: TranslationWitness | RotationWitness | BoostWitness | None = None,
+        detail: str = "",
+        radial: RadialDecomposition | None = None,
+    ) -> None:
+        self.invariant = invariant
+        self.certificate = certificate
+        self.witness = witness
+        self.detail = detail
+        # Set by an accepting rotation check: the exact |xi|^2 reduction.
+        self.radial = radial
 
 
 def check_translation_invariance(op: LPDO) -> CheckReport:
@@ -132,13 +149,18 @@ class NotRadial(ValueError):
     """A tau-slice of the symbol is not a polynomial in |xi|^2."""
 
 
-@dataclass
-class RadialDecomposition:
-    """b[(j, k)] such that the symbol equals sum b_jk |xi|^(2k) (i tau)^j."""
+class RadialDecomposition(_Value):
+    """b[(j, k)] such that the symbol equals sum b_jk |xi|^(2k) (i tau)^j.
+    Left out, b is a fresh empty dict."""
 
-    n: int
-    order: int
-    b: dict[tuple[int, int], GaussianRational] = field(default_factory=dict)
+    _fields = ("n", "order", "b")
+
+    def __init__(
+        self, n: int, order: int, b: dict[tuple[int, int], GaussianRational] | None = None
+    ) -> None:
+        self.n = n
+        self.order = order
+        self.b = {} if b is None else b
 
     def coefficient(self, j: int, k: int) -> GaussianRational:
         return self.b.get((j, k), GaussianRational())
@@ -282,8 +304,6 @@ def _boost_images(p: MultiPoly, n: int, lam: Fraction) -> Iterator[MultiPoly]:
 def _boost_witness(op: LPDO, lam: Fraction, p: MultiPoly) -> BoostWitness:
     """A seeded rational point of the boost universe where the residue
     p(boosted) - p is nonzero, evaluated at the point's constant image."""
-    from .oracle import random_rational
-
     n = op.n
     freq = [universe.FREQ_TIME] + [universe.freq_space(a) for a in range(1, n + 1)]
     rng = random.Random(_WITNESS_SEED)

@@ -25,7 +25,6 @@ lam = +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
@@ -41,6 +40,7 @@ from .errors import InconsistencyError
 from .gaussrat import GaussianLike, GaussianRational, as_gaussian, i_power
 from .lpdo import LPDO, Symbol, conjugate_linear_phase, linear_phase, schrodinger_symbol
 from .multipoly import MultiPoly
+from .universe import _Value
 
 STAGE_NON_CONSTANT = "non-constant-coefficients"
 STAGE_ROTATION = "rotation-failure"
@@ -50,35 +50,59 @@ STAGE_NOT_ORDER_2 = "not-order-2"
 STAGE_RESIDUAL_XI = "residual-xi-dependence"
 
 
-@dataclass
-class SecondOrderVerdict:
+class SecondOrderVerdict(_Value):
     """Accept with the exact parameters of alpha*(2i*lam*dt+Lap)+beta, or
     reject with the earliest failed stage."""
 
-    accepted: bool
-    alpha: GaussianRational | None = None
-    beta: GaussianRational | None = None
-    lam: Fraction | None = None
-    theta: GaugePhase | None = None
-    stage: str | None = None
-    lam_value: GaussianRational | None = None
-    report: CheckReport | None = None
-    detail: str = ""
+    _fields = (
+        "accepted", "alpha", "beta", "lam", "theta", "stage", "lam_value", "report", "detail")
+
+    def __init__(
+        self,
+        accepted: bool,
+        alpha: GaussianRational | None = None,
+        beta: GaussianRational | None = None,
+        lam: Fraction | None = None,
+        theta: GaugePhase | None = None,
+        stage: str | None = None,
+        lam_value: GaussianRational | None = None,
+        report: CheckReport | None = None,
+        detail: str = "",
+    ) -> None:
+        self.accepted = accepted
+        self.alpha = alpha
+        self.beta = beta
+        self.lam = lam
+        self.theta = theta
+        self.stage = stage
+        self.lam_value = lam_value
+        self.report = report
+        self.detail = detail
 
     def reverify(self, op: LPDO) -> bool:
         return self.accepted and synthesize(self.lam, [self.beta, self.alpha], op.n) == op
 
 
-@dataclass
-class PowerFormVerdict:
+class PowerFormVerdict(_Value):
     """Accept with coefficients a_0..a_K of sum a_j * (2i*lam*dt+Lap)^j."""
 
-    accepted: bool
-    lam: Fraction
-    coeffs: tuple[GaussianRational, ...] | None = None
-    stage: str | None = None
-    report: CheckReport | None = None
-    detail: str = ""
+    _fields = ("accepted", "lam", "coeffs", "stage", "report", "detail")
+
+    def __init__(
+        self,
+        accepted: bool,
+        lam: Fraction,
+        coeffs: tuple[GaussianRational, ...] | None = None,
+        stage: str | None = None,
+        report: CheckReport | None = None,
+        detail: str = "",
+    ) -> None:
+        self.accepted = accepted
+        self.lam = lam
+        self.coeffs = coeffs
+        self.stage = stage
+        self.report = report
+        self.detail = detail
 
     def reverify(self, op: LPDO) -> bool:
         return self.accepted and synthesize(self.lam, self.coeffs, op.n) == op
@@ -180,13 +204,15 @@ def synthesize(
     return LPDO._of_symbol(Symbol(total, n, total.total_degree()))
 
 
-@dataclass
-class GaugeNormalization:
+class GaugeNormalization(_Value):
     """Result of stripping the constant term by a linear-phase conjugation."""
 
-    operator: LPDO
-    phase: MultiPoly
-    real_phase: bool
+    _fields = ("operator", "phase", "real_phase")
+
+    def __init__(self, operator: LPDO, phase: MultiPoly, real_phase: bool) -> None:
+        self.operator = operator
+        self.phase = phase
+        self.real_phase = real_phase
 
 
 def normalize_gauge(verdict: SecondOrderVerdict, op: LPDO) -> GaugeNormalization:

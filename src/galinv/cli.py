@@ -14,20 +14,19 @@ All numbers are exact rationals, printed as ``p/q``; never decimals.
 from __future__ import annotations
 
 # Every subcommand needs the largest module.  Loaded first: compiled after
-# argparse and dataclasses it leaves each process's peak RSS 0.6-0.9 MiB higher.
+# argparse it leaves each process's peak RSS 0.5-1.0 MiB higher.
 from . import multipoly  # noqa: F401
 
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from . import _on_first_use
 from .actions import GaugePhase, QUADRATIC, _check_components, boost_phase_poly, gauge_phase
 from .gaussrat import format_gaussian
-from .universe import DEFAULT_SEED
+from .universe import DEFAULT_SEED, _Value, random_rational
 
 if TYPE_CHECKING:
     from .checks import CheckReport
@@ -40,37 +39,55 @@ __getattr__ = _on_first_use(globals(), {name: home for home, names in (
                "check_translation_invariance"),
     ("classify", "classify_power_form classify_second_order synthesize"),
     ("opparse", "format_operator parse_gaussian_literal parse_operator"),
-    ("oracle", "SamplePlan boost_commutator_defect random_rational"),
+    ("oracle", "SamplePlan boost_commutator_defect"),
 ) for name in names.split()})
 
 # Report fields whose kv key differs from the field name.
 _RENAMED = {"lam": "lambda"}
 
 
-@dataclass
-class Report:
+class Report(_Value):
     """Structured command output with stable field names."""
 
-    verdict: str | None = None
-    stage: str | None = None
-    alpha: str | None = None
-    beta: str | None = None
-    lam: str | None = None
-    theta: str | None = None
-    n: str | None = None
-    m: str | None = None
-    seed: str | None = None
-    coeffs: str | None = None
-    certificate: str | None = None
-    witness: str | None = None
-    operator: str | None = None
+    _fields = ("verdict", "stage", "alpha", "beta", "lam", "theta", "n", "m", "seed", "coeffs",
+               "certificate", "witness", "operator")
+
+    def __init__(
+        self,
+        verdict: str | None = None,
+        stage: str | None = None,
+        alpha: str | None = None,
+        beta: str | None = None,
+        lam: str | None = None,
+        theta: str | None = None,
+        n: str | None = None,
+        m: str | None = None,
+        seed: str | None = None,
+        coeffs: str | None = None,
+        certificate: str | None = None,
+        witness: str | None = None,
+        operator: str | None = None,
+    ) -> None:
+        self.verdict = verdict
+        self.stage = stage
+        self.alpha = alpha
+        self.beta = beta
+        self.lam = lam
+        self.theta = theta
+        self.n = n
+        self.m = m
+        self.seed = seed
+        self.coeffs = coeffs
+        self.certificate = certificate
+        self.witness = witness
+        self.operator = operator
 
     def items(self) -> list[tuple[str, str]]:
         out = []
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in self._fields:
+            value = getattr(self, name)
             if value is not None:
-                out.append((_RENAMED.get(f.name, f.name), str(value)))
+                out.append((_RENAMED.get(name, name), str(value)))
         return out
 
     def to_kv(self) -> str:
@@ -81,7 +98,7 @@ class Report:
 
     @classmethod
     def from_kv(cls, text: str) -> "Report":
-        by_key = {_RENAMED.get(f.name, f.name): f.name for f in fields(cls)}
+        by_key = {_RENAMED.get(name, name): name for name in cls._fields}
         report = cls()
         for line in text.splitlines():
             if not line.strip():
@@ -248,7 +265,7 @@ def _run(args) -> tuple[Report, int]:
         rng = random.Random(plan.seed)
         report.lam, report.seed = str(args.lam), str(args.seed)
         for _ in range(plan.count):
-            v = tuple(cli.random_rational(rng, 3) for _ in range(op.n))
+            v = tuple(random_rational(rng, 3) for _ in range(op.n))
             defect = cli.boost_commutator_defect(op, args.lam, v)
             if not defect.is_zero:
                 report.verdict, report.witness = "not-invariant", f"defect at v={_vec(v)}: {defect}"

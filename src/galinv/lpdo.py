@@ -17,11 +17,11 @@ monomials back into derivatives.  The two maps are exact inverses here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import universe
+from .universe import _FrozenValue
 from .gaussrat import GaussianLike, GaussianRational, as_gaussian, i_power
 from .multipoly import MAX_DIMENSION, MAX_TOTAL_DEGREE, MultiPoly, embed_sum, split_trailing
 
@@ -43,13 +43,15 @@ def _check_dimension(n: int) -> None:
 _ZERO_OPERATOR = "the zero operator is outside the class: no top-order coefficient"
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(_FrozenValue):
     """The plane-wave symbol of an operator, with its dimension and order."""
 
-    poly: MultiPoly
-    n: int
-    order: int
+    _fields = ("poly", "n", "order")
+
+    def __init__(self, poly: MultiPoly, n: int, order: int) -> None:
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "order", order)
 
 
 class LPDO:

@@ -14,9 +14,10 @@ the same dense rendering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Sequence
+from typing import Sequence
+
+from .universe import _FrozenValue
 
 
 def _frac_rows(entries) -> tuple[tuple[Fraction, ...], ...]:
@@ -29,12 +30,11 @@ def _frac_rows(entries) -> tuple[tuple[Fraction, ...], ...]:
     return rows
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    entries: tuple[tuple[Fraction, ...], ...]
+class RationalMatrix(_FrozenValue):
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _frac_rows(self.entries))
+    def __init__(self, entries: tuple[tuple[Fraction, ...], ...]) -> None:
+        object.__setattr__(self, "entries", _frac_rows(entries))
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -57,20 +57,19 @@ class RationalMatrix:
 Column = tuple[int, tuple[tuple[int, Fraction], ...]]
 
 
-@dataclass(frozen=True)
-class OrthogonalMatrix:
+class OrthogonalMatrix(_FrozenValue):
     """A square rational matrix verified to satisfy R^T R = I.
 
     For a square matrix that makes R^T the inverse, so R R^T = I as well.
     """
 
-    matrix: RationalMatrix
+    _fields = ("matrix",)
 
-    def __post_init__(self) -> None:
-        m = self.matrix
-        if m.rows != m.cols:
+    def __init__(self, matrix: RationalMatrix) -> None:
+        object.__setattr__(self, "matrix", matrix)
+        if matrix.rows != matrix.cols:
             raise ValueError("orthogonal matrices are square")
-        columns = [{k: e for k, e in enumerate(column) if e} for column in zip(*m.entries)]
+        columns = [{k: e for k, e in enumerate(column) if e} for column in zip(*matrix.entries)]
         if any(sum(e * v.get(k, 0) for k, e in u.items()) != (i == j)
                for i, u in enumerate(columns) for j, v in enumerate(columns)):
             raise ValueError("matrix is not orthogonal")
@@ -115,21 +114,19 @@ class _SparseForm:
         return "[" + "; ".join(" ".join(row) for row in self._rows(str)) + "]"
 
 
-@dataclass(frozen=True)
-class SignedPermutation(_SparseForm):
+class SignedPermutation(_SparseForm, _FrozenValue):
     """The orthogonal map e_j -> signs[j] * e_perm[j] (1-based perm)."""
 
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
+    _fields = ("perm", "signs")
 
-    def __post_init__(self) -> None:
-        perm, n = tuple(self.perm), len(self.perm)
+    def __init__(self, perm: tuple[int, ...], signs: tuple[int, ...]) -> None:
+        n = len(perm)
         if sorted(perm) != list(range(1, n + 1)):
-            raise ValueError(f"{self.perm} is not a permutation of 1..{n}")
-        if len(self.signs) != n or any(s not in (1, -1) for s in self.signs):
+            raise ValueError(f"{perm} is not a permutation of 1..{n}")
+        if len(signs) != n or any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +-1, one per coordinate")
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
+        object.__setattr__(self, "perm", tuple(perm))
+        object.__setattr__(self, "signs", tuple(int(s) for s in signs))
 
     @property
     def n(self) -> int:
@@ -144,19 +141,18 @@ class SignedPermutation(_SparseForm):
                 for a, (b, s) in enumerate(zip(self.perm, self.signs), 1) if b != a or s != 1]
 
 
-@dataclass(frozen=True)
-class FixedRotation(_SparseForm):
+class FixedRotation(_SparseForm, _FrozenValue):
     """R = [3/5 -4/5; 4/5 3/5] on the coordinates of `plane`, the identity
     on the others."""
 
-    n: int
-    plane: ClassVar[tuple[int, int]] = (1, 2)
-    block: ClassVar[tuple[tuple[Fraction, ...], ...]] = (
-        (Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5)))
+    _fields = ("n",)
+    plane = (1, 2)
+    block = ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5)))
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"the fixed rotation needs n >= 2, not {self.n}")
+    def __init__(self, n: int) -> None:
+        object.__setattr__(self, "n", n)
+        if n < 2:
+            raise ValueError(f"the fixed rotation needs n >= 2, not {n}")
 
     def entry(self, i: int, j: int) -> Fraction:
         if i < 2 and j < 2:  # the plane (1, 2)

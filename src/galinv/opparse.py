@@ -39,11 +39,11 @@ coefficients are read off only when something asks for them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from . import universe
+from .universe import _Value
 from .gaussrat import GaussianRational, I_UNIT, format_gaussian
 from .lpdo import LPDO, Symbol, laplacian_symbol
 from .multipoly import (
@@ -60,12 +60,14 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass
-class _Token:
-    kind: str  # number | name | op | end
-    text: str
-    line: int
-    column: int
+class _Token(_Value):
+    _fields = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int) -> None:
+        self.kind = kind  # number | name | op | end
+        self.text = text
+        self.line = line
+        self.column = column
 
 
 _TOKEN_RE = re.compile(r"\d+(?:/\d+)?|[A-Za-z][A-Za-z0-9]*|[-+*^()]|\S")

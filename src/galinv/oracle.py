@@ -10,7 +10,6 @@ intermediate machinery.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -18,24 +17,21 @@ from . import universe
 from .gaussrat import GaussianRational
 from .lpdo import LPDO
 from .multipoly import MultiPoly, _rational_terms, product_sum
+from .universe import _FrozenValue, _Value, random_rational
 from .waves import ExpWave, plane_wave
 
 
-@dataclass(frozen=True)
-class SamplePlan:
+class SamplePlan(_FrozenValue):
     """Deterministic random-rational sampling: seed, count, coordinate bound."""
 
-    seed: int = universe.DEFAULT_SEED
-    count: int = 32
-    bound: int = 10
+    _fields = ("seed", "count", "bound")
 
-    def __post_init__(self) -> None:
-        if self.count < 1 or self.bound < 1:
+    def __init__(self, seed: int = universe.DEFAULT_SEED, count: int = 32, bound: int = 10) -> None:
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "bound", bound)
+        if count < 1 or bound < 1:
             raise ValueError("count and bound must be positive")
-
-
-def random_rational(rng: random.Random, bound: int) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
 def _steps(j: int, alpha: Sequence[int]) -> list[str]:
@@ -119,16 +115,26 @@ def boost_commutator_defect(
     return lhs.amplitude - rhs.amplitude
 
 
-@dataclass
-class IdentityVerdict:
+class IdentityVerdict(_Value):
     """Outcome of a sampled polynomial-identity check."""
 
-    all_equal: bool
-    samples: int
-    seed: int
-    point: dict[str, Fraction] | None = None
-    left_value: GaussianRational | None = None
-    right_value: GaussianRational | None = None
+    _fields = ("all_equal", "samples", "seed", "point", "left_value", "right_value")
+
+    def __init__(
+        self,
+        all_equal: bool,
+        samples: int,
+        seed: int,
+        point: dict[str, Fraction] | None = None,
+        left_value: GaussianRational | None = None,
+        right_value: GaussianRational | None = None,
+    ) -> None:
+        self.all_equal = all_equal
+        self.samples = samples
+        self.seed = seed
+        self.point = point
+        self.left_value = left_value
+        self.right_value = right_value
 
 
 def sampled_identity_check(

@@ -4,14 +4,60 @@ Every polynomial carries an ordered tuple of variable names.  The names
 used throughout are fixed here: ``t`` and ``x1..xn`` for space-time
 coordinates, ``tau`` and ``xi1..xin`` for the dual frequency variables,
 and ``v1..vn`` for a symbolic boost velocity.  The default seed of the
-sampled checks is fixed here too.
+sampled checks and the draw of a random rational are fixed here too, and
+so is the behaviour shared by the package's value classes.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import random
+
 TIME = "t"
 FREQ_TIME = "tau"
 DEFAULT_SEED = 94281
+
+
+def random_rational(rng: random.Random, bound: int) -> Fraction:
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+class _Value:
+    """A record of the attributes named in `_fields`, which each subclass's
+    own `__init__` sets: equal to another of the same class with equal
+    fields, shown as ``Name(field=value!r, ...)``, and unhashable."""
+
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+
+class _FrozenValue(_Value):
+    """A `_Value` whose fields `__init__` sets once with `object.__setattr__`:
+    it refuses assignment and deletion, and hashes its fields."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
 
 
 def space(a: int) -> str:

@@ -1,7 +1,7 @@
 """The two classifiers, synthesis, and gauge normalization."""
 
+import copy
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,6 +28,14 @@ from conftest import random_constant_lpdo, random_gaussian
 
 def F(p, q=1):
     return Fraction(p, q)
+
+
+def replace(answer, **changes):
+    """A copy of a (mutable) answer with some fields changed."""
+    moved = copy.copy(answer)
+    for name, value in changes.items():
+        setattr(moved, name, value)
+    return moved
 
 
 def gr(re, im=0):

@@ -41,6 +41,7 @@ def test_import_galinv_loads_no_submodule():
         (["check-translation", "x1*Dx1", "--n", "1"], {"classify", "oracle"}),
         (["check-rotation", "Lap", "--n", "2"], {"classify", "oracle", "matrices"}),
         (["classify2", "2i*Dt + Lap", "--n", "2"], {"oracle", "matrices", "waves"}),
+        (["check-boost", "Dt^3", "--lambda", "1", "--n", "2"], {"classify", "oracle", "waves", "matrices"}),
     ],
 )
 def test_each_subcommand_loads_only_what_it_runs(argv, absent):
@@ -48,6 +49,39 @@ def test_each_subcommand_loads_only_what_it_runs(argv, absent):
     loaded = _loaded_by(code, *argv)
     assert "cli" in loaded
     assert not loaded & absent, sorted(loaded & absent)
+
+
+_MAIN = "import sys\nfrom galinv.cli import main\nmain(sys.argv[1:])\n"
+_ALL = "print(' '.join(sys.modules))"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-translation", "x1*Dx1", "--n", "1"],
+        ["check-rotation", "Dx1", "--n", "2"],
+        ["check-boost", "Dt^3", "--lambda", "1", "--n", "2"],
+        ["classify2", "Dt - Lap", "--n", "2"],
+        ["classifym", "(2i*Dt + Lap)^2", "--lambda", "1", "--n", "2"],
+        ["synthesize", "--lambda", "1", "--coeffs", "0,1", "--n", "2"],
+        ["theta", "--lambda", "1", "--v", "1,2"],
+        ["oracle", "2i*Dt + Lap", "--lambda", "1", "--n", "2", "--count", "2"],
+    ],
+)
+def test_no_subcommand_loads_dataclasses_or_inspect(argv):
+    """Value classes are plain classes: no process pays for `dataclasses`,
+    which loads `inspect`, or for the methods it compiles per class."""
+    bare = _loaded_by("import sys\n" + _ALL)
+    loaded = _loaded_by(_MAIN + _ALL, *argv)
+    assert "galinv.cli" in loaded
+    assert not (loaded - bare) & {"dataclasses", "inspect"}
+
+
+def test_random_rational_lives_in_universe():
+    from galinv import checks, oracle, universe
+
+    assert oracle.random_rational is universe.random_rational
+    assert checks.random_rational is universe.random_rational
 
 
 def test_every_public_name_is_its_home_modules_object():

@@ -49,7 +49,7 @@ class ExpWave:
             i_dphi = gradient[name] = self.phase.partial(name) * I_UNIT
         amplitude = self.amplitude * i_dphi
         # The oracle's amplitudes are free of t and x: then dA is zero.
-        if self.amplitude.degree_in(name):
+        if self.amplitude._holds(name):
             amplitude = self.amplitude.partial(name) + amplitude
         # The shared phase was checked when this wave was built: no __init__ checks.
         out = object.__new__(ExpWave)

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Iterator
 from . import universe
 from .actions import Translation, boosted_frequency, conj_rotation, conj_translation
 from .errors import InconsistencyError
-from .gaussrat import GaussianRational, i_power
+from .gaussrat import GaussianRational, _make, _turn, i_power
 from .lpdo import LPDO, DerivKey, laplacian_symbol, symbol_of
 from .multipoly import MultiPoly, _radial_parts, _relabelling_moves, _symmetric
 from .universe import _Value, random_rational
@@ -205,7 +205,7 @@ def _decompose(op: LPDO, parts: dict) -> RadialDecomposition:
                 f"tau^{j} slice has a degree-{degree} part that is not a "
                 "multiple of a power of |xi|^2"
             )
-        result.b[(j, degree // 2)] = b * i_power(-j)
+        result.b[(j, degree // 2)] = _make(*_turn(b._t, -j))
     return result
 
 

@@ -172,6 +172,14 @@ def _triple(value: GaussianLike) -> tuple[int, int, int]:
     return p, 0, q
 
 
+def _turn(t: tuple[int, int, int], k: int) -> tuple[int, int, int]:
+    """(a + b*i)/d times i**k, k quarter-turns (a, b) -> (-b, a); still normalised."""
+    a, b, d = t
+    if k & 2:
+        a, b = -a, -b
+    return (-b, a, d) if k & 1 else (a, b, d)
+
+
 ZERO = GaussianRational()
 ONE = GaussianRational(Fraction(1))
 I_UNIT = GaussianRational(Fraction(0), Fraction(1))

@@ -579,16 +579,18 @@ def _radial_parts(poly: MultiPoly, n: int) -> tuple[dict[tuple[int, int], Gaussi
     """
     width = len(poly.variables)
     tau_shift, xi_shift, xi_mask = 8 * (width - n - 1), 8 * (width - n), (1 << 8 * n) - 1
-    ones = xi_mask // 255  # the low bit of each xi byte
+    ones, top = xi_mask // 255, 8 * width  # the low bit of each xi byte; the degree byte
     odd_axes, groups = 0, {}
     for key, (re, im) in poly._num.items():
-        xi = key >> xi_shift & xi_mask
-        exps = xi.to_bytes(n, "little")
+        xi, j = key >> xi_shift & xi_mask, key >> tau_shift & 255
         odd = xi & ones
-        odd_axes |= odd
-        weight = prod(factorial(e >> 1) for e in exps if e)
-        value = None if odd else (re * weight, im * weight)
-        part = (key >> tau_shift & 255, sum(exps))
+        if odd:
+            odd_axes |= odd
+            value = None
+        else:  # even bytes halve without borrows, so xi >> 1 holds beta_1..beta_n
+            weight = prod(map(factorial, (xi >> 1).to_bytes(n, "little")))
+            value = (re * weight, im * weight)
+        part = (j, (key >> top) - j)
         count, first = groups.get(part, (0, value))
         groups[part] = (count + 1, first if first == value else None)
     parts: dict[tuple[int, int], GaussianRational | None] = {}

@@ -14,6 +14,11 @@ replaced live here unchanged:
   coefficients off the pure tau terms of the symbol.
 
 The tests require both routes to give the same verdict, field by field.
+
+`boost_gauge` is the package's `_boost_gauge` before it decided the
+equation q_tau = 2*lam*q_s on integer triples: it builds c_jk, q_tau and
+q_s as `GaussianRational` dicts and compares them.  The tests require the
+two to return equal values of the same type on every decomposition.
 """
 
 from __future__ import annotations
@@ -22,7 +27,12 @@ from fractions import Fraction
 
 from galinv import universe
 from galinv.actions import gauge_phase
-from galinv.checks import _boost_images, check_rotation_invariance, check_translation_invariance
+from galinv.checks import (
+    RadialDecomposition,
+    _boost_images,
+    check_rotation_invariance,
+    check_translation_invariance,
+)
 from galinv.classify import (
     STAGE_A20,
     STAGE_LAMBDA,
@@ -34,7 +44,7 @@ from galinv.classify import (
     SecondOrderVerdict,
 )
 from galinv.errors import InconsistencyError
-from galinv.gaussrat import I_UNIT
+from galinv.gaussrat import I_UNIT, GaussianLike, GaussianRational, i_power
 from galinv.lpdo import LPDO, symbol_of
 
 STAGE_FORBIDDEN = "forbidden-lower-term"
@@ -122,3 +132,24 @@ def classify_power_form(op: LPDO, lam: Fraction | int) -> PowerFormVerdict:
     if op.order % 2 or not coeffs[-1]:
         raise InconsistencyError(f"annihilated symbol of order {op.order} is not a power form")
     return PowerFormVerdict(True, lam, coeffs=tuple(coeffs))
+
+
+def boost_gauge(radial: RadialDecomposition, lam: GaussianLike | None = None):
+    """The gauge lam at which q_tau = 2*lam*q_s, or None if there is none.
+
+    With no lam given, lam is derived from the least c_jk != 0 with j >= 1
+    (0 if q is free of tau); a given lam is only tested.
+    """
+    c = {(j, k): b * i_power(j) for (j, k), b in radial.b.items()}
+    if lam is None:
+        least = min((key for key in c if key[0]), default=None)
+        lam = GaussianRational()
+        if least is not None:
+            j, k = least
+            partner = c.get((j - 1, k + 1))
+            if not partner:
+                return None
+            lam = j * c[least] / (2 * (k + 1) * partner)
+    q_tau = {(j - 1, k): j * v for (j, k), v in c.items() if j}
+    q_s = {(j, k - 1): 2 * lam * k * v for (j, k), v in c.items() if k and lam}
+    return lam if q_tau == q_s else None

@@ -10,15 +10,23 @@ to agree exactly on every operation, accessor, string and error.
 `double_loop_mul` is the packed kernel's product before a one-term
 factor took a key shift; the tests require the two products to give
 identical internals, term order and errors.
+
+`radial_parts` is the packed radial scan before it halved an even xi
+pattern with one shift and read a term's degree off its degree byte: it
+splits every term's xi pattern into bytes, weights it by a generator of
+factorials and sums the bytes.  The tests require the two scans to
+return equal parts, in the same order, of the same types, and the same
+odd axis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial, prod
 from operator import add
 from typing import Iterator, Mapping, Sequence
 
-from galinv.gaussrat import GaussianLike, GaussianRational, as_gaussian, format_gaussian
+from galinv.gaussrat import GaussianLike, GaussianRational, _normal, as_gaussian, format_gaussian
 from galinv.multipoly import MAX_TOTAL_DEGREE
 
 Exponents = tuple[int, ...]
@@ -418,3 +426,26 @@ def double_loop_mul(p, q):
             re, im = get(key, (0, 0))
             product[key] = (re + a * c - b * e, im + a * e + b * c)
     return type(p)._make(p.variables, p._den * q._den, product)
+
+
+def radial_parts(poly, n: int):
+    """`multipoly._radial_parts` on a packed polynomial, term by term."""
+    width = len(poly.variables)
+    tau_shift, xi_shift, xi_mask = 8 * (width - n - 1), 8 * (width - n), (1 << 8 * n) - 1
+    ones = xi_mask // 255  # the low bit of each xi byte
+    odd_axes, groups = 0, {}
+    for key, (re, im) in poly._num.items():
+        xi = key >> xi_shift & xi_mask
+        exps = xi.to_bytes(n, "little")
+        odd = xi & ones
+        odd_axes |= odd
+        weight = prod(factorial(e >> 1) for e in exps if e)
+        value = None if odd else (re * weight, im * weight)
+        part = (key >> tau_shift & 255, sum(exps))
+        count, first = groups.get(part, (0, value))
+        groups[part] = (count + 1, first if first == value else None)
+    parts = {}
+    for (j, d), (count, value) in sorted(groups.items()):
+        full = value is not None and count == comb(d // 2 + n - 1, n - 1)
+        parts[(j, d)] = _normal(*value, poly._den * factorial(d // 2)) if full else None
+    return parts, (odd_axes & -odd_axes).bit_length() + 7 >> 3

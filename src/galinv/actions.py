@@ -110,25 +110,22 @@ def boosted_frequency(
     tau: Fraction | int | None = None,
     xi: Sequence[Fraction | int] | None = None,
     c: Fraction | int = 0,
-    variables: Sequence[str] | None = None,
 ) -> BoostedFrequency:
     """Frequency transport law of the gauged boost.
 
-    Components left as None stay symbolic; the result is a pair of
-    polynomials over the boost universe (or `variables` if given).  When
-    every component is given, the law runs on the `Fraction`s and only
-    its results become constant polynomials.
+    Components left as None stay symbolic, and given ones become constant
+    polynomials; the result is a pair of polynomials over the boost
+    universe.
     """
     lam = Fraction(lam)
-    names = tuple(variables) if variables is not None else universe.boost_vars(n)
+    names = universe.boost_vars(n)
     _check_components("v", v, n)
     _check_components("xi", xi, n)
-    concrete = v is not None and tau is not None and xi is not None
 
-    def value_of(name: str, given) -> MultiPoly | Fraction:
+    def value_of(name: str, given) -> MultiPoly:
         if given is None:
             return MultiPoly.var(names, name)
-        return Fraction(given) if concrete else MultiPoly.const(names, Fraction(given))
+        return MultiPoly.const(names, Fraction(given))
 
     tau_p = value_of(universe.FREQ_TIME, tau)
     xi_p = [
@@ -145,8 +142,6 @@ def boosted_frequency(
         speed2 = speed2 + va * va
     new_tau = tau_p - dot - speed2 * Fraction(lam, 2)
     new_xi = tuple(xa + va * lam for xa, va in zip(xi_p, v_p))
-    if concrete:
-        new_tau, new_xi = MultiPoly.const(names, new_tau), tuple(MultiPoly.const(names, x) for x in new_xi)
     return BoostedFrequency(new_tau, new_xi, Fraction(c))
 
 
@@ -163,7 +158,7 @@ def conj_boost_gauge(
     if not op.is_constant_coefficient:
         raise ValueError("boost conjugation is restricted to constant coefficients")
     names = universe.boost_vars(op.n)
-    moved = boosted_frequency(op.n, lam, v=v, variables=names)
+    moved = boosted_frequency(op.n, lam, v=v)
     bindings: dict[str, MultiPoly] = {universe.FREQ_TIME: moved.tau}
     for a in range(1, op.n + 1):
         bindings[universe.freq_space(a)] = moved.xi[a - 1]

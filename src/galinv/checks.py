@@ -16,11 +16,10 @@ whose exponent relabelling changes its term map, else by the rotation
 R = [3/5 -4/5; 4/5 3/5] in the (xi1, xi2) plane.  By Niven's theorem R
 has infinite order, so its powers are dense in that plane's SO(2), and
 a symbol fixed by R, S_n and the reflections is fixed by O(n).
-Boost invariance at a fixed gauge family holds exactly when the boost
-generators lam*d/dxi_a - xi_a*d/dtau annihilate the symbol; a reject is
-witnessed by p differing at a seeded rational point and at its boosted
-frequency.  The classifiers decide the same property from the radial
-coefficients instead (see `classify`).
+Boost invariance at a fixed gauge family is decided on the radial
+coefficients, the same equation q_tau = 2*lam*q_s that both classifiers
+read their boost stage off (`_boost_gauge`); a reject is witnessed by p
+differing at a seeded rational point and at its boosted frequency.
 """
 
 from __future__ import annotations
@@ -28,12 +27,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from . import universe
-from .actions import Translation, boosted_frequency, conj_rotation, conj_translation
+from .actions import Translation, conj_rotation, conj_translation
 from .errors import InconsistencyError
-from .gaussrat import GaussianRational, _make, _turn, i_power
+from .gaussrat import ZERO, GaussianLike, GaussianRational, _make, _normal, _triple, _turn, i_power
 from .lpdo import LPDO, DerivKey, laplacian_symbol, symbol_of
 from .multipoly import MultiPoly, _radial_parts, _relabelling_moves, _symmetric
 from .universe import _Value, random_rational
@@ -272,18 +271,29 @@ def check_rotation_invariance(op: LPDO) -> CheckReport:
 
 
 def check_boost_invariance_fixed_gauge(op: LPDO, lam: Fraction | int) -> CheckReport:
-    """Invariant exactly when (lam*d/dxi_a - xi_a*d/dtau) p == 0 for every a.
+    """Invariant exactly when every gauged boost fixes the symbol p.
 
-    The gauged boosts (tau, xi) -> (tau - xi.v - lam|v|^2/2, xi + lam*v)
-    form a connected abelian group (v then w is v + w) acting polynomially,
-    so these generators annihilate p exactly when the substitution residue
-    p(boosted) - p vanishes in (tau, xi, v); the certificate keeps that name.
+    The boosts (tau, xi) -> (tau - xi.v - lam|v|^2/2, xi + lam*v) form a
+    connected group acting polynomially, so p is fixed exactly when the
+    generators lam*d/dxi_a - xi_a*d/dtau annihilate it.  At lam = 0 that
+    means p is free of tau.  At lam != 0 the boosts fix u = 2*lam*tau +
+    |xi|^2 with n-dimensional orbits, so an invariant p is a polynomial in
+    u and hence radial, and on p = q(tau, |xi|^2) each generator gives
+    xi_a*(2*lam*q_s - q_tau): `_boost_gauge` tests q_tau = 2*lam*q_s.  The
+    certificate names the zero residue p(boosted) - p this amounts to.
     """
     if not op.is_constant_coefficient:
         raise ValueError("boost invariance needs constant coefficients")
     lam = Fraction(lam)
     p = symbol_of(op).poly
-    if all(image.is_zero for image in _boost_images(p, op.n, lam)):
+    if not lam:
+        invariant = not p._holds(universe.FREQ_TIME)
+    else:
+        try:
+            invariant = _boost_gauge(_decompose(op, _radial_parts(p, op.n)[0]), lam) is not None
+        except NotRadial:
+            invariant = False
+    if invariant:
         return CheckReport(True, certificate="zero-substitution-residue")
     witness = _boost_witness(op, lam, p)
     return CheckReport(
@@ -293,17 +303,45 @@ def check_boost_invariance_fixed_gauge(op: LPDO, lam: Fraction | int) -> CheckRe
     )
 
 
-def _boost_images(p: MultiPoly, n: int, lam: Fraction) -> Iterator[MultiPoly]:
-    """(lam*d/dxi_a - xi_a*d/dtau) p for a = 1..n, built one at a time."""
-    dtau = p.partial(universe.FREQ_TIME)
-    for a in range(1, n + 1):
-        xi = universe.freq_space(a)
-        yield p.partial(xi) * lam - MultiPoly.var(p.variables, xi) * dtau
+def _boost_gauge(radial: RadialDecomposition, lam: GaussianLike | None = None):
+    """The gauge lam at which q_tau = 2*lam*q_s, or None if there is none.
+
+    With c_jk = b_jk * i^j the equation is j*c_jk = 2*lam*(k+1)*c_{j-1,k+1}
+    for each j >= 1, decided on the integer triples (x, y, d) of
+    (x + y*i)/d, cross-multiplied.  With no lam given, lam is derived from
+    the least c_jk != 0 with j >= 1 (0 if q is free of tau); a given lam is
+    only tested.
+    """
+    c = {key: _turn(b._t, key[0]) for key, b in radial.b.items()}
+    if lam is None:
+        least = min((key for key in c if key[0]), default=None)
+        lam = ZERO
+        if least is not None:
+            j, k = least
+            (x1, y1, d1), (x2, y2, d2) = c[least], c.get((j - 1, k + 1), (0, 0, 1))
+            if not (x2 or y2):
+                return None
+            # j*c1 / (2*(k+1)*c2), the conjugate of c2 clearing the i.
+            lam = _normal(j * d2 * (x1 * x2 + y1 * y2), j * d2 * (y1 * x2 - x1 * y2),
+                          2 * (k + 1) * d1 * (x2 * x2 + y2 * y2))
+    lr, li, ld = _triple(lam)
+    # c_jk's term of q_tau and c_{j-1,k+1}'s of q_s share a key: equal key sets...
+    if {(j - 1, k + 1) for j, k in c if j} != {(j, k) for j, k in c if k and (lr or li)}:
+        return None
+    for (j, k), (x1, y1, d1) in c.items():
+        if j:
+            # ...and j*c1 == 2*lam*(k+1)*c2, cross-multiplied by ld*d1*d2.
+            x2, y2, d2 = c[j - 1, k + 1]
+            left, right = j * ld * d2, 2 * (k + 1) * d1
+            if left * x1 != right * (lr * x2 - li * y2) or left * y1 != right * (lr * y2 + li * x2):
+                return None
+    return lam
 
 
 def _boost_witness(op: LPDO, lam: Fraction, p: MultiPoly) -> BoostWitness:
-    """A seeded rational point of the boost universe where the residue
-    p(boosted) - p is nonzero, evaluated at the point's constant image."""
+    """A seeded rational point (tau, xi, v) where p differs at (tau, xi) and
+    at the boosted frequency (tau - xi.v - (lam/2)|v|^2, xi + lam*v), which
+    is computed on the point's `Fraction`s."""
     n = op.n
     freq = [universe.FREQ_TIME] + [universe.freq_space(a) for a in range(1, n + 1)]
     rng = random.Random(_WITNESS_SEED)
@@ -314,8 +352,8 @@ def _boost_witness(op: LPDO, lam: Fraction, p: MultiPoly) -> BoostWitness:
         point = {name: random_rational(rng, bound) for name in universe.boost_vars(n)}
         tau, *xi = (point[name] for name in freq)
         v = tuple(point[universe.boost(a)] for a in range(1, n + 1))
-        moved = boosted_frequency(n, lam, v, tau, xi, variables=freq)
-        there = (c.constant_value() for c in (moved.tau, *moved.xi))
+        moved = tau - sum(x * w for x, w in zip(xi, v)) - lam / 2 * sum(w * w for w in v)
+        there = [moved] + [x + lam * w for x, w in zip(xi, v)]
         if p.evaluate(dict(zip(freq, there))) != p.evaluate(point):
             return BoostWitness(lam, v, tau, tuple(xi))
     raise InconsistencyError("nonzero residue but no witnessing point found")

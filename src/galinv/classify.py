@@ -1,16 +1,13 @@
 """Classifiers: which operators are Galilei invariant, and in what form.
 
-Both classifiers read the boost stage off one derivation.  After the
+Both classifiers read the boost stage off the boost decider's own
+equation, `checks._boost_gauge`, where its derivation lives.  After the
 translation and rotation stages the symbol is p = q(tau, s), s = |xi|^2,
 with q = sum c_jk tau^j s^k and c_jk = b_jk * i^j from the rotation
-stage's `RadialDecomposition`.  Each boost generator lam*d/dxi_a -
-xi_a*d/dtau maps p to xi_a*(2*lam*q_s - q_tau), so p is invariant at
-gauge lam exactly when q_tau = 2*lam*q_s, that is j*c_jk =
-2*lam*(k+1)*c_{j-1,k+1} for every j >= 1 with matching terms.  It is
-decided in integers: each c_jk is the triple (x, y, d) of (x + y*i)/d,
-and each equation is cross-multiplied by the denominators.  A q free of
-tau needs lam = 0; otherwise the least c_jk != 0 with j >= 1 fixes lam,
-and a zero partner coefficient admits none.
+stage's `RadialDecomposition`, and p is invariant at gauge lam exactly
+when q_tau = 2*lam*q_s.  A q free of tau needs lam = 0; otherwise the
+least c_jk != 0 with j >= 1 fixes lam, and a zero partner coefficient
+admits none.
 
 `classify_second_order` names the earliest failed stage: at order 2
 there is no lam exactly when a20 != 0, and the derived lam =
@@ -35,12 +32,12 @@ from typing import Callable, Sequence
 from .actions import GaugePhase, gauge_phase
 from .checks import (
     CheckReport,
-    RadialDecomposition,
+    _boost_gauge,
     check_rotation_invariance,
     check_translation_invariance,
 )
 from .errors import InconsistencyError
-from .gaussrat import ZERO, GaussianLike, GaussianRational, _normal, _triple, _turn, as_gaussian, i_power
+from .gaussrat import GaussianLike, GaussianRational, as_gaussian, i_power
 from .lpdo import LPDO, Symbol, conjugate_linear_phase, linear_phase, schrodinger_symbol
 from .multipoly import MultiPoly
 from .universe import _Value
@@ -109,38 +106,6 @@ class PowerFormVerdict(_Value):
 
     def reverify(self, op: LPDO) -> bool:
         return self.accepted and synthesize(self.lam, self.coeffs, op.n) == op
-
-
-def _boost_gauge(radial: RadialDecomposition, lam: GaussianLike | None = None):
-    """The gauge lam at which q_tau = 2*lam*q_s, or None if there is none.
-
-    With no lam given, lam is derived from the least c_jk != 0 with j >= 1
-    (0 if q is free of tau); a given lam is only tested.
-    """
-    c = {key: _turn(b._t, key[0]) for key, b in radial.b.items()}
-    if lam is None:
-        least = min((key for key in c if key[0]), default=None)
-        lam = ZERO
-        if least is not None:
-            j, k = least
-            (x1, y1, d1), (x2, y2, d2) = c[least], c.get((j - 1, k + 1), (0, 0, 1))
-            if not (x2 or y2):
-                return None
-            # j*c1 / (2*(k+1)*c2), the conjugate of c2 clearing the i.
-            lam = _normal(j * d2 * (x1 * x2 + y1 * y2), j * d2 * (y1 * x2 - x1 * y2),
-                          2 * (k + 1) * d1 * (x2 * x2 + y2 * y2))
-    lr, li, ld = _triple(lam)
-    # c_jk's term of q_tau and c_{j-1,k+1}'s of q_s share a key: equal key sets...
-    if {(j - 1, k + 1) for j, k in c if j} != {(j, k) for j, k in c if k and (lr or li)}:
-        return None
-    for (j, k), (x1, y1, d1) in c.items():
-        if j:
-            # ...and j*c1 == 2*lam*(k+1)*c2, cross-multiplied by ld*d1*d2.
-            x2, y2, d2 = c[j - 1, k + 1]
-            left, right = j * ld * d2, 2 * (k + 1) * d1
-            if left * x1 != right * (lr * x2 - li * y2) or left * y1 != right * (lr * y2 + li * x2):
-                return None
-    return lam
 
 
 def _radial_or_reject(op: LPDO, reject: Callable):

@@ -1,4 +1,4 @@
-"""The boost-stage routes of the classifiers, kept as references.
+"""The boost-stage routes of the classifiers and the boost check, kept as references.
 
 The package derives lam once, from the radial coefficients, and both
 classifiers read their last stages off that derivation.  The routes it
@@ -15,6 +15,11 @@ replaced live here unchanged:
 
 The tests require both routes to give the same verdict, field by field.
 
+`boost_images` is the route `check_boost_invariance_fixed_gauge` decided
+on before it moved onto the radial gauge equation: it builds the n
+generator images (lam*d/dxi_a - xi_a*d/dtau) p of the whole symbol, and
+`boost_invariant` accepts exactly when every image is zero.
+
 `boost_gauge` is the package's `_boost_gauge` before it decided the
 equation q_tau = 2*lam*q_s on integer triples: it builds c_jk, q_tau and
 q_s as `GaussianRational` dicts and compares them.  The tests require the
@@ -24,12 +29,12 @@ two to return equal values of the same type on every decomposition.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from galinv import universe
 from galinv.actions import gauge_phase
 from galinv.checks import (
     RadialDecomposition,
-    _boost_images,
     check_rotation_invariance,
     check_translation_invariance,
 )
@@ -46,6 +51,7 @@ from galinv.classify import (
 from galinv.errors import InconsistencyError
 from galinv.gaussrat import I_UNIT, GaussianLike, GaussianRational, i_power
 from galinv.lpdo import LPDO, symbol_of
+from galinv.multipoly import MultiPoly
 
 STAGE_FORBIDDEN = "forbidden-lower-term"
 
@@ -116,7 +122,7 @@ def classify_power_form(op: LPDO, lam: Fraction | int) -> PowerFormVerdict:
     # On a radial p = q(tau, |xi|^2) every generator image equals
     # xi_a*(2*lam*q_s - q_tau), so the first vanishes exactly when all do.
     p = symbol_of(op).poly
-    if not next(_boost_images(p, op.n, lam)).is_zero:
+    if not next(boost_images(p, op.n, lam)).is_zero:
         return PowerFormVerdict(
             False,
             lam,
@@ -153,3 +159,16 @@ def boost_gauge(radial: RadialDecomposition, lam: GaussianLike | None = None):
     q_tau = {(j - 1, k): j * v for (j, k), v in c.items() if j}
     q_s = {(j, k - 1): 2 * lam * k * v for (j, k), v in c.items() if k and lam}
     return lam if q_tau == q_s else None
+
+
+def boost_images(p: MultiPoly, n: int, lam: Fraction) -> Iterator[MultiPoly]:
+    """(lam*d/dxi_a - xi_a*d/dtau) p for a = 1..n, built one at a time."""
+    dtau = p.partial(universe.FREQ_TIME)
+    for a in range(1, n + 1):
+        xi = universe.freq_space(a)
+        yield p.partial(xi) * lam - MultiPoly.var(p.variables, xi) * dtau
+
+
+def boost_invariant(op: LPDO, lam: Fraction | int) -> bool:
+    """Every boost generator annihilates the symbol of op."""
+    return all(image.is_zero for image in boost_images(symbol_of(op).poly, op.n, Fraction(lam)))

@@ -8,11 +8,10 @@ afresh, and each key's product is added to a growing total.
 
 `galinv.oracle.boost_commutator_defect` and `galinv.waves.plane_wave`
 build the gauge phase theta, the pull-back bindings and the plane-wave
-phase from their terms, in one constructor each, and
-`galinv.actions.boosted_frequency` runs the transport law of a concrete
-point on `Fraction`s.  Their old routes live here too: theta through
-`boost_phase_poly` and `extend`, bindings and phase by variable
-arithmetic, and the transport law on constant polynomials.
+phase from their terms, in one constructor each.  Their old routes live
+here too: theta through `boost_phase_poly` and `extend`, bindings and
+phase by variable arithmetic, and `boosted_frequency`, the transport law
+on constant polynomials summed from `MultiPoly.zero`.
 
 The tests require each pair of routes to give identical internals and
 term order.
@@ -110,11 +109,10 @@ def boosted_frequency(
     tau=None,
     xi: Sequence | None = None,
     c=0,
-    variables: Sequence[str] | None = None,
 ) -> BoostedFrequency:
     """The transport law with every given component a constant polynomial."""
     lam = Fraction(lam)
-    names = tuple(variables) if variables is not None else universe.boost_vars(n)
+    names = universe.boost_vars(n)
     _check_components("v", v, n)
     _check_components("xi", xi, n)
 

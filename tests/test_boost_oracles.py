@@ -1,11 +1,12 @@
-"""Boost invariance: the generator decider against independent oracles.
+"""Boost invariance: the radial decider against independent oracles.
 
-The package decides boost invariance by the boost generators: a symbol p
-is fixed by every gauged boost exactly when
-(lam*d/dxi_a - xi_a*d/dtau) p == 0 for each a.  The route it used before
-lives here as the reference: expand p at the boosted frequency over
-(tau, xi, v), subtract p, test the residue for zero, and search seeded
-rational points for a nonzero value of the residue.  The differentiation
+The package decides boost invariance on the radial gauge equation: a
+symbol p is fixed by every gauged boost exactly when it is free of tau at
+lam = 0, and otherwise when it is radial with q_tau = 2*lam*q_s
+(`test_boost_decider` holds the generator-image route it replaced).  An
+older route lives here as the reference: expand p at the boosted frequency
+over (tau, xi, v), subtract p, test the residue for zero, and search
+seeded rational points for a nonzero value of the residue.  The differentiation
 oracle and the power-form classifier give two more routes to agree with.
 The power-form classifier decides its last stage from the radial
 coefficients (`test_classify_routes`), and its older route, the mu

@@ -1,15 +1,15 @@
-"""The one lam derivation against the boost decider and the old routes.
+"""The one lam derivation against the image route and the old classifier routes.
 
-Both classifiers read their boost stage off `classify._boost_gauge`, which
-works on the radial coefficients alone: p = q(tau, |xi|^2) is invariant
-at gauge lam exactly when q_tau = 2*lam*q_s.  Two independent routes
-must agree with it:
+Both classifiers and `check_boost_invariance_fixed_gauge` read their boost
+stage off `_boost_gauge`, which works on the radial coefficients alone:
+p = q(tau, |xi|^2) is invariant at gauge lam exactly when q_tau = 2*lam*q_s.
+Two independent routes must agree with it:
 
-- `check_boost_invariance_fixed_gauge` applies every boost generator to
+- `reference_classify.boost_invariant` applies every boost generator to
   the whole symbol polynomial, at each lam of a 61-value grid that
   includes 0, and must accept at every real lam the routine derives;
-- `reference_classify` holds the classifier routes the routine replaced,
-  the order-2 slot reading with its own lam arithmetic and the
+- `reference_classify` also holds the classifier routes the routine
+  replaced, the order-2 slot reading with its own lam arithmetic and the
   power-form generator stage, and every verdict field must match.
 """
 
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from galinv import (
     LPDO,
-    check_boost_invariance_fixed_gauge,
     check_rotation_invariance,
     classify_power_form,
     classify_second_order,
@@ -119,7 +118,7 @@ def test_second_order_stages_match_references_on_named_operators():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 3), st.sampled_from(GRID), st.booleans())
-def test_boost_gauge_matches_the_boost_decider_on_a_lam_grid(seed, n, lam, perturb):
+def test_boost_gauge_matches_the_image_route_on_a_lam_grid(seed, n, lam, perturb):
     try:
         op = perturbed_power_form(seed, n, lam, perturb)
     except ValueError:
@@ -127,10 +126,10 @@ def test_boost_gauge_matches_the_boost_decider_on_a_lam_grid(seed, n, lam, pertu
     radial = check_rotation_invariance(op).radial
     for grid_lam in GRID:
         decided = _boost_gauge(radial, grid_lam) is not None
-        assert decided == check_boost_invariance_fixed_gauge(op, grid_lam).invariant, grid_lam
+        assert decided == reference_classify.boost_invariant(op, grid_lam), grid_lam
     derived = _boost_gauge(radial)
     if derived is not None and derived.im == 0:
-        assert check_boost_invariance_fixed_gauge(op, derived.re).invariant
+        assert reference_classify.boost_invariant(op, derived.re)
     if not perturb and lam and op.order:
         assert derived == lam
 

@@ -30,6 +30,12 @@ GOLDEN = [
     (["check-boost", "Lap", "--lambda", "1", "--n", "2"], 1,
      "verdict: not-invariant\nn: 2\nm: 2\nwitness: boost v=(-3,0) breaks commutation at tau=-1/3, xi=(-3/2,2)\n",
      "verdict=not-invariant\nn=2\nm=2\nwitness=boost v=(-3,0) breaks commutation at tau=-1/3, xi=(-3/2,2)\n"),
+    (["check-boost", "Dx1^2 + Dx2", "--lambda", "0", "--n", "2"], 0,
+     "verdict: invariant\nn: 2\nm: 2\ncertificate: zero-substitution-residue\n",
+     "verdict=invariant\nn=2\nm=2\ncertificate=zero-substitution-residue\n"),
+    (["check-boost", "Dx1^2 + Lap", "--lambda", "1", "--n", "2"], 1,
+     "verdict: not-invariant\nn: 2\nm: 2\nwitness: boost v=(-3,0) breaks commutation at tau=-1/3, xi=(-3/2,2)\n",
+     "verdict=not-invariant\nn=2\nm=2\nwitness=boost v=(-3,0) breaks commutation at tau=-1/3, xi=(-3/2,2)\n"),
     (["classify2", "2i*Dt + Lap", "--n", "3"], 0,
      "verdict: accept\nalpha: 1\nbeta: 0\nlambda: 1\ntheta: c + v.x - (1/2)t|v|^2\nn: 3\nm: 2\n",
      "verdict=accept\nalpha=1\nbeta=0\nlambda=1\ntheta=c + v.x - (1/2)t|v|^2\nn=3\nm=2\n"),

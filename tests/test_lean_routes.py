@@ -4,10 +4,11 @@
 bindings and the plane-wave phase from their terms; `ExpWave.differentiate`
 builds its result without the constructor's checks; `MultiPoly.__mul__`
 shifts keys when a factor has one term; `MultiPoly.extend` of a constant
-keeps its one key; `boosted_frequency` runs a concrete point's transport
-law on `Fraction`s.  `reference_oracle.py` and `reference_multipoly.py`
+keeps its one key.  `reference_oracle.py` and `reference_multipoly.py`
 hold the routes these replaced.  Each pair must give identical values,
-denominators, packed term order and errors.
+denominators, packed term order and errors.  The boost witness runs the
+transport law of its points on `Fraction`s, and each point it returns must
+move the symbol under `boosted_frequency`'s constant polynomials too.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from galinv import (
@@ -26,9 +27,12 @@ from galinv import (
     MultiPoly,
     boost_commutator_defect,
     boosted_frequency,
+    check_boost_invariance_fixed_gauge,
     plane_wave,
+    symbol_of,
     universe,
 )
+from galinv.checks import _boost_witness
 
 import reference_multipoly
 import reference_oracle as ref
@@ -190,17 +194,31 @@ def test_concrete_boosted_frequency_is_the_symbolic_law_at_the_point(n, lam, c, 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), lams, st.data())
 def test_boosted_frequency_matches_constant_polynomial_route(n, lam, data):
-    """Every mix of given and symbolic components, and the witness's own
-    frequency universe, against the transport law on constant polynomials."""
+    """Every mix of given and symbolic components against the transport law
+    on constant polynomials."""
     tau, xi, v = _point(n, data)
-    freq = [universe.FREQ_TIME] + [universe.freq_space(a) for a in range(1, n + 1)]
     for given_v, given_tau, given_xi in itertools.product((False, True), repeat=3):
         kwargs = {"v": v if given_v else None, "tau": tau if given_tau else None, "xi": xi if given_xi else None}
         got, want = boosted_frequency(n, lam, **kwargs), ref.boosted_frequency(n, lam, **kwargs)
         assert [internals(p) for p in (got.tau, *got.xi)] == [internals(p) for p in (want.tau, *want.xi)]
-    got = boosted_frequency(n, lam, v, tau, xi, variables=freq)
-    want = ref.boosted_frequency(n, lam, v, tau, xi, variables=freq)
-    assert [internals(p) for p in (got.tau, *got.xi)] == [internals(p) for p in (want.tau, *want.xi)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 4), lams)
+def test_boost_witness_moves_the_symbol_under_the_transport_law(seed, n, order, lam):
+    """Each witness re-verifies through the oracle, and p differs at its
+    point and at the constant values of `boosted_frequency` there."""
+    op = random_constant_lpdo(random.Random(seed), n, order)
+    report = check_boost_invariance_fixed_gauge(op, lam)
+    assume(not report.invariant)
+    p = symbol_of(op).poly
+    witness = _boost_witness(op, lam, p)
+    assert witness == report.witness and witness.reverify(op)
+    moved = boosted_frequency(n, lam, witness.v, witness.tau, witness.xi)
+    freq = [universe.FREQ_TIME] + [universe.freq_space(a) for a in range(1, n + 1)]
+    here = dict(zip(freq, (witness.tau, *witness.xi)))
+    there = dict(zip(freq, (c.constant_value() for c in (moved.tau, *moved.xi))))
+    assert p.evaluate(there) != p.evaluate(here)
 
 
 def test_degree_cap_is_kept_on_one_term_products():

@@ -290,7 +290,7 @@ def check_boost_invariance_fixed_gauge(op: LPDO, lam: Fraction | int) -> CheckRe
         invariant = not p._holds(universe.FREQ_TIME)
     else:
         try:
-            invariant = _boost_gauge(_decompose(op, _radial_parts(p, op.n)[0]), lam) is not None
+            invariant = _boost_gauge(radial_decompose(op), lam) is not None
         except NotRadial:
             invariant = False
     if invariant:

@@ -3,7 +3,9 @@
 Both classifiers and `check_boost_invariance_fixed_gauge` read their boost
 stage off `_boost_gauge`, which works on the radial coefficients alone:
 p = q(tau, |xi|^2) is invariant at gauge lam exactly when q_tau = 2*lam*q_s.
-Two independent routes must agree with it:
+The check reads the radial coefficients through `radial_decompose`, not
+through the rotation check, and must reach the same verdict at every lam
+of the grid.  Two independent routes must also agree with it:
 
 - `reference_classify.boost_invariant` applies every boost generator to
   the whole symbol polynomial, at each lam of a 61-value grid that
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 from galinv import (
     LPDO,
+    check_boost_invariance_fixed_gauge,
     check_rotation_invariance,
     classify_power_form,
     classify_second_order,
@@ -114,6 +117,22 @@ def test_second_order_stages_match_references_on_named_operators():
         assert classify_second_order(parse_operator(text, n=2)).stage == stage
     accept = classify_second_order(parse_operator("Lap + 3", n=2))
     assert accept.accepted and accept.lam == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3), st.sampled_from(GRID), st.booleans())
+def test_boost_gauge_matches_the_boost_decider_on_a_lam_grid(seed, n, lam, perturb):
+    try:
+        op = perturbed_power_form(seed, n, lam, perturb)
+    except ValueError:
+        assume(False)
+    radial = check_rotation_invariance(op).radial
+    for grid_lam in GRID:
+        decided = _boost_gauge(radial, grid_lam) is not None
+        assert decided == check_boost_invariance_fixed_gauge(op, grid_lam).invariant, grid_lam
+    derived = _boost_gauge(radial)
+    if derived is not None and derived.im == 0:
+        assert check_boost_invariance_fixed_gauge(op, derived.re).invariant
 
 
 @settings(max_examples=60, deadline=None)

@@ -45,6 +45,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("GaussianRational is immutable")
+
     def __reduce__(self):
         return (_make, self._t)
 

@@ -105,6 +105,9 @@ class LPDO:
     def __setattr__(self, name, value):
         raise AttributeError("LPDO is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("LPDO is immutable")
+
     # ------------------------------------------------------------------
     # builders
 

@@ -77,20 +77,18 @@ class MultiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("MultiPoly is immutable")
+
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def _make(cls, variables: tuple[str, ...], den: int, num: dict) -> "MultiPoly":
         """Fast path from packed keys: drop zeros, check the cap, divide out the content."""
-        if (0, 0) in num.values():
-            num = {key: pair for key, pair in num.items() if pair != (0, 0)}
+        num = _nonzero(variables, num)
         if not num:
             return _build(variables, 1, num)
-        shift = 8 * len(variables)
-        if max(num) >> shift > MAX_TOTAL_DEGREE:
-            degree = next(key >> shift for key in num if key >> shift > MAX_TOTAL_DEGREE)
-            raise ValueError(f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}")
         g = den
         for re, im in num.values():
             g = gcd(g, re, im)
@@ -227,23 +225,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        den = self._den * other._den
-        if len(self._num) == 1 or len(other._num) == 1:
-            # Times one term: shifting the keys keeps them distinct, so no
-            # lookups, and Gaussian integers have no zero divisors.
-            one, many = (self, other) if len(self._num) == 1 else (other, self)
-            ((k1, (c, e)),) = one._num.items()
-            num = {k1 + k2: (a * c - b * e, a * e + b * c) for k2, (a, b) in many._num.items()}
-            return MultiPoly._make(self.variables, den, num)
-        product: dict[int, tuple[int, int]] = {}
-        get = product.get
-        right = list(other._num.items())
-        for k1, (a, b) in self._num.items():
-            for k2, (c, e) in right:
-                key = k1 + k2
-                re, im = get(key, (0, 0))
-                product[key] = (re + a * c - b * e, im + a * e + b * c)
-        return MultiPoly._make(self.variables, den, product)
+        return MultiPoly._make(self.variables, self._den * other._den, _product(self._num, other._num))
 
     __rmul__ = __mul__
 
@@ -274,14 +256,7 @@ class MultiPoly:
 
     def partial(self, name: str) -> "MultiPoly":
         """Formal partial derivative with respect to one variable."""
-        shift = 8 * self._index(name)
-        step = (1 << shift) + (1 << 8 * len(self.variables))
-        out: dict[int, tuple[int, int]] = {}
-        for key, (re, im) in self._num.items():
-            e = (key >> shift) & 255
-            if e:
-                out[key - step] = (re * e, im * e)
-        return MultiPoly._make(self.variables, self._den, out)
+        return MultiPoly._make(self.variables, self._den, _partial(self.variables, self._index(name), self._num, 1))
 
     def substitute(self, bindings: Mapping[str, "MultiPoly | int | Fraction | GaussianRational"]) -> "MultiPoly":
         """Substitute polynomials (or scalars) for variables.
@@ -488,19 +463,91 @@ def _merge(p: MultiPoly, q: MultiPoly, sign: int) -> MultiPoly:
     return MultiPoly._make(p.variables, den, merged)
 
 
+def _nonzero(variables: tuple[str, ...], num: dict) -> dict:
+    """Packed numerators without their zeros, once no term passes the cap."""
+    if (0, 0) in num.values():
+        num = {key: pair for key, pair in num.items() if pair != (0, 0)}
+    shift = 8 * len(variables)
+    if num and max(num) >> shift > MAX_TOTAL_DEGREE:
+        degree = next(key >> shift for key in num if key >> shift > MAX_TOTAL_DEGREE)
+        raise ValueError(f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}")
+    return num
+
+
+def _product(left: dict, right: dict) -> dict:
+    """The packed numerators of a product, zeros kept: right's terms times
+    each of left's in turn, summed by key in the order they first arise."""
+    if len(left) == 1 or len(right) == 1:
+        # Times one term: shifting the keys keeps them distinct, so no
+        # lookups, and Gaussian integers have no zero divisors.
+        one, many = (left, right) if len(left) == 1 else (right, left)
+        ((k1, (c, e)),) = one.items()
+        return {k1 + k2: (a * c - b * e, a * e + b * c) for k2, (a, b) in many.items()}
+    product: dict[int, tuple[int, int]] = {}
+    get = product.get
+    terms = list(right.items())
+    for k1, (a, b) in left.items():
+        for k2, (c, e) in terms:
+            key = k1 + k2
+            re, im = get(key, (0, 0))
+            product[key] = (re + a * c - b * e, im + a * e + b * c)
+    return product
+
+
+def _partial(variables: tuple[str, ...], index: int, num: dict, scale: int) -> dict:
+    """The packed numerators of scale * d/dx, x the index-th variable, in term order."""
+    shift = 8 * index
+    step = (1 << shift) + (1 << 8 * len(variables))
+    out: dict[int, tuple[int, int]] = {}
+    for key, (re, im) in num.items():
+        e = key >> shift & 255
+        if e:
+            e *= scale
+            out[key - step] = (re * e, im * e)
+    return out
+
+
+def _chain_step(
+    variables: tuple[str, ...], index: int, den: int, num: dict, gradient: MultiPoly
+) -> tuple[int, dict]:
+    """One chain-rule step on a packed amplitude A = num/den: dA + A*g, where
+    g = i*dphi/dx for the index-th variable x, over den * g's denominator.
+
+    The terms of dA come first and those of A*g after, as `partial + product`
+    orders them.  Zeros drop and the cap is checked, but the content stays:
+    `MultiPoly._make` divides it out once the chain ends."""
+    product = _product(num, gradient._num)
+    out = _partial(variables, index, num, gradient._den)
+    if out:
+        get = out.get
+        for key, (a, b) in product.items():
+            re, im = get(key, (0, 0))
+            out[key] = (re + a, im + b)
+    else:  # the oracle's amplitudes are free of t and x: then dA is zero
+        out = product
+    return den * gradient._den, _nonzero(variables, out)
+
+
 def product_sum(variables: Sequence[str], pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
     """sum(p.extend(variables) * q for p, q in pairs), added up in one dict as the pairs
     come, with the value, term order and first error of `total + p.extend(variables) * q`."""
     variables = _universe(variables)
-    den, accum = 1, {}
+    den, accum, lead = 1, {}, None  # lead: a universe that begins `variables`
     for p, q in pairs:
-        p = p.extend(variables)
-        if len(p._num) == 1 and q.variables == variables and p.total_degree() + q.total_degree() <= MAX_TOTAL_DEGREE:
-            ((k1, (c, e)),) = p._num.items()  # q times a monomial: distinct nonzero terms
+        if p.variables is not lead and p.variables == variables[: len(p.variables)]:
+            lead = p.variables
+        if p.variables is lead and len(p._num) == 1 and 0 in p._num and q.variables == variables:
+            # q times a constant: no embedding, and q's terms stay distinct, nonzero and capped
+            k1, (c, e) = 0, p._num[0]
             d, terms = p._den * q._den, q._num.items()
         else:
-            product = p * q
-            k1, c, e, d, terms = 0, 1, 0, product._den, product._num.items()
+            p = p.extend(variables)
+            if len(p._num) == 1 and q.variables == variables and p.total_degree() + q.total_degree() <= MAX_TOTAL_DEGREE:
+                ((k1, (c, e)),) = p._num.items()  # q times a monomial: distinct nonzero terms
+                d, terms = p._den * q._den, q._num.items()
+            else:
+                product = p * q
+                k1, c, e, d, terms = 0, 1, 0, product._den, product._num.items()
         if den % d:
             m, den = lcm(den, d) // den, lcm(den, d)
             accum = {key: (re * m, im * m) for key, (re, im) in accum.items()}

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 from . import universe
 from .gaussrat import GaussianRational
 from .lpdo import LPDO
-from .multipoly import MultiPoly, _rational_terms, product_sum
+from .multipoly import MultiPoly, _chain_step, _rational_terms, product_sum
 from .universe import _FrozenValue, _Value, random_rational
 from .waves import ExpWave, plane_wave
 
@@ -57,13 +57,16 @@ def apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
 
     Keys are visited in sorted order along one chain of derivatives:
     each key keeps the longest prefix of steps it shares with the chain,
-    drops the rest, and takes only its missing steps.  Each product of a
+    drops the rest, and takes only its missing steps.  The chain holds
+    packed amplitudes, stepped by `ExpWave.differentiate`'s rule, and only
+    each key's derivative becomes a polynomial.  Each product of a
     coefficient and a derivative is added to the sum as it is formed.
     """
+    names, amplitude = wave.variables, wave.amplitude
 
     def products() -> Iterator[tuple[MultiPoly, MultiPoly]]:
         steps: list[str] = []
-        chain = [wave]  # chain[k] is wave after steps[:k]
+        chain = [(amplitude._den, amplitude._num)]  # chain[k] is the amplitude after steps[:k]
         for (j, alpha), poly in sorted(op.coeffs.items()):
             want = _steps(j, alpha)
             keep = 0
@@ -71,11 +74,11 @@ def apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
                 keep += 1
             del steps[keep:], chain[keep + 1 :]
             for name in want[keep:]:
-                chain.append(chain[-1].differentiate(name))
+                chain.append(_chain_step(names, amplitude._index(name), *chain[-1], wave._i_dphi(name)))
                 steps.append(name)
-            yield poly, chain[-1].amplitude
+            yield poly, MultiPoly._make(names, *chain[-1])
 
-    return ExpWave(product_sum(wave.variables, products()), wave.phase)
+    return ExpWave(product_sum(names, products()), wave.phase)
 
 
 def boost_commutator_defect(
@@ -107,12 +110,15 @@ def boost_commutator_defect(
         for a, va in enumerate(v, start=1)
     }
 
+    # Both sides end on the pulled-back, gauged phase, built once: the right
+    # side's wave carries it, and only the left side's amplitude is pulled
+    # back.  So each side must keep the phase of the wave it was given.
     wave = plane_wave(n)
-    lhs = apply_lpdo(op, wave).substitute(pullback).with_phase_added(theta)
-    rhs = apply_lpdo(op, wave.substitute(pullback).with_phase_added(theta))
-    if lhs.phase != rhs.phase:
+    moved = wave.substitute(pullback).with_phase_added(theta)
+    lhs, rhs = apply_lpdo(op, wave), apply_lpdo(op, moved)
+    if lhs.phase != wave.phase or rhs.phase != moved.phase:
         raise AssertionError("the two sides lost phase alignment")
-    return lhs.amplitude - rhs.amplitude
+    return lhs.amplitude.substitute(pullback) - rhs.amplitude
 
 
 class IdentityVerdict(_Value):

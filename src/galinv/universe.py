@@ -5,12 +5,16 @@ used throughout are fixed here: ``t`` and ``x1..xn`` for space-time
 coordinates, ``tau`` and ``xi1..xin`` for the dual frequency variables,
 and ``v1..vn`` for a symbolic boost velocity.  The default seed of the
 sampled checks and the draw of a random rational are fixed here too, and
-so is the behaviour shared by the package's value classes.
+so is the behaviour shared by the package's value classes.  Each universe
+is built once per recently used dimension and shared, so that equal
+universes are usually one object, which `MultiPoly`'s identity checks
+take at once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -19,6 +23,10 @@ if TYPE_CHECKING:
 TIME = "t"
 FREQ_TIME = "tau"
 DEFAULT_SEED = 94281
+# Dimensions whose universes and plane waves stay built, the most recently
+# used first.  Unbounded, a sweep over n = 1..1000 would keep about 130 MiB
+# of universes and 870 MiB of plane waves alive.
+CACHED_DIMENSIONS = 16
 
 
 def random_rational(rng: random.Random, bound: int) -> Fraction:
@@ -75,21 +83,25 @@ def boost(a: int) -> str:
     return f"v{a}"
 
 
+@lru_cache(maxsize=CACHED_DIMENSIONS)
 def coeff_vars(n: int) -> tuple[str, ...]:
     """Universe for operator coefficients: (t, x1..xn)."""
     return (TIME,) + tuple(space(a) for a in range(1, n + 1))
 
 
+@lru_cache(maxsize=CACHED_DIMENSIONS)
 def symbol_vars(n: int) -> tuple[str, ...]:
     """Universe for operator symbols: (t, x1..xn, tau, xi1..xin)."""
     return coeff_vars(n) + (FREQ_TIME,) + tuple(freq_space(a) for a in range(1, n + 1))
 
 
+@lru_cache(maxsize=CACHED_DIMENSIONS)
 def boost_vars(n: int) -> tuple[str, ...]:
     """Symbol universe extended by a symbolic boost velocity (v1..vn)."""
     return symbol_vars(n) + tuple(boost(a) for a in range(1, n + 1))
 
 
+@lru_cache(maxsize=CACHED_DIMENSIONS)
 def phase_vars(n: int) -> tuple[str, ...]:
     """Universe for gauge phases with a symbolic velocity: (t, x, v)."""
     return coeff_vars(n) + tuple(boost(a) for a in range(1, n + 1))

@@ -14,10 +14,11 @@ exact polynomial identities on amplitudes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .gaussrat import GaussianRational, I_UNIT
-from .multipoly import MultiPoly, _rational_terms
+from .multipoly import MultiPoly, _chain_step, _rational_terms
 from . import universe
 
 
@@ -36,26 +37,32 @@ class ExpWave:
     def __setattr__(self, name, value):
         raise AttributeError("ExpWave is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("ExpWave is immutable")
+
     @property
     def variables(self) -> tuple[str, ...]:
         return self.amplitude.variables
 
+    def _i_dphi(self, name: str) -> MultiPoly:
+        """i * dphi/dname, taken once per name and shared by every wave
+        with this phase."""
+        i_dphi = self._gradient.get(name)
+        if i_dphi is None:
+            i_dphi = self._gradient[name] = self.phase.partial(name) * I_UNIT
+        return i_dphi
+
     def differentiate(self, name: str) -> "ExpWave":
         """One exact derivative: (dA + i*A*dphi) * exp(i*phi).  It keeps the
-        phase, so it shares the cache of i*dphi, taken once per name."""
-        gradient = self._gradient
-        i_dphi = gradient.get(name)
-        if i_dphi is None:
-            i_dphi = gradient[name] = self.phase.partial(name) * I_UNIT
-        amplitude = self.amplitude * i_dphi
-        # The oracle's amplitudes are free of t and x: then dA is zero.
-        if self.amplitude._holds(name):
-            amplitude = self.amplitude.partial(name) + amplitude
+        phase, so it shares the cache of i*dphi."""
+        i_dphi, amplitude = self._i_dphi(name), self.amplitude
+        variables = amplitude.variables
+        step = _chain_step(variables, amplitude._index(name), amplitude._den, amplitude._num, i_dphi)
         # The shared phase was checked when this wave was built: no __init__ checks.
         out = object.__new__(ExpWave)
-        object.__setattr__(out, "amplitude", amplitude)
+        object.__setattr__(out, "amplitude", MultiPoly._make(variables, *step))
         object.__setattr__(out, "phase", self.phase)
-        object.__setattr__(out, "_gradient", gradient)
+        object.__setattr__(out, "_gradient", self._gradient)
         return out
 
     def substitute(self, bindings: Mapping[str, MultiPoly | int | Fraction]) -> "ExpWave":
@@ -82,8 +89,12 @@ class ExpWave:
         return f"ExpWave(amplitude={self.amplitude}, phase={self.phase})"
 
 
+@lru_cache(maxsize=universe.CACHED_DIMENSIONS)
 def plane_wave(n: int) -> ExpWave:
-    """exp(i(tau*t + xi.x)) with symbolic frequency, over the symbol universe."""
+    """exp(i(tau*t + xi.x)) with symbolic frequency, over the symbol universe.
+
+    Built once per recently used dimension and shared, so its cache of
+    i*dphi outlives a call."""
     names = universe.symbol_vars(n)
     # Coordinate a (t for a = 0) is variable a, and its frequency variable n + 1 + a.
     phase = _rational_terms(names, [((a, n + 1 + a), 1) for a in range(n + 1)])

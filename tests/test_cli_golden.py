@@ -78,6 +78,16 @@ GOLDEN = [
     (["oracle", "Lap", "--n", "2", "--lambda", "1"], 1,
      "verdict: not-invariant\nlambda: 1\nn: 2\nm: 2\nseed: 94281\nwitness: defect at v=(2/3,-1): 4/3*xi1 - 2*xi2 + 13/9\n",
      "verdict=not-invariant\nlambda=1\nn=2\nm=2\nseed=94281\nwitness=defect at v=(2/3,-1): 4/3*xi1 - 2*xi2 + 13/9\n"),
+    # Variable coefficients: the left side's amplitude depends on x1 or t,
+    # so its pull-back and the coefficient products both do work.
+    (["oracle", "x1*Dt + Lap", "--n", "2", "--lambda", "1"], 1,
+     "verdict: not-invariant\nlambda: 1\nn: 2\nm: 2\nseed: 94281\nwitness: defect at v=(2/3,-1): "
+     "-2/3i*t*tau + 2/3i*x1*xi1 - i*x1*xi2 + 13/18i*x1 + 4/3*xi1 - 2*xi2 + 13/9\n",
+     "verdict=not-invariant\nlambda=1\nn=2\nm=2\nseed=94281\nwitness=defect at v=(2/3,-1): "
+     "-2/3i*t*tau + 2/3i*x1*xi1 - i*x1*xi2 + 13/18i*x1 + 4/3*xi1 - 2*xi2 + 13/9\n"),
+    (["oracle", "t*Dt", "--n", "1", "--lambda", "0"], 1,
+     "verdict: not-invariant\nlambda: 0\nn: 1\nm: 1\nseed: 94281\nwitness: defect at v=(2/3): 2/3i*t*xi1\n",
+     "verdict=not-invariant\nlambda=0\nn=1\nm=1\nseed=94281\nwitness=defect at v=(2/3): 2/3i*t*xi1\n"),
 ]
 
 

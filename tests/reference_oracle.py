@@ -13,6 +13,12 @@ here too: theta through `boost_phase_poly` and `extend`, bindings and
 phase by variable arithmetic, and `boosted_frequency`, the transport law
 on constant polynomials summed from `MultiPoly.zero`.
 
+`galinv.oracle.boost_commutator_defect` also pulls the phase back only
+once, onto the right side's wave, and `galinv.oracle.apply_lpdo` steps
+its chain of derivatives on packed amplitudes.  Here both sides' waves
+are pulled back and their phases compared, and the chain steps whole
+waves.
+
 The tests require each pair of routes to give identical internals and
 term order.
 """

@@ -59,7 +59,7 @@ def test_each_dimension_builds_its_universes_and_plane_wave_once(n):
         assert make(n) is make(n)
     wave = plane_wave(n)
     assert wave is plane_wave(n)
-    assert wave.variables is universe.symbol_vars(n)
+    assert wave.variables == universe.symbol_vars(n)
     # A sweep over every dimension keeps only the most recent ones built.
     for make in (*UNIVERSES, plane_wave):
         assert make.cache_info().maxsize == universe.CACHED_DIMENSIONS

@@ -1,15 +1,17 @@
-"""Galilei group elements acting on operators by conjugation.
+"""Galilei group elements acting on operators, and the boosts' gauge phase.
 
-Space-time translations, space rotations, and gauged boosts each act on
-an operator; the conventions here are fixed so that an operator is
-invariant under a group element exactly when it is a fixed point of the
-corresponding conjugation.  Boosts come with their gauge phase
+Space-time translations and space rotations act on an operator by
+conjugation, substituted once in its symbol; the conventions are fixed
+so that an operator is invariant under such an element exactly when it
+is a fixed point of its conjugation.  Boosts come with their gauge phase
 
     theta_v(t, x) = c + lam * v.x - (lam/2) * t * |v|^2,
 
 the unique quadratic family (for lam != 0) under which the Schrodinger
 factor commutes with the boosted pull-back; for lam = 0 the phase is
-x-independent and drops out of every plane-wave computation.
+x-independent and drops out of every plane-wave computation.  Boost
+invariance itself is decided in `checks`, on the radial gauge equation,
+and `oracle` applies gauged boosts to plane waves by differentiation.
 """
 
 from __future__ import annotations
@@ -86,83 +88,6 @@ def conj_rotation(op: LPDO, rot: Rotation) -> LPDO:
     sym = symbol_of(op)
     bindings = rotation_symbol_bindings(op.n, rot, sym.poly.variables)
     return LPDO._of_symbol(Symbol(sym.poly.substitute(bindings), op.n, op.order))
-
-
-class BoostedFrequency(_FrozenValue):
-    """Image of a plane-wave frequency under a gauged boost.
-
-    The transported wave is exp(i * phase_const) times the plane wave at
-    the new frequency (tau - xi.v - (lam/2)|v|^2, xi + lam*v).
-    """
-
-    _fields = ("tau", "xi", "phase_const")
-
-    def __init__(self, tau: MultiPoly, xi: tuple[MultiPoly, ...], phase_const: Fraction) -> None:
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "phase_const", phase_const)
-
-
-def boosted_frequency(
-    n: int,
-    lam: Fraction | int,
-    v: Sequence[Fraction | int] | None = None,
-    tau: Fraction | int | None = None,
-    xi: Sequence[Fraction | int] | None = None,
-    c: Fraction | int = 0,
-) -> BoostedFrequency:
-    """Frequency transport law of the gauged boost.
-
-    Components left as None stay symbolic, and given ones become constant
-    polynomials; the result is a pair of polynomials over the boost
-    universe.
-    """
-    lam = Fraction(lam)
-    names = universe.boost_vars(n)
-    _check_components("v", v, n)
-    _check_components("xi", xi, n)
-
-    def value_of(name: str, given) -> MultiPoly:
-        if given is None:
-            return MultiPoly.var(names, name)
-        return MultiPoly.const(names, Fraction(given))
-
-    tau_p = value_of(universe.FREQ_TIME, tau)
-    xi_p = [
-        value_of(universe.freq_space(a), None if xi is None else xi[a - 1])
-        for a in range(1, n + 1)
-    ]
-    v_p = [
-        value_of(universe.boost(a), None if v is None else v[a - 1])
-        for a in range(1, n + 1)
-    ]
-    dot = speed2 = 0
-    for xa, va in zip(xi_p, v_p):
-        dot = dot + xa * va
-        speed2 = speed2 + va * va
-    new_tau = tau_p - dot - speed2 * Fraction(lam, 2)
-    new_xi = tuple(xa + va * lam for xa, va in zip(xi_p, v_p))
-    return BoostedFrequency(new_tau, new_xi, Fraction(c))
-
-
-def conj_boost_gauge(
-    op: LPDO, lam: Fraction | int, v: Sequence[Fraction | int] | None = None
-) -> MultiPoly:
-    """Symbol of the boost-and-gauge conjugated operator, q(tau, xi, v).
-
-    q is the symbol composed with the boosted frequency; the operator is
-    invariant under the gauged boosts for this lam exactly when
-    q - symbol is the zero polynomial in (tau, xi, v).  With lam = 0 this
-    degenerates to the pure boost pull-back q = p(tau - xi.v, xi).
-    """
-    if not op.is_constant_coefficient:
-        raise ValueError("boost conjugation is restricted to constant coefficients")
-    names = universe.boost_vars(op.n)
-    moved = boosted_frequency(op.n, lam, v=v)
-    bindings: dict[str, MultiPoly] = {universe.FREQ_TIME: moved.tau}
-    for a in range(1, op.n + 1):
-        bindings[universe.freq_space(a)] = moved.xi[a - 1]
-    return symbol_of(op).poly.extend(names).substitute(bindings)
 
 
 class GaugePhase(_FrozenValue):

@@ -18,15 +18,12 @@ monomials back into derivatives.  The two maps are exact inverses here.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import universe
 from .universe import _FrozenValue
 from .gaussrat import GaussianLike, GaussianRational, as_gaussian, i_power
 from .multipoly import MAX_DIMENSION, MAX_TOTAL_DEGREE, MultiPoly, embed_sum, split_trailing
-
-if TYPE_CHECKING:
-    from .waves import ExpWave
 
 DerivKey = tuple[int, tuple[int, ...]]
 
@@ -231,32 +228,6 @@ def operator_of(symbol: Symbol) -> LPDO:
     poly = symbol.poly
     order = poly.degree_in(*poly.variables[symbol.n + 1 :])
     return LPDO._of_symbol(Symbol(poly, symbol.n, order))
-
-
-def apply_plane_wave(
-    op: LPDO,
-    tau: Fraction | int | None = None,
-    xi: Sequence[Fraction | int] | None = None,
-) -> ExpWave:
-    """Apply an operator to a plane wave, returning amplitude * exp(i*phase).
-
-    With no frequency given the result keeps tau and xi symbolic: the
-    amplitude is the full symbol.  With a concrete rational frequency the
-    amplitude is the symbol evaluated there.
-    """
-    from .waves import ExpWave, plane_wave, plane_wave_at
-
-    symbol = symbol_of(op)
-    if tau is None and xi is None:
-        wave = plane_wave(op.n)
-        return ExpWave(symbol.poly, wave.phase)
-    if tau is None or xi is None:
-        raise ValueError("give both tau and xi, or neither")
-    bindings: dict[str, Fraction] = {universe.FREQ_TIME: Fraction(tau)}
-    for a, value in enumerate(xi, start=1):
-        bindings[universe.freq_space(a)] = Fraction(value)
-    wave = plane_wave_at(op.n, tau, xi)
-    return ExpWave(symbol.poly.substitute(bindings), wave.phase)
 
 
 def compose_const(first: LPDO, second: LPDO) -> LPDO:

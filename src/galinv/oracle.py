@@ -9,15 +9,13 @@ intermediate machinery.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import universe
-from .gaussrat import GaussianRational
 from .lpdo import LPDO
 from .multipoly import MultiPoly, _chain_step, _rational_terms, product_sum
-from .universe import _FrozenValue, _Value, random_rational
+from .universe import _FrozenValue
 from .waves import ExpWave, plane_wave
 
 
@@ -40,16 +38,6 @@ def _steps(j: int, alpha: Sequence[int]) -> list[str]:
     for a, k in enumerate(alpha, start=1):
         steps += [universe.space(a)] * k
     return steps
-
-
-def differentiate_expwave(
-    wave: ExpWave, time_order: int = 0, space_orders: Sequence[int] = ()
-) -> ExpWave:
-    """Exact dt^j dx^alpha of a wave by repeated chain-rule steps."""
-    out = wave
-    for name in _steps(time_order, space_orders):
-        out = out.differentiate(name)
-    return out
 
 
 def apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
@@ -120,50 +108,3 @@ def boost_commutator_defect(
         raise AssertionError("the two sides lost phase alignment")
     return lhs.amplitude.substitute(pullback) - rhs.amplitude
 
-
-class IdentityVerdict(_Value):
-    """Outcome of a sampled polynomial-identity check."""
-
-    _fields = ("all_equal", "samples", "seed", "point", "left_value", "right_value")
-
-    def __init__(
-        self,
-        all_equal: bool,
-        samples: int,
-        seed: int,
-        point: dict[str, Fraction] | None = None,
-        left_value: GaussianRational | None = None,
-        right_value: GaussianRational | None = None,
-    ) -> None:
-        self.all_equal = all_equal
-        self.samples = samples
-        self.seed = seed
-        self.point = point
-        self.left_value = left_value
-        self.right_value = right_value
-
-
-def sampled_identity_check(
-    left: MultiPoly, right: MultiPoly, plan: SamplePlan | None = None
-) -> IdentityVerdict:
-    """Evaluate two polynomials at seeded random rational points, exactly.
-
-    Reports the first discrepancy, or that all samples agreed.  This is a
-    probabilistic cross-check of symbolic equality; it never replaces the
-    exact comparison, it guards it.
-    """
-    if left.variables != right.variables:
-        raise ValueError("polynomials live over different universes")
-    plan = plan or SamplePlan()
-    rng = random.Random(plan.seed)
-    for k in range(plan.count):
-        point = {
-            name: random_rational(rng, plan.bound) for name in left.variables
-        }
-        lv = left.evaluate(point)
-        rv = right.evaluate(point)
-        if lv != rv:
-            return IdentityVerdict(
-                False, k + 1, plan.seed, point=point, left_value=lv, right_value=rv
-            )
-    return IdentityVerdict(True, plan.count, plan.seed)

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .gaussrat import GaussianRational, I_UNIT
+from .gaussrat import I_UNIT
 from .multipoly import MultiPoly, _chain_step, _rational_terms
 from . import universe
 
@@ -100,13 +100,3 @@ def plane_wave(n: int) -> ExpWave:
     phase = _rational_terms(names, [((a, n + 1 + a), 1) for a in range(n + 1)])
     return ExpWave(MultiPoly.const(names, 1), phase)
 
-
-def plane_wave_at(n: int, tau: Fraction | int, xi: Sequence[Fraction | int]) -> ExpWave:
-    """exp(i(tau*t + xi.x)) at a concrete rational frequency."""
-    if len(xi) != n:
-        raise ValueError(f"frequency has {len(xi)} spatial components, expected {n}")
-    names = universe.symbol_vars(n)
-    phase = MultiPoly.var(names, universe.TIME) * Fraction(tau)
-    for a, value in enumerate(xi, start=1):
-        phase = phase + MultiPoly.var(names, universe.space(a)) * Fraction(value)
-    return ExpWave(MultiPoly.const(names, 1), phase)

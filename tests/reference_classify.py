@@ -24,6 +24,12 @@ generator images (lam*d/dxi_a - xi_a*d/dtau) p of the whole symbol, and
 equation q_tau = 2*lam*q_s on integer triples: it builds c_jk, q_tau and
 q_s as `GaussianRational` dicts and compares them.  The tests require the
 two to return equal values of the same type on every decomposition.
+
+`conj_boost_gauge` is the oldest boost route: it substitutes the boosted
+frequency of `reference_oracle.boosted_frequency` into the whole symbol,
+and an operator is invariant exactly when the residue q - p is the zero
+polynomial in (tau, xi, v).  The decider, the generator images and the
+differentiation oracle are each compared against that residue.
 """
 
 from __future__ import annotations
@@ -52,6 +58,8 @@ from galinv.errors import InconsistencyError
 from galinv.gaussrat import I_UNIT, GaussianLike, GaussianRational, i_power
 from galinv.lpdo import LPDO, symbol_of
 from galinv.multipoly import MultiPoly
+
+from reference_oracle import boosted_frequency
 
 STAGE_FORBIDDEN = "forbidden-lower-term"
 
@@ -172,3 +180,18 @@ def boost_images(p: MultiPoly, n: int, lam: Fraction) -> Iterator[MultiPoly]:
 def boost_invariant(op: LPDO, lam: Fraction | int) -> bool:
     """Every boost generator annihilates the symbol of op."""
     return all(image.is_zero for image in boost_images(symbol_of(op).poly, op.n, Fraction(lam)))
+
+
+def conj_boost_gauge(op: LPDO, lam: Fraction | int, v=None) -> MultiPoly:
+    """Symbol of the boost-and-gauge conjugated operator, q(tau, xi, v).
+
+    q is the symbol composed with the boosted frequency; with lam = 0 this
+    degenerates to the pure boost pull-back q = p(tau - xi.v, xi).
+    """
+    if not op.is_constant_coefficient:
+        raise ValueError("boost conjugation is restricted to constant coefficients")
+    moved = boosted_frequency(op.n, lam, v=v)
+    bindings = {universe.FREQ_TIME: moved.tau}
+    for a in range(1, op.n + 1):
+        bindings[universe.freq_space(a)] = moved.xi[a - 1]
+    return symbol_of(op).poly.extend(universe.boost_vars(op.n)).substitute(bindings)

@@ -1,4 +1,4 @@
-"""The oracle's and the boost witness's routes before their lean paths.
+"""Routes of the plane-wave oracle that the package replaced or never needed.
 
 `galinv.waves.ExpWave.differentiate` takes i*dphi once per name and
 phase, and `galinv.oracle.apply_lpdo` adds each product of a coefficient
@@ -10,8 +10,7 @@ afresh, and each key's product is added to a growing total.
 build the gauge phase theta, the pull-back bindings and the plane-wave
 phase from their terms, in one constructor each.  Their old routes live
 here too: theta through `boost_phase_poly` and `extend`, bindings and
-phase by variable arithmetic, and `boosted_frequency`, the transport law
-on constant polynomials summed from `MultiPoly.zero`.
+phase by variable arithmetic.
 
 `galinv.oracle.boost_commutator_defect` also pulls the phase back only
 once, onto the right side's wave, and `galinv.oracle.apply_lpdo` steps
@@ -21,15 +20,23 @@ waves.
 
 The tests require each pair of routes to give identical internals and
 term order.
+
+Three routes the oracle is compared against live here as well, with no
+twin in the package: `apply_plane_wave`, the symbol side of L e = p * e
+at a symbolic or a concrete frequency (`plane_wave_at`);
+`differentiate_expwave`, one key's derivative taken on its own; and
+`boosted_frequency`, the transport law of the gauged boost on constant
+polynomials, which `reference_classify.conj_boost_gauge` substitutes into
+the symbol.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from galinv import ExpWave, I_UNIT, LPDO, MultiPoly, boost_phase_poly, universe
-from galinv.actions import BoostedFrequency, _check_components
+from galinv import ExpWave, I_UNIT, LPDO, MultiPoly, boost_phase_poly, symbol_of, universe, waves
+from galinv.actions import _check_components
 from galinv.oracle import _steps
 
 
@@ -108,6 +115,18 @@ def boost_commutator_defect(op: LPDO, lam, v, c=0) -> MultiPoly:
     return lhs.amplitude - rhs.amplitude
 
 
+class BoostedFrequency(NamedTuple):
+    """Image of a plane-wave frequency under a gauged boost.
+
+    The transported wave is exp(i * phase_const) times the plane wave at
+    the new frequency (tau - xi.v - (lam/2)|v|^2, xi + lam*v).
+    """
+
+    tau: MultiPoly
+    xi: tuple[MultiPoly, ...]
+    phase_const: Fraction
+
+
 def boosted_frequency(
     n: int,
     lam,
@@ -116,7 +135,8 @@ def boosted_frequency(
     xi: Sequence | None = None,
     c=0,
 ) -> BoostedFrequency:
-    """The transport law with every given component a constant polynomial."""
+    """The transport law with every given component a constant polynomial;
+    the components left as None stay symbolic, over the boost universe."""
     lam = Fraction(lam)
     names = universe.boost_vars(n)
     _check_components("v", v, n)
@@ -144,3 +164,39 @@ def boosted_frequency(
     new_tau = tau_p - dot - speed2 * Fraction(lam, 2)
     new_xi = tuple(xa + va * lam for xa, va in zip(xi_p, v_p))
     return BoostedFrequency(new_tau, new_xi, Fraction(c))
+
+
+def differentiate_expwave(wave: ExpWave, time_order: int = 0, space_orders: Sequence[int] = ()) -> ExpWave:
+    """Exact dt^j dx^alpha of a wave by repeated chain-rule steps."""
+    out = wave
+    for name in _steps(time_order, space_orders):
+        out = out.differentiate(name)
+    return out
+
+
+def plane_wave_at(n: int, tau, xi: Sequence) -> ExpWave:
+    """exp(i(tau*t + xi.x)) at a concrete rational frequency."""
+    if len(xi) != n:
+        raise ValueError(f"frequency has {len(xi)} spatial components, expected {n}")
+    names = universe.symbol_vars(n)
+    phase = MultiPoly.var(names, universe.TIME) * Fraction(tau)
+    for a, value in enumerate(xi, start=1):
+        phase = phase + MultiPoly.var(names, universe.space(a)) * Fraction(value)
+    return ExpWave(MultiPoly.const(names, 1), phase)
+
+
+def apply_plane_wave(op: LPDO, tau=None, xi: Sequence | None = None) -> ExpWave:
+    """Apply an operator to a plane wave through its symbol: L e = p * e.
+
+    With no frequency given the amplitude is the full symbol; with a
+    concrete rational frequency it is the symbol evaluated there.
+    """
+    poly = symbol_of(op).poly
+    if tau is None and xi is None:
+        return ExpWave(poly, waves.plane_wave(op.n).phase)
+    if tau is None or xi is None:
+        raise ValueError("give both tau and xi, or neither")
+    bindings = {universe.FREQ_TIME: Fraction(tau)}
+    for a, value in enumerate(xi, start=1):
+        bindings[universe.freq_space(a)] = Fraction(value)
+    return ExpWave(poly.substitute(bindings), plane_wave_at(op.n, tau, xi).phase)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from galinv import universe
-from galinv.actions import BoostedFrequency, GaugePhase, Translation
+from galinv.actions import GaugePhase, Translation
 from galinv.checks import (
     BoostWitness,
     CheckReport,
@@ -34,7 +34,7 @@ from galinv.matrices import (
     _frac_rows,
 )
 from galinv.opparse import _Token
-from galinv.oracle import IdentityVerdict, SamplePlan
+from galinv.oracle import SamplePlan
 
 
 def _translation(self) -> None:
@@ -114,7 +114,6 @@ _REPORT = "verdict stage alpha beta lam theta n m seed coeffs certificate witnes
 
 TWINS = [
     _twin(Translation, "s y", frozen=True, post_init=_translation),
-    _twin(BoostedFrequency, "tau xi phase_const", frozen=True),
     _twin(GaugePhase, "lam c", {"lam": Fraction(0), "c": Fraction(0)}, frozen=True,
           post_init=_gauge_phase),
     _twin(TranslationWitness, "key monomial shift"),
@@ -138,6 +137,4 @@ TWINS = [
     _twin(SamplePlan, "seed count bound",
           {"seed": universe.DEFAULT_SEED, "count": 32, "bound": 10}, frozen=True,
           post_init=_sample_plan),
-    _twin(IdentityVerdict, "all_equal samples seed point left_value right_value",
-          _nones("point left_value right_value")),
 ]

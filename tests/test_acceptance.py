@@ -18,7 +18,6 @@ from galinv import (
     classify_power_form,
     classify_second_order,
     compose_const,
-    conj_boost_gauge,
     conj_rotation,
     format_operator,
     normalize_gauge,
@@ -35,6 +34,7 @@ from galinv.matrices import RationalMatrix
 from reference_matrices import all_signed_permutations, mul, sample_cayley_rotations, transpose
 
 from conftest import random_constant_lpdo, random_fraction, random_gaussian, random_variable_lpdo
+from reference_classify import conj_boost_gauge
 
 
 def F(p, q=1):

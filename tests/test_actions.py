@@ -11,8 +11,6 @@ from galinv import (
     MultiPoly,
     Translation,
     boost_phase_poly,
-    boosted_frequency,
-    conj_boost_gauge,
     conj_rotation,
     conj_translation,
     gauge_phase,
@@ -30,6 +28,8 @@ from reference_matrices import (
 )
 
 from conftest import random_constant_lpdo, random_fraction
+from reference_classify import conj_boost_gauge
+from reference_oracle import boosted_frequency
 
 
 def F(p, q=1):

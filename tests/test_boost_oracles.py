@@ -30,15 +30,15 @@ from galinv import (
     check_boost_invariance_fixed_gauge,
     classify_power_form,
     compose_const,
-    conj_boost_gauge,
     symbol_of,
     synthesize,
 )
 from galinv import universe
 from galinv.checks import _boost_witness
-from galinv.oracle import random_rational
+from galinv.universe import random_rational
 
 from conftest import random_constant_lpdo, random_fraction, random_gaussian
+from reference_classify import conj_boost_gauge
 from reference_symbols import reference_power_form
 
 # The decider's witness seed: both routes walk the same point sequence.

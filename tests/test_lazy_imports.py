@@ -1,5 +1,7 @@
-"""Start-up cost: the package and the CLI load a module on first use only."""
+"""Start-up cost: the package and the CLI load a module on first use only,
+and no module imports a name it never reads."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -12,6 +14,12 @@ import galinv
 from galinv import cli
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# Names that left the package: moved to the test references or deleted.
+REMOVED = (
+    "BoostedFrequency IdentityVerdict apply_plane_wave boosted_frequency conj_boost_gauge "
+    "differentiate_expwave plane_wave_at sampled_identity_check"
+).split()
 
 
 def _loaded_by(code: str, *argv: str) -> set[str]:
@@ -78,9 +86,8 @@ def test_no_subcommand_loads_dataclasses_or_inspect(argv):
 
 
 def test_random_rational_lives_in_universe():
-    from galinv import checks, oracle, universe
+    from galinv import checks, universe
 
-    assert oracle.random_rational is universe.random_rational
     assert checks.random_rational is universe.random_rational
 
 
@@ -107,6 +114,10 @@ def test_unknown_names_raise_attribute_error():
         with pytest.raises(AttributeError, match="no_such_name"):
             module.no_such_name
         assert not hasattr(module, "another_missing_name")
+    for name in REMOVED:
+        assert name not in galinv.__all__
+        with pytest.raises(AttributeError, match=name):
+            getattr(galinv, name)
     # A submodule is still importable by name from the package.
     from galinv import universe
 
@@ -114,7 +125,40 @@ def test_unknown_names_raise_attribute_error():
 
 
 def test_cli_names_resolve_to_their_home_objects():
-    from galinv import checks, oracle
+    from galinv import checks, universe
 
     assert cli.check_translation_invariance is checks.check_translation_invariance
-    assert cli.random_rational is oracle.random_rational
+    assert cli.random_rational is universe.random_rational
+
+
+def _import_faults(path: Path) -> list[str]:
+    """Names the module imports and never reads, and any import of a test
+    helper.  Lines marked `# noqa: F401` and `from __future__` are exempt."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    faults = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        module = getattr(node, "module", None) or ""
+        for name in [module] + [alias.name for alias in node.names]:
+            if any(part.startswith("reference_") or part == "conftest" for part in name.split(".")):
+                faults.append(f"imports {name}")
+        if module == "__future__" or any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in read:
+                faults.append(f"never reads {bound}")
+    return faults
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    faults = {
+        path.name: _import_faults(path)
+        for path in sorted(Path(SRC, "galinv").glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: found for name, found in faults.items() if found} == {}

@@ -11,7 +11,6 @@ from galinv import (
     GaussianRational,
     I_UNIT,
     MultiPoly,
-    apply_plane_wave,
     compose_const,
     conjugate_linear_phase,
     linear_phase,
@@ -21,6 +20,7 @@ from galinv import (
 from galinv import universe
 
 from conftest import random_constant_lpdo, random_fraction, random_variable_lpdo
+from reference_oracle import apply_plane_wave
 
 
 def sym_poly(n):

@@ -8,20 +8,17 @@ from galinv import (
     ExpWave,
     I_UNIT,
     MultiPoly,
-    SamplePlan,
     apply_lpdo,
-    apply_plane_wave,
     boost_commutator_defect,
     boost_phase_poly,
-    conj_boost_gauge,
-    differentiate_expwave,
     plane_wave,
-    sampled_identity_check,
     symbol_of,
 )
 from galinv import universe
 
 from conftest import random_constant_lpdo, random_fraction, random_poly, random_variable_lpdo
+from reference_classify import conj_boost_gauge
+from reference_oracle import apply_plane_wave, differentiate_expwave
 
 
 def F(p, q=1):
@@ -137,35 +134,6 @@ def test_oracle_agrees_with_boost_checker_on_corpus(corpus):
     fail = check_boost_invariance_fixed_gauge(LPDO.laplacian(2), 1)
     assert not fail.invariant
     assert not boost_commutator_defect(LPDO.laplacian(2), 1, fail.witness.v).is_zero
-
-
-def test_sampled_identity_equal_polynomials():
-    names = ("tau", "xi1")
-    p = (MultiPoly.var(names, "tau") + MultiPoly.var(names, "xi1")) ** 2
-    q = (
-        MultiPoly.var(names, "tau") ** 2
-        + MultiPoly.var(names, "tau") * MultiPoly.var(names, "xi1") * 2
-        + MultiPoly.var(names, "xi1") ** 2
-    )
-    verdict = sampled_identity_check(p, q, SamplePlan(seed=3, count=16, bound=7))
-    assert verdict.all_equal
-    assert verdict.samples == 16
-
-
-def test_sampled_identity_finds_discrepancy():
-    names = ("tau", "xi1")
-    p = MultiPoly.var(names, "tau")
-    q = p + MultiPoly.var(names, "xi1")
-    verdict = sampled_identity_check(p, q, SamplePlan(seed=3, count=32, bound=7))
-    assert not verdict.all_equal
-    assert verdict.point is not None
-    assert verdict.left_value != verdict.right_value
-
-
-def test_sampled_identity_same_object():
-    names = ("tau",)
-    p = MultiPoly.var(names, "tau") ** 3
-    assert sampled_identity_check(p, p).all_equal
 
 
 def _per_key_sum(op, wave):

@@ -37,7 +37,7 @@ from galinv import universe
 from galinv.checks import NotRadial, RotationWitness, radial_decompose
 from galinv.matrices import OrthogonalMatrix, RationalMatrix
 from galinv.multipoly import _radial_parts
-from galinv.oracle import random_rational
+from galinv.universe import random_rational
 
 import reference_symbols as ref
 from reference_matrices import all_signed_permutations, apply, iter_cayley_rotations, transpose

@@ -328,27 +328,34 @@ class MultiPoly:
     def evaluate(self, assignment: Mapping[str, GaussianLike]) -> GaussianRational:
         """Exact value at a point; every variable that appears needs a value.
 
-        Each power is taken once; terms are summed in integers per denominator."""
+        For a variable of top degree D at the value z/d (z a Gaussian
+        integer), a table holds z^e * d^(D-e) for e = 0..D, so each term is
+        an integer pair over den * d^D, summed once and normalised once."""
         width = len(self.variables)
-        powers: dict[tuple[int, int], tuple[int, int, int]] = {}
-        sums: dict[int, tuple[int, int]] = {}
+        packed = b"".join(key.to_bytes(width + 1, "little") for key in self._num)
+        columns = ((packed[i :: width + 1], i) for i in range(width))
+        den, tables = self._den, []
+        # By the first term using each variable, so a missing value raises as term by term would.
+        for _, i, top in sorted((len(c) - len(c.lstrip(b"\0")), i, max(c)) for c, i in columns if any(c)):
+            name = self.variables[i]
+            if name not in assignment:
+                raise ValueError(f"no value supplied for variable {name!r}")
+            a, b, d = as_gaussian(assignment[name])._t
+            scale = d**top
+            x, y, table = scale, 0, []
+            for _ in range(top + 1):  # each entry is the last times z/d, exactly while e < D
+                table.append((x, y))
+                x, y = (x * a - y * b) // d, (x * b + y * a) // d
+            tables.append((8 * i, table))
+            den *= scale
+        total_re = total_im = 0
         for key, (re, im) in self._num.items():
-            den = 1
-            for i, e in enumerate(key.to_bytes(width + 1, "little")[:width]):
-                if not e:
-                    continue
-                power = powers.get((i, e))
-                if power is None:
-                    name = self.variables[i]
-                    if name not in assignment:
-                        raise ValueError(f"no value supplied for variable {name!r}")
-                    power = powers[(i, e)] = (as_gaussian(assignment[name]) ** e)._t
-                a, b, d = power
-                re, im, den = re * a - im * b, re * b + im * a, den * d
-            a, b = sums.get(den, (0, 0))
-            sums[den] = (a + re, b + im)
-        parts = (_normal(re, im, d * self._den) for d, (re, im) in sums.items())
-        return sum(parts, GaussianRational())
+            for shift, table in tables:
+                x, y = table[key >> shift & 255]
+                re, im = re * x - im * y, re * y + im * x
+            total_re += re
+            total_im += im
+        return _normal(total_re, total_im, den)
 
     def extend(self, variables: Sequence[str]) -> "MultiPoly":
         """Embed into a larger universe containing all current variables."""
@@ -518,41 +525,39 @@ def _chain_step(
     `MultiPoly._make` divides it out once the chain ends."""
     product = _product(num, gradient._num)
     out = _partial(variables, index, num, gradient._den)
-    if out:
-        get = out.get
-        for key, (a, b) in product.items():
-            re, im = get(key, (0, 0))
-            out[key] = (re + a, im + b)
-    else:  # the oracle's amplitudes are free of t and x: then dA is zero
-        out = product
+    get = out.get
+    for key, (a, b) in product.items():
+        re, im = get(key, (0, 0))
+        out[key] = (re + a, im + b)
     return den * gradient._den, _nonzero(variables, out)
 
 
-def product_sum(variables: Sequence[str], pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
-    """sum(p.extend(variables) * q for p, q in pairs), added up in one dict as the pairs
-    come, with the value, term order and first error of `total + p.extend(variables) * q`."""
+def product_sum(variables: Sequence[str], pairs: Iterable[tuple[MultiPoly, tuple[int, dict]]]) -> MultiPoly:
+    """sum(p.extend(variables) * q for p, (den, num) in pairs), where q = num/den is
+    packed over `variables` with no zero term and none past the cap, its content
+    not necessarily divided out.  The products are added up in one dict as the
+    pairs come, with the value, term order and first error of
+    `total + p.extend(variables) * q`."""
     variables = _universe(variables)
-    den, accum, lead = 1, {}, None  # lead: a universe that begins `variables`
-    for p, q in pairs:
+    den, accum, lead, top = 1, {}, None, 8 * len(variables)  # lead: a universe that begins `variables`
+    for p, (d, terms) in pairs:
         if p.variables is not lead and p.variables == variables[: len(p.variables)]:
             lead = p.variables
-        if p.variables is lead and len(p._num) == 1 and 0 in p._num and q.variables == variables:
+        if p.variables is lead and len(p._num) == 1 and 0 in p._num:
             # q times a constant: no embedding, and q's terms stay distinct, nonzero and capped
             k1, (c, e) = 0, p._num[0]
-            d, terms = p._den * q._den, q._num.items()
         else:
             p = p.extend(variables)
-            if len(p._num) == 1 and q.variables == variables and p.total_degree() + q.total_degree() <= MAX_TOTAL_DEGREE:
+            if len(p._num) == 1 and p.total_degree() + (max(terms, default=0) >> top) <= MAX_TOTAL_DEGREE:
                 ((k1, (c, e)),) = p._num.items()  # q times a monomial: distinct nonzero terms
-                d, terms = p._den * q._den, q._num.items()
             else:
-                product = p * q
-                k1, c, e, d, terms = 0, 1, 0, product._den, product._num.items()
+                k1, c, e, terms = 0, 1, 0, _nonzero(variables, _product(p._num, terms))
+        d *= p._den
         if den % d:
             m, den = lcm(den, d) // den, lcm(den, d)
             accum = {key: (re * m, im * m) for key, (re, im) in accum.items()}
         c, e, get = c * (den // d), e * (den // d), accum.get
-        for k2, (a, b) in terms:
+        for k2, (a, b) in terms.items():
             key = k1 + k2
             re, im = get(key, (0, 0))
             re, im = re + a * c - b * e, im + a * e + b * c

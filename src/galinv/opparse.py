@@ -153,13 +153,14 @@ class _Parser:
             return -value if negate else value
         return product_sum(self.names, self._signed_terms(value, negate))
 
-    def _signed_terms(self, first: MultiPoly, negate: bool) -> Iterator[tuple[MultiPoly, MultiPoly]]:
-        """(sign, term) pairs of a sum, parsed as `product_sum` asks for them."""
+    def _signed_terms(self, first: MultiPoly, negate: bool) -> Iterator[tuple[MultiPoly, tuple[int, dict]]]:
+        """(sign, packed term) pairs of a sum, parsed as `product_sum` asks for them."""
         one = _const(self.names, 1)
-        yield (-one if negate else one), first
+        yield (-one if negate else one), (first._den, first._num)
         while self.peek().text in ("+", "-"):
             sign = -one if self.advance().text == "-" else one
-            yield sign, self.term()
+            term = self.term()
+            yield sign, (term._den, term._num)
 
     def term(self) -> MultiPoly:
         value = self.factor()

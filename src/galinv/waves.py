@@ -17,8 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .gaussrat import I_UNIT
-from .multipoly import MultiPoly, _chain_step, _rational_terms
+from .multipoly import MultiPoly, _chain_step, _partial, _rational_terms
 from . import universe
 
 
@@ -48,8 +47,10 @@ class ExpWave:
         """i * dphi/dname, taken once per name and shared by every wave
         with this phase."""
         i_dphi = self._gradient.get(name)
-        if i_dphi is None:
-            i_dphi = self._gradient[name] = self.phase.partial(name) * I_UNIT
+        if i_dphi is None:  # dphi/dname times i, in one pass: i*(re + im*i) = -im + re*i
+            phase = self.phase
+            num = {k: (-im, re) for k, (re, im) in _partial(phase.variables, phase._index(name), phase._num, 1).items()}
+            i_dphi = self._gradient[name] = MultiPoly._make(phase.variables, phase._den, num)
         return i_dphi
 
     def differentiate(self, name: str) -> "ExpWave":

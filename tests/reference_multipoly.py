@@ -11,6 +11,12 @@ to agree exactly on every operation, accessor, string and error.
 factor took a key shift; the tests require the two products to give
 identical internals, term order and errors.
 
+`evaluate` is the packed evaluator before it summed every term in one
+integer pair over the point's denominators: it takes each power as a
+`GaussianRational` once and sums the terms in integers per denominator.
+The tests require the two evaluators to return equal values and to raise
+the same error for a missing variable.
+
 `radial_parts` is the packed radial scan before it halved an even xi
 pattern with one shift and read a term's degree off its degree byte: it
 splits every term's xi pattern into bytes, weights it by a generator of
@@ -449,3 +455,28 @@ def radial_parts(poly, n: int):
         full = value is not None and count == comb(d // 2 + n - 1, n - 1)
         parts[(j, d)] = _normal(*value, poly._den * factorial(d // 2)) if full else None
     return parts, (odd_axes & -odd_axes).bit_length() + 7 >> 3
+
+
+def evaluate(poly, assignment):
+    """`MultiPoly.evaluate` on a packed polynomial, each power taken once
+    and the terms summed in integers per denominator."""
+    width = len(poly.variables)
+    powers: dict[tuple[int, int], tuple[int, int, int]] = {}
+    sums: dict[int, tuple[int, int]] = {}
+    for key, (re, im) in poly._num.items():
+        den = 1
+        for i, e in enumerate(key.to_bytes(width + 1, "little")[:width]):
+            if not e:
+                continue
+            power = powers.get((i, e))
+            if power is None:
+                name = poly.variables[i]
+                if name not in assignment:
+                    raise ValueError(f"no value supplied for variable {name!r}")
+                power = powers[(i, e)] = (as_gaussian(assignment[name]) ** e)._t
+            a, b, d = power
+            re, im, den = re * a - im * b, re * b + im * a, den * d
+        a, b = sums.get(den, (0, 0))
+        sums[den] = (a + re, b + im)
+    parts = (_normal(re, im, d * poly._den) for d, (re, im) in sums.items())
+    return sum(parts, GaussianRational())

@@ -37,7 +37,14 @@ from typing import NamedTuple, Sequence
 
 from galinv import ExpWave, I_UNIT, LPDO, MultiPoly, boost_phase_poly, symbol_of, universe, waves
 from galinv.actions import _check_components
-from galinv.oracle import _steps
+
+
+def _steps(j: int, alpha: Sequence[int]) -> list[str]:
+    """The chain-rule steps of dt^j dx^alpha by name: t first, then x1..xn."""
+    steps = [universe.TIME] * j
+    for a, k in enumerate(alpha, start=1):
+        steps += [universe.space(a)] * k
+    return steps
 
 
 def differentiate(wave: ExpWave, name: str) -> ExpWave:

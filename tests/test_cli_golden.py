@@ -88,6 +88,16 @@ GOLDEN = [
     (["oracle", "t*Dt", "--n", "1", "--lambda", "0"], 1,
      "verdict: not-invariant\nlambda: 0\nn: 1\nm: 1\nseed: 94281\nwitness: defect at v=(2/3): 2/3i*t*xi1\n",
      "verdict=not-invariant\nlambda=0\nn=1\nm=1\nseed=94281\nwitness=defect at v=(2/3): 2/3i*t*xi1\n"),
+    # A 9-term defect: the packed derivative sum of both sides, pulled back.
+    (["oracle", "(2i*Dt+Lap)^2 + Dt^2", "--n", "2", "--lambda", "1"], 1,
+     "verdict: not-invariant\nlambda: 1\nn: 2\nm: 4\nseed: 94281\nwitness: defect at v=(2/3,-1): "
+     "-4/3*tau*xi1 + 2*tau*xi2 + 4/9*xi1^2 - 4/3*xi1*xi2 + xi2^2 - 13/9*tau + 26/27*xi1 - 13/9*xi2 + 169/324\n",
+     "verdict=not-invariant\nlambda=1\nn=2\nm=4\nseed=94281\nwitness=defect at v=(2/3,-1): "
+     "-4/3*tau*xi1 + 2*tau*xi2 + 4/9*xi1^2 - 4/3*xi1*xi2 + xi2^2 - 13/9*tau + 26/27*xi1 - 13/9*xi2 + 169/324\n"),
+    # An order-16 symbol evaluated at the boost witness's seeded points.
+    (["check-boost", "(2i*Dt+Lap)^8 + Dt", "--lambda", "1", "--n", "3"], 1,
+     "verdict: not-invariant\nn: 3\nm: 16\nwitness: boost v=(1,-2/3,3/2) breaks commutation at tau=-3/2, xi=(2,-3,0)\n",
+     "verdict=not-invariant\nn=3\nm=16\nwitness=boost v=(1,-2/3,3/2) breaks commutation at tau=-3/2, xi=(2,-3,0)\n"),
 ]
 
 

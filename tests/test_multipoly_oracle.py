@@ -363,9 +363,9 @@ def test_substitute_foreign_targets_match_reference():
 @st.composite
 def product_pairs(draw):
     """A universe V and pairs (p, q): p over a subset of V in any order, or
-    rarely over a universe with a variable V lacks; q over V or, rarely,
-    not.  A pair may repeat an earlier one, with p negated or not, so that
-    terms cancel out of the sum and come back."""
+    rarely over a universe with a variable V lacks; q over V, as
+    `product_sum` takes it packed.  A pair may repeat an earlier one, with
+    p negated or not, so that terms cancel out of the sum and come back."""
     variables = draw(st.sampled_from(UNIVERSES))
     pairs = []
     for _ in range(draw(st.integers(0, 5))):
@@ -377,9 +377,15 @@ def product_pairs(draw):
         if draw(st.integers(0, 19)) == 0:
             sub.insert(draw(st.integers(0, len(sub))), "w9")
         p = draw(polys(tuple(sub), max_terms=3))
-        other = variables if draw(st.integers(0, 19)) else variables + ("w9",)
-        pairs.append((p, draw(polys(other, max_terms=4))))
+        pairs.append((p, draw(polys(variables, max_terms=4))))
     return variables, pairs
+
+
+def packed(pairs):
+    """The pairs with each q packed as (den, num), the k-th times k on top
+    and bottom: `product_sum` must not need the content divided out."""
+    return [(p, (q._den * k, {key: (re * k, im * k) for key, (re, im) in q._num.items()}))
+            for k, (p, q) in enumerate(pairs, 1)]
 
 
 def _reference_chain(variables, pairs):
@@ -404,11 +410,11 @@ def test_product_sum_matches_reference_chain(case):
     variables, pairs = case
     new = [(p, q) for (p, _), (q, _) in pairs]
     old = [(r, rq) for (_, r), (_, rq) in pairs]
-    got = outcome(product_sum, variables, iter(new))
+    got = outcome(product_sum, variables, iter(packed(new)))
     assert got == outcome(_reference_chain, variables, old)
     assert got == outcome(reference_oracle.product_sum, variables, new)
     if got[0] == "ok":
-        value = product_sum(variables, new)
+        value = product_sum(variables, packed(new))
         assert_same(value, _reference_chain(variables, old))
         chained = reference_oracle.product_sum(variables, new)
         assert (value._den, list(value._num.items())) == (chained._den, list(chained._num.items()))

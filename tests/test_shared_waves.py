@@ -5,8 +5,8 @@ the plane wave's cache of i*dphi outlives a call.  These tests check that
 the sharing holds, that no call leaves a shared value changed, and that
 no value class lets a field be deleted.  They also pin how much work a
 call does: `boost_commutator_defect` pulls the phase back once, and
-`apply_lpdo` builds one polynomial per derivative key on its chain of
-packed amplitudes.  `product_sum` and `MultiPoly.__mul__` over a universe
+`apply_lpdo` builds at most one polynomial per derivative key on its
+chain of packed amplitudes.  `product_sum` and `MultiPoly.__mul__` over a universe
 that is equal to, but not the same object as, the shared one must match
 the reference sum, errors included.
 """
@@ -96,6 +96,11 @@ def test_a_repeated_defect_call_gives_identical_internals(n, order, constant, se
     assert first == internals(ref.boost_commutator_defect(op, lam, v, Fraction(2, 5)))
 
 
+def packed(pairs):
+    """The pairs as `product_sum` takes them: each q as (den, num)."""
+    return [(p, (q._den, q._num)) for p, q in pairs]
+
+
 def _top(names, coefficient=1):
     """A polynomial at the cap: its first variable to the power 64, plus 1."""
     return MultiPoly(names, {(MAX_TOTAL_DEGREE,) + (0,) * (len(names) - 1): coefficient, (0,) * len(names): 1})
@@ -125,19 +130,19 @@ def test_sums_over_an_equal_but_distinct_universe_match_the_reference(n):
     for p in coefficients:
         for q in amplitudes:
             want = outcome(ref.product_sum, names, [(p, q)])
-            assert outcome(product_sum, names, [(p, q)]) == want
-            assert outcome(product_sum, shared, [(p, q)]) == outcome(ref.product_sum, shared, [(p, q)])
+            assert outcome(product_sum, names, packed([(p, q)])) == want
+            assert outcome(product_sum, shared, packed([(p, q)])) == outcome(ref.product_sum, shared, [(p, q)])
             assert outcome(operator.mul, p.extend(names), q) == want
     # A q at the cap times a constant is legal; times a monomial it fails
     # with the product's message, in the pair that passes the cap.
-    assert outcome(product_sum, names, [(coefficients[1], _top(names))])[0] == "ok"
+    assert outcome(product_sum, names, packed([(coefficients[1], _top(names))]))[0] == "ok"
     message = f"term degree {MAX_TOTAL_DEGREE + 1} exceeds the cap of {MAX_TOTAL_DEGREE}"
     pairs = [(coefficients[2], amplitudes[0]), (coefficients[3], _top(names))]
-    assert outcome(product_sum, names, pairs) == ("ValueError", message)
+    assert outcome(product_sum, names, packed(pairs)) == ("ValueError", message)
     assert outcome(ref.product_sum, names, pairs) == ("ValueError", message)
     for _ in range(20):  # mixed sums, in a random order
         pairs = [(rng.choice(coefficients), rng.choice(amplitudes[:3])) for _ in range(rng.randint(1, 5))]
-        assert outcome(product_sum, names, pairs) == outcome(ref.product_sum, names, pairs)
+        assert outcome(product_sum, names, packed(pairs)) == outcome(ref.product_sum, names, pairs)
 
 
 @st.composite

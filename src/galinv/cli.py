@@ -18,6 +18,7 @@ from __future__ import annotations
 from . import multipoly  # noqa: F401
 
 import argparse
+import gc
 import os
 import sys
 from fractions import Fraction
@@ -179,32 +180,36 @@ _COMMANDS = {
 }
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+def build_arg_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The galinv parser.  Every subcommand is registered with its help, so
+    usage lines and errors name all eight; given a subcommand, only its
+    subparser gets arguments, since parsing that command reads no other."""
     parser = argparse.ArgumentParser(
         prog="galinv",
         description="Exact invariance checks and classification for linear "
         "partial differential operators under the Galilei group.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subs = {}
-    for command, (help_text, operator, lam) in _COMMANDS.items():
-        p = subs[command] = sub.add_parser(command, help=help_text)
+    for name, (help_text, operator, lam) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command not in (None, name):
+            continue
         if operator:
             p.add_argument("operator", help="operator expression, e.g. '2i*Dt + Lap'")
             p.add_argument("--n", type=int, default=None, help="spatial dimension")
         p.add_argument("--format", choices=("text", "kv"), default="text", dest="format_")
         if lam:
             p.add_argument("--lambda", dest="lam", type=_parse_fraction, required=True)
-    p = subs["synthesize"]
-    p.add_argument("--coeffs", required=True, help="comma list, e.g. '0,1' or '5,2i'")
-    p.add_argument("--n", type=int, required=True)
-    p = subs["theta"]
-    p.add_argument("--c", type=_parse_fraction, default=Fraction(0))
-    p.add_argument("--v", type=_parse_vector, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p = subs["oracle"]
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--count", type=int, default=5)
+        if name == "synthesize":
+            p.add_argument("--coeffs", required=True, help="comma list, e.g. '0,1' or '5,2i'")
+            p.add_argument("--n", type=int, required=True)
+        elif name == "theta":
+            p.add_argument("--c", type=_parse_fraction, default=Fraction(0))
+            p.add_argument("--v", type=_parse_vector, default=None)
+            p.add_argument("--n", type=int, default=None)
+        elif name == "oracle":
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--count", type=int, default=5)
     return parser
 
 
@@ -277,7 +282,9 @@ def _run(args) -> tuple[Report, int]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_arg_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_arg_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -306,7 +313,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    status = main()
+    # The process ends here.  Freezing moves every object it loaded into
+    # the permanent generation, which the collections run at interpreter
+    # shutdown skip; atexit handlers and the flush of stdout still run.
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Command-line behavior: reports, formats, exit codes."""
 
+import argparse
+import gc
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from galinv import MAX_DIMENSION, cli
-from galinv.cli import Report, main, theta_text
+from galinv.cli import Report, build_arg_parser, main, theta_text
 from galinv.actions import gauge_phase
 from galinv.errors import InconsistencyError
 
@@ -272,3 +274,102 @@ def test_closed_stdout_keeps_the_verdict_status(argv, status):
     assert proc.wait(timeout=60) == status
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+# One argv per subcommand, then a usage error (missing --lambda).
+_EACH_SUBCOMMAND = [
+    ["check-translation", "Dx1 + 3"],
+    ["check-rotation", "Lap", "--n", "2"],
+    ["check-boost", "Dt^2", "--lambda", "1", "--n", "2"],
+    ["classify2", "2i*Dt + Lap", "--n", "3"],
+    ["classifym", "(2i*Dt + Lap)^2", "--lambda", "1", "--n", "2"],
+    ["synthesize", "--lambda", "1", "--coeffs", "0,1", "--n", "2"],
+    ["theta", "--lambda", "1", "--v", "1,2"],
+    ["oracle", "2i*Dt + Lap", "--lambda", "1", "--n", "2", "--count", "2"],
+    ["classifym", "Lap", "--n", "2"],
+]
+
+
+def test_freeze_cases_cover_every_subcommand():
+    assert {argv[0] for argv in _EACH_SUBCOMMAND} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", _EACH_SUBCOMMAND, ids=" ".join)
+def test_main_in_process_never_freezes_the_collector(capsys, argv):
+    frozen = gc.get_freeze_count()
+    main(argv)
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+# Runs the console script's entry point with an atexit handler that reports
+# whether the collector was frozen by the time the interpreter shut down.
+_ENTRY = """\
+import atexit, gc, sys
+from galinv.cli import entry
+atexit.register(lambda: sys.stderr.write(f"atexit frozen={gc.get_freeze_count() > 0}\\n"))
+sys.argv = ["galinv", *sys.argv[1:]]
+entry()
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["classify2", "2i*Dt + Lap", "--n", "3"], 0),
+        (["check-boost", "Dt^2", "--lambda", "1", "--n", "2", "--format", "kv"], 1),
+        (["classify2", "Dt +"], 2),
+    ],
+)
+def test_entry_keeps_status_report_and_atexit_handlers(capsys, argv, status):
+    assert main(argv) == status
+    want = capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENTRY, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == status
+    assert proc.stdout == want.out
+    assert (proc.stdout == "") == (status == 2)
+    assert proc.stderr == want.err + "atexit frozen=True\n"
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_one_subcommand_parser_helps_as_the_full_parser(command):
+    full, lean = build_arg_parser(), build_arg_parser(command)
+    assert lean.format_help() == full.format_help()
+    assert lean.format_usage() == full.format_usage()
+    for name, sub in _subparsers(lean).items():
+        if name == command:
+            assert sub.format_help() == _subparsers(full)[name].format_help()
+        else:
+            assert [a.dest for a in sub._actions] == ["help"]
+
+
+# The usage paths: help, no or unknown subcommand, bad options and values,
+# stray tokens, and options placed before the subcommand.
+_USAGE_CASES = [
+    ["-h"],
+    *([command, "-h"] for command in cli._COMMANDS),
+    [],
+    ["no-such-command"],
+    ["check-boost", "Dt"],
+    ["classify2", "Dt", "--format", "json"],
+    ["oracle", "Dt", "--lambda", "1", "--count", "x"],
+    ["theta", "--lambda", "1", "--v", "1,a"],
+    ["classify2", "Dt", "--bogus"],
+    ["classify2", "Dt", "extra"],
+    ["--format", "kv", "classify2", "Dt"],
+]
+
+
+@pytest.mark.parametrize("argv", _USAGE_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_usage_output_matches_the_full_parser(capsys, monkeypatch, argv):
+    lean = (main(argv), *capsys.readouterr())
+    full = cli.build_arg_parser
+    monkeypatch.setattr(cli, "build_arg_parser", lambda command=None: full())
+    assert lean == (main(argv), *capsys.readouterr())

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 from . import universe
 from .universe import _FrozenValue
 from .lpdo import LPDO, Symbol, symbol_of
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, _rational_terms
 
 if TYPE_CHECKING:
     from .matrices import Rotation
@@ -114,36 +114,25 @@ def gauge_phase(lam: Fraction | int, c: Fraction | int = 0) -> GaugePhase:
     return GaugePhase(lam, c)
 
 
-def boost_phase_poly(
-    lam: Fraction | int,
-    c: Fraction | int,
-    n: int,
-    v: Sequence[Fraction | int] | None = None,
-) -> MultiPoly:
-    """The quadratic phase c + lam*v.x - (lam/2)*t*|v|^2 as a polynomial.
+def _theta_terms(lam: Fraction, c: Fraction | int, v: Sequence[Fraction]) -> list[tuple[tuple[int, ...], Fraction]]:
+    """theta_v = c + lam*v.x - (lam/2)*t*|v|^2 as (indices, value) pairs, just
+    c at lam = 0.  Index 0 is t and index a is x_a, as in `universe.coeff_vars`
+    and `universe.symbol_vars`."""
+    terms = [((), Fraction(c))]
+    if lam:
+        terms += [((a,), lam * va) for a, va in enumerate(v, start=1)]
+        terms.append(((0,), -lam / 2 * sum(va * va for va in v)))
+    return terms
 
-    With concrete v the result lives over (t, x); with symbolic v over
-    (t, x, v).  All coefficients are real by construction.
-    """
+
+def boost_phase_poly(lam: Fraction | int, c: Fraction | int, n: int, v: Sequence[Fraction | int]) -> MultiPoly:
+    """The quadratic phase c + lam*v.x - (lam/2)*t*|v|^2 over (t, x), for a
+    concrete v.  All coefficients are real by construction."""
     lam = Fraction(lam)
     if lam == 0:
         raise ValueError("lam = 0 phases are x-independent and have no canonical form")
     _check_components("v", v, n)
-    names = universe.phase_vars(n) if v is None else universe.coeff_vars(n)
-
-    def v_comp(a: int) -> MultiPoly:
-        if v is None:
-            return MultiPoly.var(names, universe.boost(a))
-        return MultiPoly.const(names, Fraction(v[a - 1]))
-
-    theta = MultiPoly.const(names, Fraction(c))
-    speed2 = MultiPoly.zero(names)
-    for a in range(1, n + 1):
-        va = v_comp(a)
-        theta = theta + MultiPoly.var(names, universe.space(a)) * va * lam
-        speed2 = speed2 + va * va
-    theta = theta - MultiPoly.var(names, universe.TIME) * speed2 * Fraction(lam, 2)
-    return theta
+    return _rational_terms(universe.coeff_vars(n), _theta_terms(lam, c, [Fraction(va) for va in v]))
 
 
 def _check_components(name: str, values: Sequence | None, n: int) -> None:

@@ -27,7 +27,8 @@ from typing import TYPE_CHECKING, Sequence
 from . import _on_first_use
 from .actions import GaugePhase, QUADRATIC, _check_components, boost_phase_poly, gauge_phase
 from .gaussrat import format_gaussian
-from .universe import DEFAULT_SEED, _Value, random_rational
+from .lpdo import _check_dimension
+from .universe import DEFAULT_SEED, random_rational
 
 if TYPE_CHECKING:
     from .checks import CheckReport
@@ -43,72 +44,9 @@ __getattr__ = _on_first_use(globals(), {name: home for home, names in (
     ("oracle", "SamplePlan boost_commutator_defect"),
 ) for name in names.split()})
 
-# Report fields whose kv key differs from the field name.
-_RENAMED = {"lam": "lambda"}
-
-
-class Report(_Value):
-    """Structured command output with stable field names."""
-
-    _fields = ("verdict", "stage", "alpha", "beta", "lam", "theta", "n", "m", "seed", "coeffs",
-               "certificate", "witness", "operator")
-
-    def __init__(
-        self,
-        verdict: str | None = None,
-        stage: str | None = None,
-        alpha: str | None = None,
-        beta: str | None = None,
-        lam: str | None = None,
-        theta: str | None = None,
-        n: str | None = None,
-        m: str | None = None,
-        seed: str | None = None,
-        coeffs: str | None = None,
-        certificate: str | None = None,
-        witness: str | None = None,
-        operator: str | None = None,
-    ) -> None:
-        self.verdict = verdict
-        self.stage = stage
-        self.alpha = alpha
-        self.beta = beta
-        self.lam = lam
-        self.theta = theta
-        self.n = n
-        self.m = m
-        self.seed = seed
-        self.coeffs = coeffs
-        self.certificate = certificate
-        self.witness = witness
-        self.operator = operator
-
-    def items(self) -> list[tuple[str, str]]:
-        out = []
-        for name in self._fields:
-            value = getattr(self, name)
-            if value is not None:
-                out.append((_RENAMED.get(name, name), str(value)))
-        return out
-
-    def to_kv(self) -> str:
-        return "\n".join(f"{key}={value}" for key, value in self.items())
-
-    def to_text(self) -> str:
-        return "\n".join(f"{key}: {value}" for key, value in self.items())
-
-    @classmethod
-    def from_kv(cls, text: str) -> "Report":
-        by_key = {_RENAMED.get(name, name): name for name in cls._fields}
-        report = cls()
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            key, sep, value = line.partition("=")
-            if not sep or key not in by_key:
-                raise ValueError(f"not a report line: {line!r}")
-            setattr(report, by_key[key], value)
-        return report
+# The report's keys, in the order they are printed.
+_KEYS = ("verdict", "stage", "alpha", "beta", "lambda", "theta", "n", "m", "seed", "coeffs",
+         "certificate", "witness", "operator")
 
 
 def theta_text(phase: GaugePhase) -> str:
@@ -213,28 +151,29 @@ def build_arg_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args) -> tuple[Report, int]:
+def _run(args) -> tuple[dict[str, str | None], int]:
+    """The report, keyed as printed, and the exit status."""
     command, cli = args.command, sys.modules[__name__]
     if command == "synthesize":
         coeffs = [cli.parse_gaussian_literal(piece) for piece in args.coeffs.split(",")]
         op = cli.synthesize(args.lam, coeffs, args.n)
         text = ",".join(format_gaussian(c) for c in coeffs)
-        return Report(verdict="ok", lam=str(args.lam), coeffs=text, n=str(op.n), m=str(op.order),
-                      operator=cli.format_operator(op)), 0
+        return {"verdict": "ok", "lambda": str(args.lam), "coeffs": text, "n": str(op.n), "m": str(op.order),
+                "operator": cli.format_operator(op)}, 0
     if command == "theta":
-        if args.n is not None and args.n < 1:
-            raise ValueError("spatial dimension must be at least 1")
-        report = Report(verdict="ok", lam=str(args.lam))
         n = args.n if args.n is not None or args.v is None else len(args.v)
+        if n is not None:
+            _check_dimension(n)
         _check_components("v", args.v, n)
+        report = {"verdict": "ok", "lambda": str(args.lam)}
         if args.v is None or not args.lam:
-            report.theta = theta_text(gauge_phase(args.lam, args.c))
+            report["theta"] = theta_text(gauge_phase(args.lam, args.c))
         else:
-            report.theta, report.n = str(boost_phase_poly(args.lam, args.c, n, v=args.v)), str(n)
+            report["theta"], report["n"] = str(boost_phase_poly(args.lam, args.c, n, v=args.v)), str(n)
         return report, 0
 
     op = cli.parse_operator(args.operator, args.n)
-    report = Report(n=str(op.n), m=str(op.order))
+    report = {"n": str(op.n), "m": str(op.order)}
     if command.startswith("check-"):
         if command == "check-translation":
             result = cli.check_translation_invariance(op)
@@ -242,43 +181,50 @@ def _run(args) -> tuple[Report, int]:
             result = cli.check_rotation_invariance(op)
         else:
             result = cli.check_boost_invariance_fixed_gauge(op, args.lam)
-        report.verdict = "invariant" if result.invariant else "not-invariant"
-        report.certificate, report.witness = result.certificate, _witness_text(result)
+        report["verdict"] = "invariant" if result.invariant else "not-invariant"
+        report["certificate"], report["witness"] = result.certificate, _witness_text(result)
         return report, 0 if result.invariant else 1
     if command in ("classify2", "classifym"):
         second = command == "classify2"
         verdict = cli.classify_second_order(op) if second else cli.classify_power_form(op, args.lam)
         if verdict.accepted or not second:
-            report.lam = str(verdict.lam)
+            report["lambda"] = str(verdict.lam)
         elif verdict.lam_value:
-            report.lam = format_gaussian(verdict.lam_value)
+            report["lambda"] = format_gaussian(verdict.lam_value)
         if verdict.accepted:
-            report.verdict = "accept"
+            report["verdict"] = "accept"
             if second:
-                report.alpha, report.beta = format_gaussian(verdict.alpha), format_gaussian(verdict.beta)
-                report.theta = theta_text(verdict.theta)
+                report["alpha"], report["beta"] = format_gaussian(verdict.alpha), format_gaussian(verdict.beta)
+                report["theta"] = theta_text(verdict.theta)
             else:
-                report.coeffs = ",".join(format_gaussian(c) for c in verdict.coeffs)
+                report["coeffs"] = ",".join(format_gaussian(c) for c in verdict.coeffs)
             return report, 0
-        report.verdict, report.stage = "reject", verdict.stage
-        report.witness = _witness_text(verdict.report) if verdict.report else None
+        report["verdict"], report["stage"] = "reject", verdict.stage
+        report["witness"] = _witness_text(verdict.report) if verdict.report else None
         return report, 1
     if command == "oracle":
         import random
 
         plan = cli.SamplePlan(seed=args.seed, count=args.count)
         rng = random.Random(plan.seed)
-        report.lam, report.seed = str(args.lam), str(args.seed)
+        report["lambda"], report["seed"] = str(args.lam), str(args.seed)
         for _ in range(plan.count):
             v = tuple(random_rational(rng, 3) for _ in range(op.n))
             defect = cli.boost_commutator_defect(op, args.lam, v)
             if not defect.is_zero:
-                report.verdict, report.witness = "not-invariant", f"defect at v={_vec(v)}: {defect}"
+                report["verdict"], report["witness"] = "not-invariant", f"defect at v={_vec(v)}: {defect}"
                 return report, 1
-        report.verdict = "invariant"
-        report.certificate = f"zero defect on {plan.count} sampled boosts"
+        report["verdict"] = "invariant"
+        report["certificate"] = f"zero defect on {plan.count} sampled boosts"
         return report, 0
     raise ValueError(f"unknown command {command!r}")
+
+
+def _render(report: dict[str, str | None], kv: bool) -> str:
+    """The report's keys that hold a value, in `_KEYS` order, as key=value
+    lines or as "key: value" lines."""
+    sep = "=" if kv else ": "
+    return "\n".join(f"{key}{sep}{report[key]}" for key in _KEYS if report.get(key) is not None)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -302,7 +248,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         traceback.print_exc()
         return 3
     try:
-        print(report.to_kv() if args.format_ == "kv" else report.to_text())
+        print(_render(report, args.format_ == "kv"))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader stopped early.  Point stdout at devnull so the flush

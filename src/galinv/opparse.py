@@ -39,6 +39,7 @@ coefficients are read off only when something asks for them.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterator
 
@@ -80,9 +81,7 @@ def _tokenize(text: str) -> list[_Token]:
         line_starts.append(m.end())
 
     def position(offset: int) -> tuple[int, int]:
-        row = next(
-            i for i in range(len(line_starts) - 1, -1, -1) if line_starts[i] <= offset
-        )
+        row = bisect_right(line_starts, offset) - 1
         return row + 1, offset - line_starts[row] + 1
 
     tokens = []

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import universe
+from .actions import _theta_terms
 from .lpdo import LPDO
 from .multipoly import MAX_TOTAL_DEGREE, MultiPoly, _chain_step, _nonzero, _product, _rational_terms, product_sum
 from .universe import _FrozenValue
@@ -20,16 +21,15 @@ from .waves import ExpWave, plane_wave
 
 
 class SamplePlan(_FrozenValue):
-    """Deterministic random-rational sampling: seed, count, coordinate bound."""
+    """Deterministic random-rational sampling: seed and count."""
 
-    _fields = ("seed", "count", "bound")
+    _fields = ("seed", "count")
 
-    def __init__(self, seed: int = universe.DEFAULT_SEED, count: int = 32, bound: int = 10) -> None:
+    def __init__(self, seed: int = universe.DEFAULT_SEED, count: int = 32) -> None:
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "count", count)
-        object.__setattr__(self, "bound", bound)
-        if count < 1 or bound < 1:
-            raise ValueError("count and bound must be positive")
+        if count < 1:
+            raise ValueError("count must be positive")
 
 
 def apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
@@ -96,16 +96,13 @@ def boost_commutator_defect(
         raise ValueError(f"boost has {len(v)} components, expected {n}")
     lam, v = Fraction(lam), [Fraction(va) for va in v]
     names = universe.symbol_vars(n)
-    # tau*t + xi.(x - v*t) + theta, theta = c + lam*v.x - (lam/2)*|v|^2*t, from its terms in the
-    # order that pulling back and adding theta gives: variable 0 is t, variable a is x_a, and
-    # variable n + 1 + a is the frequency of variable a.  Zero terms drop out.
+    # tau*t + xi.(x - v*t) + theta from its terms, in the order that pulling back and adding
+    # theta gives: variable 0 is t, variable a is x_a, and variable n + 1 + a is the frequency
+    # of variable a.  Zero terms drop out.
     phase_terms = [((0, n + 1), 1)]
     for a, va in enumerate(v, start=1):
         phase_terms += [((a, n + 1 + a), 1), ((0, n + 1 + a), -va)]
-    phase_terms.append(((), c))
-    if lam:
-        phase_terms += [((a,), lam * va) for a, va in enumerate(v, start=1)]
-        phase_terms.append(((0,), -lam / 2 * sum(va * va for va in v)))
+    phase_terms += _theta_terms(lam, c, v)
 
     # Both sides end on the pulled-back, gauged phase, built once: the right
     # side's wave carries it, and only the left side's amplitude is pulled

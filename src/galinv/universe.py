@@ -99,9 +99,3 @@ def symbol_vars(n: int) -> tuple[str, ...]:
 def boost_vars(n: int) -> tuple[str, ...]:
     """Symbol universe extended by a symbolic boost velocity (v1..vn)."""
     return symbol_vars(n) + tuple(boost(a) for a in range(1, n + 1))
-
-
-@lru_cache(maxsize=CACHED_DIMENSIONS)
-def phase_vars(n: int) -> tuple[str, ...]:
-    """Universe for gauge phases with a symbolic velocity: (t, x, v)."""
-    return coeff_vars(n) + tuple(boost(a) for a in range(1, n + 1))

@@ -13,9 +13,7 @@ exact polynomial identities on amplitudes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
 
 from .multipoly import MultiPoly, _chain_step, _partial, _rational_terms
 from . import universe
@@ -65,19 +63,6 @@ class ExpWave:
         object.__setattr__(out, "phase", self.phase)
         object.__setattr__(out, "_gradient", self._gradient)
         return out
-
-    def substitute(self, bindings: Mapping[str, MultiPoly | int | Fraction]) -> "ExpWave":
-        """Point-transformation pull-back: substitute in amplitude and phase."""
-        return ExpWave(
-            self.amplitude.substitute(bindings), self.phase.substitute(bindings)
-        )
-
-    def with_phase_added(self, extra: MultiPoly) -> "ExpWave":
-        """Multiply by exp(i * extra)."""
-        return ExpWave(self.amplitude, self.phase + extra)
-
-    def scaled(self, factor) -> "ExpWave":
-        return ExpWave(self.amplitude * factor, self.phase)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExpWave):

@@ -8,9 +8,15 @@ afresh, and each key's product is added to a growing total.
 
 `galinv.oracle.boost_commutator_defect` and `galinv.waves.plane_wave`
 build the gauge phase theta, the pull-back bindings and the plane-wave
-phase from their terms, in one constructor each.  Their old routes live
-here too: theta through `boost_phase_poly` and `extend`, bindings and
-phase by variable arithmetic.
+phase from their terms, in one constructor each, and
+`galinv.actions.boost_phase_poly` reads the same theta terms.  Their old
+routes live here too: theta (`boost_phase_poly`) by polynomial
+arithmetic over (t, x), then `extend`ed; bindings and phase by variable
+arithmetic.
+
+The wave operations that only these routes used live here as functions:
+`substitute` pulls a wave back, `with_phase_added` multiplies it by
+exp(i * extra), and `scaled` multiplies its amplitude.
 
 `galinv.oracle.boost_commutator_defect` also pulls the phase back only
 once, onto the right side's wave, and `galinv.oracle.apply_lpdo` steps
@@ -33,10 +39,40 @@ the symbol.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from galinv import ExpWave, I_UNIT, LPDO, MultiPoly, boost_phase_poly, symbol_of, universe, waves
+from galinv import ExpWave, I_UNIT, LPDO, MultiPoly, symbol_of, universe, waves
 from galinv.actions import _check_components
+
+
+def substitute(wave: ExpWave, bindings: Mapping[str, MultiPoly | int | Fraction]) -> ExpWave:
+    """Point-transformation pull-back: substitute in amplitude and phase."""
+    return ExpWave(wave.amplitude.substitute(bindings), wave.phase.substitute(bindings))
+
+
+def with_phase_added(wave: ExpWave, extra: MultiPoly) -> ExpWave:
+    """Multiply by exp(i * extra)."""
+    return ExpWave(wave.amplitude, wave.phase + extra)
+
+
+def scaled(wave: ExpWave, factor) -> ExpWave:
+    return ExpWave(wave.amplitude * factor, wave.phase)
+
+
+def boost_phase_poly(lam, c, n: int, v: Sequence) -> MultiPoly:
+    """c + lam*v.x - (lam/2)*t*|v|^2 over (t, x), by sums and products."""
+    lam = Fraction(lam)
+    if lam == 0:
+        raise ValueError("lam = 0 phases are x-independent and have no canonical form")
+    _check_components("v", v, n)
+    names = universe.coeff_vars(n)
+    theta = MultiPoly.const(names, Fraction(c))
+    speed2 = MultiPoly.zero(names)
+    for a in range(1, n + 1):
+        va = MultiPoly.const(names, Fraction(v[a - 1]))
+        theta = theta + MultiPoly.var(names, universe.space(a)) * va * lam
+        speed2 = speed2 + va * va
+    return theta - MultiPoly.var(names, universe.TIME) * speed2 * Fraction(lam, 2)
 
 
 def _steps(j: int, alpha: Sequence[int]) -> list[str]:
@@ -116,8 +152,8 @@ def boost_commutator_defect(op: LPDO, lam, v, c=0) -> MultiPoly:
         raise ValueError(f"boost has {len(v)} components, expected {op.n}")
     theta, pullback = boost_setup(op.n, lam, v, c)
     wave = plane_wave(op.n)
-    lhs = apply_lpdo(op, wave).substitute(pullback).with_phase_added(theta)
-    rhs = apply_lpdo(op, wave.substitute(pullback).with_phase_added(theta))
+    lhs = with_phase_added(substitute(apply_lpdo(op, wave), pullback), theta)
+    rhs = apply_lpdo(op, with_phase_added(substitute(wave, pullback), theta))
     assert lhs.phase == rhs.phase
     return lhs.amplitude - rhs.amplitude
 

@@ -4,8 +4,9 @@ Each galinv value class used to be a `@dataclass`; they are plain classes
 now, with an explicit `__init__` on the shared bases in
 `galinv.universe`.  Here each one's twin is rebuilt by
 `dataclasses.make_dataclass` with the old fields, defaults, frozenness
-and `__post_init__` checks, which are kept below unchanged.  A twin takes
-its class's name, so the two reprs can be compared as strings.
+and `__post_init__` checks, which are kept below unchanged, except that
+`SamplePlan`'s twin lost the `bound` field its class dropped.  A twin
+takes its class's name, so the two reprs can be compared as strings.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from galinv.checks import (
     TranslationWitness,
 )
 from galinv.classify import GaugeNormalization, PowerFormVerdict, SecondOrderVerdict
-from galinv.cli import Report
 from galinv.lpdo import Symbol
 from galinv.matrices import (
     FixedRotation,
@@ -77,8 +77,8 @@ def _fixed_rotation(self) -> None:
 
 
 def _sample_plan(self) -> None:
-    if self.count < 1 or self.bound < 1:
-        raise ValueError("count and bound must be positive")
+    if self.count < 1:
+        raise ValueError("count must be positive")
 
 
 class Twin(NamedTuple):
@@ -110,8 +110,6 @@ def _nones(fields: str) -> dict:
     return dict.fromkeys(fields.split())
 
 
-_REPORT = "verdict stage alpha beta lam theta n m seed coeffs certificate witness operator"
-
 TWINS = [
     _twin(Translation, "s y", frozen=True, post_init=_translation),
     _twin(GaugePhase, "lam c", {"lam": Fraction(0), "c": Fraction(0)}, frozen=True,
@@ -127,14 +125,13 @@ TWINS = [
     _twin(PowerFormVerdict, "accepted lam coeffs stage report detail",
           {**_nones("coeffs stage report"), "detail": ""}),
     _twin(GaugeNormalization, "operator phase real_phase"),
-    _twin(Report, _REPORT, _nones(_REPORT)),
     _twin(Symbol, "poly n order", frozen=True),
     _twin(RationalMatrix, "entries", frozen=True, post_init=_rational_matrix),
     _twin(OrthogonalMatrix, "matrix", frozen=True, post_init=_orthogonal_matrix),
     _twin(SignedPermutation, "perm signs", frozen=True, post_init=_signed_permutation),
     _twin(FixedRotation, "n", frozen=True, post_init=_fixed_rotation),
     _twin(_Token, "kind text line column"),
-    _twin(SamplePlan, "seed count bound",
-          {"seed": universe.DEFAULT_SEED, "count": 32, "bound": 10}, frozen=True,
+    _twin(SamplePlan, "seed count",
+          {"seed": universe.DEFAULT_SEED, "count": 32}, frozen=True,
           post_init=_sample_plan),
 ]

@@ -5,6 +5,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from galinv import (
     LPDO,
@@ -29,7 +31,9 @@ from reference_matrices import (
 
 from conftest import random_constant_lpdo, random_fraction
 from reference_classify import conj_boost_gauge
-from reference_oracle import boosted_frequency
+from reference_oracle import boost_phase_poly as reference_theta, boosted_frequency
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 def F(p, q=1):
@@ -182,15 +186,6 @@ def test_conj_boost_gauge_at_zero_velocity_returns_symbol():
         assert q == symbol_of(op).poly.extend(universe.boost_vars(n))
 
 
-def test_boost_phase_poly_standard_choice():
-    theta = boost_phase_poly(1, 0, 2)
-    names = universe.phase_vars(2)
-    t = MultiPoly.var(names, "t")
-    x1, x2 = MultiPoly.var(names, "x1"), MultiPoly.var(names, "x2")
-    v1, v2 = MultiPoly.var(names, "v1"), MultiPoly.var(names, "v2")
-    assert theta == x1 * v1 + x2 * v2 - t * (v1**2 + v2**2) * F(1, 2)
-
-
 def test_boost_phase_poly_zero_velocity_is_constant():
     theta = boost_phase_poly(1, F(5), 2, v=(F(0), F(0)))
     assert theta == 5
@@ -203,8 +198,32 @@ def test_boost_phase_poly_concrete():
 
 
 def test_boost_phase_is_real():
-    theta = boost_phase_poly(F(-3, 2), F(1, 7), 3)
+    theta = boost_phase_poly(F(-3, 2), F(1, 7), 3, v=(F(1, 2), F(-2), F(3)))
+    assert len(theta.terms) == 5
     assert all(c.im == 0 for c in theta.terms.values())
+
+
+def internals(p: MultiPoly):
+    return p.variables, p._den, list(p._num.items())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), small.filter(bool), small, st.data())
+def test_boost_phase_poly_matches_the_arithmetic_route(n, lam, c, data):
+    v = data.draw(st.lists(small, min_size=n, max_size=n))
+    assert internals(boost_phase_poly(lam, c, n, v=v)) == internals(reference_theta(lam, c, n, v))
+
+
+# No shrinking, and a bare boolean asserted: a failure at n = 1000 is not
+# worth re-running the reference dozens of times, or diffing two
+# 1000-term reprs.
+@settings(max_examples=3, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(small.filter(bool), small, st.integers(0, 2**32))
+def test_boost_phase_poly_matches_the_arithmetic_route_at_n_1000(lam, c, seed):
+    rng = random.Random(seed)
+    v = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(1000)]
+    same = internals(boost_phase_poly(lam, c, 1000, v=v)) == internals(reference_theta(lam, c, 1000, v))
+    assert same
 
 
 @pytest.mark.parametrize("call, message", [
@@ -222,7 +241,7 @@ def test_gauge_phase_kinds():
     assert gauge_phase(1).kind == QUADRATIC
     assert gauge_phase(0).kind == X_INDEPENDENT
     with pytest.raises(ValueError):
-        boost_phase_poly(0, 0, 1)
+        boost_phase_poly(0, 0, 1, v=(1,))
 
 
 def test_rotation_fixed_points_for_generator_accepted_operators(corpus):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from galinv import MAX_DIMENSION, cli
-from galinv.cli import Report, build_arg_parser, main, theta_text
+from galinv.cli import _COMMANDS, _KEYS, _render, build_arg_parser, main, theta_text
 from galinv.actions import gauge_phase
 from galinv.errors import InconsistencyError
 
@@ -129,15 +129,44 @@ def test_usage_errors_exit_2(capsys):
 
 def test_kv_output_parses_back_losslessly(capsys):
     for argv in (
-        ["classify2", "2i*Dt + Lap", "--n", "3", "--format", "kv"],
-        ["classify2", "Dt - Lap", "--n", "2", "--format", "kv"],
-        ["classifym", "Lap^2", "--lambda", "1", "--n", "2", "--format", "kv"],
-        ["check-boost", "Lap", "--n", "2", "--lambda", "1", "--format", "kv"],
+        ["classify2", "2i*Dt + Lap", "--n", "3"],
+        ["classify2", "Dt - Lap", "--n", "2"],
+        ["classifym", "Lap^2", "--lambda", "1", "--n", "2"],
+        ["check-boost", "Lap", "--n", "2", "--lambda", "1"],
     ):
+        main(argv + ["--format", "kv"])
+        out = capsys.readouterr().out
+        table = kv(out)
+        assert _render(table, True) + "\n" == out
+        # The text format prints the same keys and values.
         main(argv)
-        out = capsys.readouterr().out.strip()
-        report = Report.from_kv(out)
-        assert report.to_kv() == out
+        assert _render(table, False) + "\n" == capsys.readouterr().out
+
+
+# One kv run of each subcommand, with as many keys as it prints.
+_ONE_OF_EACH = [
+    ["check-translation", "Dx1 + 3"],
+    ["check-rotation", "Dx1", "--n", "2"],
+    ["check-boost", "Lap", "--lambda", "1", "--n", "2"],
+    ["classify2", "2i*Dt + Lap", "--n", "3"],
+    ["classify2", "Dt - Lap", "--n", "2"],
+    ["classifym", "(2i*Dt + Lap)^2", "--lambda", "1", "--n", "2"],
+    ["classifym", "Lap^2", "--lambda", "1", "--n", "2"],
+    ["synthesize", "--lambda", "1", "--coeffs", "0,1", "--n", "2"],
+    ["theta", "--lambda", "2", "--v", "1,2"],
+    ["oracle", "2i*Dt + Lap", "--lambda", "1", "--n", "2", "--count", "2"],
+    ["oracle", "Lap", "--lambda", "1", "--n", "2"],
+]
+
+
+def test_kv_keys_follow_the_key_order(capsys):
+    assert {argv[0] for argv in _ONE_OF_EACH} == set(_COMMANDS)
+    for argv in _ONE_OF_EACH:
+        main(argv + ["--format", "kv"])
+        keys = list(kv(capsys.readouterr().out))
+        assert keys and all(key in _KEYS for key in keys), keys
+        positions = [_KEYS.index(key) for key in keys]
+        assert positions == sorted(set(positions)), keys
 
 
 def test_exit_codes_match_verdicts_on_corpus(capsys):
@@ -162,11 +191,6 @@ def test_theta_text_shapes():
     assert theta_text(gauge_phase(0)) == "x-independent"
 
 
-def test_report_from_kv_rejects_noise():
-    with pytest.raises(ValueError):
-        Report.from_kv("not a report")
-
-
 def test_oracle_count_below_one_is_usage_error(capsys):
     for count in ("0", "-2"):
         status = main(["oracle", "Dt", "--n", "1", "--lambda", "1", "--count", count])
@@ -183,6 +207,27 @@ def test_theta_dimension_below_one_is_usage_error(capsys):
         assert status == 2
         assert captured.out == ""
         assert "dimension must be at least 1" in captured.err
+
+
+def test_oracle_count_below_one_names_count_alone(capsys):
+    assert main(["oracle", "Dt", "--n", "1", "--lambda", "1", "--count", "0"]) == 2
+    assert capsys.readouterr().err == "error: count must be positive\n"
+
+
+@pytest.mark.parametrize("how", ["--n", "--v"])
+def test_theta_dimension_is_capped(capsys, how):
+    def argv(n):
+        return ["--n", str(n)] if how == "--n" else ["--v", ",".join(["1"] * n)]
+
+    assert main(["theta", "--lambda", "1", *argv(MAX_DIMENSION), "--format", "kv"]) == 0
+    table = kv(capsys.readouterr().out)
+    assert table["verdict"] == "ok"
+    if how == "--v":
+        assert table["n"] == str(MAX_DIMENSION)
+    status = main(["theta", "--lambda", "1", *argv(MAX_DIMENSION + 1)])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == f"error: spatial dimension {MAX_DIMENSION + 1} exceeds the cap of {MAX_DIMENSION}\n"
 
 
 @pytest.mark.parametrize("lam", ["0", "1"])

@@ -286,3 +286,48 @@ def test_sum_matches_the_left_to_right_chain(signed):
     text += "".join(f" {sign} {summand}" for sign, summand in signed[1:])
     total = symbol(text)
     assert (total._den, list(total._num.items())) == (chain._den, list(chain._num.items()))
+
+
+def _outcome(fn, text):
+    try:
+        return "ok", fn(text)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+# Pieces of operator texts over several lines, some of them bad.
+_PIECES = ("\n", "\n\n", " ", "\t", "Dt", "Dx1", "Dx0", "Lap", "x2", "t", "i", "2", "1/2",
+           "+", "-", "*", "^", "(", ")", "@", ",")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=30))
+def test_positions_match_the_backward_line_scan(pieces):
+    """Bisecting the line starts gives each token, and each `ParseError`,
+    the line and column of the old backward scan."""
+    from unittest import mock
+
+    from galinv import opparse
+
+    import reference_opparse
+
+    text = "".join(pieces)
+    assert _outcome(opparse._tokenize, text) == _outcome(reference_opparse.tokenize, text)
+    parse = lambda text: parse_operator(text, n=2)  # noqa: E731
+    with mock.patch.object(opparse, "_tokenize", reference_opparse.tokenize):
+        old = _outcome(parse, text)
+    assert _outcome(parse, text) == old
+
+
+def test_many_lines_parse_fast():
+    """Each token's line is found by bisection, so a text of k lines costs
+    about k log k, not k^2."""
+    k = 20_000
+    text = "\n+ ".join(["Dt"] * k)
+    start = time.perf_counter()
+    op = parse_operator(text)
+    assert time.perf_counter() - start < 2.0
+    assert op == LPDO.time_derivative(1).scaled(k)
+    with pytest.raises(ParseError) as exc:
+        parse_operator(text + "\n+ @")
+    assert (exc.value.line, exc.value.column) == (k + 1, 3)

@@ -18,7 +18,7 @@ from galinv import universe
 
 from conftest import random_constant_lpdo, random_fraction, random_poly, random_variable_lpdo
 from reference_classify import conj_boost_gauge
-from reference_oracle import apply_plane_wave, differentiate_expwave
+from reference_oracle import apply_plane_wave, differentiate_expwave, substitute, with_phase_added
 
 
 def F(p, q=1):
@@ -39,7 +39,7 @@ def test_differentiate_gauged_wave():
     v = (F(1),)
     theta = boost_phase_poly(1, 0, n, v=v).extend(names)
     shift = {"x1": MultiPoly.var(names, "x1") - MultiPoly.var(names, "t") * v[0]}
-    wave = plane_wave(n).substitute(shift).with_phase_added(theta)
+    wave = with_phase_added(substitute(plane_wave(n), shift), theta)
     out = differentiate_expwave(wave, space_orders=(1,))
     assert out.amplitude == (MultiPoly.var(names, "xi1") + 1) * I_UNIT
 
@@ -154,7 +154,7 @@ def _gauged_wave(n, lam, v, c):
         universe.space(a): MultiPoly.var(names, universe.space(a)) - t * v[a - 1]
         for a in range(1, n + 1)
     }
-    return plane_wave(n).substitute(shift).with_phase_added(theta)
+    return with_phase_added(substitute(plane_wave(n), shift), theta)
 
 
 def test_chain_reuse_matches_per_key_differentiation():

@@ -70,7 +70,7 @@ def waves(n: int, v, lam, amplitude_term, phase_term):
     names = universe.symbol_vars(n)
     plane = plane_wave(n)
     theta, pullback = ref.boost_setup(n, lam, v)
-    pulled = plane.substitute(pullback).with_phase_added(theta)
+    pulled = ref.with_phase_added(ref.substitute(plane, pullback), theta)
     tau_xi = monomial(names, tau=1) - monomial(names, xi1=1)
     return {
         "plane": plane,

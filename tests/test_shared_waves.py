@@ -37,7 +37,7 @@ from galinv.multipoly import product_sum
 import reference_oracle as ref
 from conftest import random_constant_lpdo, random_variable_lpdo
 
-UNIVERSES = (universe.coeff_vars, universe.symbol_vars, universe.boost_vars, universe.phase_vars)
+UNIVERSES = (universe.coeff_vars, universe.symbol_vars, universe.boost_vars)
 # sum_k (2i*Dt + Lap)^k for k = 0..4 at n = 3: order 8, 70 derivative keys.
 POWER_FORM = " + ".join(f"(2i*Dt+Lap)^{k}" for k in range(5))
 

@@ -61,7 +61,7 @@ FIELDS = {
     "RationalMatrix": {"entries": st.lists(st.lists(small, max_size=3), max_size=3)},
     "OrthogonalMatrix": {"matrix": matrices()},
     "FixedRotation": {"n": count},
-    "SamplePlan": {"count": count, "bound": count},
+    "SamplePlan": {"count": count},
 }
 
 

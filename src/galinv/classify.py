@@ -13,10 +13,11 @@ admits none.
 there is no lam exactly when a20 != 0, and the derived lam =
 -i*a10/(2*alpha) must be real; then L = alpha*(2i*lam*dt + Lap) + beta.
 `classify_power_form` tests a given lam != 0, where the equation holds
-exactly when p = g(2*lam*tau + |xi|^2), and reads the coefficients off
-the pure tau terms: symbol(2i*lam*dt + Lap) = -(2*lam*tau + |xi|^2), so
-a_j = c_j0 * (-1/(2*lam))^j.  An accepted verdict checks itself with
-`reverify(op)`, which resynthesizes the form and compares.
+exactly when p = g(2*lam*tau + |xi|^2).  Both read the coefficients of
+sum a_k * (2i*lam*dt + Lap)^k off the tau-free terms, `_power_coefficients`:
+symbol(2i*lam*dt + Lap) = -(2*lam*tau + |xi|^2), so a_k = (-1)^k * b_0k,
+with no lam, and (beta, alpha) = (a_0, a_1).  An accepted verdict checks
+itself with `reverify(op)`, which resynthesizes the form and compares.
 
 Conventions: alpha is the common coefficient of the second spatial
 derivatives, the only choice under which 2i*dt + Lap comes out with
@@ -32,12 +33,13 @@ from typing import Callable, Sequence
 from .actions import GaugePhase, gauge_phase
 from .checks import (
     CheckReport,
+    RadialDecomposition,
     _boost_gauge,
     check_rotation_invariance,
     check_translation_invariance,
 )
 from .errors import InconsistencyError
-from .gaussrat import GaussianLike, GaussianRational, as_gaussian, i_power
+from .gaussrat import GaussianLike, GaussianRational, as_gaussian
 from .lpdo import LPDO, Symbol, conjugate_linear_phase, linear_phase, schrodinger_symbol
 from .multipoly import MultiPoly
 from .universe import _Value
@@ -137,7 +139,7 @@ def classify_second_order(op: LPDO) -> SecondOrderVerdict:
     if lam_value.im != 0:
         return SecondOrderVerdict(False, stage=STAGE_LAMBDA, lam_value=lam_value,
                                   detail=f"derived lam = {lam_value} is not real")
-    alpha, beta, lam = -radial.coefficient(0, 1), radial.coefficient(0, 0), lam_value.re
+    (beta, alpha), lam = _power_coefficients(radial, 1), lam_value.re
     return SecondOrderVerdict(
         True, alpha=alpha, beta=beta, lam=lam, theta=gauge_phase(lam), lam_value=lam_value
     )
@@ -155,12 +157,17 @@ def classify_power_form(op: LPDO, lam: Fraction | int) -> PowerFormVerdict:
             False, lam, stage=STAGE_RESIDUAL_XI,
             detail="the boost generator lam*d/dxi1 - xi1*d/dtau does not annihilate the symbol",
         )
-    scale = Fraction(-1, 2) / lam
-    coeffs = [radial.coefficient(j, 0) * i_power(j) * scale**j for j in range(op.order // 2 + 1)]
+    coeffs = _power_coefficients(radial, op.order // 2)
     if op.order % 2 or not coeffs[-1]:
         # p = g(2*lam*tau + |xi|^2) has even order 2*deg(g) and a_K != 0.
         raise InconsistencyError(f"annihilated symbol of order {op.order} is not a power form")
     return PowerFormVerdict(True, lam, coeffs=tuple(coeffs))
+
+
+def _power_coefficients(radial: RadialDecomposition, top: int) -> list[GaussianRational]:
+    """a_0..a_top of sum a_k * (2i*lam*dt + Lap)^k, read off the tau-free
+    radial coefficients: a_k = (-1)^k * b_0k, whatever lam."""
+    return [-radial.coefficient(0, k) if k % 2 else radial.coefficient(0, k) for k in range(top + 1)]
 
 
 def synthesize(

@@ -230,17 +230,20 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "MultiPoly":
+        """k successive products by the base, from 1, which beat repeated
+        squaring on sparse powers.  Degrees add exactly under products, so
+        the cap is checked before the first one; a constant, whose exponent
+        no degree bounds, takes the scalar power."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take a nonnegative integer exponent")
-        result = MultiPoly.const(self.variables, 1)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            if k > 1:
-                base = base * base
-            k >>= 1
+        if self.is_constant:
+            return _const(self.variables, self.constant_value() ** exponent)
+        degree = exponent * self.total_degree()
+        if degree > MAX_TOTAL_DEGREE:
+            raise ValueError(f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}")
+        result = _const(self.variables, 1)
+        for _ in range(exponent):
+            result = result * self
         return result
 
     # ------------------------------------------------------------------
@@ -256,7 +259,7 @@ class MultiPoly:
 
     def partial(self, name: str) -> "MultiPoly":
         """Formal partial derivative with respect to one variable."""
-        return MultiPoly._make(self.variables, self._den, _partial(self.variables, self._index(name), self._num, 1))
+        return MultiPoly._make(self.variables, self._den, _partial(self.variables, self._index(name), self._num))
 
     def substitute(self, bindings: Mapping[str, "MultiPoly | int | Fraction | GaussianRational"]) -> "MultiPoly":
         """Substitute polynomials (or scalars) for variables.
@@ -501,35 +504,16 @@ def _product(left: dict, right: dict) -> dict:
     return product
 
 
-def _partial(variables: tuple[str, ...], index: int, num: dict, scale: int) -> dict:
-    """The packed numerators of scale * d/dx, x the index-th variable, in term order."""
+def _partial(variables: tuple[str, ...], index: int, num: dict) -> dict:
+    """The packed numerators of d/dx, x the index-th variable, in term order."""
     shift = 8 * index
     step = (1 << shift) + (1 << 8 * len(variables))
     out: dict[int, tuple[int, int]] = {}
     for key, (re, im) in num.items():
         e = key >> shift & 255
         if e:
-            e *= scale
             out[key - step] = (re * e, im * e)
     return out
-
-
-def _chain_step(
-    variables: tuple[str, ...], index: int, den: int, num: dict, gradient: MultiPoly
-) -> tuple[int, dict]:
-    """One chain-rule step on a packed amplitude A = num/den: dA + A*g, where
-    g = i*dphi/dx for the index-th variable x, over den * g's denominator.
-
-    The terms of dA come first and those of A*g after, as `partial + product`
-    orders them.  Zeros drop and the cap is checked, but the content stays:
-    `MultiPoly._make` divides it out once the chain ends."""
-    product = _product(num, gradient._num)
-    out = _partial(variables, index, num, gradient._den)
-    get = out.get
-    for key, (a, b) in product.items():
-        re, im = get(key, (0, 0))
-        out[key] = (re + a, im + b)
-    return den * gradient._den, _nonzero(variables, out)
 
 
 def product_sum(variables: Sequence[str], pairs: Iterable[tuple[MultiPoly, tuple[int, dict]]]) -> MultiPoly:
@@ -539,26 +523,22 @@ def product_sum(variables: Sequence[str], pairs: Iterable[tuple[MultiPoly, tuple
     pairs come, with the value, term order and first error of
     `total + p.extend(variables) * q`."""
     variables = _universe(variables)
-    den, accum, lead, top = 1, {}, None, 8 * len(variables)  # lead: a universe that begins `variables`
+    den, accum, lead = 1, {}, None  # lead: a universe that begins `variables`
     for p, (d, terms) in pairs:
         if p.variables is not lead and p.variables == variables[: len(p.variables)]:
             lead = p.variables
         if p.variables is lead and len(p._num) == 1 and 0 in p._num:
             # q times a constant: no embedding, and q's terms stay distinct, nonzero and capped
-            k1, (c, e) = 0, p._num[0]
+            c, e = p._num[0]
         else:
             p = p.extend(variables)
-            if len(p._num) == 1 and p.total_degree() + (max(terms, default=0) >> top) <= MAX_TOTAL_DEGREE:
-                ((k1, (c, e)),) = p._num.items()  # q times a monomial: distinct nonzero terms
-            else:
-                k1, c, e, terms = 0, 1, 0, _nonzero(variables, _product(p._num, terms))
+            c, e, terms = 1, 0, _nonzero(variables, _product(p._num, terms))
         d *= p._den
         if den % d:
             m, den = lcm(den, d) // den, lcm(den, d)
             accum = {key: (re * m, im * m) for key, (re, im) in accum.items()}
         c, e, get = c * (den // d), e * (den // d), accum.get
-        for k2, (a, b) in terms.items():
-            key = k1 + k2
+        for key, (a, b) in terms.items():
             re, im = get(key, (0, 0))
             re, im = re + a * c - b * e, im + a * e + b * c
             if re or im:

@@ -203,16 +203,10 @@ class _Parser:
         self.advance()
         if k > 1 and self._refused(value, value):
             self.fail(_ORDER_MESSAGE, caret)
-        # Degrees add exactly under products, so the cap is checked up front.
-        degree = k * value.total_degree()
-        if degree > MAX_TOTAL_DEGREE:
-            self.fail(
-                f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}", caret
-            )
-        result = _const(self.names, 1)
-        for _ in range(k):
-            result = result * value
-        return result
+        try:
+            return value**k
+        except ValueError as exc:
+            self.fail(str(exc), caret)
 
     def atom(self) -> MultiPoly:
         token = self.peek()

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 from . import universe
 from .actions import _theta_terms
 from .lpdo import LPDO
-from .multipoly import MAX_TOTAL_DEGREE, MultiPoly, _chain_step, _nonzero, _product, _rational_terms, product_sum
+from .multipoly import MAX_TOTAL_DEGREE, MultiPoly, _nonzero, _product, _rational_terms, product_sum
 from .universe import _FrozenValue
 from .waves import ExpWave, plane_wave
 
@@ -66,13 +66,15 @@ def apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
                 keep += 1
             del chain[keep + 1 :]
             for a in want[keep:]:
-                index, gradient = table[a] if a in table else (amplitude._index(coords[a]), None)
                 den, num = chain[-1]
                 if lean:
+                    gradient = table[a][1]
                     num = _product(num, gradient._num)
                     chain.append((den * gradient._den, _nonzero(names, num) if (0, 0) in num.values() else num))
-                else:
-                    chain.append(_chain_step(names, index, den, num, gradient))
+                else:  # an axis missing from the universe raises in `partial`
+                    step = MultiPoly._make(names, den, num)
+                    step = step.partial(coords[a]) + step * table[a][1]
+                    chain.append((step._den, step._num))
             steps = want
             yield poly, chain[-1]
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .multipoly import MultiPoly, _chain_step, _partial, _rational_terms
+from .multipoly import MultiPoly, _partial, _rational_terms
 from . import universe
 
 
@@ -47,7 +47,7 @@ class ExpWave:
         i_dphi = self._gradient.get(name)
         if i_dphi is None:  # dphi/dname times i, in one pass: i*(re + im*i) = -im + re*i
             phase = self.phase
-            num = {k: (-im, re) for k, (re, im) in _partial(phase.variables, phase._index(name), phase._num, 1).items()}
+            num = {k: (-im, re) for k, (re, im) in _partial(phase.variables, phase._index(name), phase._num).items()}
             i_dphi = self._gradient[name] = MultiPoly._make(phase.variables, phase._den, num)
         return i_dphi
 
@@ -55,11 +55,9 @@ class ExpWave:
         """One exact derivative: (dA + i*A*dphi) * exp(i*phi).  It keeps the
         phase, so it shares the cache of i*dphi."""
         i_dphi, amplitude = self._i_dphi(name), self.amplitude
-        variables = amplitude.variables
-        step = _chain_step(variables, amplitude._index(name), amplitude._den, amplitude._num, i_dphi)
         # The shared phase was checked when this wave was built: no __init__ checks.
         out = object.__new__(ExpWave)
-        object.__setattr__(out, "amplitude", MultiPoly._make(variables, *step))
+        object.__setattr__(out, "amplitude", amplitude.partial(name) + amplitude * i_dphi)
         object.__setattr__(out, "phase", self.phase)
         object.__setattr__(out, "_gradient", self._gradient)
         return out

@@ -11,6 +11,62 @@ from galinv import LPDO, GaussianRational, MultiPoly
 from galinv import universe
 
 
+def internals(p: MultiPoly) -> tuple:
+    """A polynomial's universe, denominator and packed terms, in order."""
+    return p.variables, p._den, list(p._num.items())
+
+
+def _brief(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 160 else f"{text[:160]}... ({len(text)} characters)"
+
+
+def _described(result) -> str:
+    kind, value = result
+    if isinstance(value, MultiPoly):
+        return f"({kind!r}, <{len(value._num)} terms over {len(value.variables)} variables>)"
+    return _brief(result)
+
+
+def _first_difference(left, right) -> int:
+    """The first index at which two sequences differ, or the shorter length."""
+    return next((i for i, (a, b) in enumerate(zip(left, right)) if a != b), min(len(left), len(right)))
+
+
+def assert_same_internals(new, old, *, with_repr: bool = False) -> None:
+    """Assert that two polynomials hold the same universe, denominator and
+    packed terms in the same order, and, `with_repr`, the same repr.  Either
+    side may instead be an outcome: ("ok", polynomial), compared so, or an
+    error's (name, message), compared exactly.
+
+    A mismatch raises with a bounded message: the term counts, the
+    denominators, and the first differing index with its two items.  A plain
+    `==` on the two tuples would have pytest diff their whole reprs, which on
+    a polynomial of many terms takes minutes and GBs."""
+    __tracebackhide__ = True  # pytest reports the caller's line, not this body
+    if isinstance(new, tuple):
+        if new[0] != "ok" or old[0] != "ok":
+            if new[0] != old[0] or new[1] != old[1]:
+                raise AssertionError(f"outcomes differ: {_described(new)} != {_described(old)}")
+            return
+        new, old = new[1], old[1]
+    if with_repr:
+        left, right = repr(new), repr(old)
+        if left != right:
+            i = _first_difference(left, right)
+            raise AssertionError(
+                f"reprs differ: {len(left)} vs {len(right)} characters, first at {i}: "
+                f"{left[max(i - 60, 0) : i + 60]!r} vs {right[max(i - 60, 0) : i + 60]!r}")
+    (variables, den, terms), (old_variables, old_den, old_terms) = internals(new), internals(old)
+    if (variables, den, terms) != (old_variables, old_den, old_terms):
+        i = _first_difference(terms, old_terms)
+        raise AssertionError(
+            f"packed internals differ: universes {_brief(variables)} vs {_brief(old_variables)}; "
+            f"{len(terms)} vs {len(old_terms)} terms; denominators {_brief(den)} vs {_brief(old_den)}; "
+            f"first differing term at index {i}: "
+            f"{_brief(terms[i]) if i < len(terms) else 'none'} vs {_brief(old_terms[i]) if i < len(old_terms) else 'none'}")
+
+
 def random_fraction(rng: random.Random, bound: int = 5) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 

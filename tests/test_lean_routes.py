@@ -6,7 +6,10 @@ builds its result without the constructor's checks; `MultiPoly.__mul__`
 shifts keys when a factor has one term; `MultiPoly.extend` of a constant
 keeps its one key.  `reference_oracle.py` and `reference_multipoly.py`
 hold the routes these replaced.  Each pair must give identical values,
-denominators, packed term order and errors.  The boost witness runs the
+denominators, packed term order and errors.  The plane wave and the
+pulled-back wave never take the oracle's general chain-rule step, also
+under variable coefficients, so boost-scan's fast path cannot be lost
+without a failing test.  The boost witness runs the
 transport law of its points on `Fraction`s, and each point it returns must
 move the symbol under the transport law of
 `reference_oracle.boosted_frequency` too.
@@ -27,6 +30,7 @@ from galinv import (
     MultiPoly,
     boost_commutator_defect,
     check_boost_invariance_fixed_gauge,
+    parse_operator,
     plane_wave,
     symbol_of,
     universe,
@@ -36,20 +40,16 @@ from galinv.checks import _boost_witness
 import reference_multipoly
 import reference_oracle as ref
 from reference_oracle import boosted_frequency
-from conftest import random_constant_lpdo, random_variable_lpdo
+from conftest import assert_same_internals, random_constant_lpdo, random_variable_lpdo
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 lams = st.one_of(st.just(Fraction(0)), small)
 UNIVERSES = [tuple(f"v{i}" for i in range(w)) for w in range(1, 6)] + [universe.symbol_vars(3)]
 
 
-def internals(p: MultiPoly):
-    return p.variables, p._den, list(p._num.items())
-
-
 def outcome(fn, *args):
     try:
-        return "ok", internals(fn(*args))
+        return "ok", fn(*args)
     except ValueError as exc:
         return "ValueError", str(exc)
 
@@ -57,8 +57,8 @@ def outcome(fn, *args):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_plane_wave_matches_product_route(n):
     wave, old = plane_wave(n), ref.plane_wave(n)
-    assert internals(wave.amplitude) == internals(old.amplitude)
-    assert internals(wave.phase) == internals(old.phase)
+    assert_same_internals(wave.amplitude, old.amplitude)
+    assert_same_internals(wave.phase, old.phase)
 
 
 @settings(max_examples=60, deadline=None)
@@ -71,10 +71,49 @@ def test_defect_matches_reference_route(n, order, constant, seed, lam, c, veloci
     op = make(random.Random(seed), n, order)
     v = velocity[:n]
     got = boost_commutator_defect(op, lam, v, c)
-    assert internals(got) == internals(ref.boost_commutator_defect(op, lam, v, c))
-    assert outcome(boost_commutator_defect, op, lam, v + [1]) == outcome(
-        ref.boost_commutator_defect, op, lam, v + [1]
-    )
+    assert_same_internals(got, ref.boost_commutator_defect(op, lam, v, c))
+    assert_same_internals(outcome(boost_commutator_defect, op, lam, v + [1]),
+                          outcome(ref.boost_commutator_defect, op, lam, v + [1]))
+
+
+# Operators whose coefficients hold t and x: the waves stay lean all the same.
+VARIABLE_OPERATORS = [
+    ("t*(2i*Dt + Lap)", 2),
+    ("x1*Dx1 + t*t*Dt^3", 1),
+    ("x1*x1 + 2i*t*x1*Dx1 - t*t*Dx1*Dx1", 1),
+    ("(2i*Dt+Lap)^8", 2),
+]
+
+
+def _general_step_refused(monkeypatch):
+    """Make the general chain-rule step, dA + A*(i*dphi), raise: it is the one
+    route through `MultiPoly.partial` that a defect could take."""
+    def refused(self, name):
+        raise AssertionError(f"general step along {name}")
+
+    monkeypatch.setattr(MultiPoly, "partial", refused)
+
+
+@pytest.mark.parametrize("lam", [0, 1, -2])
+@pytest.mark.parametrize("text, n", VARIABLE_OPERATORS)
+def test_plane_waves_never_take_the_general_step(monkeypatch, text, n, lam):
+    """The plane wave and the pulled-back wave have gradients free of t and x
+    and an amplitude of 1, so every step is the product A*(i*dphi) alone."""
+    op = parse_operator(text, n=n)
+    v = [Fraction(1, 2), -1][:n]
+    expected = boost_commutator_defect(op, lam, v, Fraction(1, 3))
+    _general_step_refused(monkeypatch)
+    assert_same_internals(boost_commutator_defect(op, lam, v, Fraction(1, 3)), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 2**32), lams, st.lists(small, min_size=3, max_size=3))
+def test_constant_operators_never_take_the_general_step(n, order, seed, lam, velocity):
+    op = random_constant_lpdo(random.Random(seed), n, order)
+    expected = boost_commutator_defect(op, lam, velocity[:n])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _general_step_refused(monkeypatch)
+        assert_same_internals(boost_commutator_defect(op, lam, velocity[:n]), expected)
 
 
 @st.composite
@@ -101,7 +140,7 @@ def test_lean_derivative_is_the_checked_wave(n, data):
     for name in data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=4)):
         expected = ref.differentiate(step, name)
         step = step.differentiate(name)
-        assert internals(step.amplitude) == internals(expected.amplitude)
+        assert_same_internals(step.amplitude, expected.amplitude)
         assert step.phase is wave.phase and step._gradient is wave._gradient
         assert ExpWave(step.amplitude, step.phase) == step
     with pytest.raises(ValueError, match="real-valued"):
@@ -129,9 +168,9 @@ def assert_product_matches_double_loop(variables, many_terms, one_terms):
     many, one = MultiPoly(variables, many_terms), MultiPoly(variables, one_terms)
     for left, right in ((many, one), (one, many), (one, one)):
         got = outcome(operator.mul, left, right)
-        assert got == outcome(reference_multipoly.double_loop_mul, left, right)
+        assert_same_internals(got, outcome(reference_multipoly.double_loop_mul, left, right))
         if got[0] == "ok":
-            assert got[1][1:] == internals(MultiPoly(variables, (left * right).terms))[1:]
+            assert_same_internals(got[1], MultiPoly(variables, got[1].terms))
 
 
 @settings(max_examples=150, deadline=None)
@@ -162,10 +201,10 @@ def test_constant_extend_matches_term_route(variables, value, data):
         got = outcome(const.extend, goal)
         old = reference_multipoly.MultiPoly(variables, {(0,) * len(variables): value})
         try:
-            want = "ok", internals(MultiPoly(goal, old.extend(goal).terms))
+            want = "ok", MultiPoly(goal, old.extend(goal).terms)
         except ValueError as exc:
             want = "ValueError", str(exc)
-        assert got == want
+        assert_same_internals(got, want)
 
 
 def _point(n, data):

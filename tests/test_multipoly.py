@@ -1,13 +1,14 @@
 """Sparse polynomial arithmetic, substitution, and canonical form."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galinv import MAX_TOTAL_DEGREE, GaussianRational, MultiPoly, as_gaussian
+from galinv import I_UNIT, MAX_TOTAL_DEGREE, GaussianRational, MultiPoly, as_gaussian
 
 import reference_gaussrat as ref
 from conftest import random_poly
@@ -82,6 +83,36 @@ def test_degree_cap():
     x = MultiPoly.var(("x",), "x")
     with pytest.raises(ValueError):
         x ** (MAX_TOTAL_DEGREE + 1)
+
+
+def test_power_checks_the_cap_before_any_product(monkeypatch):
+    """Degrees add exactly under products, so `**` names the power's own
+    degree, 31 * 5, and multiplies nothing."""
+    x = MultiPoly.var(("x",), "x")
+    p = x**31 + 1
+
+    def refused(*args):
+        raise AssertionError("a product was taken")
+
+    monkeypatch.setattr("galinv.multipoly._product", refused)
+    with pytest.raises(ValueError, match=f"^term degree 155 exceeds the cap of {MAX_TOTAL_DEGREE}$"):
+        p**5
+
+
+def test_substitute_names_the_degree_of_a_bound_power():
+    names = tuple(f"xi{a}" for a in range(1, 10))
+    image = MultiPoly.var(names, "xi1") ** 16 + 1
+    with pytest.raises(ValueError, match=f"^term degree 256 exceeds the cap of {MAX_TOTAL_DEGREE}$"):
+        (MultiPoly.var(names, "xi9") ** 16).substitute({"xi9": image})
+
+
+@pytest.mark.parametrize("base", [MultiPoly.const(U, I_UNIT), MultiPoly.zero(U)])
+def test_a_constant_takes_the_scalar_power(base):
+    """No degree bounds a constant's exponent, so its power is not k products."""
+    start = time.perf_counter()
+    power = base ** 10**9
+    assert time.perf_counter() - start < 0.1
+    assert power == base.constant_value() ** 10**9 and power.variables == U
 
 
 def test_evaluate_exactly():

@@ -159,9 +159,19 @@ def test_arithmetic_matches_reference(pairs, scalar):
 @settings(max_examples=30, deadline=None)
 @given(polys(max_terms=3, max_degree=3), st.integers(0, 5))
 @example(build(("v0", "v1"), {(32, 0): 1, (0, 1): Fraction(1, 2)}), 2)  # v0^64 at the cap
+@example(build(("v0",), {(31,): 1, (0,): 1}), 5)  # squaring met degree 124 first
+@example(build(("v0",), {(33,): 1}), 3)  # squaring met degree 66 first
 def test_powers_match_reference(pair, k):
     p, r = pair
-    assert_same_outcome(operator.pow, (p, k), (r, k))
+    degree = k * r.total_degree()
+    if degree <= MAX_TOTAL_DEGREE:
+        assert_same_outcome(operator.pow, (p, k), (r, k))
+        return
+    # Over the cap both raise; the package names the power's own degree,
+    # before any product, where squaring names the first term it meets.
+    got, want = outcome(operator.pow, p, k), outcome(operator.pow, r, k)
+    assert want[0] == "ValueError" and want[1].endswith(f"exceeds the cap of {MAX_TOTAL_DEGREE}")
+    assert got == ("ValueError", f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}")
 
 
 @settings(max_examples=25, deadline=None)
@@ -219,7 +229,18 @@ def test_substitute_matches_reference(pair, data):
         else:
             image, ref_image = data.draw(polys(target, max_terms=2, max_degree=2))
             new[name], old[name] = image, ref_image
-    assert_same_outcome(method("substitute"), (p, new), (r, old))
+    want = outcome(method("substitute"), r, old)
+    if not (want[0] == "ValueError" and want[1].endswith(f"exceeds the cap of {MAX_TOTAL_DEGREE}")):
+        assert_same_outcome(method("substitute"), (p, new), (r, old))
+        return
+    # Over the cap both raise.  Where a power of a bound image fails first,
+    # the package names that power's own degree, and squaring the first
+    # term it meets; a failing product names the same term in both.
+    powers = {e * image.total_degree() for name, image in new.items() if isinstance(image, MultiPoly)
+              for e in {exps[names.index(name)] for exps in p.terms}}
+    got = outcome(method("substitute"), p, new)
+    assert got == want or got in {
+        ("ValueError", f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}") for degree in powers}
 
 
 @settings(max_examples=30, deadline=None)

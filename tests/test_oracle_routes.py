@@ -30,18 +30,14 @@ from galinv import (
 
 import reference_oracle as ref
 from reference_oracle import apply_plane_wave
-from conftest import random_constant_lpdo, random_variable_lpdo
+from conftest import assert_same_internals, random_constant_lpdo, random_variable_lpdo
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
-def internals(p: MultiPoly):
-    return p.variables, p._den, list(p._num.items())
-
-
 def assert_same_wave(wave: ExpWave, reference: ExpWave) -> None:
-    assert internals(wave.amplitude) == internals(reference.amplitude)
-    assert internals(wave.phase) == internals(reference.phase)
+    assert_same_internals(wave.amplitude, reference.amplitude)
+    assert_same_internals(wave.phase, reference.phase)
 
 
 @st.composite

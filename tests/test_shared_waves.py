@@ -35,20 +35,16 @@ from galinv import (
 from galinv.multipoly import product_sum
 
 import reference_oracle as ref
-from conftest import random_constant_lpdo, random_variable_lpdo
+from conftest import assert_same_internals, internals, random_constant_lpdo, random_variable_lpdo
 
 UNIVERSES = (universe.coeff_vars, universe.symbol_vars, universe.boost_vars)
 # sum_k (2i*Dt + Lap)^k for k = 0..4 at n = 3: order 8, 70 derivative keys.
 POWER_FORM = " + ".join(f"(2i*Dt+Lap)^{k}" for k in range(5))
 
 
-def internals(p: MultiPoly):
-    return p.variables, p._den, list(p._num.items())
-
-
 def outcome(fn, *args):
     try:
-        return "ok", internals(fn(*args))
+        return "ok", fn(*args)
     except ValueError as exc:
         return "ValueError", str(exc)
 
@@ -76,12 +72,12 @@ def test_oracle_calls_leave_the_shared_plane_wave_unchanged():
             for lam in (0, 1, Fraction(-3, 2)):
                 boost_commutator_defect(op, lam, [Fraction(a - 1, 2) for a in range(n)], c=Fraction(1, 3))
         wave, fresh = plane_wave(n), ref.plane_wave(n)
-        assert internals(wave.amplitude) == internals(fresh.amplitude)
-        assert internals(wave.phase) == internals(fresh.phase)
+        assert_same_internals(wave.amplitude, fresh.amplitude)
+        assert_same_internals(wave.phase, fresh.phase)
         coordinates = [universe.TIME] + [universe.space(a) for a in range(1, n + 1)]
         assert set(coordinates) <= set(wave._gradient) <= set(wave.variables)
         for name, i_dphi in wave._gradient.items():
-            assert internals(i_dphi) == internals(wave.phase.partial(name) * I_UNIT)
+            assert_same_internals(i_dphi, wave.phase.partial(name) * I_UNIT)
 
 
 @settings(max_examples=40, deadline=None)
@@ -91,9 +87,9 @@ def test_a_repeated_defect_call_gives_identical_internals(n, order, constant, se
     make = random_constant_lpdo if constant or order == 0 else random_variable_lpdo
     op = make(random.Random(seed), n, order)
     v = [Fraction(seed % (a + 3) - 1, a + 1) for a in range(n)]
-    first = internals(boost_commutator_defect(op, lam, v, Fraction(2, 5)))
-    assert internals(boost_commutator_defect(op, lam, v, Fraction(2, 5))) == first
-    assert first == internals(ref.boost_commutator_defect(op, lam, v, Fraction(2, 5)))
+    first = boost_commutator_defect(op, lam, v, Fraction(2, 5))
+    assert_same_internals(boost_commutator_defect(op, lam, v, Fraction(2, 5)), first)
+    assert_same_internals(first, ref.boost_commutator_defect(op, lam, v, Fraction(2, 5)))
 
 
 def packed(pairs):
@@ -130,19 +126,20 @@ def test_sums_over_an_equal_but_distinct_universe_match_the_reference(n):
     for p in coefficients:
         for q in amplitudes:
             want = outcome(ref.product_sum, names, [(p, q)])
-            assert outcome(product_sum, names, packed([(p, q)])) == want
-            assert outcome(product_sum, shared, packed([(p, q)])) == outcome(ref.product_sum, shared, [(p, q)])
-            assert outcome(operator.mul, p.extend(names), q) == want
+            assert_same_internals(outcome(product_sum, names, packed([(p, q)])), want)
+            assert_same_internals(outcome(product_sum, shared, packed([(p, q)])),
+                                  outcome(ref.product_sum, shared, [(p, q)]))
+            assert_same_internals(outcome(operator.mul, p.extend(names), q), want)
     # A q at the cap times a constant is legal; times a monomial it fails
     # with the product's message, in the pair that passes the cap.
     assert outcome(product_sum, names, packed([(coefficients[1], _top(names))]))[0] == "ok"
     message = f"term degree {MAX_TOTAL_DEGREE + 1} exceeds the cap of {MAX_TOTAL_DEGREE}"
     pairs = [(coefficients[2], amplitudes[0]), (coefficients[3], _top(names))]
-    assert outcome(product_sum, names, packed(pairs)) == ("ValueError", message)
-    assert outcome(ref.product_sum, names, pairs) == ("ValueError", message)
+    assert_same_internals(outcome(product_sum, names, packed(pairs)), ("ValueError", message))
+    assert_same_internals(outcome(ref.product_sum, names, pairs), ("ValueError", message))
     for _ in range(20):  # mixed sums, in a random order
         pairs = [(rng.choice(coefficients), rng.choice(amplitudes[:3])) for _ in range(rng.randint(1, 5))]
-        assert outcome(product_sum, names, packed(pairs)) == outcome(ref.product_sum, names, pairs)
+        assert_same_internals(outcome(product_sum, names, packed(pairs)), outcome(ref.product_sum, names, pairs))
 
 
 @st.composite
@@ -164,7 +161,8 @@ def test_the_packed_chain_matches_the_reference_when_terms_cancel(data):
     wave = ExpWave(data.draw(unit_polys(names)), data.draw(unit_polys(names)))
     keys = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=3))
     op = LPDO(1, {(j, (k,)): 1 for j, k in keys})
-    assert outcome(lambda: apply_lpdo(op, wave).amplitude) == outcome(lambda: ref.apply_lpdo(op, wave).amplitude)
+    assert_same_internals(outcome(lambda: apply_lpdo(op, wave).amplitude),
+                          outcome(lambda: ref.apply_lpdo(op, wave).amplitude))
 
 
 def test_the_packed_chain_drops_cancelled_terms_and_checks_the_cap_at_each_step():
@@ -173,7 +171,7 @@ def test_the_packed_chain_drops_cancelled_terms_and_checks_the_cap_at_each_step(
     # d/dt of the amplitude cancels a term of its product with i*dphi.
     wave = ExpWave(1 + tau * 2, 1 + t * tau * 2 - t)
     op = LPDO(1, {(3, (0,)): 1})
-    assert internals(apply_lpdo(op, wave).amplitude) == internals(ref.apply_lpdo(op, wave).amplitude)
+    assert_same_internals(apply_lpdo(op, wave).amplitude, ref.apply_lpdo(op, wave).amplitude)
     # i*dphi has degree 39, so the second step passes the cap, at degree 78.
     wave = ExpWave(MultiPoly.const(names, 1), t**40)
     with pytest.raises(ValueError, match="term degree 78 exceeds the cap"):
@@ -202,7 +200,7 @@ def test_one_defect_call_pulls_the_phase_back_once(monkeypatch):
     calls = _counting(monkeypatch, "substitute")
     got = boost_commutator_defect(op, 1, [Fraction(1, 2), -1, 2])
     assert calls[0] <= 3
-    assert internals(got) == internals(expected)
+    assert_same_internals(got, expected)
 
 
 def test_apply_lpdo_builds_one_polynomial_per_key(monkeypatch):
@@ -212,8 +210,8 @@ def test_apply_lpdo_builds_one_polynomial_per_key(monkeypatch):
     calls = _counting(monkeypatch, "_make")
     got = apply_lpdo(op, wave)
     assert calls[0] <= len(op.coeffs) + 1
-    assert internals(got.amplitude) == internals(expected.amplitude)
-    assert internals(got.amplitude) == internals(ref.apply_lpdo(op, ref.plane_wave(3)).amplitude)
+    assert_same_internals(got.amplitude, expected.amplitude)
+    assert_same_internals(got.amplitude, ref.apply_lpdo(op, ref.plane_wave(3)).amplitude)
 
 
 def test_values_refuse_deletion():

@@ -25,7 +25,7 @@ from .lpdo import LPDO, Symbol, symbol_of
 from .multipoly import MultiPoly, _rational_terms
 
 if TYPE_CHECKING:
-    from .matrices import Rotation
+    from .matrices import OrthogonalMatrix
 
 QUADRATIC = "quadratic"
 X_INDEPENDENT = "x-independent"
@@ -66,21 +66,17 @@ def conj_translation(op: LPDO, shift: Translation) -> LPDO:
 
 
 def rotation_symbol_bindings(
-    n: int, rot: Rotation, variables: Sequence[str]
+    n: int, rot: OrthogonalMatrix, variables: Sequence[str]
 ) -> dict[str, MultiPoly]:
     """Substitutions sending xi to R^T xi, i.e. xi_a -> sum_b R[b][a] xi_b,
     for each coordinate a that R moves; the others stay bound to themselves."""
-    bindings: dict[str, MultiPoly] = {}
-    for a, column in rot.moved_columns():
-        acc = MultiPoly.zero(variables)
-        for b, value in column:
-            acc = acc + MultiPoly.var(variables, universe.freq_space(b)) * value
-        bindings[universe.freq_space(a)] = acc
-    return bindings
+    return {universe.freq_space(a): _rational_terms(
+                variables, [((variables.index(universe.freq_space(b)),), value) for b, value in column])
+            for a, column in rot.columns}
 
 
-def conj_rotation(op: LPDO, rot: Rotation) -> LPDO:
-    """Rotation conjugation at the symbol level: p(tau, xi) -> p(tau, R^T xi)."""
+def conj_rotation(op: LPDO, rot: OrthogonalMatrix) -> LPDO:
+    """Conjugation by a rotation at the symbol level: p(tau, xi) -> p(tau, R^T xi)."""
     if rot.n != op.n:
         raise ValueError(f"rotation size {rot.n} does not match operator {op.n}")
     if not op.is_constant_coefficient:

@@ -5,7 +5,7 @@ that establishes invariance, on failure it carries a witness that can be
 re-applied to reproduce a concrete nonzero defect.
 
 Translation invariance reduces to constancy of every coefficient.
-Rotation invariance is decided by the radial reduction: a constant
+Invariance under rotations is decided by the radial reduction: a constant
 symbol is O(n)-invariant exactly when each tau-slice is a polynomial in
 s = |xi|^2 (for n = 1 this is evenness, since O(1) = {+-1}).  The
 coefficients b_jk of p == sum b_jk |xi|^(2k) (i tau)^j prove fixedness
@@ -38,7 +38,7 @@ from .multipoly import MultiPoly, _radial_parts, _relabelling_moves, _symmetric
 from .universe import _Value, random_rational
 
 if TYPE_CHECKING:
-    from .matrices import Rotation
+    from .matrices import OrthogonalMatrix
 
 _WITNESS_SEED = 39021
 # Seeded points tried for a boost witness.  Their bound starts at 3 and
@@ -67,7 +67,7 @@ class RotationWitness(_Value):
 
     _fields = ("rotation",)
 
-    def __init__(self, rotation: Rotation) -> None:
+    def __init__(self, rotation: OrthogonalMatrix) -> None:
         self.rotation = rotation
 
     def reverify(self, op: LPDO) -> bool:
@@ -223,7 +223,7 @@ def _rotation_witness(op: LPDO, defect: tuple, p: MultiPoly) -> RotationWitness:
     not 0, +-1/2, +-1, so R's powers are dense in that plane's SO(2)
     (Niven), which with S_n and reflections gives O(n).
     """
-    from .matrices import FixedRotation, reflection, signed_permutation
+    from .matrices import fixed_rotation, reflection, signed_permutation
 
     n = op.n
     if defect[0] == "reflection":
@@ -236,7 +236,7 @@ def _rotation_witness(op: LPDO, defect: tuple, p: MultiPoly) -> RotationWitness:
     if not _relabelling_moves(p, first):
         # At n = 2 the first swap is the only one.
         if n == 2 or _symmetric(p, n):
-            return RotationWitness(FixedRotation(n))
+            return RotationWitness(fixed_rotation(n))
         first = next(perm for perm in perms if _relabelling_moves(p, perm))
     return RotationWitness(signed_permutation(first, (1,) * n))
 
@@ -287,7 +287,7 @@ def check_boost_invariance_fixed_gauge(op: LPDO, lam: Fraction | int) -> CheckRe
     lam = Fraction(lam)
     p = symbol_of(op).poly
     if not lam:
-        invariant = not p._holds(universe.FREQ_TIME)
+        invariant = not p.degree_in(universe.FREQ_TIME)
     else:
         try:
             invariant = _boost_gauge(radial_decompose(op), lam) is not None

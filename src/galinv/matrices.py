@@ -1,21 +1,17 @@
 """Exact rational matrices and the orthogonal maps that witness rotation rejects.
 
 A rotation reject is witnessed by a reflection, a coordinate permutation
-or the fixed rotation [3/5 -4/5; 4/5 3/5] in the (xi1, xi2) plane.  Each
-moves at most two coordinates, so each is held as the group element it
-is: a signed permutation as (perm, signs), the fixed rotation as its
-plane and its 2 x 2 block.  Both are orthogonal by construction, so
-building one costs O(n) and acting with one costs as much as the
-coordinates it moves (`moved_columns`).  A general matrix, given to
-`OrthogonalMatrix` as a `RationalMatrix`, is verified to satisfy
-R^T R = I.  Every form offers `n`, `entry(i, j)`, a dense `.matrix` and
-the same dense rendering.
+or the fixed rotation [3/5 -4/5; 4/5 3/5] in the (xi1, xi2) plane, each
+held as an `OrthogonalMatrix` of the few columns it moves and built
+unchecked by `reflection`, `signed_permutation` or `fixed_rotation`.
+Any other map is checked to satisfy R^T R = I.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .universe import _FrozenValue
 
@@ -38,8 +34,7 @@ class RationalMatrix(_FrozenValue):
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        zero, one = Fraction(0), Fraction(1)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
 
     @property
     def rows(self) -> int:
@@ -53,53 +48,54 @@ class RationalMatrix(_FrozenValue):
         return self.entries[i][j]
 
 
-# One moved column a of R, 1-based, with its nonzero entries (b, R[b][a]).
-Column = tuple[int, tuple[tuple[int, Fraction], ...]]
-
-
 class OrthogonalMatrix(_FrozenValue):
-    """A square rational matrix verified to satisfy R^T R = I.
+    """An orthogonal n x n map R as (a, ((b, R[b][a]), ...)) for each column
+    a that is not e_a: entries nonzero, indices 1-based and ascending.  The
+    given columns must be orthonormal and touch no other row; their Gram
+    entries are summed row by row, at a cost of sum (row entries)^2."""
 
-    For a square matrix that makes R^T the inverse, so R R^T = I as well.
-    """
+    _fields = ("n", "columns")
 
-    _fields = ("matrix",)
+    def __init__(self, n: int, columns: Iterable[tuple[int, Iterable[tuple[int, Fraction | int]]]]) -> None:
+        given, rows, gram = {}, defaultdict(list), defaultdict(Fraction)
+        for a, column in columns:
+            if not 1 <= a <= n or a in given:
+                raise ValueError(f"column {a} is outside 1..{n} or given twice")
+            entries: dict[int, Fraction] = {}
+            for b, value in column:
+                if not 1 <= b <= n or b in entries:
+                    raise ValueError(f"row {b} of column {a} is outside 1..{n} or given twice")
+                entries[b] = Fraction(value)
+            given[a] = tuple(sorted((b, e) for b, e in entries.items() if e))
+            for b, e in given[a]:
+                rows[b].append((a, e))
+        for row in rows.values():
+            for a, e in row:
+                for c, f in row:
+                    gram[a, c] += e * f
+        if (rows.keys() - given.keys() or sum(a == c for a, c in gram) != len(given)
+                or any(g != (a == c) for (a, c), g in gram.items())):
+            raise ValueError("matrix is not orthogonal")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "columns", tuple((a, c) for a, c in sorted(given.items()) if c != ((a, 1),)))
 
-    def __init__(self, matrix: RationalMatrix) -> None:
-        object.__setattr__(self, "matrix", matrix)
+    @classmethod
+    def from_matrix(cls, matrix: RationalMatrix) -> "OrthogonalMatrix":
+        """The map of a square matrix, checked to satisfy R^T R = I."""
         if matrix.rows != matrix.cols:
             raise ValueError("orthogonal matrices are square")
-        columns = [{k: e for k, e in enumerate(column) if e} for column in zip(*matrix.entries)]
-        if any(sum(e * v.get(k, 0) for k, e in u.items()) != (i == j)
-               for i, u in enumerate(columns) for j, v in enumerate(columns)):
-            raise ValueError("matrix is not orthogonal")
-
-    @property
-    def n(self) -> int:
-        return self.matrix.rows
+        return cls(matrix.rows, [(a, enumerate(column, 1)) for a, column in enumerate(zip(*matrix.entries), 1)])
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.matrix.entry(i, j)
-
-    def moved_columns(self) -> list[Column]:
-        """Every column: a general matrix moves every coordinate."""
-        return [(a, tuple((b, e) for b, e in enumerate(column, 1) if e))
-                for a, column in enumerate(zip(*self.matrix.entries), 1)]
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(" ".join(map(str, row)) for row in self.matrix.entries) + "]"
-
-
-class _SparseForm:
-    """The dense views of a map held by the columns it moves."""
-
-    __slots__ = ()
+        """R[i][j], 0-based."""
+        column = dict(self.columns).get(j + 1)
+        return Fraction(int(i == j)) if column is None else dict(column).get(i + 1, Fraction(0))
 
     def _rows(self, cell) -> list[list]:
         """The identity's rows of cells, each moved column put in."""
         n, zero = self.n, cell(0)
         rows = [[zero] * i + [cell(1)] + [zero] * (n - i - 1) for i in range(n)]
-        for a, column in self.moved_columns():
+        for a, column in self.columns:
             rows[a - 1][a - 1] = zero
             for b, value in column:
                 rows[b - 1][a - 1] = cell(value)
@@ -114,67 +110,39 @@ class _SparseForm:
         return "[" + "; ".join(" ".join(row) for row in self._rows(str)) + "]"
 
 
-class SignedPermutation(_SparseForm, _FrozenValue):
-    """The orthogonal map e_j -> signs[j] * e_perm[j] (1-based perm)."""
-
-    _fields = ("perm", "signs")
-
-    def __init__(self, perm: tuple[int, ...], signs: tuple[int, ...]) -> None:
-        n = len(perm)
-        if sorted(perm) != list(range(1, n + 1)):
-            raise ValueError(f"{perm} is not a permutation of 1..{n}")
-        if len(signs) != n or any(s not in (1, -1) for s in signs):
-            raise ValueError("signs must be +-1, one per coordinate")
-        object.__setattr__(self, "perm", tuple(perm))
-        object.__setattr__(self, "signs", tuple(int(s) for s in signs))
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.signs[j] if self.perm[j] == i + 1 else 0)
-
-    def moved_columns(self) -> list[Column]:
-        """Each column a that the map moves, as its one entry (perm[a], signs[a])."""
-        return [(a, ((b, Fraction(s)),))
-                for a, (b, s) in enumerate(zip(self.perm, self.signs), 1) if b != a or s != 1]
+def _orthogonal(n: int, columns: tuple) -> OrthogonalMatrix:
+    """Internal constructor: the columns are canonical and orthonormal."""
+    rot = object.__new__(OrthogonalMatrix)
+    rot.__dict__.update(n=n, columns=columns)
+    return rot
 
 
-class FixedRotation(_SparseForm, _FrozenValue):
-    """R = [3/5 -4/5; 4/5 3/5] on the coordinates of `plane`, the identity
-    on the others."""
-
-    _fields = ("n",)
-    plane = (1, 2)
-    block = ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5)))
-
-    def __init__(self, n: int) -> None:
-        object.__setattr__(self, "n", n)
-        if n < 2:
-            raise ValueError(f"the fixed rotation needs n >= 2, not {n}")
-
-    def entry(self, i: int, j: int) -> Fraction:
-        if i < 2 and j < 2:  # the plane (1, 2)
-            return self.block[i][j]
-        return Fraction(int(i == j))
-
-    def moved_columns(self) -> list[Column]:
-        """The plane's two columns."""
-        (p, q), ((a, b), (c, d)) = self.plane, self.block
-        return [(p, ((p, a), (q, c))), (q, ((p, b), (q, d)))]
+_SIGNS = {1: Fraction(1), -1: Fraction(-1)}
+# [3/5 -4/5; 4/5 3/5] in the (1, 2) plane, as its two columns.
+_FIXED_COLUMNS = ((1, ((1, Fraction(3, 5)), (2, Fraction(4, 5)))),
+                  (2, ((1, Fraction(-4, 5)), (2, Fraction(3, 5)))))
 
 
-# Every form a rotation witness or `conj_rotation` takes.
-Rotation = OrthogonalMatrix | SignedPermutation | FixedRotation
-
-
-def signed_permutation(perm: Sequence[int], signs: Sequence[int]) -> SignedPermutation:
+def signed_permutation(perm: Sequence[int], signs: Sequence[int]) -> OrthogonalMatrix:
     """The orthogonal map sending e_j to signs[j] * e_perm[j] (1-based perm)."""
-    return SignedPermutation(tuple(perm), tuple(signs))
+    perm, n = tuple(perm), len(perm)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"{perm} is not a permutation of 1..{n}")
+    if len(signs) != n or any([s not in (1, -1) for s in signs]):
+        raise ValueError("signs must be +-1, one per coordinate")
+    return _orthogonal(n, tuple([(a, ((b, _SIGNS[s]),))
+                                 for a, (b, s) in enumerate(zip(perm, signs), 1) if b != a or s != 1]))
 
 
-def reflection(n: int, axis: int) -> SignedPermutation:
+def reflection(n: int, axis: int) -> OrthogonalMatrix:
     """Reflection that flips the sign of the given 1-based coordinate."""
-    signs = tuple(-1 if a == axis else 1 for a in range(1, n + 1))
-    return signed_permutation(tuple(range(1, n + 1)), signs)
+    if not 1 <= axis <= n:
+        raise ValueError(f"axis {axis} is outside 1..{n}")
+    return _orthogonal(n, ((axis, ((axis, _SIGNS[-1]),)),))
+
+
+def fixed_rotation(n: int) -> OrthogonalMatrix:
+    """R = [3/5 -4/5; 4/5 3/5] on the coordinates (1, 2), the identity on the others."""
+    if n < 2:
+        raise ValueError(f"the fixed rotation needs n >= 2, not {n}")
+    return _orthogonal(n, _FIXED_COLUMNS)

@@ -249,14 +249,6 @@ class MultiPoly:
     # ------------------------------------------------------------------
     # calculus and structure
 
-    def _holds(self, name: str) -> bool:
-        """Some term has a nonzero exponent of the variable."""
-        shift = 8 * self._index(name)
-        for key in self._num:
-            if key >> shift & 255:
-                return True
-        return False
-
     def partial(self, name: str) -> "MultiPoly":
         """Formal partial derivative with respect to one variable."""
         return MultiPoly._make(self.variables, self._den, _partial(self.variables, self._index(name), self._num))

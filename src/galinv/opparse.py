@@ -39,6 +39,7 @@ coefficients are read off only when something asks for them.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterator
@@ -102,6 +103,17 @@ def _tokenize(text: str) -> list[_Token]:
     end_line, end_column = position(len(text))
     tokens.append(_Token("end", "", end_line, end_column))
     return tokens
+
+
+def _read(kind: type, text: str, token: _Token):
+    """kind(text), or a ParseError at the token if kind cannot read the number."""
+    try:
+        return kind(text)
+    except ZeroDivisionError:
+        message = f"the number {text!r} has a zero denominator"
+    except ValueError:
+        message = f"the number has more than {sys.get_int_max_str_digits()} digits"
+    raise ParseError(message, token.line, token.column)
 
 
 _ORDER_MESSAGE = (
@@ -197,7 +209,7 @@ class _Parser:
         exponent = self.peek()
         if exponent.kind != "number" or "/" in exponent.text:
             self.fail("'^' needs a nonnegative integer exponent")
-        k = int(exponent.text)
+        k = _read(int, exponent.text, exponent)
         if k > MAX_TOTAL_DEGREE:
             self.fail(f"exponent {k} exceeds the degree cap of {MAX_TOTAL_DEGREE}")
         self.advance()
@@ -212,7 +224,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "number":
             self.advance()
-            return _const(self.names, Fraction(token.text))
+            return _const(self.names, _read(Fraction, token.text, token))
         if token.text == "(":
             if self.depth == MAX_NESTING_DEPTH:
                 self.fail(f"parentheses nest deeper than {MAX_NESTING_DEPTH} levels")
@@ -243,7 +255,7 @@ class _Parser:
             return _var(self.names, self.n + 1) * I_UNIT
         if text == "Lap":
             return laplacian_symbol(self.n)
-        index = int(m.group(2) or m.group(3))
+        index = _read(int, m.group(2) or m.group(3), token)
         if index == 0:
             self.fail("spatial indices start at 1", token)
         if index > self.n:
@@ -265,7 +277,7 @@ def _scan_dimension(tokens: list[_Token]) -> tuple[int, bool]:
             continue
         m = _NAME_RE.match(token.text)
         if m and (m.group(2) or m.group(3)):
-            highest = max(highest, int(m.group(2) or m.group(3)))
+            highest = max(highest, _read(int, m.group(2) or m.group(3), token))
     return highest, saw_lap
 
 

@@ -1,9 +1,7 @@
 """The dense matrix routes of the rotation witnesses, kept as references.
 
-The package holds each rotation witness as the group element it is: a
-signed permutation as (perm, signs) and the fixed rotation as its plane
-and 2 x 2 block, and `conj_rotation` binds only the coordinates they
-move.  The routes that served the Cayley witness search before live here
+The package holds every orthogonal map as the columns it moves, and
+`conj_rotation` binds only those coordinates.  The routes that served the Cayley witness search before live here
 unchanged, as functions of the dense matrices:
 
 - `cayley_orthogonal` is the Cayley transform (I - A)(I + A)^-1 of a
@@ -109,7 +107,7 @@ def apply(m: RationalMatrix, vector: Sequence[Fraction]) -> tuple[Fraction, ...]
 
 def compose(a, b) -> OrthogonalMatrix:
     """The product a * b of two orthogonal maps of any form, checked."""
-    return OrthogonalMatrix(mul(a.matrix, b.matrix))
+    return OrthogonalMatrix.from_matrix(mul(a.matrix, b.matrix))
 
 
 def cayley_orthogonal(skew: RationalMatrix) -> OrthogonalMatrix:
@@ -121,7 +119,7 @@ def cayley_orthogonal(skew: RationalMatrix) -> OrthogonalMatrix:
     if not is_skew_symmetric(skew):
         raise ValueError("Cayley transform needs a skew-symmetric matrix")
     identity = RationalMatrix.identity(skew.rows)
-    return OrthogonalMatrix(mul(sub(identity, skew), inverse(add(identity, skew))))
+    return OrthogonalMatrix.from_matrix(mul(sub(identity, skew), inverse(add(identity, skew))))
 
 
 def all_signed_permutations(n: int) -> list:

@@ -5,8 +5,10 @@ now, with an explicit `__init__` on the shared bases in
 `galinv.universe`.  Here each one's twin is rebuilt by
 `dataclasses.make_dataclass` with the old fields, defaults, frozenness
 and `__post_init__` checks, which are kept below unchanged, except that
-`SamplePlan`'s twin lost the `bound` field its class dropped.  A twin
-takes its class's name, so the two reprs can be compared as strings.
+`SamplePlan`'s twin lost the `bound` field its class dropped, and that
+`OrthogonalMatrix`, now held as the columns it moves, has a twin on
+`n columns` that checks R^T R = I on the dense matrix.  A twin takes its
+class's name, so the two reprs can be compared as strings.
 """
 
 from __future__ import annotations
@@ -26,13 +28,7 @@ from galinv.checks import (
 )
 from galinv.classify import GaugeNormalization, PowerFormVerdict, SecondOrderVerdict
 from galinv.lpdo import Symbol
-from galinv.matrices import (
-    FixedRotation,
-    OrthogonalMatrix,
-    RationalMatrix,
-    SignedPermutation,
-    _frac_rows,
-)
+from galinv.matrices import OrthogonalMatrix, RationalMatrix, _frac_rows
 from galinv.opparse import _Token
 from galinv.oracle import SamplePlan
 
@@ -52,28 +48,26 @@ def _rational_matrix(self) -> None:
 
 
 def _orthogonal_matrix(self) -> None:
-    m = self.matrix
-    if m.rows != m.cols:
-        raise ValueError("orthogonal matrices are square")
-    columns = [{k: e for k, e in enumerate(column) if e} for column in zip(*m.entries)]
-    if any(sum(e * v.get(k, 0) for k, e in u.items()) != (i == j)
-           for i, u in enumerate(columns) for j, v in enumerate(columns)):
+    """Index checks, then every column of the dense matrix against every other."""
+    n = self.n
+    dense = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]  # dense[a - 1] is column a
+    given = set()
+    for a, column in self.columns:
+        if not 1 <= a <= n or a in given:
+            raise ValueError(f"column {a} is outside 1..{n} or given twice")
+        given.add(a)
+        dense[a - 1], rows = [Fraction(0)] * n, set()
+        for b, value in column:
+            if not 1 <= b <= n or b in rows:
+                raise ValueError(f"row {b} of column {a} is outside 1..{n} or given twice")
+            rows.add(b)
+            dense[a - 1][b - 1] = Fraction(value)
+    if any(sum(x * y for x, y in zip(u, v)) != (i == j)
+           for i, u in enumerate(dense) for j, v in enumerate(dense)):
         raise ValueError("matrix is not orthogonal")
-
-
-def _signed_permutation(self) -> None:
-    perm, n = tuple(self.perm), len(self.perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"{self.perm} is not a permutation of 1..{n}")
-    if len(self.signs) != n or any(s not in (1, -1) for s in self.signs):
-        raise ValueError("signs must be +-1, one per coordinate")
-    object.__setattr__(self, "perm", perm)
-    object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
-
-
-def _fixed_rotation(self) -> None:
-    if self.n < 2:
-        raise ValueError(f"the fixed rotation needs n >= 2, not {self.n}")
+    moved = tuple((a, tuple((b, e) for b, e in enumerate(column, 1) if e))
+                  for a, column in enumerate(dense, 1) if any(e != (b == a) for b, e in enumerate(column, 1)))
+    object.__setattr__(self, "columns", moved)
 
 
 def _sample_plan(self) -> None:
@@ -127,9 +121,7 @@ TWINS = [
     _twin(GaugeNormalization, "operator phase real_phase"),
     _twin(Symbol, "poly n order", frozen=True),
     _twin(RationalMatrix, "entries", frozen=True, post_init=_rational_matrix),
-    _twin(OrthogonalMatrix, "matrix", frozen=True, post_init=_orthogonal_matrix),
-    _twin(SignedPermutation, "perm signs", frozen=True, post_init=_signed_permutation),
-    _twin(FixedRotation, "n", frozen=True, post_init=_fixed_rotation),
+    _twin(OrthogonalMatrix, "n columns", frozen=True, post_init=_orthogonal_matrix),
     _twin(_Token, "kind text line column"),
     _twin(SamplePlan, "seed count",
           {"seed": universe.DEFAULT_SEED, "count": 32}, frozen=True,

@@ -261,6 +261,21 @@ def test_symbol_over_degree_cap_is_parse_error_everywhere(capsys):
         assert "exceeds" in captured.err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["classify2", "Dt + 1/0*Lap", "--n", "2"],
+     "error: line 1, column 6: the number '1/0' has a zero denominator\n"),
+    (["synthesize", "--lambda", "1", "--coeffs", "1,1/0", "--n", "2"],
+     "error: line 1, column 1: the number '1/0' has a zero denominator\n"),
+    (["check-translation", "Dt^" + "1" * 5000],
+     "error: line 1, column 4: the number has more than 4300 digits\n"),
+])
+def test_unreadable_numbers_are_usage_errors_with_a_position(capsys, argv, err):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_dimension_over_the_cap_is_usage_error(capsys):
     started = time.perf_counter()
     status = main(["check-rotation", "Lap", "--n", "100000"])

@@ -24,6 +24,20 @@ GOLDEN = [
     (["check-rotation", "Dx1", "--n", "2"], 1,
      "verdict: not-invariant\nn: 2\nm: 1\nwitness: rotation [-1 0; 0 1] does not fix the operator\n",
      "verdict=not-invariant\nn=2\nm=1\nwitness=rotation [-1 0; 0 1] does not fix the operator\n"),
+    # The other witness kinds: a swap, a later transposition, and the fixed
+    # rotation in the (xi1, xi2) plane, alone and beside an unmoved axis.
+    (["check-rotation", "3*Dx1^2", "--n", "2"], 1,
+     "verdict: not-invariant\nn: 2\nm: 2\nwitness: rotation [0 1; 1 0] does not fix the operator\n",
+     "verdict=not-invariant\nn=2\nm=2\nwitness=rotation [0 1; 1 0] does not fix the operator\n"),
+    (["check-rotation", "Dx1^2+Dx2^2+2*Dx3^2", "--n", "3"], 1,
+     "verdict: not-invariant\nn: 3\nm: 2\nwitness: rotation [1 0 0; 0 0 1; 0 1 0] does not fix the operator\n",
+     "verdict=not-invariant\nn=3\nm=2\nwitness=rotation [1 0 0; 0 0 1; 0 1 0] does not fix the operator\n"),
+    (["check-rotation", "Dx1^4+Dx2^4", "--n", "2"], 1,
+     "verdict: not-invariant\nn: 2\nm: 4\nwitness: rotation [3/5 -4/5; 4/5 3/5] does not fix the operator\n",
+     "verdict=not-invariant\nn=2\nm=4\nwitness=rotation [3/5 -4/5; 4/5 3/5] does not fix the operator\n"),
+    (["check-rotation", "Dx1^4+Dx2^4+Dx3^4", "--n", "3"], 1,
+     "verdict: not-invariant\nn: 3\nm: 4\nwitness: rotation [3/5 -4/5 0; 4/5 3/5 0; 0 0 1] does not fix the operator\n",
+     "verdict=not-invariant\nn=3\nm=4\nwitness=rotation [3/5 -4/5 0; 4/5 3/5 0; 0 0 1] does not fix the operator\n"),
     (["check-boost", "2i*Dt + Lap", "--lambda", "1", "--n", "2"], 0,
      "verdict: invariant\nn: 2\nm: 2\ncertificate: zero-substitution-residue\n",
      "verdict=invariant\nn=2\nm=2\ncertificate=zero-substitution-residue\n"),

@@ -104,7 +104,7 @@ def test_product_matches_the_dense_sum():
 
 def test_orthogonality_verified_on_construction():
     with pytest.raises(ValueError):
-        OrthogonalMatrix(RationalMatrix(((F(1), F(1)), (F(0), F(1)))))
+        OrthogonalMatrix.from_matrix(RationalMatrix(((F(1), F(1)), (F(0), F(1)))))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

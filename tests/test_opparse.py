@@ -244,6 +244,31 @@ def test_exponent_error_points_at_the_exponent():
     assert exc.value.column == 4
 
 
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("1/0*Dt", 1, 1, "the number '1/0' has a zero denominator"),
+        ("Dt + 2*Dx1\n + 3/0", 2, 4, "the number '3/0' has a zero denominator"),
+        ("(1/0)i + Dt", 1, 2, "the number '1/0' has a zero denominator"),
+        ("9" * 4301 + "*Dt", 1, 1, "the number has more than 4300 digits"),
+        ("Dt + 1/" + "7" * 4301, 1, 6, "the number has more than 4300 digits"),
+        ("Dt^" + "0" * 4301 + "2", 1, 4, "the number has more than 4300 digits"),
+        ("Dt + Dx" + "0" * 4301 + "1", 1, 6, "the number has more than 4300 digits"),
+        ("x" + "1" * 4301 + "*Dt", 1, 1, "the number has more than 4300 digits"),
+    ],
+)
+def test_unreadable_numbers_are_parse_errors_at_the_literal(text, line, column, message):
+    with pytest.raises(ParseError) as exc:
+        parse_operator(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"line {line}, column {column}: {message}"
+
+
+def test_unreadable_scalar_literal_is_a_parse_error():
+    with pytest.raises(ParseError, match="line 1, column 3: the number '2/0' has a zero denominator"):
+        parse_gaussian_literal("1+2/0i")
+
+
 def test_wide_sum_of_powers_parses_fast():
     """A product's degree check maps each name to its position once, so a
     summand over the 2n + 2 symbol variables costs about n, not n^2."""

@@ -126,7 +126,7 @@ def fixed_rotation(n: int) -> OrthogonalMatrix:
     """[3/5 -4/5; 4/5 3/5] in the (1, 2) plane, the identity elsewhere."""
     rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     rows[0][:2], rows[1][:2] = [Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]
-    return OrthogonalMatrix(RationalMatrix(tuple(map(tuple, rows))))
+    return OrthogonalMatrix.from_matrix(RationalMatrix(tuple(map(tuple, rows))))
 
 
 # ------------------------------------------------------------------ property

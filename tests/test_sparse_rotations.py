@@ -1,10 +1,12 @@
-"""Rotation witnesses held as sparse group elements, against the dense routes.
+"""Rotation witnesses held as the columns they move, against the dense routes.
 
-A signed permutation is held as (perm, signs) and the fixed rotation as
-its plane and 2 x 2 block; `conj_rotation` binds only the coordinates they
-move.  `reference_matrices` keeps the dense construction and the dense
-bindings of every coordinate; here the two must give the same entries,
-rendering and conjugated operators.  The witness search decides S_n
+Every orthogonal map is held as the columns it moves, and `conj_rotation`
+binds only those coordinates.  `reference_matrices` keeps the dense
+construction and the dense bindings of every coordinate; here the two
+must give the same entries, rendering and conjugated operators, and the
+columns that `reflection`, `signed_permutation` and `fixed_rotation`
+build unchecked must be the checked constructor's canonical form of
+their dense matrices.  The witness search decides S_n
 symmetry in one pass over the symbol, and it must name the same first
 moving permutation as the swap scan it replaced.
 """
@@ -29,7 +31,7 @@ from galinv import (
 )
 from galinv import checks
 from galinv.checks import RotationWitness, _rotation_witness
-from galinv.matrices import FixedRotation, RationalMatrix
+from galinv.matrices import RationalMatrix, fixed_rotation
 from galinv.multipoly import _symmetric
 
 from reference_matrices import dense_conj_rotation, first_moving_permutation
@@ -44,14 +46,14 @@ def dense_signed_permutation(perm, signs) -> OrthogonalMatrix:
     rows = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
         rows[perm[j] - 1][j] = Fraction(signs[j])
-    return OrthogonalMatrix(RationalMatrix(tuple(map(tuple, rows))))
+    return OrthogonalMatrix.from_matrix(RationalMatrix(tuple(map(tuple, rows))))
 
 
 def dense_fixed_rotation(n: int) -> OrthogonalMatrix:
     """[3/5 -4/5; 4/5 3/5] in the (1, 2) plane, the identity elsewhere, checked."""
     rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     rows[0][:2], rows[1][:2] = [Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]
-    return OrthogonalMatrix(RationalMatrix(tuple(map(tuple, rows))))
+    return OrthogonalMatrix.from_matrix(RationalMatrix(tuple(map(tuple, rows))))
 
 
 def constant_operators(n: int):
@@ -72,7 +74,7 @@ def sparse_and_dense(draw):
         sparse, dense = signed_permutation(perm, signs), dense_signed_permutation(perm, signs)
     else:
         n = draw(st.integers(2, 6))
-        sparse, dense = FixedRotation(n), dense_fixed_rotation(n)
+        sparse, dense = fixed_rotation(n), dense_fixed_rotation(n)
     return sparse, dense, draw(constant_operators(n))
 
 
@@ -93,11 +95,61 @@ def test_sparse_forms_match_the_dense_reference(case):
     assert conj_rotation(op, dense) == expected
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_factories_build_the_checked_canonical_form(data):
+    n = data.draw(st.integers(1, 6))
+    kind = data.draw(st.sampled_from(["reflection", "signed_permutation", "fixed_rotation"]))
+    if kind == "reflection":
+        m = reflection(n, data.draw(st.integers(1, n)))
+    elif kind == "signed_permutation":
+        perm = tuple(data.draw(st.permutations(range(1, n + 1))))
+        m = signed_permutation(perm, data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)))
+    else:
+        m = fixed_rotation(data.draw(st.integers(2, 6)))
+    checked = OrthogonalMatrix.from_matrix(m.matrix)
+    assert checked == m and hash(checked) == hash(m)
+    assert OrthogonalMatrix(m.n, m.columns) == m
+
+
+def test_the_checked_constructor_takes_a_large_shift_fast():
+    n = 2000
+    shift = [(a, [(a % n + 1, 1)]) for a in range(1, n + 1)]
+    started = time.perf_counter()
+    built = OrthogonalMatrix(n, shift)
+    elapsed = time.perf_counter() - started
+    assert built == signed_permutation([a % n + 1 for a in range(1, n + 1)], (1,) * n)
+    assert elapsed < 1.0, f"checking a cyclic shift at n = {n} took {elapsed:.2f}s"
+
+
+def test_the_checked_constructor_canonicalizes_and_refuses():
+    assert OrthogonalMatrix(3, [(2, [(3, 1), (2, 0)]), (3, [(2, 1)]), (1, [(1, 1)])]).columns == (
+        (2, ((3, Fraction(1)),)), (3, ((2, Fraction(1)),)))
+    assert OrthogonalMatrix(2, []) == OrthogonalMatrix.from_matrix(RationalMatrix.identity(2))
+    for n, columns, message in [
+        (2, [(1, [(2, 1)])], "matrix is not orthogonal"),  # touches the unmoved row 2
+        (2, [(1, [(1, 1), (2, 1)]), (2, [(1, 1), (2, -1)])], "matrix is not orthogonal"),
+        (2, [(1, []), (2, [(2, -1)])], "matrix is not orthogonal"),
+        (2, [(1, [(2, 1)]), (2, [(2, 1)])], "matrix is not orthogonal"),
+        (2, [(3, [(3, -1)])], "column 3 is outside 1..2 or given twice"),
+        (2, [(1, [(2, 1)]), (1, [(2, 1)])], "column 1 is outside 1..2 or given twice"),
+        (2, [(1, [(0, 1)])], "row 0 of column 1 is outside 1..2 or given twice"),
+        (2, [(1, [(2, 1), (2, 1)])], "row 2 of column 1 is outside 1..2 or given twice"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            OrthogonalMatrix(n, columns)
+        assert str(caught.value) == message
+    with pytest.raises(ValueError, match="square"):
+        OrthogonalMatrix.from_matrix(RationalMatrix(((1, 0),)))
+    with pytest.raises(ValueError, match="axis 3 is outside 1..2"):
+        reflection(2, 3)
+
+
 def test_sparse_forms_bind_only_what_they_move():
-    assert [a for a, _ in reflection(5, 3).moved_columns()] == [3]
-    assert [a for a, _ in signed_permutation((1, 4, 3, 2), (1, 1, 1, 1)).moved_columns()] == [2, 4]
-    assert [a for a, _ in FixedRotation(6).moved_columns()] == [1, 2]
-    assert [a for a, _ in dense_fixed_rotation(3).moved_columns()] == [1, 2, 3]
+    assert [a for a, _ in reflection(5, 3).columns] == [3]
+    assert [a for a, _ in signed_permutation((1, 4, 3, 2), (1, 1, 1, 1)).columns] == [2, 4]
+    assert [a for a, _ in fixed_rotation(6).columns] == [1, 2]
+    assert [a for a, _ in dense_fixed_rotation(3).columns] == [1, 2]
 
 
 def test_sparse_forms_refuse_bad_input():
@@ -106,9 +158,9 @@ def test_sparse_forms_refuse_bad_input():
     with pytest.raises(ValueError):
         signed_permutation((1, 2), (1, 0))
     with pytest.raises(ValueError):
-        FixedRotation(1)
+        fixed_rotation(1)
     with pytest.raises(ValueError):
-        OrthogonalMatrix(RationalMatrix(((3, 4), (4, -3))))
+        OrthogonalMatrix.from_matrix(RationalMatrix(((3, 4), (4, -3))))
 
 
 @pytest.mark.parametrize(
@@ -116,7 +168,7 @@ def test_sparse_forms_refuse_bad_input():
     [
         (reflection(2, 1), "Dx2^3 + Dx1^2"),
         (signed_permutation((2, 1, 3), (1, 1, 1)), "Dx1^2*Dx2^2 + Dx3"),
-        (FixedRotation(3), "Lap^2 + Dt*Dx3"),
+        (fixed_rotation(3), "Lap^2 + Dt*Dx3"),
     ],
 )
 def test_witness_reverify_is_false_where_its_map_fixes_the_operator(rotation, fixed):
@@ -166,7 +218,7 @@ def test_one_pass_symmetry_matches_the_swap_scan(case):
     assert _symmetric(p, n) == (first is None)
     witness = _rotation_witness(op, ("radial",), p).rotation
     if first is None:
-        assert witness == FixedRotation(n)
+        assert witness == fixed_rotation(n)
     else:
         assert witness == signed_permutation(first, (1,) * n)
 
@@ -189,9 +241,10 @@ def test_witnesses_in_a_thousand_dimensions_reverify_fast():
     n = 1000
     single = parse_operator("Dx1^2", n)
     powers = LPDO(n, {(0, tuple(4 * (b == a) for b in range(n))): 1 for a in range(n)})
-    for op, kind in ((single, "SignedPermutation"), (powers, "FixedRotation")):
+    swap = signed_permutation((2, 1, *range(3, n + 1)), (1,) * n)
+    for op, kind, expected in ((single, "swap", swap), (powers, "fixed rotation", fixed_rotation(n))):
         witness = check_rotation_invariance(op).witness
-        assert type(witness.rotation).__name__ == kind
+        assert witness.rotation == expected
         started = time.perf_counter()
         assert witness.reverify(op)
         elapsed = time.perf_counter() - started

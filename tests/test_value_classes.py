@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galinv import GaussianRational, MultiPoly
-from galinv.matrices import FixedRotation, RationalMatrix, reflection, signed_permutation
+from galinv.matrices import fixed_rotation, reflection, signed_permutation
 
 from reference_values import TWINS
 
@@ -34,22 +34,20 @@ entry = st.sampled_from([0, 1, -1, Fraction(3, 5), Fraction(-4, 5)])
 
 
 @st.composite
-def matrices(draw):
-    """Square matrices, mostly not orthogonal; known orthogonal ones; a non-square one."""
+def maps(draw):
+    """n and columns: every column of a square matrix, mostly not orthogonal;
+    the columns of known orthogonal maps, maybe an identity column added and
+    the order shuffled; or random, often bad, indices."""
     n = draw(st.integers(1, 3))
-    square = RationalMatrix(tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)))
-    known = [RationalMatrix.identity(2), FixedRotation(3).matrix, reflection(2, 1).matrix,
-             signed_permutation((2, 3, 1), (1, -1, 1)).matrix, RationalMatrix(((1, 0),))]
-    return draw(st.one_of(st.just(square), st.sampled_from(known)))
-
-
-@st.composite
-def perms(draw):
-    n = draw(st.integers(0, 4))
-    perm = draw(st.one_of(st.permutations(range(1, n + 1)), st.lists(st.integers(0, 4), max_size=4)))
-    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)
-                 | st.lists(st.sampled_from([1, -1, 0, 2]), max_size=4))
-    return {"perm": tuple(perm) if draw(st.booleans()) else perm, "signs": signs}
+    dense = [(a, [(b, draw(entry)) for b in range(1, n + 1)]) for a in range(1, n + 1)]
+    known = [(2, []), (3, fixed_rotation(3).columns), (2, reflection(2, 1).columns),
+             (3, signed_permutation((2, 3, 1), (1, -1, 1)).columns), (3, ((3, ((3, 1),)),))]
+    m, columns = draw(st.sampled_from(known))
+    known = (m, draw(st.permutations(list(columns) + draw(st.sampled_from([[], [(1, ((1, 1),))]])))))
+    index = st.integers(0, 4)
+    bad = (n, draw(st.lists(st.tuples(index, st.lists(st.tuples(index, entry), max_size=3)), max_size=3)))
+    n, columns = draw(st.sampled_from([(n, dense), known, bad]))
+    return {"n": n, "columns": columns}
 
 
 # Field values that reach each class's checks; every other field draws `value`.
@@ -59,8 +57,6 @@ FIELDS = {
     "RadialDecomposition": {"b": st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                                                  small, max_size=3)},
     "RationalMatrix": {"entries": st.lists(st.lists(small, max_size=3), max_size=3)},
-    "OrthogonalMatrix": {"matrix": matrices()},
-    "FixedRotation": {"n": count},
     "SamplePlan": {"count": count},
 }
 
@@ -69,7 +65,7 @@ FIELDS = {
 def arguments(draw, spec):
     """Keyword arguments for one instance; a defaulted field may be left out."""
     fields = FIELDS.get(spec.cls.__name__, {})
-    kwargs = draw(perms()) if spec.cls.__name__ == "SignedPermutation" else {}
+    kwargs = draw(maps()) if spec.cls.__name__ == "OrthogonalMatrix" else {}
     for name in spec.names:
         if name not in kwargs and (name not in spec.optional or draw(st.booleans())):
             kwargs[name] = draw(fields.get(name, value))
@@ -146,10 +142,8 @@ def test_value_class_matches_its_dataclass_twin(spec, data):
 # Required arguments that pass each class's checks; other classes take (1, 2).
 VALID = {
     "Translation": {"s": 1, "y": (1, 2)},
-    "SignedPermutation": {"perm": (2, 1), "signs": (1, -1)},
-    "OrthogonalMatrix": {"matrix": reflection(2, 1).matrix},
+    "OrthogonalMatrix": {"n": 2, "columns": reflection(2, 1).columns},
     "RationalMatrix": {"entries": ((1,),)},
-    "FixedRotation": {"n": 3},
 }
 
 

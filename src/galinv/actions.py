@@ -65,9 +65,7 @@ def conj_translation(op: LPDO, shift: Translation) -> LPDO:
     return LPDO._of_symbol(Symbol(sym.poly.substitute(bindings), op.n, op.order))
 
 
-def rotation_symbol_bindings(
-    n: int, rot: OrthogonalMatrix, variables: Sequence[str]
-) -> dict[str, MultiPoly]:
+def rotation_symbol_bindings(rot: OrthogonalMatrix, variables: Sequence[str]) -> dict[str, MultiPoly]:
     """Substitutions sending xi to R^T xi, i.e. xi_a -> sum_b R[b][a] xi_b,
     for each coordinate a that R moves; the others stay bound to themselves."""
     return {universe.freq_space(a): _rational_terms(
@@ -82,7 +80,7 @@ def conj_rotation(op: LPDO, rot: OrthogonalMatrix) -> LPDO:
     if not op.is_constant_coefficient:
         raise ValueError("rotation conjugation is restricted to constant coefficients")
     sym = symbol_of(op)
-    bindings = rotation_symbol_bindings(op.n, rot, sym.poly.variables)
+    bindings = rotation_symbol_bindings(rot, sym.poly.variables)
     return LPDO._of_symbol(Symbol(sym.poly.substitute(bindings), op.n, op.order))
 
 

@@ -22,7 +22,7 @@ import gc
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import _on_first_use
 from .actions import GaugePhase, QUADRATIC, _check_components, boost_phase_poly, gauge_phase
@@ -91,18 +91,25 @@ def _vec(values) -> str:
     return "(" + ",".join(str(v) for v in values) + ")"
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a rational p/q")
+def _option(read: Callable[[str], object], message: str) -> Callable[[str], object]:
+    """An option's type: read(text), or argparse's error with the value put
+    into `message`, cut to its first 20 characters and its length when it is
+    longer than 40."""
+
+    def parse(text: str):
+        try:
+            return read(text)
+        except (ValueError, ZeroDivisionError):
+            shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+            raise argparse.ArgumentTypeError(message.format(shown))
+
+    return parse
 
 
-def _parse_vector(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(piece.strip()) for piece in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated vector")
+_FRACTION = _option(Fraction, "{} is not a rational p/q")
+_VECTOR = _option(lambda text: tuple(Fraction(piece.strip()) for piece in text.split(",")),
+                  "{} is not a comma-separated vector")
+_INT = _option(int, "invalid int value: {}")  # argparse's own words for type=int
 
 
 # Subcommand -> (help, reads an operator, takes --lambda), in help order.
@@ -134,20 +141,20 @@ def build_arg_parser(command: str | None = None) -> argparse.ArgumentParser:
             continue
         if operator:
             p.add_argument("operator", help="operator expression, e.g. '2i*Dt + Lap'")
-            p.add_argument("--n", type=int, default=None, help="spatial dimension")
+            p.add_argument("--n", type=_INT, default=None, help="spatial dimension")
         p.add_argument("--format", choices=("text", "kv"), default="text", dest="format_")
         if lam:
-            p.add_argument("--lambda", dest="lam", type=_parse_fraction, required=True)
+            p.add_argument("--lambda", dest="lam", type=_FRACTION, required=True)
         if name == "synthesize":
             p.add_argument("--coeffs", required=True, help="comma list, e.g. '0,1' or '5,2i'")
-            p.add_argument("--n", type=int, required=True)
+            p.add_argument("--n", type=_INT, required=True)
         elif name == "theta":
-            p.add_argument("--c", type=_parse_fraction, default=Fraction(0))
-            p.add_argument("--v", type=_parse_vector, default=None)
-            p.add_argument("--n", type=int, default=None)
+            p.add_argument("--c", type=_FRACTION, default=Fraction(0))
+            p.add_argument("--v", type=_VECTOR, default=None)
+            p.add_argument("--n", type=_INT, default=None)
         elif name == "oracle":
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-            p.add_argument("--count", type=int, default=5)
+            p.add_argument("--seed", type=_INT, default=DEFAULT_SEED)
+            p.add_argument("--count", type=_INT, default=5)
     return parser
 
 

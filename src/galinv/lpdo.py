@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from . import universe
 from .universe import _FrozenValue
 from .gaussrat import GaussianLike, GaussianRational, as_gaussian, i_power
-from .multipoly import MAX_DIMENSION, MAX_TOTAL_DEGREE, MultiPoly, embed_sum, split_trailing
+from .multipoly import MAX_DIMENSION, MAX_TOTAL_DEGREE, MultiPoly, product_sum, split_trailing
 
 DerivKey = tuple[int, tuple[int, ...]]
 
@@ -78,9 +78,12 @@ class LPDO:
             cleaned[(j, alpha)] = poly
         if not cleaned:
             raise ValueError(_ZERO_OPERATOR)
-        parts = [(poly, (j, *alpha), i_power(j + sum(alpha))) for (j, alpha), poly in cleaned.items()]
+        names, lead, pairs = universe.symbol_vars(n), (0,) * (n + 1), []
+        for (j, alpha), poly in cleaned.items():  # poly times i^(j+|alpha|) * tau^j * xi^alpha
+            monomial = MultiPoly(names, {(*lead, j, *alpha): i_power(j + sum(alpha))})
+            pairs.append((poly, (monomial._den, monomial._num)))
         order = max(j + sum(alpha) for j, alpha in cleaned)
-        _hold(self, Symbol(embed_sum(universe.symbol_vars(n), parts), n, order), cleaned)
+        _hold(self, Symbol(product_sum(names, pairs), n, order), cleaned)
 
     @classmethod
     def _of_symbol(cls, symbol: Symbol) -> "LPDO":

@@ -11,11 +11,12 @@ A monomial is one integer, 8 bits per exponent and the total degree in
 the byte above: sum(e_i << 8*i) + (deg << 8*w) for w variables, so adding
 keys multiplies monomials, without carry as capped degrees are at most 64.
 Each operation drops zero numerators and divides out gcd(d, numerators),
-so equal polynomials hold identical (d, map).  `.terms` is the map from
+so equal polynomials hold equal (d, map).  `.terms` is the map from
 exponent tuples to `GaussianRational`, built once on demand.  Values are
-immutable and exact, and keep their terms in insertion order.  The total
-degree of any term is capped (`MAX_TOTAL_DEGREE`, unchanged by the packed
-layout) so that a runaway composition fails fast with a clear error.
+immutable and exact.  The order in which `.terms` lists the terms is not
+specified; `str` and `repr` list them by `ordered_terms`, graded-lex.  The
+total degree of any term is capped (`MAX_TOTAL_DEGREE`, unchanged by the
+packed layout) so that a runaway composition fails fast with a clear error.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class MultiPoly:
 
     @property
     def terms(self) -> dict[Exponents, GaussianRational]:
-        """Exponent tuple -> nonzero coefficient, in term order (built once)."""
+        """Exponent tuple -> nonzero coefficient, in no specified order (built once)."""
         if self._terms is None:
             width, den = len(self.variables), self._den
             _set_terms(self, {
@@ -289,7 +290,7 @@ class MultiPoly:
         literal = self.total_degree() * max(1, *(v.total_degree() for v in resolved.values())) > MAX_TOTAL_DEGREE
         powers: dict[tuple[int, int], MultiPoly] = {}
         steps: dict[int, int] = {}
-        images: list[tuple[tuple[int, int], MultiPoly, int]] = []
+        images: list[tuple[MultiPoly, tuple[int, dict]]] = []  # the pairs `product_sum` takes
         for key, pair in self._num.items():
             term, offset = None, 0
             for i, e in enumerate(key.to_bytes(width + 1, "little")[:width]):
@@ -306,19 +307,8 @@ class MultiPoly:
                 if i not in steps:  # placed only once a term uses it
                     steps[i] = (1 << 8 * one._index(name)) + (1 << 8 * len(target))
                 offset += e * steps[i]
-            images.append((pair, one if term is None else term, offset))
-        # Each image is rescaled to one common denominator before summing.
-        den = lcm(*(term._den for _, term, _ in images))
-        accum: dict[int, tuple[int, int]] = {}
-        get = accum.get
-        for (re, im), term, offset in images:
-            scale = den // term._den
-            re, im = re * scale, im * scale
-            for key, (a, b) in term._num.items():
-                key += offset
-                c, e = get(key, (0, 0))
-                accum[key] = (c + re * a - im * b, e + re * b + im * a)
-        return MultiPoly._make(target, self._den * den, accum)
+            images.append((one if term is None else term, (self._den, {offset: pair})))
+        return product_sum(target, images)
 
     def evaluate(self, assignment: Mapping[str, GaussianLike]) -> GaussianRational:
         """Exact value at a point; every variable that appears needs a value.
@@ -401,7 +391,7 @@ class MultiPoly:
         return out
 
     def __repr__(self) -> str:
-        return f"MultiPoly({self.variables!r}, {self.terms!r})"
+        return f"MultiPoly({self.variables!r}, {dict(self.ordered_terms())!r})"
 
 
 _new = object.__new__
@@ -433,8 +423,8 @@ def _var(variables: tuple[str, ...], index: int) -> MultiPoly:
 
 def _rational_terms(variables: tuple[str, ...], terms: Iterable[tuple[Sequence[int], Fraction | int]]) -> MultiPoly:
     """sum(value * product of variables[i] for i in indices) over (indices,
-    value) pairs with distinct index multisets, in their order, zero values
-    dropped, over a universe that `_universe` has accepted."""
+    value) pairs with distinct index multisets, zero values dropped, over a
+    universe that `_universe` has accepted."""
     terms = [(indices, Fraction(value)) for indices, value in terms]
     den, top = lcm(*(value.denominator for _, value in terms)), 8 * len(variables)
     num = {sum(1 << 8 * i for i in indices) + (len(indices) << top): (value.numerator * (den // value.denominator), 0)
@@ -452,7 +442,7 @@ def _universe(variables: Sequence[str]) -> tuple[str, ...]:
 
 
 def _merge(p: MultiPoly, q: MultiPoly, sign: int) -> MultiPoly:
-    """p + sign*q over the lcm of the two denominators, in p's term order."""
+    """p + sign*q over the lcm of the two denominators."""
     if not q._num or not p._num and sign == 1:  # both are canonical already
         return q if q._num else p
     den = lcm(p._den, q._den)
@@ -478,7 +468,7 @@ def _nonzero(variables: tuple[str, ...], num: dict) -> dict:
 
 def _product(left: dict, right: dict) -> dict:
     """The packed numerators of a product, zeros kept: right's terms times
-    each of left's in turn, summed by key in the order they first arise."""
+    each of left's in turn, summed by key."""
     if len(left) == 1 or len(right) == 1:
         # Times one term: shifting the keys keeps them distinct, so no
         # lookups, and Gaussian integers have no zero divisors.
@@ -497,7 +487,7 @@ def _product(left: dict, right: dict) -> dict:
 
 
 def _partial(variables: tuple[str, ...], index: int, num: dict) -> dict:
-    """The packed numerators of d/dx, x the index-th variable, in term order."""
+    """The packed numerators of d/dx, x the index-th variable."""
     shift = 8 * index
     step = (1 << shift) + (1 << 8 * len(variables))
     out: dict[int, tuple[int, int]] = {}
@@ -511,9 +501,9 @@ def _partial(variables: tuple[str, ...], index: int, num: dict) -> dict:
 def product_sum(variables: Sequence[str], pairs: Iterable[tuple[MultiPoly, tuple[int, dict]]]) -> MultiPoly:
     """sum(p.extend(variables) * q for p, (den, num) in pairs), where q = num/den is
     packed over `variables` with no zero term and none past the cap, its content
-    not necessarily divided out.  The products are added up in one dict as the
-    pairs come, with the value, term order and first error of
-    `total + p.extend(variables) * q`."""
+    not necessarily divided out.  The products are added up key by key in one
+    dict as the pairs come, and the zeros dropped once at the end, with the
+    value and first error of `total + p.extend(variables) * q`."""
     variables = _universe(variables)
     den, accum, lead = 1, {}, None  # lead: a universe that begins `variables`
     for p, (d, terms) in pairs:
@@ -532,47 +522,15 @@ def product_sum(variables: Sequence[str], pairs: Iterable[tuple[MultiPoly, tuple
         c, e, get = c * (den // d), e * (den // d), accum.get
         for key, (a, b) in terms.items():
             re, im = get(key, (0, 0))
-            re, im = re + a * c - b * e, im + a * e + b * c
-            if re or im:
-                accum[key] = (re, im)
-            else:  # the chain drops a cancelled term, so it re-enters last
-                del accum[key]
-    return MultiPoly._make(variables, den, accum)
-
-
-def embed_sum(
-    variables: Sequence[str], parts: Iterable[tuple[MultiPoly, Exponents, GaussianLike]]
-) -> MultiPoly:
-    """sum(scale * monomial * poly.extend(variables)) over one common
-    denominator, for parts (poly, tail, scale) where poly's universe leads
-    `variables` and tail is the monomial's exponents in the rest."""
-    variables = _universe(variables)
-    top, placed = 8 * len(variables), []
-    for poly, tail, scale in parts:
-        width = len(poly.variables)
-        if variables[:width] != poly.variables or width + len(tail) != len(variables):
-            raise ValueError(f"{poly.variables} and {len(tail)} exponents do not make {variables}")
-        # The lead bytes stay; the degree byte moves up and gains the tail's degree.
-        offset = int.from_bytes(bytes(width) + bytes(tail), "little") + (sum(tail) << top)
-        placed.append((poly, 8 * width, offset, as_gaussian(scale)._t))
-    den = lcm(*(poly._den * f for poly, _, _, (_, _, f) in placed))
-    accum: dict[int, tuple[int, int]] = {}
-    get = accum.get
-    for poly, shift, offset, (c, e, f) in placed:
-        low, m = (1 << shift) - 1, den // (poly._den * f)
-        c, e = c * m, e * m
-        for key, (re, im) in poly._num.items():
-            key = (key & low) + (key >> shift << top) + offset
-            a, b = get(key, (0, 0))
-            accum[key] = (a + re * c - im * e, b + re * e + im * c)
+            accum[key] = (re + a * c - b * e, im + a * e + b * c)
     return MultiPoly._make(variables, den, accum)
 
 
 def split_trailing(
     poly: MultiPoly, width: int, scale: Callable[[Exponents], GaussianLike]
 ) -> dict[Exponents, MultiPoly]:
-    """Inverse of `embed_sum`: tail exponents -> scale(tail) * the terms
-    with that tail, over the first `width` variables, in term order."""
+    """Tail exponents -> scale(tail) * the terms with that tail, over the
+    first `width` variables."""
     lead = _universe(poly.variables[:width])
     shift, top = 8 * width, 8 * len(poly.variables)
     low, tails = (1 << shift) - 1, (1 << top - shift) - 1

@@ -98,9 +98,8 @@ def boost_commutator_defect(
         raise ValueError(f"boost has {len(v)} components, expected {n}")
     lam, v = Fraction(lam), [Fraction(va) for va in v]
     names = universe.symbol_vars(n)
-    # tau*t + xi.(x - v*t) + theta from its terms, in the order that pulling back and adding
-    # theta gives: variable 0 is t, variable a is x_a, and variable n + 1 + a is the frequency
-    # of variable a.  Zero terms drop out.
+    # tau*t + xi.(x - v*t) + theta from its terms: variable 0 is t, variable a is x_a, and
+    # variable n + 1 + a is the frequency of variable a.  Zero terms drop out.
     phase_terms = [((0, n + 1), 1)]
     for a, va in enumerate(v, start=1):
         phase_terms += [((a, n + 1 + a), 1), ((0, n + 1 + a), -va)]

@@ -12,8 +12,9 @@ from galinv import universe
 
 
 def internals(p: MultiPoly) -> tuple:
-    """A polynomial's universe, denominator and packed terms, in order."""
-    return p.variables, p._den, list(p._num.items())
+    """A polynomial's universe, denominator and packed term dict (a copy),
+    which compare equal whatever order the terms are held in."""
+    return p.variables, p._den, dict(p._num)
 
 
 def _brief(value) -> str:
@@ -35,14 +36,15 @@ def _first_difference(left, right) -> int:
 
 def assert_same_internals(new, old, *, with_repr: bool = False) -> None:
     """Assert that two polynomials hold the same universe, denominator and
-    packed terms in the same order, and, `with_repr`, the same repr.  Either
+    packed terms, in any order, and, `with_repr`, the same repr.  Either
     side may instead be an outcome: ("ok", polynomial), compared so, or an
     error's (name, message), compared exactly.
 
     A mismatch raises with a bounded message: the term counts, the
-    denominators, and the first differing index with its two items.  A plain
-    `==` on the two tuples would have pytest diff their whole reprs, which on
-    a polynomial of many terms takes minutes and GBs."""
+    denominators, and the least monomial that one side lacks or holds with
+    another numerator, with its two numerators.  A plain `==` on the two
+    tuples would have pytest diff their whole reprs, which on a polynomial
+    of many terms takes minutes and GBs."""
     __tracebackhide__ = True  # pytest reports the caller's line, not this body
     if isinstance(new, tuple):
         if new[0] != "ok" or old[0] != "ok":
@@ -59,12 +61,15 @@ def assert_same_internals(new, old, *, with_repr: bool = False) -> None:
                 f"{left[max(i - 60, 0) : i + 60]!r} vs {right[max(i - 60, 0) : i + 60]!r}")
     (variables, den, terms), (old_variables, old_den, old_terms) = internals(new), internals(old)
     if (variables, den, terms) != (old_variables, old_den, old_terms):
-        i = _first_difference(terms, old_terms)
+        key = min((key for key in terms.keys() | old_terms.keys() if terms.get(key) != old_terms.get(key)),
+                  default=None)
+        width = len(variables)  # a key over another universe may run past it
+        monomial = None if key is None else tuple(key.to_bytes(max(width + 1, key.bit_length() // 8 + 1), "little")[:width])
         raise AssertionError(
             f"packed internals differ: universes {_brief(variables)} vs {_brief(old_variables)}; "
             f"{len(terms)} vs {len(old_terms)} terms; denominators {_brief(den)} vs {_brief(old_den)}; "
-            f"first differing term at index {i}: "
-            f"{_brief(terms[i]) if i < len(terms) else 'none'} vs {_brief(old_terms[i]) if i < len(old_terms) else 'none'}")
+            f"first differing monomial {_brief(monomial)}: "
+            f"{_brief(terms.get(key))} vs {_brief(old_terms.get(key))}")
 
 
 def random_fraction(rng: random.Random, bound: int = 5) -> Fraction:

@@ -11,6 +11,10 @@ unchanged, as functions of the dense matrices:
 - `add`, `sub`, `mul`, `transpose`, `inverse`, `is_skew_symmetric`,
   `compose` and `apply` are the matrix operations they used.
 
+`dense_fixed_rotation` builds the fixed rotation [3/5 -4/5; 4/5 3/5]
+entry by entry through the checked dense constructor, to compare
+`galinv.matrices.fixed_rotation` and the witnesses against.
+
 `dense_conj_rotation` is the binding route the package replaced: every
 xi_a is bound to its full dense linear form sum_b R[b][a] xi_b, n terms
 each.  `first_moving_permutation` is the witness search it replaced with
@@ -147,6 +151,13 @@ def iter_cayley_rotations(n: int, seed: int) -> Iterator[OrthogonalMatrix]:
 def sample_cayley_rotations(n: int, count: int, seed: int) -> list[OrthogonalMatrix]:
     """Deterministic sample of rotations via random skew-symmetric matrices."""
     return list(itertools.islice(iter_cayley_rotations(n, seed), count))
+
+
+def dense_fixed_rotation(n: int) -> OrthogonalMatrix:
+    """[3/5 -4/5; 4/5 3/5] in the (1, 2) plane, the identity elsewhere, checked."""
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows[0][:2], rows[1][:2] = [Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]
+    return OrthogonalMatrix.from_matrix(RationalMatrix(tuple(map(tuple, rows))))
 
 
 def dense_conj_rotation(op: LPDO, matrix: RationalMatrix) -> LPDO:

@@ -9,7 +9,7 @@ to agree exactly on every operation, accessor, string and error.
 
 `double_loop_mul` is the packed kernel's product before a one-term
 factor took a key shift; the tests require the two products to give
-identical internals, term order and errors.
+identical internals and errors.
 
 `evaluate` is the packed evaluator before it summed every term in one
 integer pair over the point's denominators: it takes each power as a
@@ -397,7 +397,7 @@ class MultiPoly:
         return out
 
     def __repr__(self) -> str:
-        return f"MultiPoly({self.variables!r}, {self.terms!r})"
+        return f"MultiPoly({self.variables!r}, {dict(self.ordered_terms())!r})"
 
 
 def _signed_term(coeff: GaussianRational, mono: str) -> tuple[str, str]:

@@ -24,8 +24,8 @@ its chain of derivatives on packed amplitudes.  Here both sides' waves
 are pulled back and their phases compared, and the chain steps whole
 waves.
 
-The tests require each pair of routes to give identical internals and
-term order.
+The tests require each pair of routes to give identical internals: the
+same universe, denominator and packed terms, held in any order.
 
 Three routes the oracle is compared against live here as well, with no
 twin in the package: `apply_plane_wave`, the symbol side of L e = p * e

@@ -21,7 +21,10 @@ in xi_a.
 the package replaced when operators came to hold their symbol: fold the
 coefficients into the symbol with `embed_sum` on every call, and read a
 symbol back into a coefficient dict with `split_trailing`, to be checked
-and copied again by `LPDO(n, coeffs)`.
+and copied again by `LPDO(n, coeffs)`.  `embed_sum` is also the fold that
+`LPDO(n, coeffs)` ran before it summed the coefficients times their
+monomials with `product_sum`: each coefficient's packed keys are moved
+into the symbol universe by byte arithmetic and added into one dict.
 
 `add` and `conj_translation` are the coefficient routes the package
 replaced with one operation on the held symbol: merge two coefficient
@@ -37,7 +40,8 @@ and read the coefficients off the mu^j terms with the sign (-1)^j.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import Iterable, Sequence
 
 from galinv import (
     LPDO,
@@ -52,7 +56,7 @@ from galinv import (
 from galinv.checks import NotRadial, RadialDecomposition
 from galinv.gaussrat import GaussianLike, as_gaussian, i_power
 from galinv.lpdo import DerivKey
-from galinv.multipoly import embed_sum, split_trailing
+from galinv.multipoly import Exponents, _universe, split_trailing
 
 import reference_multipoly
 
@@ -80,10 +84,44 @@ def operator_of(symbol: Symbol) -> LPDO:
     return LPDO(n, {key: MultiPoly(names, terms) for key, terms in buckets.items()})
 
 
+def embed_sum(
+    variables: Sequence[str], parts: Iterable[tuple[MultiPoly, Exponents, GaussianLike]]
+) -> MultiPoly:
+    """sum(scale * monomial * poly.extend(variables)) over one common
+    denominator, for parts (poly, tail, scale) where poly's universe leads
+    `variables` and tail is the monomial's exponents in the rest."""
+    variables = _universe(variables)
+    top, placed = 8 * len(variables), []
+    for poly, tail, scale in parts:
+        width = len(poly.variables)
+        if variables[:width] != poly.variables or width + len(tail) != len(variables):
+            raise ValueError(f"{poly.variables} and {len(tail)} exponents do not make {variables}")
+        # The lead bytes stay; the degree byte moves up and gains the tail's degree.
+        offset = int.from_bytes(bytes(width) + bytes(tail), "little") + (sum(tail) << top)
+        placed.append((poly, 8 * width, offset, as_gaussian(scale)._t))
+    den = lcm(*(poly._den * f for poly, _, _, (_, _, f) in placed))
+    accum: dict[int, tuple[int, int]] = {}
+    get = accum.get
+    for poly, shift, offset, (c, e, f) in placed:
+        low, m = (1 << shift) - 1, den // (poly._den * f)
+        c, e = c * m, e * m
+        for key, (re, im) in poly._num.items():
+            key = (key & low) + (key >> shift << top) + offset
+            a, b = get(key, (0, 0))
+            accum[key] = (a + re * c - im * e, b + re * e + im * c)
+    return MultiPoly._make(variables, den, accum)
+
+
+def folded_symbol(n: int, coeffs: dict[DerivKey, MultiPoly]) -> MultiPoly:
+    """The symbol that `LPDO(n, coeffs)` folded with `embed_sum`, from its
+    checked coefficients: nonzero polynomials over `universe.coeff_vars(n)`."""
+    parts = [(poly, (j, *alpha), i_power(j + sum(alpha))) for (j, alpha), poly in coeffs.items()]
+    return embed_sum(universe.symbol_vars(n), parts)
+
+
 def packed_symbol_of(op: LPDO) -> Symbol:
     """The symbol folded from `op.coeffs` with `embed_sum`."""
-    parts = [(poly, (j, *alpha), i_power(j + sum(alpha))) for (j, alpha), poly in op.coeffs.items()]
-    return Symbol(embed_sum(universe.symbol_vars(op.n), parts), op.n, op.order)
+    return Symbol(folded_symbol(op.n, op.coeffs), op.n, op.order)
 
 
 def packed_operator_of(symbol: Symbol) -> LPDO:

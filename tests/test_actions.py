@@ -29,7 +29,7 @@ from reference_matrices import (
     sample_cayley_rotations,
 )
 
-from conftest import random_constant_lpdo, random_fraction
+from conftest import internals, random_constant_lpdo, random_fraction
 from reference_classify import conj_boost_gauge
 from reference_oracle import boost_phase_poly as reference_theta, boosted_frequency
 
@@ -201,10 +201,6 @@ def test_boost_phase_is_real():
     theta = boost_phase_poly(F(-3, 2), F(1, 7), 3, v=(F(1, 2), F(-2), F(3)))
     assert len(theta.terms) == 5
     assert all(c.im == 0 for c in theta.terms.values())
-
-
-def internals(p: MultiPoly):
-    return p.variables, p._den, list(p._num.items())
 
 
 @settings(max_examples=80, deadline=None)

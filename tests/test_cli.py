@@ -276,6 +276,32 @@ def test_unreadable_numbers_are_usage_errors_with_a_position(capsys, argv, err):
     assert captured.err == err
 
 
+X40, LONG = "x" * 40, "1" * 5000
+CUT = "'11111111111111111111'... (5000 characters)"
+
+
+@pytest.mark.parametrize("argv, value, line", [
+    (["check-boost", "Dt", "--lambda"], X40, f"argument --lambda: '{X40}' is not a rational p/q"),
+    (["check-boost", "Dt", "--lambda"], "y" * 41,
+     "argument --lambda: 'yyyyyyyyyyyyyyyyyyyy'... (41 characters) is not a rational p/q"),
+    (["check-boost", "Dt", "--lambda"], LONG, f"argument --lambda: {CUT} is not a rational p/q"),
+    (["check-boost", "Dt", "--lambda", "1", "--n"], X40, f"argument --n: invalid int value: '{X40}'"),
+    (["check-boost", "Dt", "--lambda", "1", "--n"], LONG, f"argument --n: invalid int value: {CUT}"),
+    (["oracle", "Dt", "--lambda", "1", "--seed"], X40, f"argument --seed: invalid int value: '{X40}'"),
+    (["oracle", "Dt", "--lambda", "1", "--seed"], LONG, f"argument --seed: invalid int value: {CUT}"),
+    (["theta", "--lambda", "1", "--v"], "1," + X40[2:], f"argument --v: '1,{X40[2:]}' is not a comma-separated vector"),
+    (["theta", "--lambda", "1", "--v"], "1," + LONG,
+     "argument --v: '1,111111111111111111'... (5002 characters) is not a comma-separated vector"),
+], ids=["lambda-40", "lambda-41", "lambda-5000", "n-40", "n-5000", "seed-40", "seed-5000", "v-40", "v-5002"])
+def test_unreadable_option_values_are_cut_past_40_characters(capsys, argv, value, line):
+    """A value of up to 40 characters is shown whole, in argparse's words for
+    an int; a longer one by its first 20 characters and its length."""
+    assert main([*argv, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f": error: {line}\n") and len(captured.err) < 300
+
+
 def test_dimension_over_the_cap_is_usage_error(capsys):
     started = time.perf_counter()
     status = main(["check-rotation", "Lap", "--n", "100000"])

@@ -6,7 +6,7 @@ builds its result without the constructor's checks; `MultiPoly.__mul__`
 shifts keys when a factor has one term; `MultiPoly.extend` of a constant
 keeps its one key.  `reference_oracle.py` and `reference_multipoly.py`
 hold the routes these replaced.  Each pair must give identical values,
-denominators, packed term order and errors.  The plane wave and the
+denominators, packed terms and errors.  The plane wave and the
 pulled-back wave never take the oracle's general chain-rule step, also
 under variable coefficients, so boost-scan's fast path cannot be lost
 without a failing test.  The boost witness runs the

@@ -297,8 +297,8 @@ _SUMMANDS = ("Dt", "Dx1^2", "Lap", "t*Dx2", "x1", "2i", "1/3*Dt^2", "(Dx1 - Dt)^
 @settings(max_examples=120, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from("+-"), st.sampled_from(_SUMMANDS)), min_size=1, max_size=8))
 def test_sum_matches_the_left_to_right_chain(signed):
-    """The one-pass sum keeps the value, denominator and term order of
-    adding the summands one at a time, cancellations included."""
+    """The one-pass sum keeps the value and denominator of adding the
+    summands one at a time, cancellations included."""
     from galinv.opparse import _Parser, _tokenize
 
     def symbol(text):
@@ -310,7 +310,22 @@ def test_sum_matches_the_left_to_right_chain(signed):
     text = ("-" if signed[0][0] == "-" else "") + signed[0][1]
     text += "".join(f" {sign} {summand}" for sign, summand in signed[1:])
     total = symbol(text)
-    assert (total._den, list(total._num.items())) == (chain._den, list(chain._num.items()))
+    assert (total._den, total._num) == (chain._den, chain._num)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("+-"), st.sampled_from(_SUMMANDS)), min_size=1, max_size=8), st.data())
+def test_sums_parsed_in_two_orders_have_equal_reprs(signed, data):
+    """A sum is held in the order its summands come, but its value, and so
+    its repr, does not depend on that order."""
+    from galinv.opparse import _Parser, _tokenize
+
+    def symbol(terms):
+        text = "".join(f" {sign} {summand}" for sign, summand in terms)
+        return _Parser(_tokenize(text.lstrip(" +")), 2).parse()
+
+    first, second = symbol(signed), symbol(data.draw(st.permutations(signed)))
+    assert first == second and repr(first) == repr(second)
 
 
 def _outcome(fn, text):

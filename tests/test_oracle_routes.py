@@ -3,7 +3,7 @@
 `ExpWave.differentiate` caches i*dphi per wave and hands the cache to
 the derivative, which keeps the phase; `apply_lpdo` adds each product
 into one dict.  `reference_oracle.py` holds the routes they replaced.
-Both must give the same waves with the same internals and term order.
+Both must give the same waves with the same internals.
 The oracle must also run with every symbol routine and decider broken.
 """
 
@@ -114,14 +114,16 @@ def test_apply_lpdo_matches_reference_route(n, order, constant, seed, data):
 @pytest.fixture
 def break_symbol_machinery(monkeypatch):
     """Returns a switch that makes every symbol routine and every decider
-    in `checks` raise, in each galinv module that holds a name for it."""
+    in `checks` raise, in each galinv module that holds a name for it, and
+    the coefficient fold of `LPDO(n, coeffs)`, which sums with `lpdo`'s
+    name for `product_sum` (the oracle sums with its own)."""
 
     def broken(*args, **kwargs):
         raise AssertionError("the oracle reached the symbol machinery")
 
     def switch():
         checks = sys.modules["galinv.checks"]
-        names = {"symbol_of", "embed_sum", "split_trailing"} | {
+        names = {"symbol_of", "split_trailing"} | {
             name for name, value in vars(checks).items()
             if callable(value) and getattr(value, "__module__", None) == checks.__name__
         }
@@ -132,6 +134,7 @@ def break_symbol_machinery(monkeypatch):
                     monkeypatch.setattr(module, name, broken)
                     patched.add(name)
         assert patched == names
+        monkeypatch.setattr(sys.modules["galinv.lpdo"], "product_sum", broken)
 
     return switch
 
@@ -156,6 +159,8 @@ def test_oracle_needs_no_symbol_machinery(corpus, break_symbol_machinery):
     # The switch took: the decider itself now fails.
     with pytest.raises(AssertionError, match="symbol machinery"):
         check_boost_invariance_fixed_gauge(LPDO.laplacian(2), 1)
+    with pytest.raises(AssertionError, match="symbol machinery"):
+        LPDO.identity(2)
     for op, v, direct, invariant in cases:
         wave = apply_lpdo(op, plane_wave(op.n))
         defect = boost_commutator_defect(op, 1, v, c=Fraction(1, 3))

@@ -35,12 +35,11 @@ from galinv import (
 )
 from galinv import universe
 from galinv.checks import NotRadial, RotationWitness, radial_decompose
-from galinv.matrices import OrthogonalMatrix, RationalMatrix
 from galinv.multipoly import _radial_parts
 from galinv.universe import random_rational
 
 import reference_symbols as ref
-from reference_matrices import all_signed_permutations, apply, iter_cayley_rotations, transpose
+from reference_matrices import all_signed_permutations, apply, dense_fixed_rotation, iter_cayley_rotations, transpose
 
 POOL_SEED = 74511
 POOL_CAYLEY = 20
@@ -120,13 +119,6 @@ def fixed_by_pool(op: LPDO, cayley: int = POOL_CAYLEY) -> bool:
 
 def is_signed_permutation(rot) -> bool:
     return all(rot.entry(i, j) in (-1, 0, 1) for i in range(rot.n) for j in range(rot.n))
-
-
-def fixed_rotation(n: int) -> OrthogonalMatrix:
-    """[3/5 -4/5; 4/5 3/5] in the (1, 2) plane, the identity elsewhere."""
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rows[0][:2], rows[1][:2] = [Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]
-    return OrthogonalMatrix.from_matrix(RationalMatrix(tuple(map(tuple, rows))))
 
 
 # ------------------------------------------------------------------ property
@@ -329,7 +321,7 @@ def test_witness_against_reference_search(op):
     first = next((i for i, rot in enumerate(signed) if conj_rotation(op, rot) != op), None)
     if first is None:
         assert not is_signed_permutation(reference)
-        assert report.witness.rotation.matrix == fixed_rotation(op.n).matrix
+        assert report.witness.rotation.matrix == dense_fixed_rotation(op.n).matrix
     else:
         assert report.witness.rotation == signed[first]
         assert all(signed[first].entry(i, j) >= 0 for i in range(op.n) for j in range(op.n))
@@ -362,7 +354,7 @@ def symmetric_non_radial_operators(draw) -> LPDO:
 def test_fixed_rotation_witnesses_every_symmetric_non_radial_symbol(op):
     report = check_rotation_invariance(op)
     assert not report.invariant
-    assert report.witness.rotation.matrix == fixed_rotation(op.n).matrix
+    assert report.witness.rotation.matrix == dense_fixed_rotation(op.n).matrix
     assert report.witness.reverify(op)
     found = reference_rotation_witness(op)
     assert found is not None and RotationWitness(found[1]).reverify(op)
@@ -393,7 +385,7 @@ def test_fixed_rotation_witness_in_eighty_dimensions_is_fast():
     report = check_rotation_invariance(op)
     elapsed = time.perf_counter() - started
     assert not report.invariant
-    assert report.witness.rotation.matrix == fixed_rotation(80).matrix
+    assert report.witness.rotation.matrix == dense_fixed_rotation(80).matrix
     assert elapsed < 1.0, f"Dx1^4 + ... + Dx80^4 at n = 80 took {elapsed:.2f}s"
 
 

@@ -34,7 +34,7 @@ from galinv.checks import RotationWitness, _rotation_witness
 from galinv.matrices import RationalMatrix, fixed_rotation
 from galinv.multipoly import _symmetric
 
-from reference_matrices import dense_conj_rotation, first_moving_permutation
+from reference_matrices import dense_conj_rotation, dense_fixed_rotation, first_moving_permutation
 
 small = st.integers(-3, 3)
 gaussians = st.builds(lambda re, im: GaussianRational(Fraction(re), Fraction(im)), small, small)
@@ -46,13 +46,6 @@ def dense_signed_permutation(perm, signs) -> OrthogonalMatrix:
     rows = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
         rows[perm[j] - 1][j] = Fraction(signs[j])
-    return OrthogonalMatrix.from_matrix(RationalMatrix(tuple(map(tuple, rows))))
-
-
-def dense_fixed_rotation(n: int) -> OrthogonalMatrix:
-    """[3/5 -4/5; 4/5 3/5] in the (1, 2) plane, the identity elsewhere, checked."""
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rows[0][:2], rows[1][:2] = [Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]
     return OrthogonalMatrix.from_matrix(RationalMatrix(tuple(map(tuple, rows))))
 
 

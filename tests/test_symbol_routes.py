@@ -4,18 +4,20 @@
 `RadialDecomposition.reconstruction` work on the packed kernel, and
 `LPDO.__add__` and `conj_translation` on the held symbol; the routes
 they replaced are in `reference_symbols.py`.  Both must give the
-same polynomial with the same internals and term order, and the same
-operator with the same key order, or the same error.
+same polynomial with the same internals, and the same operator with
+the same key order, or the same error.
 
 An operator holds its symbol, so `symbol_of` folds nothing and an
 operator handed a symbol splits it only when its coefficients are read.
 The packed round trip that did both on every call is also a reference,
-and no decider may reach `embed_sum` or `split_trailing`.
+and no decider may reach the coefficient fold of `LPDO(n, coeffs)` (its
+`product_sum`) or `split_trailing`.
 """
 
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -265,8 +267,24 @@ def test_held_symbol_matches_packed_round_trip(op, data):
         lambda: packed(folded.poly * ref.packed_symbol_of(other).poly)(),
     )
     mirror = reflection(n, data.draw(st.integers(1, n)))
-    bindings = rotation_symbol_bindings(n, mirror, folded.poly.variables)
+    bindings = rotation_symbol_bindings(mirror, folded.poly.variables)
     assert_same_route(lambda: conj_rotation(op, mirror), packed(folded.poly.substitute(bindings)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.booleans(), st.data())
+def test_coefficient_fold_matches_embed_sum(n, constant, copied, data):
+    """`LPDO(n, coeffs)` sums each coefficient times its monomial
+    i^(j+|alpha|) * tau^j * xi^alpha with `product_sum`; the `embed_sum`
+    fold it replaced gives the same universe, denominator and terms from
+    the same checked coefficients, also over an equal universe that is
+    another object."""
+    coeffs = data.draw(operators(n, constant=constant, max_order=8)).coeffs
+    if copied:
+        coeffs = {key: MultiPoly(tuple(list(poly.variables)), poly.terms) for key, poly in coeffs.items()}
+    op = LPDO(n, coeffs)
+    assert op.coeffs is not coeffs and op.coeffs == coeffs
+    assert_same_internals(symbol_of(op).poly, ref.folded_symbol(n, coeffs))
 
 
 def test_symbol_route_refuses_a_dimension_over_the_cap():
@@ -279,9 +297,10 @@ def test_symbol_route_refuses_a_dimension_over_the_cap():
 
 
 def test_deciders_never_convert_between_symbol_and_coefficients(monkeypatch):
-    """With `embed_sum` and `split_trailing` broken everywhere, every
-    decider and classifier gives the answers it gave before, on a parsed
-    operator that passes the rotation stage and one that fails it."""
+    """With the coefficient fold of `LPDO(n, coeffs)` and `split_trailing`
+    broken everywhere, every decider and classifier gives the answers it
+    gave before, on a parsed operator that passes the rotation stage and
+    one that fails it."""
     cases = [("(2i*Dt+Lap)^2 + Lap", 3), ("Dx1^2 + 2*Dx2^2", 2)]
 
     def answers(op):
@@ -299,13 +318,17 @@ def test_deciders_never_convert_between_symbol_and_coefficients(monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("a decider converted between symbol and coefficients")
 
-    names, patched = {"embed_sum", "split_trailing"}, set()
+    names, patched = {"split_trailing"}, set()
     for module_name, module in list(sys.modules.items()):
         if module_name == "galinv" or module_name.startswith("galinv."):
             for name in names & set(vars(module)):
                 monkeypatch.setattr(module, name, broken)
                 patched.add(name)
     assert patched == names
+    # Only the fold's own name: the parser and the oracle sum with `product_sum` too.
+    monkeypatch.setattr(sys.modules["galinv.lpdo"], "product_sum", broken)
+    with pytest.raises(AssertionError, match="converted between symbol and coefficients"):
+        LPDO.identity(2)
     assert [answers(op) for op in ops] == expected
     assert [v.stage for v in expected[0][3:]] == ["residual-xi-dependence", "not-order-2"]
     assert [v.stage for v in expected[1][3:]] == ["rotation-failure", "rotation-failure"]

@@ -64,7 +64,8 @@ def assert_same_internals(new, old, *, with_repr: bool = False) -> None:
         key = min((key for key in terms.keys() | old_terms.keys() if terms.get(key) != old_terms.get(key)),
                   default=None)
         width = len(variables)  # a key over another universe may run past it
-        monomial = None if key is None else tuple(key.to_bytes(max(width + 1, key.bit_length() // 8 + 1), "little")[:width])
+        monomial = None if key is None else tuple(
+            key.to_bytes(max(width + 1, key.bit_length() // 8 + 1), "little")[:width])
         raise AssertionError(
             f"packed internals differ: universes {_brief(variables)} vs {_brief(old_variables)}; "
             f"{len(terms)} vs {len(old_terms)} terms; denominators {_brief(den)} vs {_brief(old_den)}; "

@@ -4,11 +4,11 @@ Every polynomial is built twice, once in each kernel, from the same term
 map.  Each operation and accessor must then give the same repr (which
 fixes the universe and every coefficient, listed graded-lex), the same
 str and `.terms`, and the same error type and message.  The order in
-which `.terms` lists the terms is not compared: it is not specified.  The package's
-results must also be canonical: a positive denominator, a content of 1,
-no zero numerators, and exactly the internals that building the
-reference's result from scratch gives, so equal values hold identical
-internals.
+which `.terms` lists the terms is not compared: it is not specified.
+The package's results must also be canonical: a positive denominator, a
+content of 1, no zero numerators, and exactly the internals that
+building the reference's result from scratch gives, so equal values
+hold identical internals.
 """
 
 import math
@@ -17,7 +17,6 @@ import time
 from fractions import Fraction
 
 import pytest
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 

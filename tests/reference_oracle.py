@@ -27,6 +27,13 @@ waves.
 The tests require each pair of routes to give identical internals: the
 same universe, denominator and packed terms, held in any order.
 
+`galinv.oracle.apply_lpdo` sums a lean operator (amplitude and stepped
+gradients free of the stepped coordinates, no product past the cap) by
+Horner's rule over the trie of its keys.  `chain_apply_lpdo` is the
+route it replaced: keys in sorted order along one chain of packed
+amplitudes, a lean step the product with the gradient alone, each key's
+derivative multiplied by its coefficient in one `product_sum`.
+
 Three routes the oracle is compared against live here as well, with no
 twin in the package: `apply_plane_wave`, the symbol side of L e = p * e
 at a symbolic or a concrete frequency (`plane_wave_at`);
@@ -39,10 +46,11 @@ the symbol.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from galinv import ExpWave, I_UNIT, LPDO, MultiPoly, symbol_of, universe, waves
+from galinv import ExpWave, I_UNIT, LPDO, MAX_TOTAL_DEGREE, MultiPoly, symbol_of, universe, waves
 from galinv.actions import _check_components
+from galinv import multipoly
 
 
 def substitute(wave: ExpWave, bindings: Mapping[str, MultiPoly | int | Fraction]) -> ExpWave:
@@ -116,6 +124,52 @@ def apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
             steps.append(name)
         total = total + poly.extend(names) * chain[-1].amplitude
     return ExpWave(total, wave.phase)
+
+
+def chain_apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
+    """Keys in sorted order along one chain of packed amplitudes, each key's
+    derivative handed with its coefficient to one `multipoly.product_sum`.
+
+    A key keeps the longest prefix of steps it shares with the chain, drops
+    the rest, and takes only its missing steps.  When the amplitude and each
+    gradient i*dphi stepped along are free of those coordinates and no
+    product can pass the degree cap, dA is zero, and a step is the product
+    A*(i*dphi) alone; otherwise it is `ExpWave.differentiate`'s rule."""
+    names, amplitude = wave.variables, wave.amplitude
+    keys = sorted(op.coeffs.items())
+    wants = [sum(((a,) * k for a, k in enumerate(alpha, 1)), (0,) * j) for (j, alpha), _ in keys]
+    coords = [universe.TIME] + [universe.space(a) for a in range(1, op.n + 1)]
+    used = {a for want in wants for a in want}
+    table = {a: (names.index(coords[a]), wave._i_dphi(coords[a])) for a in used if coords[a] in names}
+    mask = sum(255 << 8 * index for index, _ in table.values())
+    degree = {a: gradient.total_degree() for a, (_, gradient) in table.items()}
+    lean = (len(table) == len(used)
+            and amplitude.total_degree() + max(sum(map(degree.get, want)) for want in wants) <= MAX_TOTAL_DEGREE
+            and not any(key & mask for poly in (amplitude, *(g for _, g in table.values())) for key in poly._num))
+
+    def products() -> Iterator[tuple[MultiPoly, tuple[int, dict]]]:
+        steps: tuple[int, ...] = ()
+        chain = [(amplitude._den, amplitude._num)]  # chain[k] is the amplitude after steps[:k]
+        for ((_, poly), want) in zip(keys, wants):
+            keep = 0
+            while keep < min(len(steps), len(want)) and steps[keep] == want[keep]:
+                keep += 1
+            del chain[keep + 1 :]
+            for a in want[keep:]:
+                den, num = chain[-1]
+                if lean:
+                    gradient = table[a][1]
+                    num = multipoly._product(num, gradient._num)
+                    chain.append((den * gradient._den,
+                                  multipoly._nonzero(names, num) if (0, 0) in num.values() else num))
+                else:  # an axis missing from the universe raises in `partial`
+                    step = MultiPoly._make(names, den, num)
+                    step = step.partial(coords[a]) + step * table[a][1]
+                    chain.append((step._den, step._num))
+            steps = want
+            yield poly, chain[-1]
+
+    return ExpWave(multipoly.product_sum(names, products()), wave.phase)
 
 
 def plane_wave(n: int) -> ExpWave:

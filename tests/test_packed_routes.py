@@ -1,12 +1,15 @@
-"""The oracle's packed derivative sum and the integer evaluator against their old routes.
+"""The oracle's derivative sums and the integer evaluator against their old routes.
 
-`apply_lpdo` steps its chain on variable indices and hands each key's
-derivative to `product_sum` packed.  When the amplitude and every
-gradient it steps along are free of those coordinates and no product can
-pass the degree cap, a step is the product with the gradient alone.
-`reference_oracle.apply_lpdo` steps whole waves and adds each product to
-a growing total; the two must give identical packed internals and the
-same first error on both sides of that test.
+When the amplitude and every gradient it steps along are free of those
+coordinates, and no key's coefficient times its derivative can pass the
+degree cap, `apply_lpdo` sums the keys by Horner's rule over the trie of
+their steps; otherwise it steps one chain of amplitudes by the chain
+rule and hands each key's derivative to `product_sum`.  Two references
+must give identical packed internals and the same first error:
+`reference_oracle.apply_lpdo`, which steps whole waves and adds each
+product to a growing total, and `reference_oracle.chain_apply_lpdo`, the
+packed chain that Horner's rule replaced, also where a coefficient
+passes the cap on a lean wave.
 
 `MultiPoly.evaluate` sums every term in one integer pair over the
 point's denominators.  `reference_multipoly.evaluate` is the evaluator it
@@ -18,6 +21,7 @@ result stays the same.
 import random
 from fractions import Fraction
 
+import galinv.oracle
 import pytest
 from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
@@ -42,7 +46,7 @@ from galinv.errors import InconsistencyError
 
 import reference_multipoly
 import reference_oracle as ref
-from conftest import assert_same_internals, random_constant_lpdo, random_variable_lpdo
+from conftest import assert_same_internals, internals, random_constant_lpdo, random_variable_lpdo
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 gaussians = st.one_of(small, st.builds(GaussianRational, small, small))
@@ -80,10 +84,15 @@ def waves(n: int, v, lam, amplitude_term, phase_term):
         "phase t^40": ExpWave(plane.amplitude, monomial(names, t=40) + plane.phase),
         # Free of the coordinates, but two t-steps pass the cap.
         "gradient tau^40": ExpWave(plane.amplitude, monomial(names, t=1, tau=40) + plane.phase),
+        # Free of the coordinates, with an amplitude that is not 1.
+        "amplitude tau*xi1": ExpWave(monomial(names, amplitude_term, tau=1, xi1=1) + Fraction(1, 3), pulled.phase),
         # Free of the coordinates, and products of the gradients cancel terms.
         "cancelling": ExpWave(plane.amplitude, monomial(names, t=1) * tau_xi
                               + monomial(names, x1=1) * (monomial(names, tau=1) + monomial(names, xi1=1))),
     }
+
+
+WAVE_LABELS = tuple(waves(1, [0], 0, 1, 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -137,6 +146,84 @@ def test_derivatives_stay_packed_and_constant_coefficients_need_no_pull_back(mon
     assert calls == {"_make": 1}
     assert_same_internals(boost_commutator_defect(op, 1, v), expected)
     assert "substitute" not in calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 8), st.booleans(), st.integers(0, 2**32),
+       st.lists(small, min_size=3, max_size=3), st.one_of(st.just(Fraction(0)), small),
+       small.filter(bool), small.filter(bool))
+@example(3, 8, True, 5, [Fraction(1, 2), -1, 2], Fraction(1), Fraction(3, 2), Fraction(1))
+def test_apply_lpdo_matches_the_packed_chain(n, order, constant, seed, velocity, lam, amplitude_term, phase_term):
+    make = random_constant_lpdo if constant or order == 0 else random_variable_lpdo
+    op = make(random.Random(seed), n, order)
+    for label, wave in waves(n, velocity[:n], lam, amplitude_term, phase_term).items():
+        note(label)
+        assert_same_internals(applied(apply_lpdo, op, wave), applied(ref.chain_apply_lpdo, op, wave))
+
+
+@pytest.mark.parametrize("label", WAVE_LABELS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("text", ["t*(2i*Dt + Lap)", "(2i*Dt+Lap)^4", "x1*Dt^3 + (2i*Dt+Lap)^2 - 1/3",
+                                  "(t + x1)*Lap^3 + 2*Dt + 5", "7/2"])
+def test_constant_and_variable_coefficients_match_the_packed_chain(text, n, label):
+    op = parse_operator(text, n=n)
+    wave = waves(n, [Fraction(1, 2), -1, 2][:n], Fraction(1), Fraction(3, 2), Fraction(1))[label]
+    assert_same_internals(applied(apply_lpdo, op, wave), applied(ref.chain_apply_lpdo, op, wave))
+
+
+def _cap_cases():
+    """Lean waves whose t-gradient has degree 30, and Dt^2 with a coefficient
+    of degree 5 to 8 in x1 and t, its terms in either order: the
+    coefficient times the derivative passes the cap."""
+    names, coeff_names = universe.symbol_vars(1), universe.coeff_vars(1)
+    phases = [monomial(names, t=1, tau=30) + monomial(names, t=1, tau=2, xi1=1),
+              monomial(names, t=1, tau=2, xi1=1) + monomial(names, t=1, tau=30) + monomial(names, x1=1, xi1=1)]
+    for phase in phases:
+        for space, time in ((5, 8), (6, 7)):
+            for first, second in (((0, space), (time, 0)), ((time, 0), (0, space))):
+                coeff = MultiPoly(coeff_names, {first: 1, second: 1})
+                for extra in ({}, {(0, (2,)): 1}, {(1, (1,)): coeff}):
+                    yield LPDO(1, {(2, (0,)): coeff, **extra}), ExpWave(plane_wave(1).amplitude, phase)
+
+
+@pytest.mark.parametrize("case", list(_cap_cases()))
+def test_a_coefficient_past_the_cap_fails_as_the_packed_chain_does(case):
+    """`LPDO` caps coefficient degree plus order, so only a direct call on a
+    lean wave reaches this: every such call takes the chain-rule step."""
+    op, wave = case
+    got = applied(apply_lpdo, op, wave)
+    assert_same_internals(got, applied(ref.chain_apply_lpdo, op, wave))
+    kind, message = got
+    assert kind == "ValueError" and message in {
+        f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}" for degree in (65, 66, 67, 68)}
+
+
+def test_horner_is_taken_exactly_when_no_product_can_pass_the_cap(monkeypatch):
+    """Lean operators never reach `product_sum`; a coefficient past the cap on a lean wave does."""
+    inner, calls = galinv.oracle.product_sum, []
+    monkeypatch.setattr(galinv.oracle, "product_sum", lambda *args: calls.append(args) or inner(*args))
+    lean = waves(3, [Fraction(1, 2), -1, 2], Fraction(1), Fraction(3, 2), Fraction(1))
+    for text in ("t*(2i*Dt + Lap) + 3", "(2i*Dt+Lap)^8"):
+        for label in ("plane", "pulled back", "amplitude tau*xi1", "cancelling"):
+            apply_lpdo(parse_operator(text, n=3), lean[label])
+    assert calls == []
+    op, wave = next(_cap_cases())
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        apply_lpdo(op, wave)
+    assert len(calls) == 1
+
+
+def test_horner_adds_into_no_held_polynomial():
+    """Constant coefficients are read as they are held, and a node with both
+    a coefficient and children sums into a dict of its own."""
+    op = parse_operator("3 + Dt + 2*Dt^2 + Dt*Dx1 + (1/2)*Dx1 + x1*Dx1^2", n=1)
+    for wave in waves(1, [Fraction(1, 2)], Fraction(1), Fraction(3, 2), Fraction(1)).values():
+        first = applied(apply_lpdo, op, wave)
+        held = [op.coeffs[key] for key in sorted(op.coeffs)] + [wave.amplitude, wave.phase]
+        held += [wave._i_dphi(name) for name in ("t", "x1")]
+        before = [(internals(p), list(p._num)) for p in held]
+        assert_same_internals(applied(apply_lpdo, op, wave), first)
+        assert [(internals(p), list(p._num)) for p in held] == before
 
 
 @st.composite

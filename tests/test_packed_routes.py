@@ -218,10 +218,10 @@ def test_horner_adds_into_no_held_polynomial():
     a coefficient and children sums into a dict of its own."""
     op = parse_operator("3 + Dt + 2*Dt^2 + Dt*Dx1 + (1/2)*Dx1 + x1*Dx1^2", n=1)
     for wave in waves(1, [Fraction(1, 2)], Fraction(1), Fraction(3, 2), Fraction(1)).values():
-        first = applied(apply_lpdo, op, wave)
         held = [op.coeffs[key] for key in sorted(op.coeffs)] + [wave.amplitude, wave.phase]
         held += [wave._i_dphi(name) for name in ("t", "x1")]
         before = [(internals(p), list(p._num)) for p in held]
+        first = applied(apply_lpdo, op, wave)
         assert_same_internals(applied(apply_lpdo, op, wave), first)
         assert [(internals(p), list(p._num)) for p in held] == before
 

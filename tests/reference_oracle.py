@@ -1,8 +1,9 @@
 """Routes of the plane-wave oracle that the package replaced or never needed.
 
 `galinv.waves.ExpWave.differentiate` takes i*dphi once per name and
-phase, and `galinv.oracle.apply_lpdo` adds each product of a coefficient
-and a derivative into one dict (`multipoly.product_sum`).  The routes
+phase, and `galinv.oracle.apply_lpdo`, where it steps the chain rule,
+adds each product of a coefficient and a derivative into one dict
+(`multipoly.product_sum`).  The routes
 they replaced live here unchanged: every step takes the phase partial
 afresh, and each key's product is added to a growing total.
 
@@ -19,8 +20,8 @@ The wave operations that only these routes used live here as functions:
 exp(i * extra), and `scaled` multiplies its amplitude.
 
 `galinv.oracle.boost_commutator_defect` also pulls the phase back only
-once, onto the right side's wave, and `galinv.oracle.apply_lpdo` steps
-its chain of derivatives on packed amplitudes.  Here both sides' waves
+once, onto the right side's wave, and `galinv.oracle.apply_lpdo` works
+on packed amplitudes.  Here both sides' waves
 are pulled back and their phases compared, and the chain steps whole
 waves.
 

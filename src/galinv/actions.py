@@ -17,12 +17,13 @@ and `oracle` applies gauged boosts to plane waves by differentiation.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Sequence
 
 from . import universe
 from .universe import _FrozenValue
 from .lpdo import LPDO, Symbol, symbol_of
-from .multipoly import MultiPoly, _rational_terms
+from .multipoly import MultiPoly, _integer_terms, _rational_terms
 
 if TYPE_CHECKING:
     from .matrices import OrthogonalMatrix
@@ -108,15 +109,25 @@ def gauge_phase(lam: Fraction | int, c: Fraction | int = 0) -> GaugePhase:
     return GaugePhase(lam, c)
 
 
-def _theta_terms(lam: Fraction, c: Fraction | int, v: Sequence[Fraction]) -> list[tuple[tuple[int, ...], Fraction]]:
-    """theta_v = c + lam*v.x - (lam/2)*t*|v|^2 as (indices, value) pairs, just
-    c at lam = 0.  Index 0 is t and index a is x_a, as in `universe.coeff_vars`
-    and `universe.symbol_vars`."""
-    terms = [((), Fraction(c))]
-    if lam:
-        terms += [((a,), lam * va) for a, va in enumerate(v, start=1)]
-        terms.append(((0,), -lam / 2 * sum(va * va for va in v)))
-    return terms
+def _theta_terms(
+    lam: Fraction, c: Fraction | int, v: Sequence[Fraction]
+) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """theta_v = c + lam*v.x - (lam/2)*t*|v|^2, just c at lam = 0, as integer
+    numerators over one denominator d, which every denominator of v divides:
+    (d, [(indices, numerator), ...]).  Index 0 is t and index a is x_a, as in
+    `universe.coeff_vars` and `universe.symbol_vars`."""
+    c = Fraction(c)
+    s = lcm(*(va.denominator for va in v))
+    r = [va.numerator * (s // va.denominator) for va in v]  # v = r/s
+    p, q = lam.numerator, lam.denominator
+    # lam*v_a = p*r_a/(q*s) and (lam/2)*|v|^2 = p*|r|^2/(2*q*s^2)
+    d = lcm(c.denominator, 2 * q * s * s if p else s)
+    terms = [((), c.numerator * (d // c.denominator))]
+    if p:
+        m = d // (q * s)
+        terms += [((a,), p * ra * m) for a, ra in enumerate(r, start=1)]
+        terms.append(((0,), -p * sum(ra * ra for ra in r) * (m // (2 * s))))
+    return d, terms
 
 
 def boost_phase_poly(lam: Fraction | int, c: Fraction | int, n: int, v: Sequence[Fraction | int]) -> MultiPoly:
@@ -126,7 +137,7 @@ def boost_phase_poly(lam: Fraction | int, c: Fraction | int, n: int, v: Sequence
     if lam == 0:
         raise ValueError("lam = 0 phases are x-independent and have no canonical form")
     _check_components("v", v, n)
-    return _rational_terms(universe.coeff_vars(n), _theta_terms(lam, c, [Fraction(va) for va in v]))
+    return _integer_terms(universe.coeff_vars(n), *_theta_terms(lam, c, [Fraction(va) for va in v]))
 
 
 def _check_components(name: str, values: Sequence | None, n: int) -> None:

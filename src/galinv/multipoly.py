@@ -426,9 +426,15 @@ def _rational_terms(variables: tuple[str, ...], terms: Iterable[tuple[Sequence[i
     value) pairs with distinct index multisets, zero values dropped, over a
     universe that `_universe` has accepted."""
     terms = [(indices, Fraction(value)) for indices, value in terms]
-    den, top = lcm(*(value.denominator for _, value in terms)), 8 * len(variables)
-    num = {sum(1 << 8 * i for i in indices) + (len(indices) << top): (value.numerator * (den // value.denominator), 0)
-           for indices, value in terms}
+    den = lcm(*(value.denominator for _, value in terms))
+    return _integer_terms(variables, den, [(indices, value.numerator * (den // value.denominator))
+                                           for indices, value in terms])
+
+
+def _integer_terms(variables: tuple[str, ...], den: int, terms: Iterable[tuple[Sequence[int], int]]) -> MultiPoly:
+    """`_rational_terms` of integer numerators over one denominator, packed in one pass."""
+    top = 8 * len(variables)
+    num = {sum(1 << 8 * i for i in indices) + (len(indices) << top): (value, 0) for indices, value in terms}
     return MultiPoly._make(variables, den, num)
 
 

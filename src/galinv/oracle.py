@@ -5,6 +5,12 @@ literal term-by-term differentiation and never consults `symbol_of`.
 That independence is the point: identities checked both here and through
 the symbol route are confirmed by two code paths that share no
 intermediate machinery.
+
+`boost_commutator_defect` reads the operator once, into a plan of packed
+derivative runs and coefficient degrees, and walks both of its waves on
+that plan: the plane wave, whose gradients are all one term, and the
+pulled-back, gauged wave.  The two packed sums meet in one accumulator,
+the second subtracted, and become a polynomial once.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Iterator, Sequence
 from . import universe
 from .actions import _theta_terms
 from .lpdo import LPDO
-from .multipoly import MAX_TOTAL_DEGREE, MultiPoly, _product, _rational_terms, product_sum
+from .multipoly import MAX_TOTAL_DEGREE, MultiPoly, _integer_terms, _product, _rational_terms, product_sum
 from .universe import _FrozenValue
 from .waves import ExpWave, plane_wave
 
@@ -35,6 +41,7 @@ class SamplePlan(_FrozenValue):
 
 
 _ONE = {0: (1, 0)}  # the packed terms of 1, only ever read
+_MINUS_ONE = {0: (-1, 0)}  # and of -1
 
 
 def apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
@@ -46,35 +53,58 @@ def apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
     is the product with g_a alone, so L(A e) = A * sum of c * g^(j, alpha)
     over the keys.  If also no key's coefficient degree, plus the degrees
     of A and of the gradients along its steps, passes the cap, that sum is
-    taken by Horner's rule over the trie of the keys' steps (`_horner`).
-    Otherwise keys are visited in sorted order along one chain of
-    amplitudes, each step `ExpWave.differentiate`'s rule dA + A*g_a: a key
-    keeps the longest prefix of steps it shares with the chain, drops the
-    rest, takes only its missing steps, and hands its derivative to one
-    `product_sum`.
+    taken by `_horner`: the steps along one-term gradients scale and shift
+    each coefficient, and Horner's rule sums the rest over the trie of the
+    keys' remaining steps.  Otherwise keys are visited in sorted order along
+    one chain of amplitudes, each step `ExpWave.differentiate`'s rule
+    dA + A*g_a: a key keeps the longest prefix of steps it shares with the
+    chain, drops the rest, takes only its missing steps, and hands its
+    derivative to one `product_sum`.
     """
-    names, amplitude, width = wave.variables, wave.amplitude, op.n + 1
-    coords = (universe.TIME, *(universe.space(a) for a in range(1, width)))
-    # A key's steps packed: byte a counts its steps along axis a.
-    runs = {int.from_bytes(bytes((j, *alpha)), "little"): poly for (j, alpha), poly in op.coeffs.items()}
-    stepped = 0
-    for run in runs:
+    phase, den, num = _walk(_plan(op), wave)
+    return ExpWave(MultiPoly._make(wave.variables, den, num), phase)
+
+
+def _plan(op: LPDO) -> tuple:
+    """What both sides of a defect read of an operator, built once: the
+    width n + 1, each key as (run, steps, coefficient, coefficient degree),
+    where the packed run and its step bytes count the steps along each axis
+    (byte a, t being axis 0), the axes stepped along, and the largest
+    coefficient degree plus order."""
+    runs, stepped, top = [], 0, 0
+    for (j, alpha), poly in op.coeffs.items():
+        steps = bytes((j, *alpha))
+        run, degree = int.from_bytes(steps, "little"), poly.total_degree()
+        runs.append((run, steps, poly, degree))
         stepped |= run
-    used = [a for a, e in enumerate(stepped.to_bytes(width, "little")) if e]
+        top = max(top, degree + j + sum(alpha))
+    width = op.n + 1
+    return width, runs, [a for a, e in enumerate(stepped.to_bytes(width, "little")) if e], top
+
+
+def _walk(plan: tuple, wave: ExpWave) -> tuple[MultiPoly, int, dict]:
+    """`apply_lpdo` on a plan: the phase of the wave whose gradients it read,
+    and the amplitude's packed (den, num), num a dict that no polynomial
+    holds, zeros and content not yet taken out."""
+    width, runs, used, top = plan
+    names, amplitude = wave.variables, wave.amplitude
+    coords = universe.coeff_vars(width - 1)
     # axis -> (variable index, i*dphi), read once; an axis missing from the universe raises when stepped
     table = {a: (names.index(coords[a]), wave._i_dphi(coords[a])) for a in used if coords[a] in names}
     mask = sum(255 << 8 * index for index, _ in table.values())
-    degree = [table[a][1].total_degree() if a in table else 0 for a in range(width)]
-    if (len(table) == len(used)
-            and not any(key & mask for poly in (amplitude, *(g for _, g in table.values())) for key in poly._num)
-            and amplitude.total_degree() + max(
-                poly.total_degree() + sum(map(mul, run.to_bytes(width, "little"), degree))
-                for run, poly in runs.items()) <= MAX_TOTAL_DEGREE):
-        gradients = {a: (g._den, g._num) for a, (_, g) in table.items()}
-        return ExpWave(_horner(names, coords, amplitude, runs, gradients), wave.phase)
+    if len(table) == len(used) and not any(
+            key & mask for poly in (amplitude, *(g for _, g in table.values())) for key in poly._num):
+        degree = [0] * width
+        for a, (_, g) in table.items():
+            degree[a] = g.total_degree()
+        if any(degree[a] != 1 for a in used):
+            top = max(d + sum(map(mul, steps, degree)) for _, steps, _, d in runs)
+        if amplitude.total_degree() + top <= MAX_TOTAL_DEGREE:
+            gradients = {a: (g._den, g._num) for a, (_, g) in table.items()}
+            return wave.phase, *_horner(names, coords, amplitude, runs, gradients)
 
-    keys = sorted(op.coeffs.items())
-    wants = [sum(((a,) * k for a, k in enumerate(alpha, 1)), (0,) * j) for (j, alpha), _ in keys]
+    keys = sorted((steps, poly) for _, steps, poly, _ in runs)
+    wants = [sum(((a,) * k for a, k in enumerate(steps)), ()) for steps, _ in keys]
 
     def products() -> Iterator[tuple[MultiPoly, tuple[int, dict]]]:
         steps: tuple[int, ...] = ()
@@ -90,25 +120,57 @@ def apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
             steps = want
             yield poly, (chain[-1]._den, chain[-1]._num)
 
-    return ExpWave(product_sum(names, products()), wave.phase)
+    total = product_sum(names, products())
+    return wave.phase, total._den, dict(total._num)
 
 
-def _horner(names, coords, amplitude, runs, gradients) -> MultiPoly:
-    """A * sum of c * prod(g_a ** e_a) over the packed runs and coefficients,
-    with no product past the cap.
+def _horner(names, coords, amplitude, runs, gradients) -> tuple[int, dict]:
+    """A * sum of c * prod(g_a ** e_a) over the runs and coefficients, packed
+    as (den, num) in a dict of its own, with no product past the cap.
 
-    A run's parent in the trie drops its last step, one along its highest
-    axis, so a child's packed run is larger than its parent's.  Each node's
-    value is c + sum_a g_a * value(child), summed in decreasing run order
-    into one packed dict per node over the lcm of the denominators.  A dict
-    that a held polynomial owns is read, never added into."""
+    A gradient of one term, z * m / d, is folded: a key's e steps along it
+    scale its coefficient by z**e / d**e and shift its keys by e*m, once,
+    as the coefficient enters the node for the key's remaining steps.  So
+    the trie holds only steps along gradients of more than one term: the
+    plane wave walks none, and a wave pulled back at lam = 0 only its chain
+    of t-steps.  A run's parent in the trie drops its last step, one along
+    its highest axis, so a child's packed run is larger than its parent's.
+    Each node's value is the sum of its coefficients and of g_a times each
+    child's value, summed in decreasing run order into one packed dict per
+    node over the lcm of the denominators.  A dict that a held polynomial
+    owns is read, never added into."""
     lead = names[: len(coords)] == coords  # a constant coefficient is its one key, 0, as it is
-    nodes = {}  # run -> [the coefficient's (den, num) or None, den, num summed from the children or None]
-    for run, poly in runs.items():
+    keep, powers = 0, {}  # the bytes of the trie's axes; axis -> [(e*m, z**e, d**e) for e = 0, 1, ...]
+    for a, (g_den, g_num) in gradients.items():
+        if len(g_num) == 1:
+            ((m, z),) = g_num.items()
+            powers[a] = [(0, (1, 0), 1), (m, z, g_den)]
+        else:
+            keep |= 255 << 8 * a
+    nodes = {}  # run -> [the coefficient's (den, num) as held or None, den, num summed into or None]
+    for run, steps, poly, _ in runs:
         if not (lead and poly.is_constant):
             poly = poly.extend(names)
-        nodes[run] = [(poly._den, poly._num), 1, None]
-    for run in runs:
+        node = nodes.get(run & keep)
+        if node is None:
+            node = nodes[run & keep] = [None, 1, None]
+        if not run & ~keep:
+            node[0] = (poly._den, poly._num)
+            continue
+        shift, (re, im), den = 0, (1, 0), poly._den
+        for a, table in powers.items():
+            e = steps[a]
+            if e:
+                while len(table) <= e:
+                    (m, (x, y), d), (m1, (u, w), d1) = table[-1], table[1]
+                    table.append((m + m1, (x * u - y * w, x * w + y * u), d * d1))
+                m, (x, y), d = table[e]
+                shift, re, im, den = shift + m, re * x - im * y, re * y + im * x, den * d
+        if node[2] is None:  # a fresh dict
+            node[1:] = den, _product(poly._num, {shift: (re, im)})
+        else:
+            node[1:] = _add_product(node[1], node[2], den, poly._num, {shift: (re, im)})
+    for run in list(nodes):
         while run:
             run -= 1 << 8 * (run.bit_length() - 1 >> 3)
             if run in nodes:
@@ -130,8 +192,8 @@ def _horner(names, coords, amplitude, runs, gradients) -> MultiPoly:
         else:
             parent[1:] = _add_product(parent[1], parent[2], den * g_den, num, g_num)
     if amplitude._den != 1 or amplitude._num != _ONE:
-        den, num = den * amplitude._den, _product(num, amplitude._num)
-    return MultiPoly._make(names, den, num)
+        return den * amplitude._den, _product(num, amplitude._num)
+    return den, dict(num) if coeff is not None and num is coeff[1] else num
 
 
 def _add_product(den: int, num: dict, d: int, left: dict, right: dict) -> tuple[int, dict]:
@@ -167,24 +229,31 @@ def boost_commutator_defect(
         raise ValueError(f"boost has {len(v)} components, expected {n}")
     lam, v = Fraction(lam), [Fraction(va) for va in v]
     names = universe.symbol_vars(n)
-    # tau*t + xi.(x - v*t) + theta from its terms: variable 0 is t, variable a is x_a, and
-    # variable n + 1 + a is the frequency of variable a.  Zero terms drop out.
-    phase_terms = [((0, n + 1), 1)]
-    for a, va in enumerate(v, start=1):
-        phase_terms += [((a, n + 1 + a), 1), ((0, n + 1 + a), -va)]
-    phase_terms += _theta_terms(lam, c, v)
-
     # Both sides end on the pulled-back, gauged phase, built once: the right
     # side's wave carries it, and only the left side's amplitude is pulled
     # back.  So each side must keep the phase of the wave it was given.
     wave = plane_wave(n)
-    moved = ExpWave(wave.amplitude, _rational_terms(names, phase_terms))
-    lhs, rhs = apply_lpdo(op, wave), apply_lpdo(op, moved)
-    if lhs.phase != wave.phase or rhs.phase != moved.phase:
+    moved = ExpWave(wave.amplitude, _boosted_phase(names, lam, v, c))
+    plan = _plan(op)
+    (left_phase, den, num), (right_phase, d, right) = _walk(plan, wave), _walk(plan, moved)
+    if left_phase != wave.phase or right_phase != moved.phase:
         raise AssertionError("the two sides lost phase alignment")
-    amplitude = lhs.amplitude
-    if amplitude.degree_in(*names[1 : n + 1]):  # a coefficient holds x: x_a -> x_a - v_a*t
-        amplitude = amplitude.substitute(
+    xs = ((1 << 8 * n) - 1) << 8  # the bytes of x1..xn, over (t, x) as over the symbol universe
+    if any(key & xs for _, _, poly, _ in plan[1] for key in poly._num):  # a coefficient holds x: x_a -> x_a - v_a*t
+        pulled = MultiPoly._make(names, den, num).substitute(
             {names[a]: _rational_terms(names, [((a,), 1), ((0,), -va)]) for a, va in enumerate(v, start=1)})
-    return amplitude - rhs.amplitude
+        den, num = pulled._den, dict(pulled._num)
+    # The left side minus the right, summed into the left side's dict.
+    return MultiPoly._make(names, *_add_product(den, num, d, right, _MINUS_ONE))
 
+
+def _boosted_phase(names: tuple[str, ...], lam: Fraction, v: Sequence[Fraction], c: Fraction | int) -> MultiPoly:
+    """tau*t + xi.(x - v*t) + theta_v over the symbol universe, packed in one
+    pass over `_theta_terms`' denominator: variable 0 is t, variable a is
+    x_a, and variable n + 1 + a is the frequency of variable a."""
+    d, terms = _theta_terms(lam, c, v)
+    n = len(v)
+    terms.append(((0, n + 1), d))
+    for a, va in enumerate(v, start=1):
+        terms += [((a, n + 1 + a), d), ((0, n + 1 + a), -va.numerator * (d // va.denominator))]
+    return _integer_terms(names, d, terms)

@@ -84,8 +84,8 @@ def _plan(op: LPDO) -> tuple:
 
 def _walk(plan: tuple, wave: ExpWave) -> tuple[MultiPoly, int, dict]:
     """`apply_lpdo` on a plan: the phase of the wave whose gradients it read,
-    and the amplitude's packed (den, num), num a dict that no polynomial
-    holds, zeros and content not yet taken out."""
+    and the amplitude's packed (den, num), num a dict that no value the
+    caller can reach holds, zeros and content not yet taken out."""
     width, runs, used, top = plan
     names, amplitude = wave.variables, wave.amplitude
     coords = universe.coeff_vars(width - 1)
@@ -97,7 +97,7 @@ def _walk(plan: tuple, wave: ExpWave) -> tuple[MultiPoly, int, dict]:
         degree = [0] * width
         for a, (_, g) in table.items():
             degree[a] = g.total_degree()
-        if any(degree[a] != 1 for a in used):
+        if any(degree[a] != 1 for a in used):  # else a key's degree is its coefficient's plus its order
             top = max(d + sum(map(mul, steps, degree)) for _, steps, _, d in runs)
         if amplitude.total_degree() + top <= MAX_TOTAL_DEGREE:
             gradients = {a: (g._den, g._num) for a, (_, g) in table.items()}
@@ -121,7 +121,7 @@ def _walk(plan: tuple, wave: ExpWave) -> tuple[MultiPoly, int, dict]:
             yield poly, (chain[-1]._den, chain[-1]._num)
 
     total = product_sum(names, products())
-    return wave.phase, total._den, dict(total._num)
+    return wave.phase, total._den, total._num
 
 
 def _horner(names, coords, amplitude, runs, gradients) -> tuple[int, dict]:
@@ -238,11 +238,12 @@ def boost_commutator_defect(
     (left_phase, den, num), (right_phase, d, right) = _walk(plan, wave), _walk(plan, moved)
     if left_phase != wave.phase or right_phase != moved.phase:
         raise AssertionError("the two sides lost phase alignment")
-    xs = ((1 << 8 * n) - 1) << 8  # the bytes of x1..xn, over (t, x) as over the symbol universe
-    if any(key & xs for _, _, poly, _ in plan[1] for key in poly._num):  # a coefficient holds x: x_a -> x_a - v_a*t
+    xs = ((1 << 8 * n) - 1) << 8  # the bytes of x1..xn over (t, x)
+    if any(key & xs for _, _, poly, _ in plan[1] for key in poly._num):
+        # a coefficient holds x: the left side is pulled back, x_a -> x_a - v_a*t
         pulled = MultiPoly._make(names, den, num).substitute(
             {names[a]: _rational_terms(names, [((a,), 1), ((0,), -va)]) for a, va in enumerate(v, start=1)})
-        den, num = pulled._den, dict(pulled._num)
+        den, num = pulled._den, pulled._num
     # The left side minus the right, summed into the left side's dict.
     return MultiPoly._make(names, *_add_product(den, num, d, right, _MINUS_ONE))
 

@@ -35,6 +35,14 @@ route it replaced: keys in sorted order along one chain of packed
 amplitudes, a lean step the product with the gradient alone, each key's
 derivative multiplied by its coefficient in one `product_sum`.
 
+`galinv.oracle.boost_commutator_defect` walks both of its waves on one
+plan of the operator and sums both sides into one packed accumulator,
+and `galinv.actions._theta_terms` gives theta as integer numerators over
+one denominator.  `two_apply_defect` is the route they replaced: two
+`apply_lpdo` calls, the left side pulled back, then `lhs - rhs`, on a
+boosted phase built by `boosted_phase` from `theta_terms`, theta's terms
+as `Fraction`s, through `multipoly._rational_terms`.
+
 Three routes the oracle is compared against live here as well, with no
 twin in the package: `apply_plane_wave`, the symbol side of L e = p * e
 at a symbolic or a concrete frequency (`plane_wave_at`);
@@ -51,7 +59,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from galinv import ExpWave, I_UNIT, LPDO, MAX_TOTAL_DEGREE, MultiPoly, symbol_of, universe, waves
 from galinv.actions import _check_components
-from galinv import multipoly
+from galinv import multipoly, oracle
 
 
 def substitute(wave: ExpWave, bindings: Mapping[str, MultiPoly | int | Fraction]) -> ExpWave:
@@ -82,6 +90,45 @@ def boost_phase_poly(lam, c, n: int, v: Sequence) -> MultiPoly:
         theta = theta + MultiPoly.var(names, universe.space(a)) * va * lam
         speed2 = speed2 + va * va
     return theta - MultiPoly.var(names, universe.TIME) * speed2 * Fraction(lam, 2)
+
+
+def theta_terms(lam, c, v: Sequence) -> list[tuple[tuple[int, ...], Fraction]]:
+    """theta_v = c + lam*v.x - (lam/2)*t*|v|^2 as (indices, value) pairs, just
+    c at lam = 0.  Index 0 is t and index a is x_a."""
+    lam, v = Fraction(lam), [Fraction(va) for va in v]
+    terms = [((), Fraction(c))]
+    if lam:
+        terms += [((a,), lam * va) for a, va in enumerate(v, start=1)]
+        terms.append(((0,), -lam / 2 * sum(va * va for va in v)))
+    return terms
+
+
+def boosted_phase(n: int, lam, v: Sequence, c=0) -> MultiPoly:
+    """tau*t + xi.(x - v*t) + theta_v over the symbol universe, from `Fraction` terms."""
+    terms = [((0, n + 1), 1)]
+    for a, va in enumerate(v, start=1):
+        terms += [((a, n + 1 + a), 1), ((0, n + 1 + a), -Fraction(va))]
+    return multipoly._rational_terms(universe.symbol_vars(n), terms + theta_terms(lam, c, v))
+
+
+def two_apply_defect(op: LPDO, lam, v, c=0) -> MultiPoly:
+    """The defect as two `galinv.apply_lpdo` calls: the plane-wave side pulled
+    back when a coefficient holds x, then the boosted side subtracted."""
+    n = op.n
+    if len(v) != n:
+        raise ValueError(f"boost has {len(v)} components, expected {n}")
+    names = universe.symbol_vars(n)
+    wave = waves.plane_wave(n)
+    moved = ExpWave(wave.amplitude, boosted_phase(n, lam, v, c))
+    lhs, rhs = oracle.apply_lpdo(op, wave), oracle.apply_lpdo(op, moved)
+    if lhs.phase != wave.phase or rhs.phase != moved.phase:
+        raise AssertionError("the two sides lost phase alignment")
+    amplitude = lhs.amplitude
+    if amplitude.degree_in(*names[1 : n + 1]):  # a coefficient holds x: x_a -> x_a - v_a*t
+        amplitude = amplitude.substitute(
+            {names[a]: multipoly._rational_terms(names, [((a,), 1), ((0,), -Fraction(va))])
+             for a, va in enumerate(v, start=1)})
+    return amplitude - rhs.amplitude
 
 
 def _steps(j: int, alpha: Sequence[int]) -> list[str]:

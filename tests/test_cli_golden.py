@@ -77,6 +77,10 @@ GOLDEN = [
     (["theta", "--lambda", "1", "--v", "1,2"], 0,
      "verdict: ok\nlambda: 1\ntheta: -5/2*t + x1 + 2*x2\nn: 2\n",
      "verdict=ok\nlambda=1\ntheta=-5/2*t + x1 + 2*x2\nn=2\n"),
+    # theta's integer numerators over one denominator: lam, c and v each have their own.
+    (["theta", "--lambda", "1/2", "--c", "1/3", "--v", "2/3,1/2", "--n", "2"], 0,
+     "verdict: ok\nlambda: 1/2\ntheta: -25/144*t + 1/3*x1 + 1/4*x2 + 1/3\nn: 2\n",
+     "verdict=ok\nlambda=1/2\ntheta=-25/144*t + 1/3*x1 + 1/4*x2 + 1/3\nn=2\n"),
     (["theta", "--lambda", "1/2", "--c", "3"], 0,
      "verdict: ok\nlambda: 1/2\ntheta: c + (1/2)v.x - (1/4)t|v|^2\n",
      "verdict=ok\nlambda=1/2\ntheta=c + (1/2)v.x - (1/4)t|v|^2\n"),

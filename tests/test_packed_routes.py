@@ -2,8 +2,9 @@
 
 When the amplitude and every gradient it steps along are free of those
 coordinates, and no key's coefficient times its derivative can pass the
-degree cap, `apply_lpdo` sums the keys by Horner's rule over the trie of
-their steps; otherwise it steps one chain of amplitudes by the chain
+degree cap, `apply_lpdo` folds each key's steps along one-term gradients
+into its coefficient and sums the rest by Horner's rule over the trie of
+the remaining steps; otherwise it steps one chain of amplitudes by the chain
 rule and hands each key's derivative to `product_sum`.  Two references
 must give identical packed internals and the same first error:
 `reference_oracle.apply_lpdo`, which steps whole waves and adds each
@@ -72,9 +73,14 @@ def waves(n: int, v, lam, amplitude_term, phase_term):
     theta, pullback = ref.boost_setup(n, lam, v)
     pulled = ref.with_phase_added(ref.substitute(plane, pullback), theta)
     tau_xi = monomial(names, tau=1) - monomial(names, xi1=1)
+    space = sum((monomial(names, **{universe.space(a): 1}) for a in range(2, n + 1)), monomial(names, x1=1))
     return {
         "plane": plane,
         "pulled back": pulled,
+        # One-term x-gradients folded, and a t-gradient of n + 1 terms when v is not 0.
+        "pulled back at lam 0": ref.substitute(plane, ref.boost_setup(n, 0, v)[1]),
+        # A one-term t-gradient folded, and two-term x-gradients i*(xi_a + c*tau).
+        "two-term x": ExpWave(plane.amplitude, plane.phase + phase_term * monomial(names, tau=1) * space),
         # dA is not zero: the amplitude holds t or x1.
         "amplitude t": ExpWave(plane.amplitude + amplitude_term * monomial(names, t=1), plane.phase),
         "amplitude x1": ExpWave(monomial(names, amplitude_term, x1=1, xi1=1) + 1, pulled.phase),
@@ -224,6 +230,33 @@ def test_horner_adds_into_no_held_polynomial():
         first = applied(apply_lpdo, op, wave)
         assert_same_internals(applied(apply_lpdo, op, wave), first)
         assert [(internals(p), list(p._num)) for p in held] == before
+
+
+def test_horner_multiplies_no_gradient_into_a_parent_on_the_plane_wave(monkeypatch):
+    """Every gradient of the plane wave is one term, so each key's steps scale
+    and shift its coefficient and no trie is walked; pulled back at lam = 0
+    only the t-gradient has more than one term, so only its chain is walked."""
+    products = []
+    for name in ("_product", "_add_product"):
+        inner = getattr(galinv.oracle, name)
+
+        def counted(*args, inner=inner):
+            products.append(args[-1])
+            return inner(*args)
+
+        monkeypatch.setattr(galinv.oracle, name, counted)
+    ops = [parse_operator(text, n=3) for text in
+           ("3 + Dt + 2*Dt^2 + Dt*Dx1 + (1/2)*Dx1 + x1*Dx1^2", "(2i*Dt+Lap)^4", "t*(2i*Dt + Lap) + Dx1*Dx2*Dx3")]
+    lean = waves(3, [Fraction(1, 2), -1, 2], Fraction(1), Fraction(3, 2), Fraction(1))
+    for label, walked in (("plane", set()), ("pulled back at lam 0", {"t"}), ("pulled back", {"t", "x1", "x2", "x3"})):
+        wave = lean[label]
+        gradients = {id(wave._i_dphi(name)._num): name for name in ("t", "x1", "x2", "x3")}
+        for op in ops:
+            products.clear()
+            got = applied(apply_lpdo, op, wave)
+            assert_same_internals(got, applied(ref.chain_apply_lpdo, op, wave))
+            assert {gradients[id(right)] for right in products if id(right) in gradients} <= walked
+        assert walked <= {gradients[id(right)] for right in products if id(right) in gradients}
 
 
 @st.composite

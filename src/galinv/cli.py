@@ -216,7 +216,9 @@ def _run(args) -> tuple[dict[str, str | None], int]:
         rng = random.Random(plan.seed)
         report["lambda"], report["seed"] = str(args.lam), str(args.seed)
         for _ in range(plan.count):
-            v = tuple(random_rational(rng, 3) for _ in range(op.n))
+            v = ()
+            while not any(v):  # the identity boost commutes with every operator: draw again
+                v = tuple(random_rational(rng, 3) for _ in range(op.n))
             defect = cli.boost_commutator_defect(op, args.lam, v)
             if not defect.is_zero:
                 report["verdict"], report["witness"] = "not-invariant", f"defect at v={_vec(v)}: {defect}"

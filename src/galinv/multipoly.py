@@ -39,6 +39,7 @@ MAX_DIMENSION = 1000
 MAX_NESTING_DEPTH = 100
 
 _SCALARS = (int, Fraction, GaussianRational)
+_ONE = {0: (1, 0)}  # the packed numerators of 1, only ever read
 
 
 class MultiPoly:
@@ -451,14 +452,7 @@ def _merge(p: MultiPoly, q: MultiPoly, sign: int) -> MultiPoly:
     """p + sign*q over the lcm of the two denominators."""
     if not q._num or not p._num and sign == 1:  # both are canonical already
         return q if q._num else p
-    den = lcm(p._den, q._den)
-    left, right = den // p._den, sign * (den // q._den)
-    merged = {key: (re * left, im * left) for key, (re, im) in p._num.items()}
-    get = merged.get
-    for key, (re, im) in q._num.items():
-        a, b = get(key, (0, 0))
-        merged[key] = (a + re * right, b + im * right)
-    return MultiPoly._make(p.variables, den, merged)
+    return MultiPoly._make(p.variables, *_add_product(p._den, dict(p._num), q._den, q._num, {0: (sign, 0)}))
 
 
 def _nonzero(variables: tuple[str, ...], num: dict) -> dict:
@@ -517,19 +511,30 @@ def product_sum(variables: Sequence[str], pairs: Iterable[tuple[MultiPoly, tuple
             lead = p.variables
         if p.variables is lead and len(p._num) == 1 and 0 in p._num:
             # q times a constant: no embedding, and q's terms stay distinct, nonzero and capped
-            c, e = p._num[0]
+            right = p._num
         else:
             p = p.extend(variables)
-            c, e, terms = 1, 0, _nonzero(variables, _product(p._num, terms))
-        d *= p._den
-        if den % d:
-            m, den = lcm(den, d) // den, lcm(den, d)
-            accum = {key: (re * m, im * m) for key, (re, im) in accum.items()}
-        c, e, get = c * (den // d), e * (den // d), accum.get
-        for key, (a, b) in terms.items():
-            re, im = get(key, (0, 0))
-            accum[key] = (re + a * c - b * e, im + a * e + b * c)
+            terms, right = _nonzero(variables, _product(p._num, terms)), _ONE
+        den, accum = _add_product(den, accum, d * p._den, terms, right)
     return MultiPoly._make(variables, den, accum)
+
+
+def _add_product(den: int, num: dict, d: int, left: dict, right: dict) -> tuple[int, dict]:
+    """num/den + left*right/d over lcm(den, d): right's terms times each of
+    left's in turn, added by key into num, a dict no polynomial holds (a
+    new one when den grows).  The one fold that sums packed products."""
+    if den % d:
+        common = lcm(den, d)
+        scale, den = common // den, common
+        num = {key: (re * scale, im * scale) for key, (re, im) in num.items()}
+    m, get = den // d, num.get
+    for k2, (c, e) in right.items():
+        c, e = c * m, e * m
+        for k1, (a, b) in left.items():
+            key = k1 + k2
+            re, im = get(key, (0, 0))
+            num[key] = (re + a * c - b * e, im + a * e + b * c)
+    return den, num
 
 
 def split_trailing(

@@ -6,6 +6,11 @@ That independence is the point: identities checked both here and through
 the symbol route are confirmed by two code paths that share no
 intermediate machinery.
 
+The proof applies operators to plane waves and their Galilei images,
+whose phases are linear in (t, x), so every wave the oracle meets is
+lean: its amplitude and the gradients it steps along are free of the
+coordinates stepped along, and a step is a product with a gradient.
+`apply_lpdo` differentiates only such waves and refuses every other.
 `boost_commutator_defect` reads the operator once, into a plan of packed
 derivative runs and coefficient degrees, and walks both of its waves on
 that plan: the plane wave, whose gradients are all one term, and the
@@ -16,14 +21,13 @@ the second subtracted, and become a polynomial once.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import universe
 from .actions import _theta_terms
 from .lpdo import LPDO
-from .multipoly import MAX_TOTAL_DEGREE, MultiPoly, _integer_terms, _product, _rational_terms, product_sum
+from .multipoly import MAX_TOTAL_DEGREE, MultiPoly, _ONE, _add_product, _integer_terms, _product, _rational_terms
 from .universe import _FrozenValue
 from .waves import ExpWave, plane_wave
 
@@ -40,26 +44,21 @@ class SamplePlan(_FrozenValue):
             raise ValueError("count must be positive")
 
 
-_ONE = {0: (1, 0)}  # the packed terms of 1, only ever read
-_MINUS_ONE = {0: (-1, 0)}  # and of -1
+_MINUS_ONE = {0: (-1, 0)}  # the packed terms of -1, only ever read
 
 
 def apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
     """Apply an operator to a wave term by term, never touching symbols.
 
     The key dt^j dx^alpha takes j steps along t (axis 0), then alpha_a
-    along each x_a (axis a).  When the amplitude A and each gradient
-    g_a = i*dphi/dx_a stepped along are free of those coordinates, a step
-    is the product with g_a alone, so L(A e) = A * sum of c * g^(j, alpha)
-    over the keys.  If also no key's coefficient degree, plus the degrees
-    of A and of the gradients along its steps, passes the cap, that sum is
-    taken by `_horner`: the steps along one-term gradients scale and shift
-    each coefficient, and Horner's rule sums the rest over the trie of the
-    keys' remaining steps.  Otherwise keys are visited in sorted order along
-    one chain of amplitudes, each step `ExpWave.differentiate`'s rule
-    dA + A*g_a: a key keeps the longest prefix of steps it shares with the
-    chain, drops the rest, takes only its missing steps, and hands its
-    derivative to one `product_sum`.
+    along each x_a (axis a).  The wave must be lean: its universe holds
+    every coordinate stepped along, and its amplitude A and each gradient
+    g_a = i*dphi/dx_a stepped along are free of those coordinates.  Then a
+    step is the product with g_a alone, so L(A e) = A * sum of c * g^(j, alpha)
+    over the keys, which `_horner` sums.  Any other wave raises a
+    `ValueError` that names the condition it fails, and a key whose
+    coefficient times its derivative would pass the cap raises the cap error
+    with that degree.
     """
     phase, den, num = _walk(_plan(op), wave)
     return ExpWave(MultiPoly._make(wave.variables, den, num), phase)
@@ -85,43 +84,33 @@ def _plan(op: LPDO) -> tuple:
 def _walk(plan: tuple, wave: ExpWave) -> tuple[MultiPoly, int, dict]:
     """`apply_lpdo` on a plan: the phase of the wave whose gradients it read,
     and the amplitude's packed (den, num), num a dict that no value the
-    caller can reach holds, zeros and content not yet taken out."""
+    caller can reach holds, zeros and content not yet taken out.  It checks
+    that the wave is lean, then bounds every product's degree: the
+    amplitude's plus each key's coefficient degree and steps, a step
+    weighing its gradient's degree; a key that steps along a zero gradient,
+    or a zero amplitude, makes no product."""
     width, runs, used, top = plan
     names, amplitude = wave.variables, wave.amplitude
     coords = universe.coeff_vars(width - 1)
-    # axis -> (variable index, i*dphi), read once; an axis missing from the universe raises when stepped
-    table = {a: (names.index(coords[a]), wave._i_dphi(coords[a])) for a in used if coords[a] in names}
-    mask = sum(255 << 8 * index for index, _ in table.values())
-    if len(table) == len(used) and not any(
-            key & mask for poly in (amplitude, *(g for _, g in table.values())) for key in poly._num):
-        degree = [0] * width
-        for a, (_, g) in table.items():
-            degree[a] = g.total_degree()
-        if any(degree[a] != 1 for a in used):  # else a key's degree is its coefficient's plus its order
-            top = max(d + sum(map(mul, steps, degree)) for _, steps, _, d in runs)
-        if amplitude.total_degree() + top <= MAX_TOTAL_DEGREE:
-            gradients = {a: (g._den, g._num) for a, (_, g) in table.items()}
-            return wave.phase, *_horner(names, coords, amplitude, runs, gradients)
-
-    keys = sorted((steps, poly) for _, steps, poly, _ in runs)
-    wants = [sum(((a,) * k for a, k in enumerate(steps)), ()) for steps, _ in keys]
-
-    def products() -> Iterator[tuple[MultiPoly, tuple[int, dict]]]:
-        steps: tuple[int, ...] = ()
-        chain = [amplitude]  # chain[k] is the amplitude after steps[:k]
-        for ((_, poly), want) in zip(keys, wants):
-            keep = 0
-            while keep < min(len(steps), len(want)) and steps[keep] == want[keep]:
-                keep += 1
-            del chain[keep + 1 :]
-            for a in want[keep:]:  # an axis missing from the universe raises in `partial`
-                step = chain[-1]
-                chain.append(step.partial(coords[a]) + step * table[a][1])
-            steps = want
-            yield poly, (chain[-1]._den, chain[-1]._num)
-
-    total = product_sum(names, products())
-    return wave.phase, total._den, total._num
+    for a in used:
+        if coords[a] not in names:
+            raise ValueError(f"the wave's universe lacks the stepped coordinate {coords[a]!r}")
+    table = {a: wave._i_dphi(coords[a]) for a in used}  # axis -> i*dphi, read once
+    mask = sum(255 << 8 * names.index(coords[a]) for a in used)
+    if any(key & mask for key in amplitude._num):
+        raise ValueError("the amplitude depends on a stepped coordinate")
+    degree, zero = [0] * width, 0  # zero: the run bytes of the axes whose gradient is 0
+    for a, g in table.items():
+        if any(key & mask for key in g._num):
+            raise ValueError(f"the gradient along {coords[a]!r} depends on a stepped coordinate")
+        degree[a] = g.total_degree()
+        zero |= 0 if g._num else 255 << 8 * a
+    if zero or any(degree[a] != 1 for a in used):  # else a key's degree is its coefficient's plus its order
+        top = max((d + sum(map(mul, steps, degree)) for run, steps, _, d in runs if not run & zero), default=0)
+    if amplitude._num and amplitude.total_degree() + top > MAX_TOTAL_DEGREE:
+        raise ValueError(f"term degree {amplitude.total_degree() + top} exceeds the cap of {MAX_TOTAL_DEGREE}")
+    gradients = {a: (g._den, g._num) for a, g in table.items()}
+    return wave.phase, *_horner(names, coords, amplitude, runs, gradients)
 
 
 def _horner(names, coords, amplitude, runs, gradients) -> tuple[int, dict]:
@@ -194,22 +183,6 @@ def _horner(names, coords, amplitude, runs, gradients) -> tuple[int, dict]:
     if amplitude._den != 1 or amplitude._num != _ONE:
         return den * amplitude._den, _product(num, amplitude._num)
     return den, dict(num) if coeff is not None and num is coeff[1] else num
-
-
-def _add_product(den: int, num: dict, d: int, left: dict, right: dict) -> tuple[int, dict]:
-    """num/den + left*right/d over lcm(den, d), added into num, a dict no polynomial holds."""
-    if den % d:
-        common = lcm(den, d)
-        scale, den = common // den, common
-        num = {key: (re * scale, im * scale) for key, (re, im) in num.items()}
-    m, get = den // d, num.get
-    for k2, (c, e) in right.items():
-        c, e = c * m, e * m
-        for k1, (a, b) in left.items():
-            key = k1 + k2
-            re, im = get(key, (0, 0))
-            num[key] = (re + a * c - b * e, im + a * e + b * c)
-    return den, num
 
 
 def boost_commutator_defect(

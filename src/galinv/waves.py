@@ -6,9 +6,12 @@ The family is closed under differentiation,
 
     d(A e^{i phi}) = (dA + i A dphi) e^{i phi},
 
-which is the whole point: applying a differential operator to a wave
-never leaves the family, so operator identities on plane waves become
-exact polynomial identities on amplitudes.
+so applying a differential operator to a wave never leaves the family,
+and operator identities on plane waves become exact polynomial
+identities on amplitudes.  The oracle only ever differentiates waves
+whose amplitude and gradients are free of the coordinates it steps
+along, where dA is zero, so it reads only the gradients i*dphi, which a wave
+takes once per variable and keeps.
 """
 
 from __future__ import annotations
@@ -42,25 +45,13 @@ class ExpWave:
         return self.amplitude.variables
 
     def _i_dphi(self, name: str) -> MultiPoly:
-        """i * dphi/dname, taken once per name and shared by every wave
-        with this phase."""
+        """i * dphi/dname, taken once per name and kept with the wave."""
         i_dphi = self._gradient.get(name)
         if i_dphi is None:  # dphi/dname times i, in one pass: i*(re + im*i) = -im + re*i
             phase = self.phase
             num = {k: (-im, re) for k, (re, im) in _partial(phase.variables, phase._index(name), phase._num).items()}
             i_dphi = self._gradient[name] = MultiPoly._make(phase.variables, phase._den, num)
         return i_dphi
-
-    def differentiate(self, name: str) -> "ExpWave":
-        """One exact derivative: (dA + i*A*dphi) * exp(i*phi).  It keeps the
-        phase, so it shares the cache of i*dphi."""
-        i_dphi, amplitude = self._i_dphi(name), self.amplitude
-        # The shared phase was checked when this wave was built: no __init__ checks.
-        out = object.__new__(ExpWave)
-        object.__setattr__(out, "amplitude", amplitude.partial(name) + amplitude * i_dphi)
-        object.__setattr__(out, "phase", self.phase)
-        object.__setattr__(out, "_gradient", self._gradient)
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExpWave):

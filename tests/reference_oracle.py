@@ -147,6 +147,18 @@ def differentiate(wave: ExpWave, name: str) -> ExpWave:
     return ExpWave(new_amplitude, wave.phase)
 
 
+def cached_differentiate(wave: ExpWave, name: str) -> ExpWave:
+    """`ExpWave.differentiate` as the package had it: (dA + i*A*dphi) *
+    exp(i*phi), i*dphi read from the wave's cache, which the derivative
+    shares, since it keeps the phase."""
+    i_dphi, amplitude = wave._i_dphi(name), wave.amplitude
+    out = object.__new__(ExpWave)
+    object.__setattr__(out, "amplitude", amplitude.partial(name) + amplitude * i_dphi)
+    object.__setattr__(out, "phase", wave.phase)
+    object.__setattr__(out, "_gradient", wave._gradient)
+    return out
+
+
 def product_sum(variables, pairs) -> MultiPoly:
     """sum(p.extend(variables) * q), one key at a time."""
     total = MultiPoly.zero(variables)
@@ -218,6 +230,54 @@ def chain_apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
             yield poly, chain[-1]
 
     return ExpWave(multipoly.product_sum(names, products()), wave.phase)
+
+
+def refusal(op: LPDO, wave: ExpWave) -> str | None:
+    """Why `galinv.apply_lpdo` refuses a wave, by the first condition it
+    fails, or None for a lean wave: every coordinate the operator steps
+    along is in the wave's universe, and the amplitude and the gradient
+    along each of them are free of them all."""
+    stepped = [name for a, name in enumerate(universe.coeff_vars(op.n))
+               if any((j, *alpha)[a] for j, alpha in op.coeffs)]
+    for name in stepped:
+        if name not in wave.variables:
+            return f"the wave's universe lacks the stepped coordinate {name!r}"
+    if wave.amplitude.degree_in(*stepped):
+        return "the amplitude depends on a stepped coordinate"
+    for name in stepped:
+        if wave.phase.partial(name).degree_in(*stepped):
+            return f"the gradient along {name!r} depends on a stepped coordinate"
+    return None
+
+
+def product_degree(op: LPDO, wave: ExpWave) -> int | None:
+    """On a lean wave, the largest degree of a coefficient times its
+    derivative, A * c * prod(g_a ** e_a): degrees add under products, and a
+    zero amplitude or gradient makes no product (None when none is made)."""
+    gradients = {name: wave.phase.partial(name) * I_UNIT
+                 for name in universe.coeff_vars(op.n) if name in wave.variables}
+    degrees = []
+    for (j, alpha), poly in op.coeffs.items():
+        steps = [(gradients[name], e) for name, e in zip(universe.coeff_vars(op.n), (j, *alpha)) if e]
+        if not any(g.is_zero for g, _ in steps):
+            degrees.append(poly.total_degree() + sum(e * g.total_degree() for g, e in steps))
+    if wave.amplitude.is_zero or not degrees:
+        return None
+    return wave.amplitude.total_degree() + max(degrees)
+
+
+def lean_outcome(op: LPDO, wave: ExpWave) -> tuple:
+    """What `galinv.apply_lpdo` gives, as ("ok", amplitude) or ("ValueError",
+    text): a wave that is not lean is refused, a product past the cap raises
+    the cap error at `product_degree`, and otherwise the amplitude is
+    `chain_apply_lpdo`'s."""
+    reason = refusal(op, wave)
+    if reason is not None:
+        return "ValueError", reason
+    degree = product_degree(op, wave)
+    if degree is not None and degree > MAX_TOTAL_DEGREE:
+        return "ValueError", f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}"
+    return "ok", chain_apply_lpdo(op, wave).amplitude
 
 
 def plane_wave(n: int) -> ExpWave:
@@ -315,7 +375,7 @@ def differentiate_expwave(wave: ExpWave, time_order: int = 0, space_orders: Sequ
     """Exact dt^j dx^alpha of a wave by repeated chain-rule steps."""
     out = wave
     for name in _steps(time_order, space_orders):
-        out = out.differentiate(name)
+        out = cached_differentiate(out, name)
     return out
 
 

@@ -106,6 +106,11 @@ GOLDEN = [
     (["oracle", "t*Dt", "--n", "1", "--lambda", "0"], 1,
      "verdict: not-invariant\nlambda: 0\nn: 1\nm: 1\nseed: 94281\nwitness: defect at v=(2/3): 2/3i*t*xi1\n",
      "verdict=not-invariant\nlambda=0\nn=1\nm=1\nseed=94281\nwitness=defect at v=(2/3): 2/3i*t*xi1\n"),
+    # The default seed draws v = 0 twice first at n = 1; the identity boost
+    # commutes with every operator, so it is drawn again, not counted.
+    (["oracle", "Dt", "--lambda", "1", "--n", "1", "--count", "2"], 1,
+     "verdict: not-invariant\nlambda: 1\nn: 1\nm: 1\nseed: 94281\nwitness: defect at v=(2/3): 2/3i*xi1 + 2/9i\n",
+     "verdict=not-invariant\nlambda=1\nn=1\nm=1\nseed=94281\nwitness=defect at v=(2/3): 2/3i*xi1 + 2/9i\n"),
     # A 9-term defect: the packed derivative sum of both sides, pulled back.
     (["oracle", "(2i*Dt+Lap)^2 + Dt^2", "--n", "2", "--lambda", "1"], 1,
      "verdict: not-invariant\nlambda: 1\nn: 2\nm: 4\nseed: 94281\nwitness: defect at v=(2/3,-1): "

@@ -1,7 +1,8 @@
 """The lean paths of the oracle and the boost witness against their old routes.
 
 `boost_commutator_defect` and `plane_wave` build theta, the pull-back
-bindings and the plane-wave phase from their terms; `ExpWave.differentiate`
+bindings and the plane-wave phase from their terms;
+`reference_oracle.cached_differentiate`, once `ExpWave.differentiate`,
 builds its result without the constructor's checks; `MultiPoly.__mul__`
 shifts keys when a factor has one term; `MultiPoly.extend` of a constant
 keeps its one key.  `reference_oracle.py` and `reference_multipoly.py`
@@ -86,8 +87,8 @@ VARIABLE_OPERATORS = [
 
 
 def _general_step_refused(monkeypatch):
-    """Make the general chain-rule step, dA + A*(i*dphi), raise: it is the one
-    route through `MultiPoly.partial` that a defect could take."""
+    """Make the general chain-rule step, dA + A*(i*dphi), raise: it went
+    through `MultiPoly.partial`, which the oracle no longer calls."""
     def refused(self, name):
         raise AssertionError(f"general step along {name}")
 
@@ -139,7 +140,7 @@ def test_lean_derivative_is_the_checked_wave(n, data):
     step = wave
     for name in data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=4)):
         expected = ref.differentiate(step, name)
-        step = step.differentiate(name)
+        step = ref.cached_differentiate(step, name)
         assert_same_internals(step.amplitude, expected.amplitude)
         assert step.phase is wave.phase and step._gradient is wave._gradient
         assert ExpWave(step.amplitude, step.phase) == step

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galinv import MAX_TOTAL_DEGREE, GaussianRational, MultiPoly, parse_operator, symbol_of, universe
-from galinv.multipoly import product_sum
+from galinv.multipoly import _add_product, product_sum
 
 import reference_multipoly as ref
 import reference_oracle
@@ -443,6 +443,51 @@ def test_product_sum_matches_reference_chain(case):
         assert_same(value, _reference_chain(variables, old))
         chained = reference_oracle.product_sum(variables, new)
         assert (value._den, value._num) == (chained._den, chained._num)
+
+
+def unpacked(variables, den, num):
+    """A packed (den, num) as a reference polynomial."""
+    width = len(variables)
+    return ref.MultiPoly(variables, {tuple(key.to_bytes(width + 1, "little")[:width]):
+                                     GaussianRational(Fraction(re, den), Fraction(im, den))
+                                     for key, (re, im) in num.items()})
+
+
+def check_fold(variables, held, k, d, left_terms, right_terms):
+    """`_add_product(den, num, d, left, right)` is num/den + left*right/d over
+    lcm(den, d), added into num when d divides den, and reads left and right only."""
+    held = MultiPoly(variables, held)
+    den, num = held._den * k, {key: (re * k, im * k) for key, (re, im) in held._num.items()}
+    left, right = MultiPoly(variables, left_terms)._num, MultiPoly(variables, right_terms)._num
+    before = list(left.items()), list(right.items())
+    expected = unpacked(variables, den, num) + unpacked(variables, 1, left) * unpacked(variables, d, right)
+    got_den, got_num = _add_product(den, num, d, left, right)
+    assert got_den == math.lcm(den, d)
+    assert (got_num is num) == (den % d == 0)
+    assert (list(left.items()), list(right.items())) == before
+    assert_same(MultiPoly._make(variables, got_den, got_num), expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(UNIVERSES), st.integers(1, 3), st.integers(1, 12), st.data())
+def test_the_fold_adds_a_product_into_a_held_sum(variables, k, d, data):
+    held, left, right = (data.draw(term_maps(variables, spikes=False)) for _ in range(3))
+    check_fold(variables, held, k, d, left, right)
+
+
+V2 = ("v0", "v1")
+
+
+@pytest.mark.parametrize("held, k, d, left, right", [
+    # 3 does not divide 2
+    ({(1, 0): Fraction(1, 2)}, 1, 3, {(0, 1): 2, (1, 1): 1}, {(1, 0): 1, (0, 0): GaussianRational(0, 1)}),
+    ({}, 1, 5, {(1, 0): 1}, {(0, 1): 3, (1, 0): -1, (2, 2): 1}),  # nothing held, one term times many
+    ({(0, 1): 1, (1, 0): 1}, 4, 2, {(0, 1): 1, (1, 0): 1}, {(0, 1): 1}),  # many times one; 2 divides 4
+    ({(1, 1): -2}, 1, 1, {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1}),  # the sum's v0*v1 term cancels
+    ({(0, 0): 1}, 3, 6, {}, {(1, 0): 1}),  # an empty factor
+])
+def test_the_fold_on_fixed_inputs(held, k, d, left, right):
+    check_fold(V2, held, k, d, left, right)
 
 
 @settings(max_examples=40, deadline=None)

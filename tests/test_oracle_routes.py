@@ -1,10 +1,13 @@
 """The differentiation oracle against its references, and its independence.
 
-`ExpWave.differentiate` caches i*dphi per wave and hands the cache to
-the derivative, which keeps the phase; `apply_lpdo` adds each product
-into one dict.  `reference_oracle.py` holds the routes they replaced.
-Both must give the same waves with the same internals.
-The oracle must also run with every symbol routine and decider broken.
+`reference_oracle.cached_differentiate` is the chain-rule step the package
+had as `ExpWave.differentiate`: it reads i*dphi from the wave's cache and
+hands the cache to the derivative, which keeps the phase.
+`reference_oracle.chain_apply_lpdo` steps a chain of such derivatives, and
+`apply_lpdo` takes only the lean waves among them.  Each must give the
+same waves, with the same internals, as the route that takes the phase
+partial afresh at every step.  The oracle must also run with every symbol
+routine and decider broken.
 """
 
 import random
@@ -85,7 +88,7 @@ def test_differentiate_chains_match_reference_formula(n, data):
     names = universe.symbol_vars(n)
     wave = data.draw(waves(n))
     steps = data.draw(st.lists(st.sampled_from(names), max_size=5))
-    for got, expected in zip(chain(wave, steps, ExpWave.differentiate), chain(wave, steps, ref.differentiate)):
+    for got, expected in zip(chain(wave, steps, ref.cached_differentiate), chain(wave, steps, ref.differentiate)):
         assert_same_wave(got, expected)
     # The same name before and after a new phase: a cache kept across the
     # change would reuse the old phase's gradient.  Every symbol variable
@@ -94,10 +97,10 @@ def test_differentiate_chains_match_reference_formula(n, data):
     extra = MultiPoly.var(names, name) * data.draw(small.filter(bool)) + data.draw(real_polys(names))
     scale = data.draw(small.filter(lambda k: k not in (0, 1)))
     shift = {name: MultiPoly.var(names, name) * scale + data.draw(small)}
-    before = wave.differentiate(name)
+    before = ref.cached_differentiate(wave, name)
     for moved in (ref.with_phase_added(before, extra), ref.substitute(before, shift),
                   ref.with_phase_added(wave, extra)):
-        twice = chain(moved, [name, name], ExpWave.differentiate)
+        twice = chain(moved, [name, name], ref.cached_differentiate)
         assert_same_wave(twice[1], ref.differentiate(moved, name))
         assert_same_wave(twice[2], ref.differentiate(ref.differentiate(moved, name), name))
 
@@ -108,7 +111,16 @@ def test_apply_lpdo_matches_reference_route(n, order, constant, seed, data):
     make = random_constant_lpdo if constant or order == 0 else random_variable_lpdo
     op = make(random.Random(seed), n, order)
     wave = data.draw(waves(n))
-    assert_same_wave(apply_lpdo(op, wave), ref.apply_lpdo(op, wave))
+    expected = ref.apply_lpdo(op, wave)
+    assert_same_wave(ref.chain_apply_lpdo(op, wave), expected)
+    if ref.refusal(op, wave) is None:
+        assert_same_wave(apply_lpdo(op, wave), expected)
+
+
+def test_waves_have_no_differentiate():
+    """The chain-rule step left the package: the oracle only multiplies by gradients."""
+    assert not hasattr(ExpWave, "differentiate")
+    assert not hasattr(plane_wave(1), "differentiate")
 
 
 @pytest.fixture

@@ -1,16 +1,19 @@
 """The oracle's derivative sums and the integer evaluator against their old routes.
 
-When the amplitude and every gradient it steps along are free of those
-coordinates, and no key's coefficient times its derivative can pass the
-degree cap, `apply_lpdo` folds each key's steps along one-term gradients
-into its coefficient and sums the rest by Horner's rule over the trie of
-the remaining steps; otherwise it steps one chain of amplitudes by the chain
-rule and hands each key's derivative to `product_sum`.  Two references
-must give identical packed internals and the same first error:
-`reference_oracle.apply_lpdo`, which steps whole waves and adds each
-product to a growing total, and `reference_oracle.chain_apply_lpdo`, the
-packed chain that Horner's rule replaced, also where a coefficient
-passes the cap on a lean wave.
+`apply_lpdo` takes only lean waves: the amplitude and every gradient it
+steps along are free of those coordinates.  It folds each key's steps
+along one-term gradients into its coefficient and sums the rest by
+Horner's rule over the trie of the remaining steps.  Any other wave is
+refused with a `ValueError` that names the condition it fails, and a
+product past the degree cap raises the cap error at the largest degree,
+which the lean test computes before any product is taken.
+`reference_oracle.lean_outcome` states that contract on the references:
+on a lean wave within the cap, `apply_lpdo` gives the packed internals of
+`reference_oracle.chain_apply_lpdo`, the packed chain that Horner's rule
+replaced, which also steps the chain rule on every other wave.  The chain
+and `reference_oracle.apply_lpdo`, which steps whole waves and adds each
+product to a growing total, must agree on every wave, first error
+included.
 
 `MultiPoly.evaluate` sums every term in one integer pair over the
 point's denominators.  `reference_multipoly.evaluate` is the evaluator it
@@ -108,25 +111,37 @@ WAVE_LABELS = tuple(waves(1, [0], 0, 1, 1))
 @example(1, 3, True, 5, [Fraction(1, 2), 0, 0], Fraction(1), Fraction(1), Fraction(1))
 def test_apply_lpdo_matches_the_reference_on_both_sides_of_the_lean_test(
         n, order, constant, seed, velocity, lam, amplitude_term, phase_term):
+    """The packed chain, which steps the chain rule off the lean path, against
+    the term-by-term reference on every wave."""
     make = random_constant_lpdo if constant or order == 0 else random_variable_lpdo
     op = make(random.Random(seed), n, order)
     for label, wave in waves(n, velocity[:n], lam, amplitude_term, phase_term).items():
         note(label)
-        assert_same_internals(applied(apply_lpdo, op, wave), applied(ref.apply_lpdo, op, wave))
+        assert_same_internals(applied(ref.chain_apply_lpdo, op, wave), applied(ref.apply_lpdo, op, wave))
 
 
 def test_each_side_of_the_lean_test_is_reached():
     """Fixed operators that take two steps along t and along x1, so that
-    every wave above shows its kind of chain."""
+    every wave above shows its kind of outcome."""
     op = parse_operator("Dt^2 + Dx1^2 + Dt*Dx1 + 3", n=1)
     names = universe.symbol_vars(1)
-    kinds = {}
+    kinds, chains = {}, {}
     for label, wave in waves(1, [Fraction(1, 2)], Fraction(1), Fraction(1), Fraction(1)).items():
-        kinds[label] = applied(apply_lpdo, op, wave)
-        assert_same_internals(kinds[label], applied(ref.apply_lpdo, op, wave))
+        kinds[label], chains[label] = applied(apply_lpdo, op, wave), applied(ref.chain_apply_lpdo, op, wave)
+        assert_same_internals(kinds[label], ref.lean_outcome(op, wave))
+        assert_same_internals(chains[label], applied(ref.apply_lpdo, op, wave))
     message = f"exceeds the cap of {MAX_TOTAL_DEGREE}"
-    assert {label for label, (kind, text) in kinds.items() if kind == "ValueError" and message in text} == {
+    assert {label for label, (kind, text) in chains.items() if kind == "ValueError" and message in text} == {
         "phase t^40", "gradient tau^40"}
+    assert kinds["gradient tau^40"] == ("ValueError", f"term degree 80 exceeds the cap of {MAX_TOTAL_DEGREE}")
+    refused = {label: text for label, (kind, text) in kinds.items() if kind == "ValueError" and message not in text}
+    assert refused == {
+        "amplitude t": "the amplitude depends on a stepped coordinate",
+        "amplitude x1": "the amplitude depends on a stepped coordinate",
+        "phase t^2": "the gradient along 't' depends on a stepped coordinate",
+        "phase x1*t": "the gradient along 't' depends on a stepped coordinate",
+        "phase t^40": "the gradient along 't' depends on a stepped coordinate",
+    }
     # The cancelling wave's d/dt d/dx1 is i^2 (tau - xi1)(tau + xi1): its xi1*tau term cancels.
     mixed = apply_lpdo(LPDO(1, {(1, (1,)): 1}), waves(1, [0], 0, 1, 1)["cancelling"])
     assert_same_internals(mixed.amplitude, MultiPoly(names, {(0, 0, 2, 0): -1, (0, 0, 0, 2): 1}))
@@ -159,12 +174,20 @@ def test_derivatives_stay_packed_and_constant_coefficients_need_no_pull_back(mon
        st.lists(small, min_size=3, max_size=3), st.one_of(st.just(Fraction(0)), small),
        small.filter(bool), small.filter(bool))
 @example(3, 8, True, 5, [Fraction(1, 2), -1, 2], Fraction(1), Fraction(3, 2), Fraction(1))
-def test_apply_lpdo_matches_the_packed_chain(n, order, constant, seed, velocity, lam, amplitude_term, phase_term):
+def test_apply_lpdo_is_the_packed_chain_on_lean_waves_and_refuses_the_rest(
+        n, order, constant, seed, velocity, lam, amplitude_term, phase_term):
+    """On each lean wave within the cap `apply_lpdo` gives the chain's
+    internals; every other wave raises the named refusal or the cap error at
+    the computed degree.  On a lean wave it raises exactly when the chain
+    does, since degrees add exactly under products."""
     make = random_constant_lpdo if constant or order == 0 else random_variable_lpdo
     op = make(random.Random(seed), n, order)
     for label, wave in waves(n, velocity[:n], lam, amplitude_term, phase_term).items():
         note(label)
-        assert_same_internals(applied(apply_lpdo, op, wave), applied(ref.chain_apply_lpdo, op, wave))
+        got = applied(apply_lpdo, op, wave)
+        assert_same_internals(got, ref.lean_outcome(op, wave))
+        if ref.refusal(op, wave) is None:
+            assert got[0] == applied(ref.chain_apply_lpdo, op, wave)[0]
 
 
 @pytest.mark.parametrize("label", WAVE_LABELS)
@@ -174,7 +197,7 @@ def test_apply_lpdo_matches_the_packed_chain(n, order, constant, seed, velocity,
 def test_constant_and_variable_coefficients_match_the_packed_chain(text, n, label):
     op = parse_operator(text, n=n)
     wave = waves(n, [Fraction(1, 2), -1, 2][:n], Fraction(1), Fraction(3, 2), Fraction(1))[label]
-    assert_same_internals(applied(apply_lpdo, op, wave), applied(ref.chain_apply_lpdo, op, wave))
+    assert_same_internals(applied(apply_lpdo, op, wave), ref.lean_outcome(op, wave))
 
 
 def _cap_cases():
@@ -195,28 +218,65 @@ def _cap_cases():
 @pytest.mark.parametrize("case", list(_cap_cases()))
 def test_a_coefficient_past_the_cap_fails_as_the_packed_chain_does(case):
     """`LPDO` caps coefficient degree plus order, so only a direct call on a
-    lean wave reaches this: every such call takes the chain-rule step."""
+    lean wave reaches this.  The chain names its first term past the cap;
+    `apply_lpdo` names the largest degree, 60 plus the coefficient's."""
     op, wave = case
     got = applied(apply_lpdo, op, wave)
-    assert_same_internals(got, applied(ref.chain_apply_lpdo, op, wave))
-    kind, message = got
+    assert_same_internals(got, ref.lean_outcome(op, wave))
+    assert got == ("ValueError", f"term degree {60 + op.coeffs[(2, (0,))].total_degree()} exceeds the cap of 64")
+    kind, message = applied(ref.chain_apply_lpdo, op, wave)
     assert kind == "ValueError" and message in {
         f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}" for degree in (65, 66, 67, 68)}
 
 
 def test_horner_is_taken_exactly_when_no_product_can_pass_the_cap(monkeypatch):
-    """Lean operators never reach `product_sum`; a coefficient past the cap on a lean wave does."""
-    inner, calls = galinv.oracle.product_sum, []
-    monkeypatch.setattr(galinv.oracle, "product_sum", lambda *args: calls.append(args) or inner(*args))
+    """The oracle sums through `_horner` alone, and a coefficient past the cap
+    on a lean wave raises before any product is taken."""
+    assert not hasattr(galinv.oracle, "product_sum")
+    inner, calls = galinv.oracle._horner, []
+    monkeypatch.setattr(galinv.oracle, "_horner", lambda *args: calls.append(args) or inner(*args))
     lean = waves(3, [Fraction(1, 2), -1, 2], Fraction(1), Fraction(3, 2), Fraction(1))
     for text in ("t*(2i*Dt + Lap) + 3", "(2i*Dt+Lap)^8"):
         for label in ("plane", "pulled back", "amplitude tau*xi1", "cancelling"):
             apply_lpdo(parse_operator(text, n=3), lean[label])
-    assert calls == []
+    assert len(calls) == 8
     op, wave = next(_cap_cases())
     with pytest.raises(ValueError, match="exceeds the cap"):
         apply_lpdo(op, wave)
-    assert len(calls) == 1
+    assert len(calls) == 8
+
+
+def test_the_cap_admits_degree_64_and_refuses_65():
+    """An order-64 symbol on the plane wave is exactly at the cap; an
+    amplitude of degree 1 takes every product one past it."""
+    op = parse_operator("(2i*Dt+Lap)^32", n=1)
+    names, wave = universe.symbol_vars(1), plane_wave(1)
+    got = applied(apply_lpdo, op, wave)
+    assert got[0] == "ok" and got[1].total_degree() == MAX_TOTAL_DEGREE
+    assert_same_internals(got, ref.lean_outcome(op, wave))
+    assert boost_commutator_defect(op, 1, [Fraction(2, 3)]).is_zero
+    lifted = ExpWave(monomial(names, tau=1), wave.phase)
+    assert applied(apply_lpdo, op, lifted) == ("ValueError", f"term degree 65 exceeds the cap of {MAX_TOTAL_DEGREE}")
+    assert applied(ref.chain_apply_lpdo, op, lifted)[0] == "ValueError"
+
+
+@pytest.mark.parametrize("text, amplitude, phase", [
+    # The gradient along x2 is 0, so t^10*Dx2 makes no product with tau^60.
+    ("t^10*Dx2 + Dt", {"tau": 60}, {"t": 1, "tau": 1}),
+    # A zero amplitude makes no product, though Dt^2 weighs 80 on this phase.
+    ("Dt^2 + t*Dx1", None, {"t": 1, "tau": 40}),
+])
+def test_a_zero_factor_makes_no_product_past_the_cap(text, amplitude, phase):
+    """Degrees add exactly under products, and a zero factor makes none, so
+    a lean wave raises the cap error exactly when the packed chain does."""
+    names = universe.symbol_vars(2)
+    op = parse_operator(text, n=2)
+    a = MultiPoly.zero(names) if amplitude is None else monomial(names, **amplitude)
+    wave = ExpWave(a, monomial(names, **phase) + monomial(names, x1=1, xi1=1))
+    expected = applied(ref.chain_apply_lpdo, op, wave)
+    assert expected[0] == "ok"
+    assert_same_internals(applied(apply_lpdo, op, wave), expected)
+    assert_same_internals(ref.lean_outcome(op, wave), expected)
 
 
 def test_horner_adds_into_no_held_polynomial():

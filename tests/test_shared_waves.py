@@ -5,8 +5,9 @@ the plane wave's cache of i*dphi outlives a call.  These tests check that
 the sharing holds, that no call leaves a shared value changed, and that
 no value class lets a field be deleted.  They also pin how much work a
 call does: `boost_commutator_defect` pulls the phase back once, and
-`apply_lpdo` builds at most one polynomial per derivative key on its
-chain of packed amplitudes.  `product_sum` and `MultiPoly.__mul__` over a universe
+`apply_lpdo` builds at most one polynomial per derivative key; the packed
+chain of `reference_oracle.chain_apply_lpdo`, which steps waves that
+`apply_lpdo` refuses, must match the reference when terms cancel.  `product_sum` and `MultiPoly.__mul__` over a universe
 that is equal to, but not the same object as, the shared one must match
 the reference sum, errors included.
 """
@@ -161,7 +162,7 @@ def test_the_packed_chain_matches_the_reference_when_terms_cancel(data):
     wave = ExpWave(data.draw(unit_polys(names)), data.draw(unit_polys(names)))
     keys = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=3))
     op = LPDO(1, {(j, (k,)): 1 for j, k in keys})
-    assert_same_internals(outcome(lambda: apply_lpdo(op, wave).amplitude),
+    assert_same_internals(outcome(lambda: ref.chain_apply_lpdo(op, wave).amplitude),
                           outcome(lambda: ref.apply_lpdo(op, wave).amplitude))
 
 
@@ -177,6 +178,9 @@ def test_the_packed_chain_drops_cancelled_terms_and_checks_the_cap_at_each_step(
     with pytest.raises(ValueError, match="term degree 78 exceeds the cap"):
         ref.apply_lpdo(op, wave)
     with pytest.raises(ValueError, match="term degree 78 exceeds the cap"):
+        ref.chain_apply_lpdo(op, wave)
+    # Its gradient holds t, so `apply_lpdo` refuses the wave before any step.
+    with pytest.raises(ValueError, match="^the gradient along 't' depends on a stepped coordinate$"):
         apply_lpdo(op, wave)
 
 

@@ -56,9 +56,9 @@ def apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
     g_a = i*dphi/dx_a stepped along are free of those coordinates.  Then a
     step is the product with g_a alone, so L(A e) = A * sum of c * g^(j, alpha)
     over the keys, which `_horner` sums.  Any other wave raises a
-    `ValueError` that names the condition it fails, and a key whose
-    coefficient times its derivative would pass the cap raises the cap error
-    with that degree.
+    `ValueError` that names the condition it fails.  If a coefficient times
+    its derivative would pass the cap, the cap error names the largest such
+    degree, before any product is taken.
     """
     phase, den, num = _walk(_plan(op), wave)
     return ExpWave(MultiPoly._make(wave.variables, den, num), phase)

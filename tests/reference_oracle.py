@@ -1,11 +1,15 @@
 """Routes of the plane-wave oracle that the package replaced or never needed.
 
-`galinv.waves.ExpWave.differentiate` takes i*dphi once per name and
-phase, and `galinv.oracle.apply_lpdo`, where it steps the chain rule,
-adds each product of a coefficient and a derivative into one dict
-(`multipoly.product_sum`).  The routes
-they replaced live here unchanged: every step takes the phase partial
-afresh, and each key's product is added to a growing total.
+`galinv.oracle.apply_lpdo` differentiates only lean waves: the amplitude
+and every gradient i*dphi it steps along are free of the coordinates
+stepped along, so a step is a product with a gradient.  The chain rule
+for every other wave left the package and lives here.
+`cached_differentiate` is the package's former `ExpWave.differentiate`,
+dA + A*(i*dphi) with i*dphi read from the wave's cache;
+`chain_apply_lpdo` steps one chain of packed amplitudes by it.  Their own
+replaced routes live here unchanged: `differentiate` takes the phase
+partial afresh at every step, and `apply_lpdo` adds each key's product
+to a growing total.
 
 `galinv.oracle.boost_commutator_defect` and `galinv.waves.plane_wave`
 build the gauge phase theta, the pull-back bindings and the plane-wave
@@ -28,12 +32,15 @@ waves.
 The tests require each pair of routes to give identical internals: the
 same universe, denominator and packed terms, held in any order.
 
-`galinv.oracle.apply_lpdo` sums a lean operator (amplitude and stepped
-gradients free of the stepped coordinates, no product past the cap) by
-Horner's rule over the trie of its keys.  `chain_apply_lpdo` is the
-route it replaced: keys in sorted order along one chain of packed
-amplitudes, a lean step the product with the gradient alone, each key's
-derivative multiplied by its coefficient in one `product_sum`.
+`galinv.oracle.apply_lpdo` sums a lean operator by Horner's rule over
+the trie of its keys.  `chain_apply_lpdo` is the route it replaced: keys
+in sorted order along one chain of packed amplitudes, a lean step the
+product with the gradient alone and any other step
+`cached_differentiate`'s, each key's derivative multiplied by its
+coefficient in one `multipoly.product_sum`.  `lean_outcome` states what
+`apply_lpdo` gives on any wave: the `refusal` of a wave that is not
+lean, the cap error at `product_degree` past the cap, and otherwise
+`chain_apply_lpdo`'s amplitude.
 
 `galinv.oracle.boost_commutator_defect` walks both of its waves on one
 plan of the operator and sums both sides into one packed accumulator,
@@ -194,7 +201,7 @@ def chain_apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
     the rest, and takes only its missing steps.  When the amplitude and each
     gradient i*dphi stepped along are free of those coordinates and no
     product can pass the degree cap, dA is zero, and a step is the product
-    A*(i*dphi) alone; otherwise it is `ExpWave.differentiate`'s rule."""
+    A*(i*dphi) alone; otherwise it is `cached_differentiate`'s rule."""
     names, amplitude = wave.variables, wave.amplitude
     keys = sorted(op.coeffs.items())
     wants = [sum(((a,) * k for a, k in enumerate(alpha, 1)), (0,) * j) for (j, alpha), _ in keys]
@@ -252,10 +259,10 @@ def refusal(op: LPDO, wave: ExpWave) -> str | None:
 
 def product_degree(op: LPDO, wave: ExpWave) -> int | None:
     """On a lean wave, the largest degree of a coefficient times its
-    derivative, A * c * prod(g_a ** e_a): degrees add under products, and a
-    zero amplitude or gradient makes no product (None when none is made)."""
-    gradients = {name: wave.phase.partial(name) * I_UNIT
-                 for name in universe.coeff_vars(op.n) if name in wave.variables}
+    derivative, A * c * prod(g_a ** e_a), g_a having the degree of dphi/dx_a:
+    degrees add under products, and a zero amplitude or gradient makes no
+    product (None when none is made)."""
+    gradients = {name: wave.phase.partial(name) for name in universe.coeff_vars(op.n) if name in wave.variables}
     degrees = []
     for (j, alpha), poly in op.coeffs.items():
         steps = [(gradients[name], e) for name, e in zip(universe.coeff_vars(op.n), (j, *alpha)) if e]

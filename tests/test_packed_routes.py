@@ -223,7 +223,8 @@ def test_a_coefficient_past_the_cap_fails_as_the_packed_chain_does(case):
     op, wave = case
     got = applied(apply_lpdo, op, wave)
     assert_same_internals(got, ref.lean_outcome(op, wave))
-    assert got == ("ValueError", f"term degree {60 + op.coeffs[(2, (0,))].total_degree()} exceeds the cap of 64")
+    degree = 60 + op.coeffs[(2, (0,))].total_degree()
+    assert got == ("ValueError", f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}")
     kind, message = applied(ref.chain_apply_lpdo, op, wave)
     assert kind == "ValueError" and message in {
         f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}" for degree in (65, 66, 67, 68)}

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from . import universe
 from .universe import _FrozenValue
 from .gaussrat import GaussianLike, GaussianRational, as_gaussian, i_power
-from .multipoly import MAX_DIMENSION, MAX_TOTAL_DEGREE, MultiPoly, product_sum, split_trailing
+from .multipoly import MAX_DIMENSION, MultiPoly, _check_cap, product_sum, split_trailing
 
 DerivKey = tuple[int, tuple[int, ...]]
 
@@ -70,11 +70,7 @@ class LPDO:
                 )
             if poly.is_zero:
                 continue
-            degree = poly.total_degree() + j + sum(alpha)
-            if degree > MAX_TOTAL_DEGREE:
-                raise ValueError(
-                    f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}"
-                )
+            _check_cap(poly.total_degree() + j + sum(alpha))
             cleaned[(j, alpha)] = poly
         if not cleaned:
             raise ValueError(_ZERO_OPERATOR)
@@ -98,9 +94,7 @@ class LPDO:
         names = universe.symbol_vars(n)
         if poly.variables != names:
             raise ValueError(f"symbol universe {poly.variables} is not {names}")
-        degree = poly.total_degree()
-        if degree > MAX_TOTAL_DEGREE:
-            raise ValueError(f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}")
+        _check_cap(poly.total_degree())
         if poly.is_zero:
             raise ValueError(_ZERO_OPERATOR)
         return _hold(object.__new__(cls), symbol, None)

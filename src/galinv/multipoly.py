@@ -39,7 +39,6 @@ MAX_DIMENSION = 1000
 MAX_NESTING_DEPTH = 100
 
 _SCALARS = (int, Fraction, GaussianRational)
-_ONE = {0: (1, 0)}  # the packed numerators of 1, only ever read
 
 
 class MultiPoly:
@@ -61,10 +60,7 @@ class MultiPoly:
                 )
             if min(exps) < 0:
                 raise ValueError(f"negative exponent in {exps}")
-            if sum(exps) > MAX_TOTAL_DEGREE:
-                raise ValueError(
-                    f"term degree {sum(exps)} exceeds the cap of {MAX_TOTAL_DEGREE}"
-                )
+            _check_cap(sum(exps))
             coeff = as_gaussian(raw)
             if coeff:
                 canonical[exps] = coeff
@@ -227,7 +223,8 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return MultiPoly._make(self.variables, self._den * other._den, _product(self._num, other._num))
+        den = self._den * other._den
+        return MultiPoly._make(self.variables, *_add_product(den, {}, den, self._num, other._num))
 
     __rmul__ = __mul__
 
@@ -240,9 +237,7 @@ class MultiPoly:
             raise ValueError("polynomial powers take a nonnegative integer exponent")
         if self.is_constant:
             return _const(self.variables, self.constant_value() ** exponent)
-        degree = exponent * self.total_degree()
-        if degree > MAX_TOTAL_DEGREE:
-            raise ValueError(f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}")
+        _check_cap(exponent * self.total_degree())
         result = _const(self.variables, 1)
         for _ in range(exponent):
             result = result * self
@@ -455,35 +450,20 @@ def _merge(p: MultiPoly, q: MultiPoly, sign: int) -> MultiPoly:
     return MultiPoly._make(p.variables, *_add_product(p._den, dict(p._num), q._den, q._num, {0: (sign, 0)}))
 
 
+def _check_cap(degree: int) -> None:
+    """The degree cap, applied to one term's degree."""
+    if degree > MAX_TOTAL_DEGREE:
+        raise ValueError(f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}")
+
+
 def _nonzero(variables: tuple[str, ...], num: dict) -> dict:
-    """Packed numerators without their zeros, once no term passes the cap."""
+    """Packed numerators without their zeros, once no term passes the cap;
+    else the error names the largest degree, which no term order changes."""
     if (0, 0) in num.values():
         num = {key: pair for key, pair in num.items() if pair != (0, 0)}
-    shift = 8 * len(variables)
-    if num and max(num) >> shift > MAX_TOTAL_DEGREE:
-        degree = next(key >> shift for key in num if key >> shift > MAX_TOTAL_DEGREE)
-        raise ValueError(f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}")
+    if num:
+        _check_cap(max(num) >> 8 * len(variables))
     return num
-
-
-def _product(left: dict, right: dict) -> dict:
-    """The packed numerators of a product, zeros kept: right's terms times
-    each of left's in turn, summed by key."""
-    if len(left) == 1 or len(right) == 1:
-        # Times one term: shifting the keys keeps them distinct, so no
-        # lookups, and Gaussian integers have no zero divisors.
-        one, many = (left, right) if len(left) == 1 else (right, left)
-        ((k1, (c, e)),) = one.items()
-        return {k1 + k2: (a * c - b * e, a * e + b * c) for k2, (a, b) in many.items()}
-    product: dict[int, tuple[int, int]] = {}
-    get = product.get
-    terms = list(right.items())
-    for k1, (a, b) in left.items():
-        for k2, (c, e) in terms:
-            key = k1 + k2
-            re, im = get(key, (0, 0))
-            product[key] = (re + a * c - b * e, im + a * e + b * c)
-    return product
 
 
 def _partial(variables: tuple[str, ...], index: int, num: dict) -> dict:
@@ -501,33 +481,46 @@ def _partial(variables: tuple[str, ...], index: int, num: dict) -> dict:
 def product_sum(variables: Sequence[str], pairs: Iterable[tuple[MultiPoly, tuple[int, dict]]]) -> MultiPoly:
     """sum(p.extend(variables) * q for p, (den, num) in pairs), where q = num/den is
     packed over `variables` with no zero term and none past the cap, its content
-    not necessarily divided out.  The products are added up key by key in one
-    dict as the pairs come, and the zeros dropped once at the end, with the
-    value and first error of `total + p.extend(variables) * q`."""
+    not necessarily divided out.  Each product is added up key by key into one
+    dict as the pairs come, and the zeros dropped once at the end.  Degrees add
+    exactly under products, so a pair whose product passes the cap raises before
+    it is taken, naming deg p + deg q, the largest degree of that product, as
+    `total + p.extend(variables) * q` does."""
     variables = _universe(variables)
+    shift = 8 * len(variables)
     den, accum, lead = 1, {}, None  # lead: a universe that begins `variables`
     for p, (d, terms) in pairs:
         if p.variables is not lead and p.variables == variables[: len(p.variables)]:
             lead = p.variables
-        if p.variables is lead and len(p._num) == 1 and 0 in p._num:
-            # q times a constant: no embedding, and q's terms stay distinct, nonzero and capped
-            right = p._num
-        else:
+        if not (p.variables is lead and len(p._num) == 1 and 0 in p._num):
+            # q times a constant needs no embedding, and keeps q's degree
             p = p.extend(variables)
-            terms, right = _nonzero(variables, _product(p._num, terms)), _ONE
-        den, accum = _add_product(den, accum, d * p._den, terms, right)
+            if p._num and terms:
+                _check_cap(max(p._num) + max(terms) >> shift)
+        den, accum = _add_product(den, accum, d * p._den, p._num, terms)
     return MultiPoly._make(variables, den, accum)
 
 
 def _add_product(den: int, num: dict, d: int, left: dict, right: dict) -> tuple[int, dict]:
-    """num/den + left*right/d over lcm(den, d): right's terms times each of
-    left's in turn, added by key into num, a dict no polynomial holds (a
-    new one when den grows).  The one fold that sums packed products."""
+    """num/den + left*right/d over lcm(den, d), added by key into num, a dict
+    no polynomial holds (a new one when den grows): the one fold that
+    multiplies packed terms, with no check of the cap.  Into an empty sum a
+    factor of one term shifts the other's keys, which keeps them distinct, so
+    there are no lookups; else right's terms, the fewer as callers pass them,
+    times each of left's in turn are looked up and added."""
     if den % d:
         common = lcm(den, d)
         scale, den = common // den, common
-        num = {key: (re * scale, im * scale) for key, (re, im) in num.items()}
-    m, get = den // d, num.get
+        num = {key: (re * scale, im * scale) for key, (re, im) in num.items()} if num else {}
+    m = den // d
+    if not num and (len(left) == 1 or len(right) == 1):
+        one, many = (left, right) if len(left) == 1 else (right, left)
+        ((k1, (c, e)),) = one.items()
+        c, e = c * m, e * m
+        for k2, (a, b) in many.items():
+            num[k1 + k2] = (a * c - b * e, a * e + b * c)
+        return den, num
+    get = num.get
     for k2, (c, e) in right.items():
         c, e = c * m, e * m
         for k1, (a, b) in left.items():

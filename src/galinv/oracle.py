@@ -27,7 +27,7 @@ from typing import Sequence
 from . import universe
 from .actions import _theta_terms
 from .lpdo import LPDO
-from .multipoly import MAX_TOTAL_DEGREE, MultiPoly, _ONE, _add_product, _integer_terms, _product, _rational_terms
+from .multipoly import MultiPoly, _add_product, _check_cap, _integer_terms, _rational_terms
 from .universe import _FrozenValue
 from .waves import ExpWave, plane_wave
 
@@ -44,7 +44,7 @@ class SamplePlan(_FrozenValue):
             raise ValueError("count must be positive")
 
 
-_MINUS_ONE = {0: (-1, 0)}  # the packed terms of -1, only ever read
+_ONE, _MINUS_ONE = {0: (1, 0)}, {0: (-1, 0)}  # the packed terms of 1 and -1, only ever read
 
 
 def apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
@@ -107,8 +107,8 @@ def _walk(plan: tuple, wave: ExpWave) -> tuple[MultiPoly, int, dict]:
         zero |= 0 if g._num else 255 << 8 * a
     if zero or any(degree[a] != 1 for a in used):  # else a key's degree is its coefficient's plus its order
         top = max((d + sum(map(mul, steps, degree)) for run, steps, _, d in runs if not run & zero), default=0)
-    if amplitude._num and amplitude.total_degree() + top > MAX_TOTAL_DEGREE:
-        raise ValueError(f"term degree {amplitude.total_degree() + top} exceeds the cap of {MAX_TOTAL_DEGREE}")
+    if amplitude._num:
+        _check_cap(amplitude.total_degree() + top)
     gradients = {a: (g._den, g._num) for a, g in table.items()}
     return wave.phase, *_horner(names, coords, amplitude, runs, gradients)
 
@@ -125,9 +125,10 @@ def _horner(names, coords, amplitude, runs, gradients) -> tuple[int, dict]:
     of t-steps.  A run's parent in the trie drops its last step, one along
     its highest axis, so a child's packed run is larger than its parent's.
     Each node's value is the sum of its coefficients and of g_a times each
-    child's value, summed in decreasing run order into one packed dict per
-    node over the lcm of the denominators.  A dict that a held polynomial
-    owns is read, never added into."""
+    child's value, added in decreasing run order by `_add_product` into an
+    empty dict that the node owns, over the lcm of the denominators.  A
+    node with no sum reads its held coefficient, and a dict that a held
+    polynomial owns is read, never added into."""
     lead = names[: len(coords)] == coords  # a constant coefficient is its one key, 0, as it is
     keep, powers = 0, {}  # the bytes of the trie's axes; axis -> [(e*m, z**e, d**e) for e = 0, 1, ...]
     for a, (g_den, g_num) in gradients.items():
@@ -136,13 +137,13 @@ def _horner(names, coords, amplitude, runs, gradients) -> tuple[int, dict]:
             powers[a] = [(0, (1, 0), 1), (m, z, g_den)]
         else:
             keep |= 255 << 8 * a
-    nodes = {}  # run -> [the coefficient's (den, num) as held or None, den, num summed into or None]
+    nodes = {}  # run -> [the coefficient's (den, num) as held or None, den, num summed into]
     for run, steps, poly, _ in runs:
         if not (lead and poly.is_constant):
             poly = poly.extend(names)
         node = nodes.get(run & keep)
         if node is None:
-            node = nodes[run & keep] = [None, 1, None]
+            node = nodes[run & keep] = [None, 1, {}]
         if not run & ~keep:
             node[0] = (poly._den, poly._num)
             continue
@@ -155,33 +156,26 @@ def _horner(names, coords, amplitude, runs, gradients) -> tuple[int, dict]:
                     table.append((m + m1, (x * u - y * w, x * w + y * u), d * d1))
                 m, (x, y), d = table[e]
                 shift, re, im, den = shift + m, re * x - im * y, re * y + im * x, den * d
-        if node[2] is None:  # a fresh dict
-            node[1:] = den, _product(poly._num, {shift: (re, im)})
-        else:
-            node[1:] = _add_product(node[1], node[2], den, poly._num, {shift: (re, im)})
+        node[1:] = _add_product(node[1], node[2], den, poly._num, {shift: (re, im)})
     for run in list(nodes):
         while run:
             run -= 1 << 8 * (run.bit_length() - 1 >> 3)
             if run in nodes:
                 break
-            nodes[run] = [None, 1, None]
+            nodes[run] = [None, 1, {}]
     for run in sorted(nodes, reverse=True):
         coeff, den, num = nodes[run]
-        if num is None:
-            den, num = coeff
-        elif coeff is not None:
-            den, num = _add_product(den, num, *coeff, _ONE)
+        if coeff is not None:
+            den, num = _add_product(den, num, *coeff, _ONE) if num else coeff
         if not run:
             break
         axis = run.bit_length() - 1 >> 3
         parent = nodes[run - (1 << 8 * axis)]
         g_den, g_num = gradients[axis]
-        if parent[2] is None:  # a fresh dict
-            parent[1:] = den * g_den, _product(num, g_num)
-        else:
-            parent[1:] = _add_product(parent[1], parent[2], den * g_den, num, g_num)
+        parent[1:] = _add_product(parent[1], parent[2], den * g_den, num, g_num)
     if amplitude._den != 1 or amplitude._num != _ONE:
-        return den * amplitude._den, _product(num, amplitude._num)
+        den *= amplitude._den
+        return _add_product(den, {}, den, num, amplitude._num)
     return den, dict(num) if coeff is not None and num is coeff[1] else num
 
 

@@ -86,17 +86,13 @@ class MultiPoly:
         terms: dict[Exponents, GaussianRational],
     ) -> "MultiPoly":
         """Internal fast path: exponents and coefficients already canonical
-        in shape; only zero-dropping and the degree cap are enforced."""
+        in shape; only zero-dropping and the degree cap are enforced.  Past
+        the cap, the error names the largest degree of a nonzero term."""
         poly = object.__new__(cls)
-        kept: dict[Exponents, GaussianRational] = {}
-        for exps, coeff in terms.items():
-            if not coeff:
-                continue
-            if sum(exps) > MAX_TOTAL_DEGREE:
-                raise ValueError(
-                    f"term degree {sum(exps)} exceeds the cap of {MAX_TOTAL_DEGREE}"
-                )
-            kept[exps] = coeff
+        kept = {exps: coeff for exps, coeff in terms.items() if coeff}
+        degree = max((sum(exps) for exps in kept), default=0)
+        if degree > MAX_TOTAL_DEGREE:
+            raise ValueError(f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}")
         object.__setattr__(poly, "variables", variables)
         object.__setattr__(poly, "terms", kept)
         return poly

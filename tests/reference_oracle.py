@@ -37,7 +37,10 @@ the trie of its keys.  `chain_apply_lpdo` is the route it replaced: keys
 in sorted order along one chain of packed amplitudes, a lean step the
 product with the gradient alone and any other step
 `cached_differentiate`'s, each key's derivative multiplied by its
-coefficient in one `multipoly.product_sum`.  `lean_outcome` states what
+coefficient in one `multipoly.product_sum`.  Its lean step multiplies by
+`product`, the package's product into a fresh dict before every packed
+product went through `multipoly._add_product`, so the chain does not run
+the fold that the Horner sum adds through.  `lean_outcome` states what
 `apply_lpdo` gives on any wave: the `refusal` of a wave that is not
 lean, the cap error at `product_degree` past the cap, and otherwise
 `chain_apply_lpdo`'s amplitude.
@@ -174,6 +177,25 @@ def product_sum(variables, pairs) -> MultiPoly:
     return total
 
 
+def product(left: dict, right: dict) -> dict:
+    """The packed numerators of a product, zeros kept: right's terms times
+    each of left's in turn, summed by key."""
+    if len(left) == 1 or len(right) == 1:
+        # Times one term: shifting the keys keeps them distinct, so no lookups.
+        one, many = (left, right) if len(left) == 1 else (right, left)
+        ((k1, (c, e)),) = one.items()
+        return {k1 + k2: (a * c - b * e, a * e + b * c) for k2, (a, b) in many.items()}
+    out: dict[int, tuple[int, int]] = {}
+    get = out.get
+    terms = list(right.items())
+    for k1, (a, b) in left.items():
+        for k2, (c, e) in terms:
+            key = k1 + k2
+            re, im = get(key, (0, 0))
+            out[key] = (re + a * c - b * e, im + a * e + b * c)
+    return out
+
+
 def apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
     """The package's chain of shared derivative prefixes on the routes above."""
     names = wave.variables
@@ -226,7 +248,7 @@ def chain_apply_lpdo(op: LPDO, wave: ExpWave) -> ExpWave:
                 den, num = chain[-1]
                 if lean:
                     gradient = table[a][1]
-                    num = multipoly._product(num, gradient._num)
+                    num = product(num, gradient._num)
                     chain.append((den * gradient._den,
                                   multipoly._nonzero(names, num) if (0, 0) in num.values() else num))
                 else:  # an axis missing from the universe raises in `partial`

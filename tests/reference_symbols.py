@@ -8,7 +8,7 @@ The routes they replaced live here unchanged: `symbol_of` and
 `compose_const` multiplies constant tables, `synthesize` composes
 operators one power at a time, and the reconstruction raises |xi|^2 and
 tau to a fresh power for every entry.  The tests require the two routes
-to give the same values, in the same term and key order.
+to give the same values, held in any term and key order.
 
 `radial_decompose` is the radial route the package replaced with one pass
 over packed monomials: split the symbol into tau-slices and homogeneous

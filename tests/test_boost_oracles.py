@@ -26,10 +26,12 @@ from galinv import (
     BoostWitness,
     GaussianRational,
     InconsistencyError,
+    MultiPoly,
     boost_commutator_defect,
     check_boost_invariance_fixed_gauge,
     classify_power_form,
     compose_const,
+    parse_operator,
     symbol_of,
     synthesize,
 )
@@ -155,6 +157,33 @@ def test_witness_search_fails_fast_when_routes_disagree():
     with pytest.raises(InconsistencyError):
         _boost_witness(op, Fraction(1), symbol_of(op).poly)
     assert time.perf_counter() - start < 1.0
+
+
+def test_witness_search_doubles_its_bound_after_100_points(monkeypatch):
+    """The first 100 points compare equal, so the witness is the 101st: the
+    seeded draws of 100 points over `boost_vars(n)` at bound 3, then one
+    point at bound 6."""
+    n, lam = 2, Fraction(1)
+    op = parse_operator("Dt + Dx1^2 + 3*Dx2", n)
+    p = symbol_of(op).poly
+    evaluate, calls = MultiPoly.evaluate, []
+
+    def equal_at_first(poly, point):
+        calls.append(point)
+        return GaussianRational() if len(calls) <= 200 else evaluate(poly, point)
+
+    monkeypatch.setattr(MultiPoly, "evaluate", equal_at_first)
+    witness = _boost_witness(op, lam, p)
+    monkeypatch.undo()
+    rng = random.Random(WITNESS_SEED)
+    for bound in [3] * 100 + [6]:
+        point = {name: random_rational(rng, bound) for name in universe.boost_vars(n)}
+    v = tuple(point[universe.boost(a)] for a in range(1, n + 1))
+    xi = tuple(point[universe.freq_space(a)] for a in range(1, n + 1))
+    assert witness == BoostWitness(lam, v, point[universe.FREQ_TIME], xi)
+    assert len(calls) == 202 and calls[-1] == point
+    assert max(max(abs(x.numerator), x.denominator) for x in point.values()) > 3
+    assert witness.reverify(op)
 
 
 def test_named_operators_agree_with_residue_route():

@@ -94,7 +94,7 @@ def test_power_checks_the_cap_before_any_product(monkeypatch):
     def refused(*args):
         raise AssertionError("a product was taken")
 
-    monkeypatch.setattr("galinv.multipoly._product", refused)
+    monkeypatch.setattr("galinv.multipoly._add_product", refused)
     with pytest.raises(ValueError, match=f"^term degree 155 exceeds the cap of {MAX_TOTAL_DEGREE}$"):
         p**5
 

@@ -172,7 +172,8 @@ def test_powers_match_reference(pair, k):
         assert_same_outcome(operator.pow, (p, k), (r, k))
         return
     # Over the cap both raise; the package names the power's own degree,
-    # before any product, where squaring names the first term it meets.
+    # before any product, where squaring names the first square or
+    # product past the cap.
     got, want = outcome(operator.pow, p, k), outcome(operator.pow, r, k)
     assert want[0] == "ValueError" and want[1].endswith(f"exceeds the cap of {MAX_TOTAL_DEGREE}")
     assert got == ("ValueError", f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}")
@@ -182,8 +183,8 @@ def test_powers_match_reference(pair, k):
 @given(st.sampled_from(UNIVERSES), st.data())
 def test_products_over_the_cap_fail_like_reference(variables, data):
     """Both factors hold a term of degree 33, so their product has a
-    nonzero part of degree 66 or more; the first term over the cap, in
-    term order, must name the same degree."""
+    nonzero part of degree 66 or more; both kernels must name its
+    largest degree."""
     factors = []
     for _ in range(2):
         terms = data.draw(term_maps(variables))
@@ -239,7 +240,8 @@ def test_substitute_matches_reference(pair, data):
         return
     # Over the cap both raise.  Where a power of a bound image fails first,
     # the package names that power's own degree, and squaring the first
-    # term it meets; a failing product names the same term in both.
+    # square or product past the cap; a failing product names its largest
+    # degree in both.
     powers = {e * image.total_degree() for name, image in new.items() if isinstance(image, MultiPoly)
               for e in {exps[names.index(name)] for exps in p.terms}}
     got = outcome(method("substitute"), p, new)
@@ -383,6 +385,50 @@ def test_substitute_foreign_targets_match_reference():
     assert kinds == ["ok"] * 2 + ["ValueError"] * 3 + ["ok"] * 3 + ["ValueError"] * 3
     assert outcomes[2][1] == "variable 'b' is not in universe ('w0',)"
     assert outcomes[-2][1] == "term degree 65 exceeds the cap of 64"
+
+
+@st.composite
+def reordered_factors(draw):
+    """A universe and two factors, each as its terms in two insertion orders;
+    most hold a term of degree 33, so that their product passes the cap."""
+    variables = draw(st.sampled_from(UNIVERSES))
+    factors = []
+    for _ in range(2):
+        terms = draw(term_maps(variables))
+        if draw(st.integers(0, 3)):
+            top = [0] * len(variables)
+            top[draw(st.integers(0, len(variables) - 1))] = MAX_TOTAL_DEGREE // 2 + 1
+            terms[tuple(top)] = draw(scalars.filter(bool))
+        items = list(terms.items())
+        factors.append((items, draw(st.permutations(items))))
+    return variables, factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(reordered_factors())
+@example((("x", "y"), [
+    ([((33, 0), 1), ((0, 40), 1)], [((0, 40), 1), ((33, 0), 1)]),
+    ([((33, 0), 1), ((0, 30), 1)], [((33, 0), 1), ((0, 30), 1)]),
+]))  # term by term, the first order met degree 66 first and the second 73
+def test_cap_errors_do_not_depend_on_term_order(case):
+    """Equal factors built in other term orders give the same product,
+    product sum and substitution, or the same error, which names the
+    largest degree past the cap, as the reference does."""
+    variables, ((p_items, p_shuffled), (q_items, q_shuffled)) = case
+    ab = MultiPoly(("a", "b"), {(1, 1): 1})
+
+    def outcomes(p_terms, q_terms):
+        p, q = MultiPoly(variables, dict(p_terms)), MultiPoly(variables, dict(q_terms))
+        return [outcome(operator.mul, p, q),
+                outcome(product_sum, variables, [(p, (q._den, q._num)), (q, (p._den, p._num))]),
+                outcome(method("substitute"), ab, {"a": p, "b": q})]
+
+    got = outcomes(p_items, q_items)
+    assert outcomes(p_shuffled, q_shuffled) == got
+    assert got[0] == outcome(operator.mul, ref.MultiPoly(variables, dict(p_shuffled)),
+                             ref.MultiPoly(variables, dict(q_shuffled)))
+    if got[0][0] != "ok":
+        assert got[1] == got[2] == got[0]
 
 
 @st.composite

@@ -218,8 +218,9 @@ def _cap_cases():
 @pytest.mark.parametrize("case", list(_cap_cases()))
 def test_a_coefficient_past_the_cap_fails_as_the_packed_chain_does(case):
     """`LPDO` caps coefficient degree plus order, so only a direct call on a
-    lean wave reaches this.  The chain names its first term past the cap;
-    `apply_lpdo` names the largest degree, 60 plus the coefficient's."""
+    lean wave reaches this.  The chain names the degree of its first
+    product past the cap; `apply_lpdo` names the largest degree, 60 plus
+    the coefficient's."""
     op, wave = case
     got = applied(apply_lpdo, op, wave)
     assert_same_internals(got, ref.lean_outcome(op, wave))
@@ -298,14 +299,13 @@ def test_horner_multiplies_no_gradient_into_a_parent_on_the_plane_wave(monkeypat
     and shift its coefficient and no trie is walked; pulled back at lam = 0
     only the t-gradient has more than one term, so only its chain is walked."""
     products = []
-    for name in ("_product", "_add_product"):
-        inner = getattr(galinv.oracle, name)
+    inner = galinv.oracle._add_product
 
-        def counted(*args, inner=inner):
-            products.append(args[-1])
-            return inner(*args)
+    def counted(*args):
+        products.append(args[-1])
+        return inner(*args)
 
-        monkeypatch.setattr(galinv.oracle, name, counted)
+    monkeypatch.setattr(galinv.oracle, "_add_product", counted)
     ops = [parse_operator(text, n=3) for text in
            ("3 + Dt + 2*Dt^2 + Dt*Dx1 + (1/2)*Dx1 + x1*Dx1^2", "(2i*Dt+Lap)^4", "t*(2i*Dt + Lap) + Dx1*Dx2*Dx3")]
     lean = waves(3, [Fraction(1, 2), -1, 2], Fraction(1), Fraction(3, 2), Fraction(1))

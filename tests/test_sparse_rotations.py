@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from galinv import (
@@ -198,6 +198,7 @@ def symbols_with_orbits(draw):
             key = draw(st.sampled_from(sorted(table)))
             table[key] = table[key] + draw(gaussians)
     table = {key: c for key, c in table.items() if c}
+    assume(table)  # dropping the only orbit's coefficient leaves the zero operator
     return n, table
 
 

@@ -125,6 +125,13 @@ _COMMANDS = {
 }
 
 
+# The options of each subcommand that take a value.
+_VALUED = {name: ("--format", "--n") + ("--lambda",) * lam for name, (_, _, lam) in _COMMANDS.items()}
+_VALUED["synthesize"] += ("--coeffs",)
+_VALUED["theta"] += ("--c", "--v")
+_VALUED["oracle"] += ("--seed", "--count")
+
+
 def build_arg_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The galinv parser.  Every subcommand is registered with its help, so
     usage lines and errors name all eight; given a subcommand, only its
@@ -229,6 +236,35 @@ def _run(args) -> tuple[dict[str, str | None], int]:
     raise ValueError(f"unknown command {command!r}")
 
 
+def _dashed(argv: list[str]) -> list[str]:
+    """argv with each value that begins with "-" marked as a value, which
+    argparse would read as an option unless it looks like a negative number:
+    after an option that takes one, it is joined to it as --opt=value, and an
+    operator, the first operand, moves to the end, after "--".  "-h" and the
+    tokens that begin with "--" stay options; argv that holds "--" already
+    is left as it is."""
+    if not argv or argv[0] not in _COMMANDS or "--" in argv:
+        return argv
+
+    def option(token: str) -> bool:
+        return token == "-h" or token.startswith("--")
+
+    valued, operator = _VALUED[argv[0]], _COMMANDS[argv[0]][1]
+    out, moved, seen, i = argv[:1], [], not operator, 1
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        if i < len(argv) and not option(argv[i]) and option(token) and any(v.startswith(token) for v in valued):
+            value, i = argv[i], i + 1
+            out += [f"{token}={value}"] if value.startswith("-") else [token, value]
+        elif token.startswith("-") and not option(token) and not seen:
+            moved.append(token)
+            seen = True
+        else:
+            seen = seen or not token.startswith("-")
+            out.append(token)
+    return out + ["--", *moved] if moved else out
+
+
 def _render(report: dict[str, str | None], kv: bool) -> str:
     """The report's keys that hold a value, in `_KEYS` order, as key=value
     lines or as "key: value" lines."""
@@ -237,8 +273,7 @@ def _render(report: dict[str, str | None], kv: bool) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = _dashed(list(sys.argv[1:] if argv is None else argv))
     parser = build_arg_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)

@@ -255,8 +255,14 @@ class MultiPoly:
 
         All polynomial binding values must share one universe; that becomes
         the universe of the result.  Unbound variables that a term uses pass
-        through unchanged and must therefore exist in the target universe.
-        With no polynomial bindings the universe is unchanged.
+        through unchanged and must therefore exist in the target universe;
+        else the first in universe order raises.  With no polynomial bindings
+        the universe is unchanged.  A term that uses a variable bound to 0
+        has no image.  The others are grouped by their bound exponents, and
+        `product_sum` takes one pair per group: a product of bound powers and
+        q, the group's unbound parts moved into the target.  Degrees add
+        exactly under products, so the largest image degree is checked
+        against the cap first, before any power or product is taken.
         """
         if not bindings:
             return self
@@ -271,54 +277,49 @@ class MultiPoly:
                     )
         if target is None:
             target = self.variables
-        resolved: dict[str, MultiPoly] = {}
-        for name, value in bindings.items():
-            self._index(name)  # unknown binding target -> error
-            if isinstance(value, MultiPoly):
-                resolved[name] = value
-            else:
-                resolved[name] = MultiPoly.const(target, value)
-        if target == self.variables and not self.degree_in(*resolved):
+        images: dict[int, MultiPoly] = {}
+        for name, value in bindings.items():  # an unknown binding target raises
+            images[self._index(name)] = value if isinstance(value, MultiPoly) else MultiPoly.const(target, value)
+        images, used = {i: images[i] for i in sorted(images)}, 0
+        for key in self._num:
+            used |= key
+        bound = sum(255 << 8 * i for i in images)
+        if target == self.variables and not used & bound:
             return self  # no term uses a bound variable
-        width, one = len(self.variables), MultiPoly.const(target, 1)
-        # An unbound power var**e is the key offset e*step, unless a product
-        # may pass the cap: then every power is multiplied in, to raise there.
-        literal = self.total_degree() * max(1, *(v.total_degree() for v in resolved.values())) > MAX_TOTAL_DEGREE
-        powers: dict[tuple[int, int], MultiPoly] = {}
-        steps: dict[int, int] = {}
-        images: list[tuple[MultiPoly, tuple[int, dict]]] = []  # the pairs `product_sum` takes
+        one, top = MultiPoly.const(target, 1), 8 * len(target)
+        # The key step in the target of each unbound variable that a term uses.
+        steps = [(8 * i, (1 << 8 * one._index(name)) + (1 << top))
+                 for i, name in enumerate(self.variables) if i not in images and used >> 8 * i & 255]
+        zero = sum(255 << 8 * i for i, image in images.items() if image.is_zero)
+        groups: dict[int, dict] = {}
         for key, pair in self._num.items():
-            term, offset = None, 0
-            for i, e in enumerate(key.to_bytes(width + 1, "little")[:width]):
-                if not e:
-                    continue
-                name = self.variables[i]
-                if literal or name in resolved:
-                    power = powers.get((i, e))
-                    if power is None:
-                        base = resolved.get(name) or MultiPoly.var(target, name)
-                        power = powers[(i, e)] = base**e if e > 1 else base
-                    term = power if term is None else term * power
-                    continue
-                if i not in steps:  # placed only once a term uses it
-                    steps[i] = (1 << 8 * one._index(name)) + (1 << 8 * len(target))
-                offset += e * steps[i]
-            images.append((one if term is None else term, (self._den, {offset: pair})))
-        return product_sum(target, images)
+            if not key & zero:
+                offset = 0
+                for shift, step in steps:
+                    offset += (key >> shift & 255) * step
+                groups.setdefault(key & bound, {})[offset] = pair
+        factors = {b: [(i, b >> 8 * i & 255) for i in images if b >> 8 * i & 255] for b in groups}
+        degrees = {i: image.total_degree() for i, image in images.items()}
+        _check_cap(max((sum(e * degrees[i] for i, e in factors[b]) + (max(q) >> top)
+                        for b, q in groups.items()), default=0))
+        powers = {(i, e): images[i] ** e for i, e in {f for fs in factors.values() for f in fs}}
+        return product_sum(target, [(prod((powers[f] for f in factors[b]), start=one), (self._den, q))
+                                    for b, q in groups.items()])
 
     def evaluate(self, assignment: Mapping[str, GaussianLike]) -> GaussianRational:
-        """Exact value at a point; every variable that appears needs a value.
+        """Exact value at a point; every variable that appears needs a value,
+        and the first in universe order that has none raises.
 
         For a variable of top degree D at the value z/d (z a Gaussian
         integer), a table holds z^e * d^(D-e) for e = 0..D, so each term is
         an integer pair over den * d^D, summed once and normalised once."""
         width = len(self.variables)
         packed = b"".join(key.to_bytes(width + 1, "little") for key in self._num)
-        columns = ((packed[i :: width + 1], i) for i in range(width))
         den, tables = self._den, []
-        # By the first term using each variable, so a missing value raises as term by term would.
-        for _, i, top in sorted((len(c) - len(c.lstrip(b"\0")), i, max(c)) for c, i in columns if any(c)):
-            name = self.variables[i]
+        for i, name in enumerate(self.variables):
+            top = max(packed[i :: width + 1], default=0)
+            if not top:
+                continue
             if name not in assignment:
                 raise ValueError(f"no value supplied for variable {name!r}")
             a, b, d = as_gaussian(assignment[name])._t
@@ -480,23 +481,18 @@ def _partial(variables: tuple[str, ...], index: int, num: dict) -> dict:
 
 def product_sum(variables: Sequence[str], pairs: Iterable[tuple[MultiPoly, tuple[int, dict]]]) -> MultiPoly:
     """sum(p.extend(variables) * q for p, (den, num) in pairs), where q = num/den is
-    packed over `variables` with no zero term and none past the cap, its content
-    not necessarily divided out.  Each product is added up key by key into one
-    dict as the pairs come, and the zeros dropped once at the end.  Degrees add
-    exactly under products, so a pair whose product passes the cap raises before
-    it is taken, naming deg p + deg q, the largest degree of that product, as
-    `total + p.extend(variables) * q` does."""
+    packed over `variables` with no zero term, its content not necessarily
+    divided out.  Each product is added up key by key into one dict as the
+    pairs come, and `_make` drops the zeros and checks the cap once, on the
+    sum.  Each caller bounds every product's degree, deg p + deg q, before
+    the call: past degree 255 the packed keys would carry."""
     variables = _universe(variables)
-    shift = 8 * len(variables)
     den, accum, lead = 1, {}, None  # lead: a universe that begins `variables`
     for p, (d, terms) in pairs:
         if p.variables is not lead and p.variables == variables[: len(p.variables)]:
             lead = p.variables
         if not (p.variables is lead and len(p._num) == 1 and 0 in p._num):
-            # q times a constant needs no embedding, and keeps q's degree
-            p = p.extend(variables)
-            if p._num and terms:
-                _check_cap(max(p._num) + max(terms) >> shift)
+            p = p.extend(variables)  # q times a constant needs no embedding
         den, accum = _add_product(den, accum, d * p._den, p._num, terms)
     return MultiPoly._make(variables, den, accum)
 

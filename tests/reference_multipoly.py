@@ -15,7 +15,15 @@ identical internals and errors.
 integer pair over the point's denominators: it takes each power as a
 `GaussianRational` once and sums the terms in integers per denominator.
 The tests require the two evaluators to return equal values and to raise
-the same error for a missing variable.
+the same error for a missing variable, which names the first one in
+universe order that a term uses.
+
+`per_term_substitute` is the packed `substitute` before it grouped terms
+by their bound exponents: one image per term, each a product of cached
+powers, and, when a product might pass the cap, every power multiplied
+in, unbound ones too, so that the first failing term raises.  The tests
+require the grouped route to give the same value and packed internals
+wherever this one does not raise.
 
 `radial_parts` is the packed radial scan before it halved an even xi
 pattern with one shift and read a term's degree off its degree byte: it
@@ -33,7 +41,7 @@ from operator import add
 from typing import Iterator, Mapping, Sequence
 
 from galinv.gaussrat import GaussianLike, GaussianRational, _normal, as_gaussian, format_gaussian
-from galinv.multipoly import MAX_TOTAL_DEGREE
+from galinv.multipoly import MAX_TOTAL_DEGREE, product_sum
 
 Exponents = tuple[int, ...]
 
@@ -457,6 +465,9 @@ def evaluate(poly, assignment):
     """`MultiPoly.evaluate` on a packed polynomial, each power taken once
     and the terms summed in integers per denominator."""
     width = len(poly.variables)
+    for i, name in enumerate(poly.variables):
+        if name not in assignment and any(key >> 8 * i & 255 for key in poly._num):
+            raise ValueError(f"no value supplied for variable {name!r}")
     powers: dict[tuple[int, int], tuple[int, int, int]] = {}
     sums: dict[int, tuple[int, int]] = {}
     for key, (re, im) in poly._num.items():
@@ -466,13 +477,56 @@ def evaluate(poly, assignment):
                 continue
             power = powers.get((i, e))
             if power is None:
-                name = poly.variables[i]
-                if name not in assignment:
-                    raise ValueError(f"no value supplied for variable {name!r}")
-                power = powers[(i, e)] = (as_gaussian(assignment[name]) ** e)._t
+                power = powers[(i, e)] = (as_gaussian(assignment[poly.variables[i]]) ** e)._t
             a, b, d = power
             re, im, den = re * a - im * b, re * b + im * a, den * d
         a, b = sums.get(den, (0, 0))
         sums[den] = (a + re, b + im)
     parts = (_normal(re, im, d * poly._den) for d, (re, im) in sums.items())
     return sum(parts, GaussianRational())
+
+
+def per_term_substitute(poly, bindings):
+    """`MultiPoly.substitute` on a packed polynomial, one image per term, summed
+    by `product_sum`.  An unbound power var**e is the key offset e*step, unless
+    a product may pass the cap: then every power is multiplied in, to raise at
+    the first term, in the order the polynomial holds them, whose image fails."""
+    if not bindings:
+        return poly
+    cls = type(poly)
+    target = None
+    for value in bindings.values():
+        if isinstance(value, cls):
+            if target is None:
+                target = value.variables
+            elif value.variables != target:
+                raise ValueError(f"bindings mix universes {target} and {value.variables}")
+    if target is None:
+        target = poly.variables
+    resolved = {}
+    for name, value in bindings.items():
+        poly._index(name)  # unknown binding target -> error
+        resolved[name] = value if isinstance(value, cls) else cls.const(target, value)
+    if target == poly.variables and not poly.degree_in(*resolved):
+        return poly  # no term uses a bound variable
+    width, one = len(poly.variables), cls.const(target, 1)
+    literal = poly.total_degree() * max(1, *(v.total_degree() for v in resolved.values())) > MAX_TOTAL_DEGREE
+    powers, steps, images = {}, {}, []
+    for key, pair in poly._num.items():
+        term, offset = None, 0
+        for i, e in enumerate(key.to_bytes(width + 1, "little")[:width]):
+            if not e:
+                continue
+            name = poly.variables[i]
+            if literal or name in resolved:
+                power = powers.get((i, e))
+                if power is None:
+                    base = resolved.get(name) or cls.var(target, name)
+                    power = powers[(i, e)] = base**e if e > 1 else base
+                term = power if term is None else term * power
+                continue
+            if i not in steps:  # placed only once a term uses it
+                steps[i] = (1 << 8 * one._index(name)) + (1 << 8 * len(target))
+            offset += e * steps[i]
+        images.append((one if term is None else term, (poly._den, {offset: pair})))
+    return product_sum(target, images)

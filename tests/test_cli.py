@@ -459,3 +459,59 @@ def test_usage_output_matches_the_full_parser(capsys, monkeypatch, argv):
     full = cli.build_arg_parser
     monkeypatch.setattr(cli, "build_arg_parser", lambda command=None: full())
     assert lean == (main(argv), *capsys.readouterr())
+
+
+# Option values and operators that begin with "-", in the space syntax:
+# (argv, the same argv in argparse's own unambiguous syntax, status, verdict).
+_DASHED_CASES = [
+    (["check-boost", "i*Dt - Dx1*Dx1", "--lambda", "-1/2", "--n", "1"],
+     ["check-boost", "i*Dt - Dx1*Dx1", "--lambda=-1/2", "--n", "1"], 0, "invariant"),
+    (["theta", "--lambda", "1", "--c", "-1/3"], ["theta", "--lambda", "1", "--c=-1/3"], 0, "ok"),
+    (["theta", "--lambda", "-1/2", "--v", "-1,2"], ["theta", "--lambda=-1/2", "--v=-1,2"], 0, "ok"),
+    (["synthesize", "--lambda", "1", "--coeffs", "-1,1", "--n", "1"],
+     ["synthesize", "--lambda", "1", "--coeffs=-1,1", "--n", "1"], 0, "ok"),
+    (["check-translation", "-Lap", "--n", "2"], ["check-translation", "--n", "2", "--", "-Lap"], 0, "invariant"),
+    (["check-translation", "--n", "2", "-t*Dx1"], ["check-translation", "--n", "2", "--", "-t*Dx1"], 1, "not-invariant"),
+    (["classifym", "-2i*Dt + Lap", "--lam", "-1", "--n", "2"],
+     ["classifym", "--lambda=-1", "--n", "2", "--", "-2i*Dt + Lap"], 0, "accept"),
+    (["check-boost", "Dt", "--lambda", "-1", "--n", "1"], ["check-boost", "Dt", "--lambda=-1", "--n", "1"],
+     1, "not-invariant"),
+]
+
+
+@pytest.mark.parametrize("argv, plain, status, verdict", _DASHED_CASES, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_values_that_begin_with_a_dash_are_values(capsys, argv, plain, status, verdict):
+    got = run(capsys, *argv, "--format", "kv")
+    assert got == run(capsys, plain[0], "--format", "kv", *plain[1:])
+    assert got[0] == status and kv(got[1])["verdict"] == verdict
+    assert capsys.readouterr().err == ""
+
+
+def test_a_printed_negative_lambda_passes_back_with_the_space_syntax(capsys):
+    status, out = run(capsys, "classify2", "i*Dt - Dx1*Dx1", "--n", "1", "--format", "kv")
+    assert status == 0 and kv(out)["lambda"] == "-1/2"
+    status, out = run(capsys, "check-boost", "i*Dt - Dx1*Dx1", "--lambda", kv(out)["lambda"], "--n", "1", "--format", "kv")
+    assert status == 0 and kv(out)["verdict"] == "invariant"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["check-boost", "Dt", "--lambda", "-h"], "argument --lambda: expected one argument"),
+    (["classify2", "Dt", "--bogus", "-1"], "unrecognized arguments: --bogus -1"),
+    (["classify2", "Dt", "-1"], "unrecognized arguments: -1"),
+])
+def test_tokens_that_name_options_or_follow_the_operator_are_left_alone(capsys, argv, err):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.rstrip().endswith(err)
+
+
+def test_a_dash_before_the_operator_still_shows_help(capsys):
+    assert main(["check-translation", "-Lap", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: galinv check-translation")
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_the_valued_options_are_the_options_that_take_a_value(command):
+    sub = _subparsers(build_arg_parser(command))[command]
+    taking = {name for a in sub._actions if a.nargs != 0 for name in a.option_strings}
+    assert set(cli._VALUED[command]) == taking

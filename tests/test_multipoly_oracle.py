@@ -211,42 +211,80 @@ def test_calculus_and_structure_match_reference(pair, data):
     assert_same_outcome(method("extend"), (p, target[1:]), (r, target[1:]))
 
 
-@settings(max_examples=30, deadline=None)
-@given(polys(max_terms=3, max_degree=3), st.data())
-def test_substitute_matches_reference(pair, data):
-    p, r = pair
+@st.composite
+def substitute_cases(draw, max_terms=3, max_degree=3):
+    """A polynomial in both kernels and bindings of some of its variables, to
+    scalars (0 among them) or to images of degree up to 2 over the same
+    universe, a wider one, or a foreign one that may lack unbound variables."""
+    p, r = draw(polys(max_terms=max_terms, max_degree=max_degree))
     names = p.variables
-    kind = data.draw(st.sampled_from(("same", "wider", "foreign")))
+    kind = draw(st.sampled_from(("same", "wider", "foreign")))
     if kind == "same":
         target = names
     elif kind == "wider":
         target = names + ("w0", "w1")
     else:
         target = ("w0", "w1", "w2")
-    bound = data.draw(st.lists(st.sampled_from(names), unique=True))
+    bound = draw(st.lists(st.sampled_from(names), unique=True))
     if kind == "foreign":
-        bound = list(names) if data.draw(st.booleans()) else bound
+        bound = list(names) if draw(st.booleans()) else bound
     new, old = {}, {}
     for name in bound:
-        if data.draw(st.booleans()):
-            value = data.draw(scalars)
+        if draw(st.booleans()):
+            value = draw(scalars)
             new[name] = old[name] = value
         else:
-            image, ref_image = data.draw(polys(target, max_terms=2, max_degree=2))
-            new[name], old[name] = image, ref_image
-    want = outcome(method("substitute"), r, old)
-    if not (want[0] == "ValueError" and want[1].endswith(f"exceeds the cap of {MAX_TOTAL_DEGREE}")):
-        assert_same_outcome(method("substitute"), (p, new), (r, old))
-        return
-    # Over the cap both raise.  Where a power of a bound image fails first,
-    # the package names that power's own degree, and squaring the first
-    # square or product past the cap; a failing product names its largest
-    # degree in both.
-    powers = {e * image.total_degree() for name, image in new.items() if isinstance(image, MultiPoly)
-              for e in {exps[names.index(name)] for exps in p.terms}}
+            new[name], old[name] = draw(polys(target, max_terms=2, max_degree=2))
+    return (p, new), (r, old)
+
+
+def substitution_model(r, old):
+    """`substitute`'s outcome from its rules, over the reference kernel.
+    Mixed universes and unknown names raise as the reference does.  Then the
+    first variable in universe order that a term uses, that no binding names
+    and that the target lacks is named.  Then the cap is checked on the
+    largest image degree, over the terms that use no variable bound to 0: a
+    term's image has degree sum(e_i * deg(image_i)) over its bound variables
+    plus its unbound degree.  Else the value is the reference's, on the
+    terms kept."""
+    images = [value for value in old.values() if isinstance(value, ref.MultiPoly)]
+    target = images[0].variables if images else r.variables
+    if any(image.variables != target for image in images) or not set(old) <= set(r.variables):
+        return outcome(method("substitute"), r, old)
+    for i, name in enumerate(r.variables):
+        if name not in old and name not in target and any(exps[i] for exps in r.terms):
+            return "ValueError", f"variable {name!r} is not in universe {target}"
+    degree = {name: value.total_degree() if isinstance(value, ref.MultiPoly) else 0 for name, value in old.items()}
+    kept = {exps: coeff for exps, coeff in r.terms.items()
+            if not any(e and name in old and old[name] == 0 for name, e in zip(r.variables, exps))}
+    top = max((sum(e * degree.get(name, 1) for name, e in zip(r.variables, exps)) for exps in kept), default=0)
+    if top > MAX_TOTAL_DEGREE:
+        return "ValueError", f"term degree {top} exceeds the cap of {MAX_TOTAL_DEGREE}"
+    return outcome(method("substitute"), ref.MultiPoly(r.variables, kept), old)
+
+
+@settings(max_examples=30, deadline=None)
+@given(substitute_cases())
+def test_substitute_matches_reference(case):
+    """The reference's value, or the error the rules name; past the cap the
+    reference raises at its first failing product instead, in term order."""
+    (p, new), (r, old) = case
     got = outcome(method("substitute"), p, new)
-    assert got == want or got in {
-        ("ValueError", f"term degree {degree} exceeds the cap of {MAX_TOTAL_DEGREE}") for degree in powers}
+    assert got == substitution_model(r, old)
+    if got[0] == "ok":
+        assert_canonical(p.substitute(new))
+
+
+@settings(max_examples=60, deadline=None)
+@given(substitute_cases(max_terms=5, max_degree=4))
+def test_grouped_substitute_matches_the_per_term_route(case):
+    """Wherever the per-term route returns, the grouped route gives the same
+    value and the same packed internals."""
+    (p, new), _ = case
+    want = outcome(ref.per_term_substitute, p, new)
+    if want[0] == "ok":
+        assert outcome(method("substitute"), p, new) == want
+        assert_same_internals(p.substitute(new), ref.per_term_substitute(p, new))
 
 
 @settings(max_examples=30, deadline=None)
@@ -390,7 +428,10 @@ def test_substitute_foreign_targets_match_reference():
 @st.composite
 def reordered_factors(draw):
     """A universe and two factors, each as its terms in two insertion orders;
-    most hold a term of degree 33, so that their product passes the cap."""
+    most hold a term of degree 33, so that their product passes the cap.
+    Also bindings of some variables, as term maps over a target that may lack
+    the others: 0, a square, or an image of degree up to 2; and a point that
+    may leave variables out."""
     variables = draw(st.sampled_from(UNIVERSES))
     factors = []
     for _ in range(2):
@@ -401,34 +442,72 @@ def reordered_factors(draw):
             terms[tuple(top)] = draw(scalars.filter(bool))
         items = list(terms.items())
         factors.append((items, draw(st.permutations(items))))
-    return variables, factors
+    target = variables
+    if draw(st.booleans()):
+        target = ("w0", *draw(st.lists(st.sampled_from(variables), unique=True)))
+    images = {}
+    for name in draw(st.lists(st.sampled_from(variables), unique=True)):
+        kind = draw(st.sampled_from(("zero", "square", "image")))
+        if kind == "zero":
+            images[name] = {}
+        elif kind == "square":
+            square = [0] * len(target)
+            square[draw(st.integers(0, len(target) - 1))] = 2
+            images[name] = {tuple(square): draw(scalars.filter(bool))}
+        else:
+            images[name] = draw(term_maps(target, max_terms=2, max_degree=2, spikes=False))
+    point = {name: draw(scalars) for name in draw(st.lists(st.sampled_from(variables), unique=True))}
+    return variables, factors, target, images, point
+
+
+XY = ("x", "y")
 
 
 @settings(max_examples=60, deadline=None)
 @given(reordered_factors())
-@example((("x", "y"), [
+@example((XY, [
     ([((33, 0), 1), ((0, 40), 1)], [((0, 40), 1), ((33, 0), 1)]),
     ([((33, 0), 1), ((0, 30), 1)], [((33, 0), 1), ((0, 30), 1)]),
-]))  # term by term, the first order met degree 66 first and the second 73
+], XY, {}, {}))  # term by term, the first order met degree 66 first and the second 73
+@example((XY, [([((33, 0), 1), ((0, 40), 1)], [((0, 40), 1), ((33, 0), 1)]), ([((1, 0), 1)], [((1, 0), 1)])],
+          XY, {"x": {(2, 0): 1}, "y": {(0, 2): 1}}, {"x": 1, "y": 1}))  # per term: 66 or 80, by order
+@example((XY, [([((1, 40), 1)], [((1, 40), 1)]), ([((1, 0), 1)], [((1, 0), 1)])],
+          XY, {"x": {}, "y": {(0, 2): 1}}, {"x": 1, "y": 1}))  # x*y^40 at x = 0: per term, degree 80
+@example((("a", "b", "c"), [
+    ([((1, 0, 0), 1), ((0, 0, 1), 1)], [((0, 0, 1), 1), ((1, 0, 0), 1)]), ([((0, 1, 0), 1)], [((0, 1, 0), 1)]),
+], ("w0",), {"b": {(1,): 1}}, {"a": 1, "b": 1, "c": 1}))  # a + c, b -> w0: per term, 'a' or 'c'
+@example((("a", "b", "c"), [
+    ([((1, 0, 0), 1), ((0, 40, 0), 1)], [((0, 40, 0), 1), ((1, 0, 0), 1)]), ([((0, 1, 0), 1)], [((0, 1, 0), 1)]),
+], ("w0",), {"b": {(2,): 1}}, {"a": 1, "b": 1, "c": 1}))  # a + b^40, b -> w0^2: per term, 'a' or degree 80
+@example((("a", "b", "c"), [
+    ([((0, 0, 2), 1), ((1, 1, 0), 1)], [((1, 1, 0), 1), ((0, 0, 2), 1)]), ([((0, 1, 0), 1)], [((0, 1, 0), 1)]),
+], ("a", "b", "c"), {}, {}))  # c^2 + a*b at no point: by first use, 'c' or 'a'
 def test_cap_errors_do_not_depend_on_term_order(case):
     """Equal factors built in other term orders give the same product,
-    product sum and substitution, or the same error, which names the
-    largest degree past the cap, as the reference does."""
-    variables, ((p_items, p_shuffled), (q_items, q_shuffled)) = case
+    product sum, substitutions and value, or the same error.  A cap error
+    names the largest degree past the cap, as the reference does; a missing
+    variable is the first in universe order; a term whose image is 0 raises
+    nothing."""
+    variables, ((p_items, p_shuffled), (q_items, q_shuffled)), target, images, point = case
     ab = MultiPoly(("a", "b"), {(1, 1): 1})
+    bindings = {name: MultiPoly(target, terms) for name, terms in images.items()}
 
     def outcomes(p_terms, q_terms):
         p, q = MultiPoly(variables, dict(p_terms)), MultiPoly(variables, dict(q_terms))
         return [outcome(operator.mul, p, q),
                 outcome(product_sum, variables, [(p, (q._den, q._num)), (q, (p._den, p._num))]),
-                outcome(method("substitute"), ab, {"a": p, "b": q})]
+                outcome(method("substitute"), ab, {"a": p, "b": q}),
+                outcome(method("substitute"), p, bindings),
+                outcome(method("evaluate"), p, point)]
 
     got = outcomes(p_items, q_items)
     assert outcomes(p_shuffled, q_shuffled) == got
-    assert got[0] == outcome(operator.mul, ref.MultiPoly(variables, dict(p_shuffled)),
-                             ref.MultiPoly(variables, dict(q_shuffled)))
+    r = ref.MultiPoly(variables, dict(p_shuffled))
+    assert got[0] == outcome(operator.mul, r, ref.MultiPoly(variables, dict(q_shuffled)))
     if got[0][0] != "ok":
         assert got[1] == got[2] == got[0]
+    assert got[3] == substitution_model(r, {name: ref.MultiPoly(target, terms) for name, terms in images.items()})
+    assert got[4] == outcome(ref.evaluate, MultiPoly(variables, dict(p_shuffled)), point)
 
 
 @st.composite
@@ -459,11 +538,17 @@ def packed(pairs):
             for k, (p, q) in enumerate(pairs, 1)]
 
 
-def _reference_chain(variables, pairs):
-    total = ref.MultiPoly.zero(variables)
+def _cap_free_sum(variables, pairs):
+    """sum(p.extend(variables) * q) over reference polynomials, with no
+    product checked against the cap: the sum, or `_make`'s error naming its
+    largest degree."""
+    total: dict = {}
     for p, q in pairs:
-        total = total + p.extend(variables) * q
-    return total
+        for e1, c1 in p.extend(variables).terms.items():
+            for e2, c2 in q.terms.items():
+                exps = tuple(map(operator.add, e1, e2))
+                total[exps] = total.get(exps, 0) + c1 * c2
+    return ref.MultiPoly._make(variables, total)
 
 
 @settings(max_examples=80, deadline=None)
@@ -476,19 +561,23 @@ def _reference_chain(variables, pairs):
 @example((("v0",), [
     (build(("v0",), {(2,): 1}), build(("v0",), {(63,): 1})),
     (build(("v0",), {(2,): -1}), build(("v0",), {(63,): 1})),
-]))  # the first product passes the cap, though the second cancels it
+]))  # the first product passes the cap, but not the sum, which cancels it
 def test_product_sum_matches_reference_chain(case):
+    """The cap-free sum, or its error; the chain of `+` and `*` checks each
+    product, so it may raise where the sum does not."""
     variables, pairs = case
     new = [(p, q) for (p, _), (q, _) in pairs]
     old = [(r, rq) for (_, r), (_, rq) in pairs]
     got = outcome(product_sum, variables, iter(packed(new)))
-    assert got == outcome(_reference_chain, variables, old)
-    assert got == outcome(reference_oracle.product_sum, variables, new)
+    assert got == outcome(_cap_free_sum, variables, old)
+    chain = outcome(reference_oracle.product_sum, variables, new)
+    assert chain == got or chain[0] == "ValueError" and chain[1].endswith(f"exceeds the cap of {MAX_TOTAL_DEGREE}")
     if got[0] == "ok":
         value = product_sum(variables, packed(new))
-        assert_same(value, _reference_chain(variables, old))
-        chained = reference_oracle.product_sum(variables, new)
-        assert (value._den, value._num) == (chained._den, chained._num)
+        assert_same(value, _cap_free_sum(variables, old))
+        if chain[0] == "ok":
+            chained = reference_oracle.product_sum(variables, new)
+            assert (value._den, value._num) == (chained._den, chained._num)
 
 
 def unpacked(variables, den, num):

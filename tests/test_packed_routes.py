@@ -354,7 +354,7 @@ def evaluated(fn, poly, point):
 @settings(max_examples=300, deadline=None)
 @given(polys_and_points())
 @example((MultiPoly(("a", "b"), {(1, 0): 1, (0, 2): 1, (2, 1): 1}), {}))  # first term, lowest variable
-@example((MultiPoly(("a", "b"), {(0, 3): 1, (1, 0): 1}), {}))  # b first: its term comes first
+@example((MultiPoly(("a", "b"), {(0, 3): 1, (1, 0): 1}), {}))  # b's term first, a still named
 @example((MultiPoly(("a", "b"), {(12, 0): GaussianRational(1, 2)}), {"a": Fraction(-3, 4)}))
 def test_integer_evaluation_matches_the_reference(case):
     poly, point = case
@@ -362,11 +362,13 @@ def test_integer_evaluation_matches_the_reference(case):
     assert got == evaluated(reference_multipoly.evaluate, poly, point)
 
 
-def test_missing_variable_errors_name_the_first_variable_the_terms_use():
-    poly = MultiPoly(("a", "b", "c"), {(0, 0, 2): 1, (1, 1, 0): 1})
-    for point, name in (({}, "c"), ({"c": 1}, "a"), ({"c": 1, "a": 1}, "b")):
-        with pytest.raises(ValueError, match=f"no value supplied for variable '{name}'"):
-            poly.evaluate(point)
+def test_missing_variable_errors_name_the_first_missing_variable_in_universe_order():
+    """c^2 + a*b, built in both term orders, names the same variable."""
+    for terms in ({(0, 0, 2): 1, (1, 1, 0): 1}, {(1, 1, 0): 1, (0, 0, 2): 1}):
+        poly = MultiPoly(("a", "b", "c"), terms)
+        for point, name in (({}, "a"), ({"a": 1}, "b"), ({"c": 1}, "a"), ({"a": 1, "b": 1}, "c")):
+            with pytest.raises(ValueError, match=f"no value supplied for variable '{name}'"):
+                poly.evaluate(point)
 
 
 def _with_reference_evaluator(monkeypatch, fn):

@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 _HOME = {name: home for home, names in (
     ("gaussrat", "GaussianRational I_UNIT ONE ZERO as_gaussian format_gaussian i_power"),
     ("multipoly", "MAX_DIMENSION MAX_TOTAL_DEGREE MultiPoly"),
-    ("matrices", "OrthogonalMatrix RationalMatrix reflection signed_permutation"),
+    ("matrices", "OrthogonalMatrix reflection signed_permutation"),
     ("waves", "ExpWave plane_wave"),
     ("lpdo", "LPDO Symbol compose_const conjugate_linear_phase "
              "linear_phase operator_of symbol_of"),

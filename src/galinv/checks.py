@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 from . import universe
 from .actions import Translation, conj_rotation, conj_translation
 from .errors import InconsistencyError
-from .gaussrat import ZERO, GaussianLike, GaussianRational, _make, _normal, _triple, _turn, i_power
+from .gaussrat import ZERO, GaussianLike, GaussianRational, _make, _normal, _triple, _turn
 from .lpdo import LPDO, DerivKey, laplacian_symbol, symbol_of
 from .multipoly import MultiPoly, _radial_parts, _relabelling_moves, _symmetric
 from .universe import _Value, random_rational
@@ -174,7 +174,7 @@ class RadialDecomposition(_Value):
         norm2, power, total = -laplacian_symbol(n), MultiPoly.const(names, 1), MultiPoly.zero(names)
         for k in range(1 + max((k for _, k in self.b), default=-1)):
             power = power * norm2 if k else power
-            tau_part = {(0,) * (n + 1) + (j,) + (0,) * n: c * i_power(j)
+            tau_part = {(0,) * (n + 1) + (j,) + (0,) * n: _make(*_turn(_triple(c), j))
                         for (j, kj), c in self.b.items() if kj == k}
             total = total + power * MultiPoly(names, tau_part)
         return total

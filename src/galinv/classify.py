@@ -39,7 +39,7 @@ from .checks import (
     check_translation_invariance,
 )
 from .errors import InconsistencyError
-from .gaussrat import GaussianLike, GaussianRational, as_gaussian
+from .gaussrat import GaussianLike, GaussianRational, _normal, _rational, _triple, as_gaussian
 from .lpdo import LPDO, Symbol, conjugate_linear_phase, linear_phase, schrodinger_symbol
 from .multipoly import MultiPoly
 from .universe import _Value
@@ -213,10 +213,14 @@ def normalize_gauge(verdict: SecondOrderVerdict, op: LPDO) -> GaugeNormalization
         raise ValueError("gauge normalization needs an accepted verdict")
     if verdict.lam == 0:
         raise ValueError("gauge normalization does not apply when lam = 0")
-    gamma = -verdict.beta / (2 * verdict.alpha * verdict.lam)
+    # -beta/(2*alpha*lam) = -beta*conj(alpha)*d*q / (f*(a^2 + b^2)*2p) for alpha = (a + bi)/d,
+    # beta = (c + ei)/f and lam = p/q, the sign of p moved up so the denominator stays positive.
+    (a, b, d), (c, e, f), (p, q) = _triple(verdict.alpha), _triple(verdict.beta), _rational(verdict.lam)
+    m = -d * q if p > 0 else d * q
+    gamma = _normal(m * (c * a + e * b), m * (e * a - c * b), 2 * abs(p) * f * (a * a + b * b))
     phi = linear_phase(op.n, time_coeff=gamma)
     normalized = conjugate_linear_phase(op, phi)
     expected = LPDO.schrodinger_factor(op.n, verdict.lam).scaled(verdict.alpha)
     if normalized != expected:
         raise InconsistencyError("gauge normalization missed the target form")
-    return GaugeNormalization(normalized, phi, gamma.im == 0)
+    return GaugeNormalization(normalized, phi, gamma.is_real)

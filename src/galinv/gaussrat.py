@@ -1,15 +1,17 @@
-"""Exact Gaussian-rational arithmetic.
+"""Exact Gaussian rationals, held as values.
 
 A Gaussian rational is a complex number whose real and imaginary parts are
 both rational.  Each value holds one integer triple (a, b, d) standing for
 (a + b*i)/d, normalised so that d > 0 and gcd(a, b, d) == 1; equal values
-therefore hold identical triples.  Every operation works on the integers
-and normalises its result with a single gcd, so arithmetic is exact,
-equality is decidable, and no floating point appears anywhere.
+therefore hold identical triples, and equality is decidable.  A value is
+what the package returns and prints: it compares, hashes, negates and
+formats, but has no field arithmetic.  The arithmetic runs on the triples
+themselves (`_triple`, `_turn`, `_normal`) and on the packed pairs of
+`multipoly`, each result normalised with a single gcd.
 `fractions.Fraction` appears only at the edges: the constructor accepts
 it, `.re` and `.im` return it, and a real value hashes and compares like
-the rational it equals.  Values are immutable; this is the coefficient
-field for every polynomial in the package.
+the rational it equals.  Values are immutable; they are the coefficients
+of every polynomial in the package.
 """
 
 from __future__ import annotations
@@ -83,62 +85,9 @@ class GaussianRational:
             return hash(self.re)
         return hash((self.re, self.im))
 
-    def __add__(self, other: GaussianLike) -> "GaussianRational":
-        a, b, d = self._t
-        c, e, f = _triple(other)
-        if d == f:
-            return _normal(a + c, b + e, d)
-        return _normal(a * f + c * d, b * f + e * d, d * f)
-
-    __radd__ = __add__
-
     def __neg__(self) -> "GaussianRational":
         a, b, d = self._t
         return _make(-a, -b, d)
-
-    def __sub__(self, other: GaussianLike) -> "GaussianRational":
-        return self + (-as_gaussian(other))
-
-    def __rsub__(self, other: GaussianLike) -> "GaussianRational":
-        return as_gaussian(other) - self
-
-    def __mul__(self, other: GaussianLike) -> "GaussianRational":
-        a, b, d = self._t
-        c, e, f = _triple(other)
-        return _normal(a * c - b * e, a * e + b * c, d * f)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: GaussianLike) -> "GaussianRational":
-        a, b, d = self._t
-        c, e, f = _triple(other)
-        norm = c * c + e * e
-        if not norm:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        # ((a + bi)/d) / ((c + ei)/f) = f*(a + bi)*(c - ei) / (d*(c^2 + e^2))
-        return _normal(f * (a * c + b * e), f * (b * c - a * e), d * norm)
-
-    def __rtruediv__(self, other: GaussianLike) -> "GaussianRational":
-        return as_gaussian(other) / self
-
-    def __pow__(self, exponent: int) -> "GaussianRational":
-        if not isinstance(exponent, int):
-            raise TypeError("exponent must be an integer")
-        if exponent < 0:
-            return (ONE / self) ** (-exponent)
-        result = ONE
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def conjugate(self) -> "GaussianRational":
-        a, b, d = self._t
-        return _make(a, -b, d)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"

@@ -1,10 +1,11 @@
-"""Exact rational matrices and the orthogonal maps that witness rotation rejects.
+"""The exact orthogonal maps that witness rotation rejects.
 
 A rotation reject is witnessed by a reflection, a coordinate permutation
 or the fixed rotation [3/5 -4/5; 4/5 3/5] in the (xi1, xi2) plane, each
 held as an `OrthogonalMatrix` of the few columns it moves and built
 unchecked by `reflection`, `signed_permutation` or `fixed_rotation`.
-Any other map is checked to satisfy R^T R = I.
+Any other map, given as those columns, is checked to satisfy R^T R = I.
+A map is read entry by entry through `entry` or printed whole by `str`.
 """
 
 from __future__ import annotations
@@ -14,38 +15,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .universe import _FrozenValue
-
-
-def _frac_rows(entries) -> tuple[tuple[Fraction, ...], ...]:
-    rows = tuple(tuple(e if type(e) is Fraction else Fraction(e) for e in row) for row in entries)
-    if not rows or not rows[0]:
-        raise ValueError("matrix must be nonempty")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ValueError("matrix rows have unequal lengths")
-    return rows
-
-
-class RationalMatrix(_FrozenValue):
-    _fields = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[Fraction, ...], ...]) -> None:
-        object.__setattr__(self, "entries", _frac_rows(entries))
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
 
 
 class OrthogonalMatrix(_FrozenValue):
@@ -79,35 +48,22 @@ class OrthogonalMatrix(_FrozenValue):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "columns", tuple((a, c) for a, c in sorted(given.items()) if c != ((a, 1),)))
 
-    @classmethod
-    def from_matrix(cls, matrix: RationalMatrix) -> "OrthogonalMatrix":
-        """The map of a square matrix, checked to satisfy R^T R = I."""
-        if matrix.rows != matrix.cols:
-            raise ValueError("orthogonal matrices are square")
-        return cls(matrix.rows, [(a, enumerate(column, 1)) for a, column in enumerate(zip(*matrix.entries), 1)])
-
     def entry(self, i: int, j: int) -> Fraction:
-        """R[i][j], 0-based."""
+        """R[i][j], 0-based; IndexError outside 0..n-1."""
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"entry ({i}, {j}) is outside 0..{self.n - 1}")
         column = dict(self.columns).get(j + 1)
         return Fraction(int(i == j)) if column is None else dict(column).get(i + 1, Fraction(0))
 
-    def _rows(self, cell) -> list[list]:
-        """The identity's rows of cells, each moved column put in."""
-        n, zero = self.n, cell(0)
-        rows = [[zero] * i + [cell(1)] + [zero] * (n - i - 1) for i in range(n)]
-        for a, column in self.columns:
-            rows[a - 1][a - 1] = zero
-            for b, value in column:
-                rows[b - 1][a - 1] = cell(value)
-        return rows
-
-    @property
-    def matrix(self) -> RationalMatrix:
-        """The dense matrix, built on demand."""
-        return RationalMatrix(tuple(map(tuple, self._rows(Fraction))))
-
     def __str__(self) -> str:
-        return "[" + "; ".join(" ".join(row) for row in self._rows(str)) + "]"
+        """The dense rows: the identity's, each moved column put in."""
+        n = self.n
+        rows = [["0"] * i + ["1"] + ["0"] * (n - i - 1) for i in range(n)]
+        for a, column in self.columns:
+            rows[a - 1][a - 1] = "0"
+            for b, value in column:
+                rows[b - 1][a - 1] = str(value)
+        return "[" + "; ".join(" ".join(row) for row in rows) + "]"
 
 
 def _orthogonal(n: int, columns: tuple) -> OrthogonalMatrix:

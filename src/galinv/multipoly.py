@@ -232,11 +232,16 @@ class MultiPoly:
         """k successive products by the base, from 1, which beat repeated
         squaring on sparse powers.  Degrees add exactly under products, so
         the cap is checked before the first one; a constant, whose exponent
-        no degree bounds, takes the scalar power."""
+        no degree bounds, squares its numerator pair in integers over den**k."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take a nonnegative integer exponent")
         if self.is_constant:
-            return _const(self.variables, self.constant_value() ** exponent)
+            (a, b), re, im, k = self._num.get(0, (0, 0)), 1, 0, exponent
+            while k:
+                if k & 1:
+                    re, im = re * a - im * b, re * b + im * a
+                a, b, k = a * a - b * b, 2 * a * b, k >> 1
+            return MultiPoly._make(self.variables, self._den ** exponent, {0: (re, im)})
         _check_cap(exponent * self.total_degree())
         result = _const(self.variables, 1)
         for _ in range(exponent):

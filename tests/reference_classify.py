@@ -22,8 +22,9 @@ generator images (lam*d/dxi_a - xi_a*d/dtau) p of the whole symbol, and
 
 `boost_gauge` is the package's `_boost_gauge` before it decided the
 equation q_tau = 2*lam*q_s on integer triples: it builds c_jk, q_tau and
-q_s as `GaussianRational` dicts and compares them.  The tests require the
-two to return equal values of the same type on every decomposition.
+q_s as dicts of `reference_gaussrat` values and compares them.  The tests
+require the two to return equal values of the same type on every
+decomposition.
 
 `conj_boost_gauge` is the oldest boost route: it substitutes the boosted
 frequency of `reference_oracle.boosted_frequency` into the whole symbol,
@@ -55,10 +56,11 @@ from galinv.classify import (
     SecondOrderVerdict,
 )
 from galinv.errors import InconsistencyError
-from galinv.gaussrat import I_UNIT, GaussianLike, GaussianRational, i_power
+from galinv.gaussrat import GaussianLike, GaussianRational
 from galinv.lpdo import LPDO, symbol_of
 from galinv.multipoly import MultiPoly
 
+import reference_gaussrat as rg
 from reference_oracle import boosted_frequency
 
 STAGE_FORBIDDEN = "forbidden-lower-term"
@@ -98,7 +100,7 @@ def classify_second_order(op: LPDO) -> SecondOrderVerdict:
         )
     if not alpha:
         raise InconsistencyError("order-2 pipeline reached lam with alpha = 0")
-    lam_value = -I_UNIT * a10 / (2 * alpha)
+    lam_value = rg.held(-rg.I_UNIT * a10 / (2 * rg.as_gaussian(alpha)))
     if lam_value.im != 0:
         return SecondOrderVerdict(
             False,
@@ -140,7 +142,7 @@ def classify_power_form(op: LPDO, lam: Fraction | int) -> PowerFormVerdict:
     tau = p.variables.index(universe.FREQ_TIME)
     scale = Fraction(-1, 2) / lam
     coeffs = [
-        p.coefficient(tuple(j if i == tau else 0 for i in range(len(p.variables)))) * scale**j
+        rg.held(rg.as_gaussian(p.coefficient(tuple(j if i == tau else 0 for i in range(len(p.variables))))) * scale**j)
         for j in range(op.order // 2 + 1)
     ]
     if op.order % 2 or not coeffs[-1]:
@@ -154,7 +156,7 @@ def boost_gauge(radial: RadialDecomposition, lam: GaussianLike | None = None):
     With no lam given, lam is derived from the least c_jk != 0 with j >= 1
     (0 if q is free of tau); a given lam is only tested.
     """
-    c = {(j, k): b * i_power(j) for (j, k), b in radial.b.items()}
+    c = {(j, k): rg.i_power(j) * b for (j, k), b in radial.b.items()}
     if lam is None:
         least = min((key for key in c if key[0]), default=None)
         lam = GaussianRational()
@@ -163,9 +165,9 @@ def boost_gauge(radial: RadialDecomposition, lam: GaussianLike | None = None):
             partner = c.get((j - 1, k + 1))
             if not partner:
                 return None
-            lam = j * c[least] / (2 * (k + 1) * partner)
+            lam = rg.held(j * c[least] / (2 * (k + 1) * partner))
     q_tau = {(j - 1, k): j * v for (j, k), v in c.items() if j}
-    q_s = {(j, k - 1): 2 * lam * k * v for (j, k), v in c.items() if k and lam}
+    q_s = {(j, k - 1): 2 * rg.as_gaussian(lam) * k * v for (j, k), v in c.items() if k and lam}
     return lam if q_tau == q_s else None
 
 

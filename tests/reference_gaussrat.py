@@ -1,11 +1,19 @@
 """The Fraction-pair Gaussian-rational kernel, kept as a reference.
 
 The package holds a Gaussian rational as one normalised integer triple
-(a, b, d) for (a + b*i)/d.  The representation it replaced lives here
-unchanged: both parts held as `fractions.Fraction` in a frozen
+(a, b, d) for (a + b*i)/d, a held value with no field arithmetic: its
+`+ - * / **` and `conjugate` left it, and the package computes on the
+triples.  The representation it replaced lives here with that
+arithmetic: both parts held as `fractions.Fraction` in a frozen
 dataclass, each operation built from Fraction arithmetic.  The tests
 require the two kernels to agree exactly, value for value, on every
-operation, string, hash and error.
+value, string, hash and error the package keeps, and compute expected
+values here.
+
+Each operation here also takes a package value as an operand, and a
+reference value equals the package value of the same parts and hashes
+like it.  `held` is the one converter back into
+`galinv.GaussianRational`, for a value that enters the package.
 """
 
 from __future__ import annotations
@@ -13,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+import galinv.gaussrat as package
 
 GaussianLike = Union["GaussianRational", int, Fraction]
 
@@ -44,7 +54,7 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, GaussianRational):
+        if isinstance(other, (GaussianRational, package.GaussianRational)):
             return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other
@@ -133,10 +143,18 @@ def i_power(k: int) -> GaussianRational:
 
 
 def as_gaussian(value: GaussianLike) -> GaussianRational:
-    """Coerce an int, Fraction, or GaussianRational to a GaussianRational."""
+    """Coerce an int, Fraction, or GaussianRational of either kernel to a GaussianRational."""
     if isinstance(value, GaussianRational):
         return value
+    if isinstance(value, package.GaussianRational):
+        return GaussianRational(value.re, value.im)
     return GaussianRational(_frac(value))
+
+
+def held(value: GaussianLike) -> package.GaussianRational:
+    """The package's held value of an int, Fraction, or GaussianRational of either kernel."""
+    value = as_gaussian(value)
+    return package.GaussianRational(value.re, value.im)
 
 
 def format_gaussian(z: GaussianRational) -> str:

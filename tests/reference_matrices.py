@@ -1,9 +1,14 @@
-"""The dense matrix routes of the rotation witnesses, kept as references.
+"""The dense matrix forms and routes of the rotation witnesses, kept as references.
 
-The package holds every orthogonal map as the columns it moves, and
-`conj_rotation` binds only those coordinates.  The routes that served the Cayley witness search before live here
-unchanged, as functions of the dense matrices:
+The package holds every orthogonal map as the columns it moves, reads it
+through `OrthogonalMatrix.entry` and prints it with `str`, and
+`conj_rotation` binds only the coordinates it moves.  The dense forms
+live here:
 
+- `RationalMatrix` is a dense matrix of Fractions, the value class the
+  package exported before (a frozen dataclass, as its twin was);
+  `from_matrix` is the checked constructor of a map from a square one,
+  and `dense_matrix` the map's dense matrix, read entry by entry;
 - `cayley_orthogonal` is the Cayley transform (I - A)(I + A)^-1 of a
   skew-symmetric matrix, a rotation; `iter_cayley_rotations` and
   `sample_cayley_rotations` draw a seeded stream of them;
@@ -26,13 +31,61 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from galinv import universe
 from galinv.lpdo import LPDO, Symbol, symbol_of
-from galinv.matrices import OrthogonalMatrix, RationalMatrix, signed_permutation
+from galinv.matrices import OrthogonalMatrix, signed_permutation
 from galinv.multipoly import MultiPoly, _relabelling_moves
+
+
+def _frac_rows(entries) -> tuple[tuple[Fraction, ...], ...]:
+    rows = tuple(tuple(e if type(e) is Fraction else Fraction(e) for e in row) for row in entries)
+    if not rows or not rows[0]:
+        raise ValueError("matrix must be nonempty")
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValueError("matrix rows have unequal lengths")
+    return rows
+
+
+@dataclass(frozen=True)
+class RationalMatrix:
+    """A nonempty dense matrix of Fractions, its rows of equal length."""
+
+    entries: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", _frac_rows(self.entries))
+
+    @classmethod
+    def identity(cls, n: int) -> "RationalMatrix":
+        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0])
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return self.entries[i][j]
+
+
+def from_matrix(matrix: RationalMatrix) -> OrthogonalMatrix:
+    """The map of a square matrix, checked to satisfy R^T R = I."""
+    if matrix.rows != matrix.cols:
+        raise ValueError("orthogonal matrices are square")
+    return OrthogonalMatrix(matrix.rows, [(a, enumerate(column, 1)) for a, column in enumerate(zip(*matrix.entries), 1)])
+
+
+def dense_matrix(rot: OrthogonalMatrix) -> RationalMatrix:
+    """The dense matrix of a map, read through `entry`."""
+    return RationalMatrix(tuple(tuple(rot.entry(i, j) for j in range(rot.n)) for i in range(rot.n)))
 
 
 def add(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -111,7 +164,7 @@ def apply(m: RationalMatrix, vector: Sequence[Fraction]) -> tuple[Fraction, ...]
 
 def compose(a, b) -> OrthogonalMatrix:
     """The product a * b of two orthogonal maps of any form, checked."""
-    return OrthogonalMatrix.from_matrix(mul(a.matrix, b.matrix))
+    return from_matrix(mul(dense_matrix(a), dense_matrix(b)))
 
 
 def cayley_orthogonal(skew: RationalMatrix) -> OrthogonalMatrix:
@@ -123,7 +176,7 @@ def cayley_orthogonal(skew: RationalMatrix) -> OrthogonalMatrix:
     if not is_skew_symmetric(skew):
         raise ValueError("Cayley transform needs a skew-symmetric matrix")
     identity = RationalMatrix.identity(skew.rows)
-    return OrthogonalMatrix.from_matrix(mul(sub(identity, skew), inverse(add(identity, skew))))
+    return from_matrix(mul(sub(identity, skew), inverse(add(identity, skew))))
 
 
 def all_signed_permutations(n: int) -> list:
@@ -157,7 +210,7 @@ def dense_fixed_rotation(n: int) -> OrthogonalMatrix:
     """[3/5 -4/5; 4/5 3/5] in the (1, 2) plane, the identity elsewhere, checked."""
     rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     rows[0][:2], rows[1][:2] = [Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]
-    return OrthogonalMatrix.from_matrix(RationalMatrix(tuple(map(tuple, rows))))
+    return from_matrix(RationalMatrix(tuple(map(tuple, rows))))
 
 
 def dense_conj_rotation(op: LPDO, matrix: RationalMatrix) -> LPDO:

@@ -43,6 +43,8 @@ from typing import Iterator, Mapping, Sequence
 from galinv.gaussrat import GaussianLike, GaussianRational, _normal, as_gaussian, format_gaussian
 from galinv.multipoly import MAX_TOTAL_DEGREE, product_sum
 
+import reference_gaussrat as rg
+
 Exponents = tuple[int, ...]
 
 _SCALARS = (int, Fraction, GaussianRational)
@@ -189,7 +191,7 @@ class MultiPoly:
         merged = dict(self.terms)
         for exps, coeff in other.terms.items():
             current = merged.get(exps)
-            merged[exps] = coeff if current is None else current + coeff
+            merged[exps] = coeff if current is None else rg.held(rg.as_gaussian(current) + coeff)
         return MultiPoly._make(self.variables, merged)
 
     __radd__ = __add__
@@ -219,9 +221,9 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(map(add, e1, e2))
-                value = c1 * c2
+                value = rg.as_gaussian(c1) * c2
                 current = product.get(exps)
-                product[exps] = value if current is None else current + value
+                product[exps] = rg.held(value if current is None else value + current)
         return MultiPoly._make(self.variables, product)
 
     __rmul__ = __mul__
@@ -252,7 +254,7 @@ class MultiPoly:
             if not e:
                 continue
             dropped = exps[:idx] + (e - 1,) + exps[idx + 1 :]
-            out[dropped] = coeff * e
+            out[dropped] = rg.held(rg.as_gaussian(coeff) * e)
         return MultiPoly._make(self.variables, out)
 
     def substitute(self, bindings: Mapping[str, "MultiPoly | int | Fraction | GaussianRational"]) -> "MultiPoly":
@@ -301,12 +303,12 @@ class MultiPoly:
                 term = power if term is None else term * power
             if term is None:
                 current = accum.get(zero_key)
-                accum[zero_key] = coeff if current is None else current + coeff
+                accum[zero_key] = coeff if current is None else rg.held(rg.as_gaussian(current) + coeff)
                 continue
             for texps, tcoeff in term.terms.items():
-                value = coeff * tcoeff
+                value = rg.as_gaussian(coeff) * tcoeff
                 current = accum.get(texps)
-                accum[texps] = value if current is None else current + value
+                accum[texps] = rg.held(value if current is None else value + current)
         return MultiPoly._make(target, accum)
 
     def evaluate(self, assignment: Mapping[str, GaussianLike]) -> GaussianRational:
@@ -315,9 +317,9 @@ class MultiPoly:
         Each value is coerced, and each power taken, once per call."""
         values: dict[str, GaussianRational] = {}
         powers: dict[tuple[str, int], GaussianRational] = {}
-        total = GaussianRational()
+        total = rg.ZERO
         for exps, coeff in self.terms.items():
-            term = coeff
+            term = rg.as_gaussian(coeff)
             for name, e in zip(self.variables, exps):
                 if not e:
                     continue
@@ -327,11 +329,11 @@ class MultiPoly:
                     if value is None:
                         if name not in assignment:
                             raise ValueError(f"no value supplied for variable {name!r}")
-                        value = values[name] = as_gaussian(assignment[name])
+                        value = values[name] = rg.as_gaussian(assignment[name])
                     power = powers[(name, e)] = value**e
                 term = term * power
             total = total + term
-        return total
+        return rg.held(total)
 
     def extend(self, variables: Sequence[str]) -> "MultiPoly":
         """Embed into a larger universe containing all current variables."""
@@ -477,13 +479,13 @@ def evaluate(poly, assignment):
                 continue
             power = powers.get((i, e))
             if power is None:
-                power = powers[(i, e)] = (as_gaussian(assignment[poly.variables[i]]) ** e)._t
+                power = powers[(i, e)] = rg.held(rg.as_gaussian(assignment[poly.variables[i]]) ** e)._t
             a, b, d = power
             re, im, den = re * a - im * b, re * b + im * a, den * d
         a, b = sums.get(den, (0, 0))
         sums[den] = (a + re, b + im)
     parts = (_normal(re, im, d * poly._den) for d, (re, im) in sums.items())
-    return sum(parts, GaussianRational())
+    return rg.held(sum(parts, rg.ZERO))
 
 
 def per_term_substitute(poly, bindings):

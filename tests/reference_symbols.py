@@ -58,6 +58,7 @@ from galinv.gaussrat import GaussianLike, as_gaussian, i_power
 from galinv.lpdo import DerivKey
 from galinv.multipoly import Exponents, _universe, split_trailing
 
+import reference_gaussrat as rg
 import reference_multipoly
 
 
@@ -69,7 +70,7 @@ def symbol_of(op: LPDO) -> Symbol:
     for (j, alpha), poly in op.coeffs.items():
         scale = i_power(j + sum(alpha))
         for exps, coeff in poly.terms.items():
-            terms[exps + (j,) + alpha] = coeff * scale
+            terms[exps + (j,) + alpha] = rg.held(rg.as_gaussian(coeff) * scale)
     return Symbol(MultiPoly(names, terms), n, op.order)
 
 
@@ -80,7 +81,7 @@ def operator_of(symbol: Symbol) -> LPDO:
     buckets: dict[DerivKey, dict] = {}
     for exps, coeff in symbol.poly.terms.items():
         tx, j, alpha = exps[: n + 1], exps[n + 1], exps[n + 2 :]
-        buckets.setdefault((j, alpha), {})[tx] = coeff * i_power(-(j + sum(alpha)))
+        buckets.setdefault((j, alpha), {})[tx] = rg.held(rg.i_power(-(j + sum(alpha))) * coeff)
     return LPDO(n, {key: MultiPoly(names, terms) for key, terms in buckets.items()})
 
 
@@ -157,7 +158,7 @@ def compose_const(first: LPDO, second: LPDO) -> LPDO:
     for (j1, a1), c1 in first.constant_table().items():
         for (j2, a2), c2 in second.constant_table().items():
             key = (j1 + j2, tuple(x + y for x, y in zip(a1, a2)))
-            table[key] = table.get(key, GaussianRational()) + c1 * c2
+            table[key] = rg.held(rg.as_gaussian(c1) * c2 + table.get(key, 0))
     return LPDO(first.n, table)
 
 
@@ -189,7 +190,7 @@ def reconstruction(radial: RadialDecomposition) -> MultiPoly:
     names = universe.symbol_vars(radial.n)
     norm2 = _xi_norm2(names, radial.n)
     tau = MultiPoly.var(names, universe.FREQ_TIME)
-    terms = (norm2**k * tau**j * (c * i_power(j)) for (j, k), c in radial.b.items())
+    terms = (norm2**k * tau**j * rg.held(rg.i_power(j) * c) for (j, k), c in radial.b.items())
     return sum(terms, MultiPoly.zero(names))
 
 
@@ -254,7 +255,7 @@ POWER_VARS = (MU, NORM2)
 def reduced(radial: RadialDecomposition) -> MultiPoly:
     """q(tau, s) over `RADIAL_VARS`, with p(tau, xi) = q(tau, |xi|^2)."""
     return MultiPoly(
-        RADIAL_VARS, {(j, k): coeff * i_power(j) for (j, k), coeff in radial.b.items()}
+        RADIAL_VARS, {(j, k): rg.held(rg.i_power(j) * coeff) for (j, k), coeff in radial.b.items()}
     )
 
 
@@ -275,6 +276,6 @@ def reference_power_form(
         return False, "residual-xi-dependence", None
     top = residual.degree_in(MU)
     assert 2 * top == op.order, "an s-free rewrite has even order 2*deg_mu"
-    coeffs = tuple(residual.coefficient((j, 0)) * (-1) ** j for j in range(top + 1))
+    coeffs = tuple(rg.held(rg.as_gaussian(residual.coefficient((j, 0))) * (-1) ** j) for j in range(top + 1))
     assert coeffs[-1], "the top power-form coefficient vanished"
     return True, None, coeffs

@@ -7,8 +7,10 @@ now, with an explicit `__init__` on the shared bases in
 and `__post_init__` checks, which are kept below unchanged, except that
 `SamplePlan`'s twin lost the `bound` field its class dropped, and that
 `OrthogonalMatrix`, now held as the columns it moves, has a twin on
-`n columns` that checks R^T R = I on the dense matrix.  A twin takes its
-class's name, so the two reprs can be compared as strings.
+`n columns` that checks R^T R = I on the dense matrix.  `RationalMatrix`
+left the package; its twin is now the class itself, the frozen dataclass
+in `reference_matrices`.  A twin takes its class's name, so the two
+reprs can be compared as strings.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from galinv.checks import (
 )
 from galinv.classify import GaugeNormalization, PowerFormVerdict, SecondOrderVerdict
 from galinv.lpdo import Symbol
-from galinv.matrices import OrthogonalMatrix, RationalMatrix, _frac_rows
+from galinv.matrices import OrthogonalMatrix
 from galinv.opparse import _Token
 from galinv.oracle import SamplePlan
 
@@ -41,10 +43,6 @@ def _translation(self) -> None:
 def _gauge_phase(self) -> None:
     object.__setattr__(self, "lam", Fraction(self.lam))
     object.__setattr__(self, "c", Fraction(self.c))
-
-
-def _rational_matrix(self) -> None:
-    object.__setattr__(self, "entries", _frac_rows(self.entries))
 
 
 def _orthogonal_matrix(self) -> None:
@@ -120,7 +118,6 @@ TWINS = [
           {**_nones("coeffs stage report"), "detail": ""}),
     _twin(GaugeNormalization, "operator phase real_phase"),
     _twin(Symbol, "poly n order", frozen=True),
-    _twin(RationalMatrix, "entries", frozen=True, post_init=_rational_matrix),
     _twin(OrthogonalMatrix, "n columns", frozen=True, post_init=_orthogonal_matrix),
     _twin(_Token, "kind text line column"),
     _twin(SamplePlan, "seed count",

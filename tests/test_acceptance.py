@@ -29,9 +29,15 @@ from galinv import (
 from galinv import universe
 from galinv.actions import QUADRATIC, X_INDEPENDENT
 from galinv.cli import theta_text
-from galinv.matrices import RationalMatrix
 
-from reference_matrices import all_signed_permutations, mul, sample_cayley_rotations, transpose
+from reference_matrices import (
+    RationalMatrix,
+    all_signed_permutations,
+    dense_matrix,
+    mul,
+    sample_cayley_rotations,
+    transpose,
+)
 
 from conftest import random_constant_lpdo, random_fraction, random_gaussian, random_variable_lpdo
 from reference_classify import conj_boost_gauge
@@ -160,7 +166,7 @@ def test_criterion_4_rotation_machinery():
         identity = RationalMatrix.identity(n)
         pool = sample_cayley_rotations(n, 20, seed=20240607) + all_signed_permutations(n)
         for rot in pool:
-            assert mul(transpose(rot.matrix), rot.matrix) == identity
+            assert mul(transpose(dense_matrix(rot)), dense_matrix(rot)) == identity
         for op in accepted[n]:
             report = check_rotation_invariance(op)
             assert report.invariant and report.radial.reverify(op)

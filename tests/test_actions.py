@@ -16,13 +16,13 @@ from galinv import (
     conj_rotation,
     conj_translation,
     gauge_phase,
-    RationalMatrix,
     symbol_of,
 )
 from galinv import universe
 from galinv.actions import QUADRATIC, X_INDEPENDENT
 
 from reference_matrices import (
+    RationalMatrix,
     all_signed_permutations,
     cayley_orthogonal,
     compose,

@@ -17,6 +17,7 @@ from galinv import (
 )
 from galinv import universe
 
+import reference_gaussrat as rg
 from conftest import random_constant_lpdo, random_variable_lpdo
 
 
@@ -173,7 +174,6 @@ def test_radial_reconstruction_exact_on_random_invariant_operators():
 def _operator_from_radial_table(n, table):
     from galinv import operator_of
     from galinv.lpdo import Symbol
-    from galinv.gaussrat import i_power
 
     names = universe.symbol_vars(n)
     norm2 = MultiPoly.zero(names)
@@ -183,7 +183,7 @@ def _operator_from_radial_table(n, table):
     tau = MultiPoly.var(names, universe.FREQ_TIME)
     poly = MultiPoly.zero(names)
     for (j, k), b in table.items():
-        poly = poly + norm2**k * tau**j * (b * i_power(j))
+        poly = poly + norm2**k * tau**j * rg.held(rg.i_power(j) * b)
     if poly.is_zero:
         return None
     order = max(j + 2 * k for (j, k), b in table.items() if b)

@@ -23,6 +23,7 @@ from galinv import (
 from galinv import classify, cli
 from galinv.actions import QUADRATIC, X_INDEPENDENT
 
+import reference_gaussrat as rg
 from conftest import random_constant_lpdo, random_gaussian
 
 
@@ -163,7 +164,6 @@ def test_completeness_against_bruteforce_boost_check():
 
 def _bruteforce_accepts(op) -> bool:
     from galinv import radial_decompose
-    from galinv.gaussrat import I_UNIT
 
     if not check_translation_invariance(op).invariant:
         return False
@@ -176,7 +176,7 @@ def _bruteforce_accepts(op) -> bool:
     alpha = -rd.coefficient(0, 1)
     if rd.coefficient(2, 0) or not alpha:
         return False
-    lam = -I_UNIT * rd.coefficient(1, 0) / (2 * alpha)
+    lam = -rg.I_UNIT * rd.coefficient(1, 0) / (2 * rg.as_gaussian(alpha))
     if lam.im != 0:
         return False
     return check_boost_invariance_fixed_gauge(op, lam.re).invariant
@@ -310,9 +310,9 @@ def test_accept_certificates_are_not_vacuous(corpus):
     second = classify_second_order(op)
     power = classify_power_form(op, 1)
     moved = [
-        replace(radial, b={**radial.b, (0, 0): radial.b[(0, 0)] + 1}),
-        replace(second, alpha=second.alpha + 1),
-        replace(power, coeffs=(power.coeffs[0] + 1, *power.coeffs[1:])),
+        replace(radial, b={**radial.b, (0, 0): rg.held(rg.ONE + radial.b[(0, 0)])}),
+        replace(second, alpha=rg.held(rg.ONE + second.alpha)),
+        replace(power, coeffs=(rg.held(rg.ONE + power.coeffs[0]), *power.coeffs[1:])),
     ]
     other = LPDO.schrodinger_factor(2, 2)
     for answer, perturbed in zip((radial, second, power), moved):
@@ -329,7 +329,7 @@ def test_accept_certificates_are_not_vacuous(corpus):
 
 def test_normalize_gauge_removes_beta():
     base = LPDO.schrodinger_factor(2, 1)
-    for beta, real in ((gr(5), True), (gr(-1, 0) / 3, True), (gr(0, 1), False)):
+    for beta, real in ((gr(5), True), (gr(Fraction(-1, 3)), True), (gr(0, 1), False)):
         op = base + LPDO.identity(2).scaled(beta)
         verdict = classify_second_order(op)
         assert verdict.accepted

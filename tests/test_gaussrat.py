@@ -1,12 +1,14 @@
-"""Gaussian-rational field arithmetic."""
+"""Gaussian rationals as held values: they compare, hash, negate and print,
+and have no field arithmetic."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from galinv import GaussianRational, I_UNIT, ONE, ZERO, as_gaussian, format_gaussian, i_power
+from galinv import GaussianRational, I_UNIT, ONE, as_gaussian, format_gaussian, i_power
 
 gaussians = st.builds(
     GaussianRational,
@@ -17,23 +19,6 @@ gaussians = st.builds(
 
 def gr(re, im=0):
     return GaussianRational(Fraction(re), Fraction(im))
-
-
-def test_mul_conjugate_pair():
-    assert gr(1, 1) * gr(1, -1) == gr(2)
-
-
-def test_div_identity_scale():
-    assert gr(Fraction(3, 2)) / gr(Fraction(1, 2)) == gr(3)
-
-
-def test_square_of_2i():
-    assert gr(0, 2) * gr(0, 2) == gr(-4)
-
-
-def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        ONE / ZERO
 
 
 def test_i_powers_cycle():
@@ -52,11 +37,6 @@ def test_scalar_comparison_and_hash():
     assert gr(0, 1) != 1
 
 
-def test_pow_negative_inverts():
-    z = gr(Fraction(2, 3), Fraction(-1, 4))
-    assert z**3 * z**-3 == ONE
-
-
 def test_format_shapes():
     assert format_gaussian(gr(0)) == "0"
     assert format_gaussian(gr(-1, 0)) == "-1"
@@ -67,27 +47,17 @@ def test_format_shapes():
     assert format_gaussian(gr(1, -2)) == "1-2i"
 
 
-@given(gaussians, gaussians, gaussians)
-def test_field_axioms(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a + b == b + a
-    assert a * b == b * a
-
-
-@given(gaussians)
-def test_additive_and_multiplicative_inverses(a):
-    assert a + (-a) == ZERO
-    if a:
-        assert a * (ONE / a) == ONE
-
-
-@given(gaussians, gaussians)
-def test_subtraction_and_division_consistency(a, b):
-    assert (a - b) + b == a
-    if b:
-        assert (a / b) * b == a
+@given(gaussians, st.one_of(gaussians, st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)))
+def test_held_values_have_no_field_arithmetic(a, b):
+    """The package computes on integer triples; `+ - * / **`, their
+    reflected forms and `conjugate` are not a value's."""
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.pow):
+        for left, right in ((a, b), (b, a)):
+            with pytest.raises(TypeError):
+                op(left, right)
+    assert not hasattr(a, "conjugate")
+    assert -(-a) == a and (-a) == GaussianRational(-a.re, -a.im)
+    assert bool(-a) == bool(a) and (-a).is_real == a.is_real
 
 
 def test_as_gaussian_coercions():

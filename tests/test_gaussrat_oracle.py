@@ -1,15 +1,15 @@
-"""The integer-triple kernel against the Fraction-pair reference kernel.
+"""The integer-triple values against the Fraction-pair reference kernel.
 
 Every value is built twice, once in each kernel, from the same parts.
-Each operation must then give the same value (as Fractions), the same
-repr, str, hash and truth value, and the same error type and message.
-The package's values must also be canonical: d > 0, gcd(a, b, d) == 1,
-so equal values hold identical triples.
+Each operation a held value keeps (negation and comparison) must then
+give the same value (as Fractions), the same repr, str, hash and truth
+value, and the same error type and message.  The package's values must
+also be canonical: d > 0, gcd(a, b, d) == 1, so equal values, however
+the reference computed them, hold identical triples.
 """
 
 import copy
 import math
-import operator
 import pickle
 from fractions import Fraction
 
@@ -60,55 +60,32 @@ def assert_same(value, reference) -> None:
 def outcome(fn, *args):
     try:
         return fn(*args), None
-    except (TypeError, ZeroDivisionError) as exc:
+    except TypeError as exc:
         return None, (type(exc), str(exc))
 
 
-def assert_same_outcome(fn, new_args, ref_args) -> None:
-    value, error = outcome(fn, *new_args)
-    reference, ref_error = outcome(fn, *ref_args)
-    assert error == ref_error
-    if error is None:
-        assert_same(value, reference)
-
-
-BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
-
-
 @settings(max_examples=80, deadline=None)
-@given(pairs(), operands(), st.booleans())
-def test_operations_match_reference(left, right, swap):
+@given(pairs(), operands())
+def test_operations_match_reference(left, right):
     (x, rx), (y, ry) = left, right
     assert_same(x, rx)
     assert_same(-x, -rx)
-    assert_same(x.conjugate(), rx.conjugate())
     assert (x == y) == (rx == ry) and (y == x) == (ry == rx)
     assert (x != y) == (rx != ry)
-    if swap:
-        x, rx, y, ry = y, ry, x, rx
-    for op in BINARY:
-        assert_same_outcome(op, (x, y), (rx, ry))
-
-
-@settings(max_examples=50, deadline=None)
-@given(pairs(), st.integers(-5, 7))
-def test_powers_match_reference(pair, k):
-    x, rx = pair
-    assert_same_outcome(operator.pow, (x, k), (rx, k))
 
 
 @settings(max_examples=40, deadline=None)
 @given(pairs(), pairs())
 def test_equal_values_share_one_triple(pair, scale):
-    x, _ = pair
-    y, _ = scale
-    if not y:
+    x, rx = pair
+    _, ry = scale
+    if not ry:
         return
-    rebuilt = (x * y) / y
+    rebuilt = ref.held((rx * ry) / ry)
     assert rebuilt == x
     assert rebuilt._t == x._t
     assert hash(rebuilt) == hash(x)
-    assert (x + y - y)._t == x._t
+    assert ref.held(rx + ry - ry)._t == x._t
 
 
 @settings(max_examples=40, deadline=None)
@@ -130,25 +107,8 @@ def test_type_errors_match_reference(bad):
     assert outcome(GaussianRational, bad)[1] == outcome(ref.GaussianRational, bad)[1]
     assert outcome(GaussianRational, 1, bad)[1] == outcome(ref.GaussianRational, 1, bad)[1]
     assert outcome(as_gaussian, bad)[1] == outcome(ref.as_gaussian, bad)[1]
-    for op in BINARY:
-        assert outcome(op, x, bad)[1] == outcome(op, rx, bad)[1]
-    assert outcome(operator.pow, x, bad)[1] == outcome(operator.pow, rx, bad)[1]
     assert outcome(GaussianRational, bad)[1][0] is TypeError
     assert (x == bad) is (rx == bad) is False
-
-
-def test_zero_division_errors_match_reference():
-    rzero = ref.GaussianRational()
-    for fn, args, ref_args in (
-        (operator.truediv, (ONE, ZERO), (ref.ONE, rzero)),
-        (operator.truediv, (1, ZERO), (1, rzero)),
-        (operator.truediv, (ONE, 0), (ref.ONE, 0)),
-        (operator.truediv, (I_UNIT, Fraction(0)), (ref.I_UNIT, Fraction(0))),
-        (operator.pow, (ZERO, -1), (rzero, -1)),
-    ):
-        error = outcome(fn, *args)[1]
-        assert error is not None and error[0] is ZeroDivisionError
-        assert error == outcome(fn, *ref_args)[1]
 
 
 def test_constants_match_reference():

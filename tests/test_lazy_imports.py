@@ -17,8 +17,8 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # Names that left the package: moved to the test references or deleted.
 REMOVED = (
-    "BoostedFrequency IdentityVerdict apply_plane_wave boosted_frequency conj_boost_gauge "
-    "differentiate_expwave plane_wave_at sampled_identity_check"
+    "BoostedFrequency IdentityVerdict RationalMatrix apply_plane_wave boosted_frequency "
+    "conj_boost_gauge differentiate_expwave plane_wave_at sampled_identity_check"
 ).split()
 
 

@@ -20,6 +20,7 @@ from galinv import (
 from galinv import universe
 
 from conftest import random_constant_lpdo, random_fraction, random_variable_lpdo
+import reference_gaussrat as rg
 from reference_oracle import apply_plane_wave
 
 
@@ -155,7 +156,7 @@ def test_conjugate_removes_constant_term():
     lam = Fraction(1)
     base = LPDO.schrodinger_factor(2, lam).scaled(alpha)
     op = base + LPDO.identity(2).scaled(beta)
-    gamma = -beta / (2 * alpha * lam)
+    gamma = rg.held(-beta / (2 * rg.as_gaussian(alpha) * lam))
     out = conjugate_linear_phase(op, linear_phase(2, time_coeff=gamma))
     assert out == base
 

@@ -6,17 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from galinv import (
-    OrthogonalMatrix,
-    RationalMatrix,
-    reflection,
-    signed_permutation,
-)
+from galinv import reflection, signed_permutation
+from galinv.matrices import fixed_rotation
 
 from reference_matrices import (
+    RationalMatrix,
     all_signed_permutations,
     apply,
     cayley_orthogonal,
+    dense_matrix,
+    from_matrix,
     inverse,
     mul,
     sample_cayley_rotations,
@@ -31,7 +30,7 @@ def F(p, q=1):
 def test_cayley_known_2x2():
     a = RationalMatrix(((F(0), F(1, 2)), (F(-1, 2), F(0))))
     r = cayley_orthogonal(a)
-    assert r.matrix.entries == (
+    assert dense_matrix(r).entries == (
         (F(3, 5), F(-4, 5)),
         (F(4, 5), F(3, 5)),
     )
@@ -39,7 +38,7 @@ def test_cayley_known_2x2():
 
 def test_cayley_zero_is_identity():
     a = RationalMatrix(((F(0), F(0)), (F(0), F(0))))
-    assert cayley_orthogonal(a).matrix == RationalMatrix.identity(2)
+    assert dense_matrix(cayley_orthogonal(a)) == RationalMatrix.identity(2)
 
 
 def test_cayley_3x3_block():
@@ -59,19 +58,19 @@ def test_cayley_rejects_non_skew():
 
 def test_signed_permutation_identity():
     r = signed_permutation((1, 2, 3), (1, 1, 1))
-    assert r.matrix == RationalMatrix.identity(3)
+    assert dense_matrix(r) == RationalMatrix.identity(3)
 
 
 def test_signed_permutation_o1_reflection():
     r = signed_permutation((1,), (-1,))
-    assert r.matrix.entries == ((F(-1),),)
+    assert dense_matrix(r).entries == ((F(-1),),)
 
 
 def test_signed_permutation_swap_with_sign():
     r = signed_permutation((2, 1), (1, -1))
-    assert mul(transpose(r.matrix), r.matrix) == RationalMatrix.identity(2)
-    assert apply(r.matrix, (F(1), F(0))) == (F(0), F(1))
-    assert apply(r.matrix, (F(0), F(1))) == (F(-1), F(0))
+    assert mul(transpose(dense_matrix(r)), dense_matrix(r)) == RationalMatrix.identity(2)
+    assert apply(dense_matrix(r), (F(1), F(0))) == (F(0), F(1))
+    assert apply(dense_matrix(r), (F(0), F(1))) == (F(-1), F(0))
 
 
 def test_signed_permutation_rejects_bad_input():
@@ -104,7 +103,7 @@ def test_product_matches_the_dense_sum():
 
 def test_orthogonality_verified_on_construction():
     with pytest.raises(ValueError):
-        OrthogonalMatrix.from_matrix(RationalMatrix(((F(1), F(1)), (F(0), F(1)))))
+        from_matrix(RationalMatrix(((F(1), F(1)), (F(0), F(1)))))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -113,13 +112,13 @@ def test_all_generated_matrices_are_exactly_orthogonal(n):
     pool = all_signed_permutations(n) + sample_cayley_rotations(n, 20, seed=7)
     assert len(all_signed_permutations(n)) == [2, 8, 48][n - 1]
     for r in pool:
-        assert mul(transpose(r.matrix), r.matrix) == identity
-        assert mul(r.matrix, transpose(r.matrix)) == identity
+        assert mul(transpose(dense_matrix(r)), dense_matrix(r)) == identity
+        assert mul(dense_matrix(r), transpose(dense_matrix(r))) == identity
 
 
 def test_reflection_flips_one_axis():
     r = reflection(3, 2)
-    assert apply(r.matrix, (F(1), F(1), F(1))) == (F(1), F(-1), F(1))
+    assert apply(dense_matrix(r), (F(1), F(1), F(1))) == (F(1), F(-1), F(1))
 
 
 def test_inverse_roundtrip():
@@ -127,3 +126,15 @@ def test_inverse_roundtrip():
     assert mul(m, inverse(m)) == RationalMatrix.identity(2)
     with pytest.raises(ValueError):
         inverse(RationalMatrix(((F(1), F(1)), (F(1), F(1)))))
+
+
+@pytest.mark.parametrize("rot", [fixed_rotation(2), reflection(2, 1), signed_permutation((2, 3, 1), (1, -1, 1))],
+                         ids=str)
+def test_entry_refuses_indices_outside_the_map(rot):
+    """`entry` reads R[i][j] for 0 <= i, j < n only; no index wraps or
+    falls through to the identity."""
+    n = rot.n
+    for i, j in ((n, 0), (0, n), (7, 7), (-1, -1), (-2, -2), (-1, 0), (0, -n)):
+        with pytest.raises(IndexError, match=rf"^entry \({i}, {j}\) is outside 0\.\.{n - 1}$"):
+            rot.entry(i, j)
+    assert from_matrix(dense_matrix(rot)) == rot

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galinv import I_UNIT, MAX_TOTAL_DEGREE, GaussianRational, MultiPoly, as_gaussian
+from galinv import I_UNIT, MAX_TOTAL_DEGREE, GaussianRational, MultiPoly
 
 import reference_gaussrat as ref
 from conftest import random_poly
@@ -112,7 +112,7 @@ def test_a_constant_takes_the_scalar_power(base):
     start = time.perf_counter()
     power = base ** 10**9
     assert time.perf_counter() - start < 0.1
-    assert power == base.constant_value() ** 10**9 and power.variables == U
+    assert power == ref.held(ref.as_gaussian(base.constant_value()) ** 10**9) and power.variables == U
 
 
 def test_evaluate_exactly():
@@ -209,14 +209,10 @@ def test_substitute_composes(p, images):
 @given(small_polys, small_polys, points)
 def test_evaluate_is_a_ring_homomorphism(p, q, point):
     x, y = p.evaluate(point), q.evaluate(point)
-    assert (p * q).evaluate(point) == x * y
-    assert (p + q).evaluate(point) == x + y
-    assert (p - q).evaluate(point) == x - y
-
-
-def reference(value) -> ref.GaussianRational:
-    z = as_gaussian(value)
-    return ref.GaussianRational(z.re, z.im)
+    x = ref.as_gaussian(x)
+    assert (p * q).evaluate(point) == ref.held(x * y)
+    assert (p + q).evaluate(point) == ref.held(x + y)
+    assert (p - q).evaluate(point) == ref.held(x - y)
 
 
 @settings(max_examples=40, deadline=None)
@@ -224,9 +220,9 @@ def reference(value) -> ref.GaussianRational:
 def test_evaluate_matches_reference_kernel(p, point):
     total = ref.ZERO
     for exps, coeff in p.terms.items():
-        term = reference(coeff)
+        term = ref.as_gaussian(coeff)
         for name, e in zip(U, exps):
-            term = term * reference(point[name]) ** e
+            term = term * ref.as_gaussian(point[name]) ** e
         total = total + term
     value = p.evaluate(point)
     assert (value.re, value.im) == (total.re, total.im)
@@ -239,6 +235,6 @@ def test_product_matches_reference_kernel(p, q):
     for e1, c1 in p.terms.items():
         for e2, c2 in q.terms.items():
             exps = tuple(a + b for a, b in zip(e1, e2))
-            expected[exps] = expected.get(exps, ref.ZERO) + reference(c1) * reference(c2)
+            expected[exps] = expected.get(exps, ref.ZERO) + ref.as_gaussian(c1) * ref.as_gaussian(c2)
     expected = {exps: (c.re, c.im) for exps, c in expected.items() if c}
     assert {exps: (c.re, c.im) for exps, c in (p * q).terms.items()} == expected

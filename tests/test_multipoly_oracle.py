@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from galinv import MAX_TOTAL_DEGREE, GaussianRational, MultiPoly, parse_operator, symbol_of, universe
 from galinv.multipoly import _add_product, product_sum
 
+import reference_gaussrat as rg
 import reference_multipoly as ref
 import reference_oracle
 from conftest import assert_same_internals
@@ -308,7 +309,7 @@ def test_equal_values_hold_identical_internals(pairs, unit):
     for left, right in (
         (p * q, q * p),
         ((p + q) - q, p),
-        (p * unit * (1 / unit), p),
+        (p * unit * rg.held(1 / rg.as_gaussian(unit)), p),
         ((p + q) * s, p * s + q * s),
         (-(-p), p),
         (p - p, MultiPoly.zero(p.variables)),
@@ -547,7 +548,7 @@ def _cap_free_sum(variables, pairs):
         for e1, c1 in p.extend(variables).terms.items():
             for e2, c2 in q.terms.items():
                 exps = tuple(map(operator.add, e1, e2))
-                total[exps] = total.get(exps, 0) + c1 * c2
+                total[exps] = rg.held(rg.as_gaussian(c1) * c2 + total.get(exps, 0))
     return ref.MultiPoly._make(variables, total)
 
 

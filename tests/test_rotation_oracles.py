@@ -38,8 +38,16 @@ from galinv.checks import NotRadial, RotationWitness, radial_decompose
 from galinv.multipoly import _radial_parts
 from galinv.universe import random_rational
 
+import reference_gaussrat as rg
 import reference_symbols as ref
-from reference_matrices import all_signed_permutations, apply, dense_fixed_rotation, iter_cayley_rotations, transpose
+from reference_matrices import (
+    all_signed_permutations,
+    apply,
+    dense_fixed_rotation,
+    dense_matrix,
+    iter_cayley_rotations,
+    transpose,
+)
 
 POOL_SEED = 74511
 POOL_CAYLEY = 20
@@ -85,7 +93,7 @@ def reference_rotation_witness(op: LPDO):
     for index, rot in enumerate(candidates):
         tau, *xi = (random_rational(rng, 3) for _ in range(n + 1))
         here = dict(zip(names, [tau, *xi]))
-        there = dict(zip(names, [tau, *apply(transpose(rot.matrix), xi)]))
+        there = dict(zip(names, [tau, *apply(transpose(dense_matrix(rot)), xi)]))
         if p.evaluate(here) != p.evaluate(there):
             return index, rot
     return None
@@ -145,7 +153,7 @@ def draw_radial_table(draw, n: int) -> dict:
                 continue
             c = draw(gaussians)
             for (lj, alpha), value in _laplacian_power_table(n, k).items():
-                table[(lj + j, alpha)] = table.get((lj + j, alpha), GaussianRational()) + value * c
+                table[(lj + j, alpha)] = rg.held(rg.as_gaussian(value) * c + table.get((lj + j, alpha), 0))
     return table
 
 
@@ -157,7 +165,7 @@ def mixed_operators(draw) -> LPDO:
     table = draw_radial_table(draw, n)
 
     def add(key, value):
-        table[key] = table.get(key, GaussianRational()) + value
+        table[key] = rg.held(rg.as_gaussian(value) + table.get(key, 0))
 
     for _ in range(draw(st.integers(0, 2))):
         j = draw(st.integers(0, 4))
@@ -202,7 +210,7 @@ def perturbed_radial_operators(draw) -> LPDO:
         for _ in range(draw(st.integers(0, (4 - j) // unit))):
             alpha[draw(st.integers(0, n - 1))] += unit
         key = (j, tuple(alpha))
-        table[key] = table.get(key, GaussianRational()) + draw(gaussians.filter(bool))
+        table[key] = rg.held(rg.as_gaussian(draw(gaussians.filter(bool))) + table.get(key, 0))
     assume(any(table.values()))
     return LPDO(n, table)
 
@@ -321,7 +329,7 @@ def test_witness_against_reference_search(op):
     first = next((i for i, rot in enumerate(signed) if conj_rotation(op, rot) != op), None)
     if first is None:
         assert not is_signed_permutation(reference)
-        assert report.witness.rotation.matrix == dense_fixed_rotation(op.n).matrix
+        assert dense_matrix(report.witness.rotation) == dense_matrix(dense_fixed_rotation(op.n))
     else:
         assert report.witness.rotation == signed[first]
         assert all(signed[first].entry(i, j) >= 0 for i in range(op.n) for j in range(op.n))
@@ -354,7 +362,7 @@ def symmetric_non_radial_operators(draw) -> LPDO:
 def test_fixed_rotation_witnesses_every_symmetric_non_radial_symbol(op):
     report = check_rotation_invariance(op)
     assert not report.invariant
-    assert report.witness.rotation.matrix == dense_fixed_rotation(op.n).matrix
+    assert dense_matrix(report.witness.rotation) == dense_matrix(dense_fixed_rotation(op.n))
     assert report.witness.reverify(op)
     found = reference_rotation_witness(op)
     assert found is not None and RotationWitness(found[1]).reverify(op)
@@ -385,7 +393,7 @@ def test_fixed_rotation_witness_in_eighty_dimensions_is_fast():
     report = check_rotation_invariance(op)
     elapsed = time.perf_counter() - started
     assert not report.invariant
-    assert report.witness.rotation.matrix == dense_fixed_rotation(80).matrix
+    assert dense_matrix(report.witness.rotation) == dense_matrix(dense_fixed_rotation(80))
     assert elapsed < 1.0, f"Dx1^4 + ... + Dx80^4 at n = 80 took {elapsed:.2f}s"
 
 

@@ -56,7 +56,6 @@ FIELDS = {
     "GaugePhase": {"lam": scalar, "c": scalar},
     "RadialDecomposition": {"b": st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                                                  small, max_size=3)},
-    "RationalMatrix": {"entries": st.lists(st.lists(small, max_size=3), max_size=3)},
     "SamplePlan": {"count": count},
 }
 
@@ -143,7 +142,6 @@ def test_value_class_matches_its_dataclass_twin(spec, data):
 VALID = {
     "Translation": {"s": 1, "y": (1, 2)},
     "OrthogonalMatrix": {"n": 2, "columns": reflection(2, 1).columns},
-    "RationalMatrix": {"entries": ((1,),)},
 }
 
 

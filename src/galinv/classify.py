@@ -213,6 +213,8 @@ def normalize_gauge(verdict: SecondOrderVerdict, op: LPDO) -> GaugeNormalization
         raise ValueError("gauge normalization needs an accepted verdict")
     if verdict.lam == 0:
         raise ValueError("gauge normalization does not apply when lam = 0")
+    if not verdict.alpha:
+        raise ZeroDivisionError("division by zero Gaussian rational")
     # -beta/(2*alpha*lam) = -beta*conj(alpha)*d*q / (f*(a^2 + b^2)*2p) for alpha = (a + bi)/d,
     # beta = (c + ei)/f and lam = p/q, the sign of p moved up so the denominator stays positive.
     (a, b, d), (c, e, f), (p, q) = _triple(verdict.alpha), _triple(verdict.beta), _rational(verdict.lam)

@@ -1,5 +1,6 @@
 """Gaussian rationals as held values: they compare, hash, negate and print,
-and have no field arithmetic."""
+and have no field arithmetic.  The package's arithmetic on them runs on
+constant polynomials and integer triples, and is checked here too."""
 
 import operator
 from fractions import Fraction
@@ -8,17 +9,45 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from galinv import GaussianRational, I_UNIT, ONE, as_gaussian, format_gaussian, i_power
+from galinv import (
+    LPDO, GaussianRational, I_UNIT, MultiPoly, ONE, as_gaussian, format_gaussian, i_power, normalize_gauge,
+)
+from galinv.classify import SecondOrderVerdict
+
+import reference_gaussrat as rg
 
 gaussians = st.builds(
     GaussianRational,
     st.fractions(min_value=-20, max_value=20, max_denominator=12),
     st.fractions(min_value=-20, max_value=20, max_denominator=12),
 )
+V = ("t",)
 
 
 def gr(re, im=0):
     return GaussianRational(Fraction(re), Fraction(im))
+
+
+def const(z):
+    """z as a constant polynomial: the package's field arithmetic on values
+    runs on the packed pairs of `MultiPoly`."""
+    return MultiPoly.const(V, z)
+
+
+def test_mul_conjugate_pair():
+    assert (const(gr(1, 1)) * const(gr(1, -1))).constant_value() == gr(2)
+
+
+def test_square_of_2i():
+    assert (const(gr(0, 2)) * const(gr(0, 2))).constant_value() == gr(-4)
+    assert (const(gr(0, 2)) ** 2).constant_value() == gr(-4)
+
+
+def test_division_by_zero():
+    """normalize_gauge divides by alpha; a zero alpha raises as a zero divisor."""
+    verdict = SecondOrderVerdict(True, alpha=gr(0), beta=gr(1), lam=Fraction(1))
+    with pytest.raises(ZeroDivisionError, match="division by zero Gaussian rational"):
+        normalize_gauge(verdict, LPDO.schrodinger_factor(1, 1))
 
 
 def test_i_powers_cycle():
@@ -45,6 +74,17 @@ def test_format_shapes():
     assert format_gaussian(gr(0, -2)) == "-2i"
     assert format_gaussian(gr(Fraction(3, 2), Fraction(1, 2))) == "3/2+1/2i"
     assert format_gaussian(gr(1, -2)) == "1-2i"
+
+
+@given(gaussians, gaussians, gaussians)
+def test_field_axioms(a, b, c):
+    """The ring laws on constants, each value the reference kernel's."""
+    x, y, z = const(a), const(b), const(c)
+    assert (x + y) + z == x + (y + z) == const(rg.held(rg.as_gaussian(a) + b + c))
+    assert (x * y) * z == x * (y * z) == const(rg.held(rg.as_gaussian(a) * b * c))
+    assert x * (y + z) == x * y + x * z
+    assert x + y == y + x and x * y == y * x
+    assert (x - y) + y == x and x + (-x) == 0
 
 
 @given(gaussians, st.one_of(gaussians, st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)))

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING
 
 from . import universe
@@ -34,8 +35,9 @@ from .actions import Translation, conj_rotation, conj_translation
 from .errors import InconsistencyError
 from .gaussrat import ZERO, GaussianLike, GaussianRational, _make, _normal, _triple, _turn
 from .lpdo import LPDO, DerivKey, laplacian_symbol, symbol_of
-from .multipoly import MultiPoly, _radial_parts, _relabelling_moves, _symmetric
-from .universe import _Value, random_rational
+from .multipoly import MultiPoly, _plan, _plan_value, _radial_parts, _relabelling_moves, _symmetric
+from .universe import _Value
+from .universe import random_rational  # noqa: F401  (the draws `_boost_witness` replays)
 
 if TYPE_CHECKING:
     from .matrices import OrthogonalMatrix
@@ -339,21 +341,25 @@ def _boost_gauge(radial: RadialDecomposition, lam: GaussianLike | None = None):
 
 
 def _boost_witness(op: LPDO, lam: Fraction, p: MultiPoly) -> BoostWitness:
-    """A seeded rational point (tau, xi, v) where p differs at (tau, xi) and
-    at the boosted frequency (tau - xi.v - (lam/2)|v|^2, xi + lam*v), which
-    is computed on the point's `Fraction`s."""
-    n = op.n
+    """A seeded rational point (tau, xi, v) where p differs at (tau, xi) and at the
+    boosted frequency (tau - xi.v - (lam/2)|v|^2, xi + lam*v).  The points are
+    `random_rational`'s draws over `universe.boost_vars(n)` as integer pairs (t and
+    x1..xn dropped), the boosted frequency is numerators over one lcm denominator,
+    and p's two values, from one plan, are compared cross-multiplied."""
+    n, ln, ld = op.n, lam.numerator, lam.denominator
     freq = [universe.FREQ_TIME] + [universe.freq_space(a) for a in range(1, n + 1)]
-    rng = random.Random(_WITNESS_SEED)
-    bound = 3
+    plan, randint, bound = _plan(p, freq), random.Random(_WITNESS_SEED).randint, 3
     for attempt in range(_BOOST_ATTEMPTS):
         if attempt and attempt % 100 == 0:
             bound *= 2
-        point = {name: random_rational(rng, bound) for name in universe.boost_vars(n)}
-        tau, *xi = (point[name] for name in freq)
-        v = tuple(point[universe.boost(a)] for a in range(1, n + 1))
-        moved = tau - sum(x * w for x, w in zip(xi, v)) - lam / 2 * sum(w * w for w in v)
-        there = [moved] + [x + lam * w for x, w in zip(xi, v)]
-        if p.evaluate(dict(zip(freq, there))) != p.evaluate(point):
-            return BoostWitness(lam, v, tau, tuple(xi))
+        draws = [(randint(-bound, bound), randint(1, bound)) for _ in range(3 * n + 2)]
+        (a, d), xi, v = draws[n + 1], draws[n + 2 : 2 * n + 2], draws[2 * n + 2 :]
+        den = lcm(d, *(c * ld * e for (_, c), (_, e) in zip(xi, v)), *(2 * ld * e * e for _, e in v))
+        tau = (a * (den // d) - sum(x * w * (den // (c * e)) for (x, c), (w, e) in zip(xi, v))
+               - ln * sum(w * w * (den // (2 * ld * e * e)) for w, e in v))
+        there = [tau] + [(x * ld * e + ln * w * c) * (den // (c * ld * e)) for (x, c), (w, e) in zip(xi, v)]
+        re1, im1, d1 = _plan_value(plan, {name: (x, 0, den) for name, x in zip(freq, there)})
+        re2, im2, d2 = _plan_value(plan, {name: (x, 0, c) for name, (x, c) in zip(freq, draws[n + 1 :])})
+        if re1 * d2 != re2 * d1 or im1 * d2 != im2 * d1:
+            return BoostWitness(lam, tuple(Fraction(*w) for w in v), Fraction(a, d), tuple(Fraction(*x) for x in xi))
     raise InconsistencyError("nonzero residue but no witnessing point found")

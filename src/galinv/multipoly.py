@@ -313,36 +313,9 @@ class MultiPoly:
 
     def evaluate(self, assignment: Mapping[str, GaussianLike]) -> GaussianRational:
         """Exact value at a point; every variable that appears needs a value,
-        and the first in universe order that has none raises.
-
-        For a variable of top degree D at the value z/d (z a Gaussian
-        integer), a table holds z^e * d^(D-e) for e = 0..D, so each term is
-        an integer pair over den * d^D, summed once and normalised once."""
-        width = len(self.variables)
-        packed = b"".join(key.to_bytes(width + 1, "little") for key in self._num)
-        den, tables = self._den, []
-        for i, name in enumerate(self.variables):
-            top = max(packed[i :: width + 1], default=0)
-            if not top:
-                continue
-            if name not in assignment:
-                raise ValueError(f"no value supplied for variable {name!r}")
-            a, b, d = as_gaussian(assignment[name])._t
-            scale = d**top
-            x, y, table = scale, 0, []
-            for _ in range(top + 1):  # each entry is the last times z/d, exactly while e < D
-                table.append((x, y))
-                x, y = (x * a - y * b) // d, (x * b + y * a) // d
-            tables.append((8 * i, table))
-            den *= scale
-        total_re = total_im = 0
-        for key, (re, im) in self._num.items():
-            for shift, table in tables:
-                x, y = table[key >> shift & 255]
-                re, im = re * x - im * y, re * y + im * x
-            total_re += re
-            total_im += im
-        return _normal(total_re, total_im, den)
+        and the first in universe order that has none raises."""
+        plan = _plan(self, assignment)
+        return _normal(*_plan_value(plan, {name: as_gaussian(assignment[name])._t for name, _ in plan[1]}))
 
     def extend(self, variables: Sequence[str]) -> "MultiPoly":
         """Embed into a larger universe containing all current variables."""
@@ -470,6 +443,50 @@ def _nonzero(variables: tuple[str, ...], num: dict) -> dict:
     if num:
         _check_cap(max(num) >> 8 * len(variables))
     return num
+
+
+def _plan(poly: MultiPoly, names: Iterable[str]) -> tuple[int, list[tuple[str, int]], list[tuple]]:
+    """What evaluating poly needs of poly alone: its denominator, (name, top degree)
+    of each variable a term uses, in universe order, and each term's exponents of
+    those with its numerator pair.  The first such variable `names` lacks raises."""
+    width = len(poly.variables)
+    packed = b"".join(key.to_bytes(width + 1, "little") for key in poly._num)
+    columns, used = [], []
+    for i, name in enumerate(poly.variables):
+        column = packed[i :: width + 1]
+        if max(column, default=0):
+            if name not in names:
+                raise ValueError(f"no value supplied for variable {name!r}")
+            columns.append(column)
+            used.append((name, max(column)))
+    return poly._den, used, [(exps, re, im) for *exps, (re, im) in zip(*columns, poly._num.values())]
+
+
+def _plan_value(plan: tuple, values: Mapping[str, tuple[int, int, int]]) -> tuple[int, int, int]:
+    """A planned polynomial's value as an unnormalised triple (re, im, den), given
+    (a + b*i)/d as (a, b, d), in any terms, for each variable it uses.  For one of
+    top degree D at z/d, a table holds z^e * d^(D-e) for e = 0..D, so each term is
+    an integer pair over den * d^D, summed once."""
+    den, used, terms = plan
+    tables = []
+    for name, top in used:
+        a, b, d = values[name]
+        g = gcd(a, b, d)  # lowest terms keep the table's entries small
+        a, b, d = a // g, b // g, d // g
+        x, y, table = d**top, 0, []
+        den *= x
+        for _ in range(top + 1):  # each entry is the last times z/d, exactly while e < D
+            table.append((x, y))
+            x, y = (x * a - y * b) // d, (x * b + y * a) // d
+        tables.append(table)
+    total_re = total_im = 0
+    for exps, re, im in terms:
+        for e, table in zip(exps, tables):
+            x, y = table[e]
+            re, im = re * x - im * y, re * y + im * x
+        total_re += re
+        total_im += im
+    return total_re, total_im, den
 
 
 def _partial(variables: tuple[str, ...], index: int, num: dict) -> dict:

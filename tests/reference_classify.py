@@ -31,16 +31,26 @@ frequency of `reference_oracle.boosted_frequency` into the whole symbol,
 and an operator is invariant exactly when the residue q - p is the zero
 polynomial in (tau, xi, v).  The decider, the generator images and the
 differentiation oracle are each compared against that residue.
+
+`fraction_witness` is the package's `_boost_witness` before it searched in
+integers: it draws each point as `random_rational`'s `Fraction`s over
+`universe.boost_vars(n)`, computes the boosted frequency in `Fraction`s and
+compares two `MultiPoly.evaluate` values.  The tests require the two
+searches to return equal witnesses, or both to exhaust their points.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import Iterator
 
 from galinv import universe
 from galinv.actions import gauge_phase
 from galinv.checks import (
+    _BOOST_ATTEMPTS,
+    _WITNESS_SEED,
+    BoostWitness,
     RadialDecomposition,
     check_rotation_invariance,
     check_translation_invariance,
@@ -59,6 +69,7 @@ from galinv.errors import InconsistencyError
 from galinv.gaussrat import GaussianLike, GaussianRational
 from galinv.lpdo import LPDO, symbol_of
 from galinv.multipoly import MultiPoly
+from galinv.universe import random_rational
 
 import reference_gaussrat as rg
 from reference_oracle import boosted_frequency
@@ -197,3 +208,24 @@ def conj_boost_gauge(op: LPDO, lam: Fraction | int, v=None) -> MultiPoly:
     for a in range(1, op.n + 1):
         bindings[universe.freq_space(a)] = moved.xi[a - 1]
     return symbol_of(op).poly.extend(universe.boost_vars(op.n)).substitute(bindings)
+
+
+def fraction_witness(op: LPDO, lam: Fraction, p: MultiPoly) -> BoostWitness:
+    """A seeded rational point (tau, xi, v) where p differs at (tau, xi) and
+    at the boosted frequency (tau - xi.v - (lam/2)|v|^2, xi + lam*v), which
+    is computed on the point's `Fraction`s."""
+    n = op.n
+    freq = [universe.FREQ_TIME] + [universe.freq_space(a) for a in range(1, n + 1)]
+    rng = random.Random(_WITNESS_SEED)
+    bound = 3
+    for attempt in range(_BOOST_ATTEMPTS):
+        if attempt and attempt % 100 == 0:
+            bound *= 2
+        point = {name: random_rational(rng, bound) for name in universe.boost_vars(n)}
+        tau, *xi = (point[name] for name in freq)
+        v = tuple(point[universe.boost(a)] for a in range(1, n + 1))
+        moved = tau - sum(x * w for x, w in zip(xi, v)) - lam / 2 * sum(w * w for w in v)
+        there = [moved] + [x + lam * w for x, w in zip(xi, v)]
+        if p.evaluate(dict(zip(freq, there))) != p.evaluate(point):
+            return BoostWitness(lam, v, tau, tuple(xi))
+    raise InconsistencyError("nonzero residue but no witnessing point found")

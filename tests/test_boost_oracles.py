@@ -35,12 +35,12 @@ from galinv import (
     symbol_of,
     synthesize,
 )
-from galinv import universe
+from galinv import checks, universe
 from galinv.checks import _boost_witness
 from galinv.universe import random_rational
 
 from conftest import random_constant_lpdo, random_fraction, random_gaussian
-from reference_classify import conj_boost_gauge
+from reference_classify import conj_boost_gauge, fraction_witness
 from reference_symbols import reference_power_form
 
 # The decider's witness seed: both routes walk the same point sequence.
@@ -162,17 +162,18 @@ def test_witness_search_fails_fast_when_routes_disagree():
 def test_witness_search_doubles_its_bound_after_100_points(monkeypatch):
     """The first 100 points compare equal, so the witness is the 101st: the
     seeded draws of 100 points over `boost_vars(n)` at bound 3, then one
-    point at bound 6."""
+    point at bound 6.  Each point takes two calls of the plan kernel, the
+    drawn frequency second."""
     n, lam = 2, Fraction(1)
     op = parse_operator("Dt + Dx1^2 + 3*Dx2", n)
     p = symbol_of(op).poly
-    evaluate, calls = MultiPoly.evaluate, []
+    kernel, calls = checks._plan_value, []
 
-    def equal_at_first(poly, point):
-        calls.append(point)
-        return GaussianRational() if len(calls) <= 200 else evaluate(poly, point)
+    def equal_at_first(plan, values):
+        calls.append(values)
+        return (0, 0, 1) if len(calls) <= 200 else kernel(plan, values)
 
-    monkeypatch.setattr(MultiPoly, "evaluate", equal_at_first)
+    monkeypatch.setattr(checks, "_plan_value", equal_at_first)
     witness = _boost_witness(op, lam, p)
     monkeypatch.undo()
     rng = random.Random(WITNESS_SEED)
@@ -181,9 +182,34 @@ def test_witness_search_doubles_its_bound_after_100_points(monkeypatch):
     v = tuple(point[universe.boost(a)] for a in range(1, n + 1))
     xi = tuple(point[universe.freq_space(a)] for a in range(1, n + 1))
     assert witness == BoostWitness(lam, v, point[universe.FREQ_TIME], xi)
-    assert len(calls) == 202 and calls[-1] == point
+    last = {name: (Fraction(a, d), b) for name, (a, b, d) in calls[-1].items()}
+    freq = [universe.FREQ_TIME] + [universe.freq_space(a) for a in range(1, n + 1)]
+    assert len(calls) == 202 and last == {name: (point[name], 0) for name in freq}
     assert max(max(abs(x.numerator), x.denominator) for x in point.values()) > 3
     assert witness.reverify(op)
+
+
+def witness_outcome(search, op, lam, p):
+    try:
+        return search(op, lam, p)
+    except InconsistencyError as exc:
+        return str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 4), st.sampled_from(LAMS), st.booleans())
+def test_integer_witness_search_equals_the_fraction_route(seed, n, order, lam, invariant):
+    """The integer search draws the same points and returns the same
+    witness, or exhausts the same 500 points, as `fraction_witness`.  A
+    power form at lam is invariant, so both searches compare p at all 500
+    points, and any fault in the boosted frequency shows as a witness."""
+    rng = random.Random(seed)
+    if invariant:
+        op = synthesize(lam, [random_gaussian(rng) for _ in range(order)] + [1], n)
+    else:
+        op = random_constant_lpdo(rng, n, order)
+    p = symbol_of(op).poly
+    assert witness_outcome(_boost_witness, op, lam, p) == witness_outcome(fraction_witness, op, lam, p)
 
 
 def test_named_operators_agree_with_residue_route():

@@ -121,6 +121,20 @@ GOLDEN = [
     (["check-boost", "(2i*Dt+Lap)^8 + Dt", "--lambda", "1", "--n", "3"], 1,
      "verdict: not-invariant\nn: 3\nm: 16\nwitness: boost v=(1,-2/3,3/2) breaks commutation at tau=-3/2, xi=(2,-3,0)\n",
      "verdict=not-invariant\nn=3\nm=16\nwitness=boost v=(1,-2/3,3/2) breaks commutation at tau=-3/2, xi=(2,-3,0)\n"),
+    # Boost witnesses at n = 1 and 3 and lam = -1/2 and 2; at lam = -1/2 the
+    # first seeded point leaves the symbol's value unchanged, so a later one witnesses.
+    (["check-boost", "9*Dt + 2i*Dx1^2 + 4*Dx1^3", "--lambda", "-1/2", "--n", "1"], 1,
+     "verdict: not-invariant\nn: 1\nm: 3\nwitness: boost v=(-2/3) breaks commutation at tau=0, xi=(1)\n",
+     "verdict=not-invariant\nn=1\nm=3\nwitness=boost v=(-2/3) breaks commutation at tau=0, xi=(1)\n"),
+    (["check-boost", "2i*Dt + Dx1", "--lambda", "2", "--n", "1"], 1,
+     "verdict: not-invariant\nn: 1\nm: 1\nwitness: boost v=(-3/2) breaks commutation at tau=2/3, xi=(-1/3)\n",
+     "verdict=not-invariant\nn=1\nm=1\nwitness=boost v=(-3/2) breaks commutation at tau=2/3, xi=(-1/3)\n"),
+    (["check-boost", "2*Dx3^2 + Dx1*Dx3", "--lambda", "-1/2", "--n", "3"], 1,
+     "verdict: not-invariant\nn: 3\nm: 2\nwitness: boost v=(-3/2,-1,1) breaks commutation at tau=-2/3, xi=(-1/2,-1,1/2)\n",
+     "verdict=not-invariant\nn=3\nm=2\nwitness=boost v=(-3/2,-1,1) breaks commutation at tau=-2/3, xi=(-1/2,-1,1/2)\n"),
+    (["check-boost", "(2i*Dt + Lap)^2 + Dx3", "--lambda", "2", "--n", "3"], 1,
+     "verdict: not-invariant\nn: 3\nm: 4\nwitness: boost v=(1,-2/3,3/2) breaks commutation at tau=-3/2, xi=(2,-3,0)\n",
+     "verdict=not-invariant\nn=3\nm=4\nwitness=boost v=(1,-2/3,3/2) breaks commutation at tau=-3/2, xi=(2,-3,0)\n"),
 ]
 
 
